@@ -11,7 +11,6 @@ from .errors import (
     ConvergenceError,
     DegenerateWeight,
     DomainError,
-    NotInvertible,
     PathExitsClass,
     RangeError,
     SingularPotential,
@@ -25,6 +24,7 @@ from .functions import (
     exponential,
     fsum,
     identity,
+    invert,
     log_guarded,
     parse_function,
     power,
@@ -64,7 +64,6 @@ from .solver import (
     IterationStep,
     IterationTrace,
     iterate,
-    residual_minimize,
     solve_critical,
 )
 from .spectral import (

@@ -4,7 +4,7 @@ Commands: evaluate, invariance, solve, iterate, variation-check, sweep.
 All randomness flows from --seed through the documented splitmix64
 generator; identical config + seed produces byte-identical outputs.
 
-Exit codes: 0 success, 1 numerical failure, 2 usage/parse error.
+Exit codes: 0 success, 1 numerical or I/O failure, 2 usage/parse error.
 """
 
 from __future__ import annotations
@@ -350,7 +350,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--target", type=float, help="normalization target for phi")
     p.add_argument("--nodes", type=int, help="collocation nodes (default 129)")
     p.add_argument("--seed", type=int, help="seed for the splitmix64 generator")
-    p.add_argument("--tol", type=float, help="boundary/criticality tolerance")
     p.add_argument("--out", help="output directory")
 
 
@@ -389,7 +388,6 @@ def _config_from_args(args) -> RunConfig:
         target=args.target,
         nodes=args.nodes,
         seed=args.seed,
-        tol=args.tol,
         out=args.out,
         samples=getattr(args, "samples", None),
         max_steps=getattr(args, "max_steps", None),
@@ -418,8 +416,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CalabiLabError, OSError) as exc:
+    except CalabiLabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 1
 
 

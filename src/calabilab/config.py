@@ -19,7 +19,6 @@ _KEYS = {
     "normalization.target": float,
     "grid.nodes": int,
     "seed": int,
-    "tol": float,
     "amplitude": float,
     "samples": int,
     "iterate.max_steps": int,
@@ -34,7 +33,6 @@ _FIELD_BY_KEY = {
     "normalization.target": "target",
     "grid.nodes": "nodes",
     "seed": "seed",
-    "tol": "tol",
     "amplitude": "amplitude",
     "samples": "samples",
     "iterate.max_steps": "max_steps",
@@ -52,7 +50,6 @@ class RunConfig:
     target: float | None = None
     nodes: int = 129
     seed: int = 0
-    tol: float = 1e-8
     amplitude: float = 0.3
     samples: int = 50
     max_steps: int = 8

@@ -37,16 +37,13 @@ class DomainError(CalabiLabError):
         super().__init__(f"{tag}: value {value!r} outside domain{loc}")
 
 
-class NotInvertible(CalabiLabError):
-    """The function descriptor does not expose a monotone inverse."""
-
-
 class SingularPotential(CalabiLabError):
     """h(phi) crosses zero on the momentum interval."""
 
 
 class RangeError(CalabiLabError):
-    """The affine target left the range of f' during a solve."""
+    """A target left the range of the function being inverted (f' in a
+    solve), or the Newton inversion could not reach it."""
 
 
 class ConvergenceError(CalabiLabError):

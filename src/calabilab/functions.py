@@ -3,8 +3,9 @@
 Tags: constant(c), identity, affine(a, b), power(p), exponential,
 log_guarded, scaled(c, inner), sum(inner, inner),
 composed_with_affine(inner, a, b).  Scalars may be complex (for h); f is
-expected real.  Each descriptor knows its derivative as another descriptor
-and, where monotone, its functional inverse.
+expected real.  Each descriptor knows its derivative as another descriptor;
+invert solves g(s) = y pointwise by Newton's method with that exact
+derivative, for any g whose derivative does not vanish.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NotInvertible
+from .errors import ConfigError, DomainError, RangeError
+
+INVERT_TOL = 1e-13
+MAX_INVERT_ITER = 50
 
 
 def _is_real(c) -> bool:
@@ -107,37 +111,6 @@ class FunctionDescriptor:
             return scaled(a, composed_with_affine(self.inner[0].derivative(), a, b))
         raise ConfigError(f"unknown function tag {tag!r}")
 
-    def inverse(self) -> "FunctionDescriptor":
-        """Monotone functional inverse, where one exists in the catalog."""
-        tag = self.tag
-        if tag == "identity":
-            return identity()
-        if tag == "affine":
-            a, b = self.params
-            if a == 0:
-                raise NotInvertible("affine with zero slope")
-            return affine(_scalar(1.0 / a), _scalar(-b / a))
-        if tag == "power":
-            p = self.params[0]
-            if p == 0:
-                raise NotInvertible("power(0) is constant")
-            return power(1.0 / p)
-        if tag == "exponential":
-            return log_guarded()
-        if tag == "log_guarded":
-            return exponential()
-        if tag == "scaled":
-            c = self.params[0]
-            if c == 0:
-                raise NotInvertible("scaled by zero")
-            return composed_with_affine(self.inner[0].inverse(), _scalar(1.0 / c), 0.0)
-        if tag == "composed_with_affine":
-            a, b = self.params
-            if a == 0:
-                raise NotInvertible("inner affine with zero slope")
-            return scaled(_scalar(1.0 / a), fsum(self.inner[0].inverse(), constant(_scalar(-b))))
-        raise NotInvertible(f"{tag} exposes no monotone inverse")
-
     def constant_value(self):
         """Return c if the descriptor is the constant function c, else None."""
         tag = self.tag
@@ -215,6 +188,35 @@ def fsum(g1: FunctionDescriptor, g2: FunctionDescriptor) -> FunctionDescriptor:
 
 def composed_with_affine(g: FunctionDescriptor, a, b) -> FunctionDescriptor:
     return FunctionDescriptor("composed_with_affine", (_scalar(a), _scalar(b)), (g,))
+
+
+def invert(g: FunctionDescriptor, y, start, nodes=None) -> np.ndarray:
+    """Solve g(s) = y pointwise by Newton's method with the exact g',
+    starting from start (a scalar or one value per point); cf. rtsafe,
+    Numerical Recipes 9.4, without the bracket.
+
+    Raises RangeError when g' vanishes at an iterate, an iterate leaves
+    the domain of g, an iterate is not finite, or the steps do not settle.
+    """
+    dg = g.derivative()
+    s = np.array(np.broadcast_to(start, np.shape(y)), dtype=float)
+    for _ in range(MAX_INVERT_ITER):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                slope = dg(s, nodes)
+                if np.any(slope == 0.0):
+                    raise RangeError(f"derivative of {g.render()} is 0 at an iterate")
+                step = (g(s, nodes) - y) / slope
+        except DomainError as exc:
+            raise RangeError(
+                f"target left the range of {g.render()} at node x={exc.node!r}"
+            ) from exc
+        s = s - step
+        if not np.all(np.isfinite(s)):
+            raise RangeError(f"target left the range of {g.render()}: non-finite iterate")
+        if np.abs(step).max() <= INVERT_TOL * (1.0 + np.abs(s).max()):
+            return s
+    raise RangeError(f"inversion of {g.render()} did not converge in {MAX_INVERT_ITER} steps")
 
 
 # -- expression grammar -------------------------------------------------------

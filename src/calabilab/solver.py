@@ -1,10 +1,13 @@
-"""Critical-metric solvers and the vector-field iteration harness.
+"""The critical-metric solver and the vector-field iteration harness.
 
 solve_critical shoots on the affine coefficients (alpha, beta) of the EL
-potential: given (alpha, beta), the scalar curvature is recovered as
-s = (f')^{-1}((alpha x + beta) / h(phi)), the profile is rebuilt by
-integrating (w Theta)'' = A - w s from the left endpoint, and Newton
-iterates on the two far-end mismatches.
+potential: given (alpha, beta), the scalar curvature s solves
+f'(s) = (alpha x + beta) / h(phi) (Newton inversion of f', warm-started
+from the previous iterate), and Newton iterates on the two far-end
+mismatches of integrating (w Theta)'' = A - w s from the left endpoint.
+The mismatch is affine in s, K s + m0, so the Newton Jacobian is exact:
+J = K diag(1 / (h f''(s))) [x 1].  The profile is integrated once, from
+the final s.
 
 When f' is constant the EL potential does not depend on the metric, so
 every metric is critical; the solver detects this degenerate direction and
@@ -17,28 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    NotInvertible,
-    RangeError,
-    SingularPotential,
-)
-from .functions import FunctionDescriptor
-from .geometry import (
-    MetricProfile,
-    ProfileGeometry,
-    bump_factor,
-    class_constants,
-    round_profile,
-)
+from .errors import CalabiLabError, ConvergenceError, DomainError, SingularPotential
+from .functions import FunctionDescriptor, invert
+from .geometry import MetricProfile, ProfileGeometry, class_constants
 from .potentials import ELReport, HolomorphyPotential, el_potential, holomorphy_defect
 from .spectral import SampledFunction, affine_projection
 
 NEWTON_TOL = 1e-10
-NEWTON_FD_STEP = 1e-7
 MAX_NEWTON_ITER = 50
 
 STATUS_CONVERGED = "converged"
@@ -91,7 +80,10 @@ def _theta_from_p(geom: ProfileGeometry, p: np.ndarray) -> np.ndarray:
 
 
 class _Shooter:
-    """Shared left-to-right integration of (w Theta)'' = A - w s."""
+    """Left-to-right integration of (w Theta)'' = A - w s and its far-end
+    mismatch K s + m0, where K and m0 are the Clenshaw-Curtis forms of
+    p_hi = w_lo slope_lo span + int (x_hi - x)(A - w s) and
+    p'_hi = w_lo slope_lo + int (A - w s), with p = w Theta."""
 
     def __init__(self, geom: ProfileGeometry):
         self.geom = geom
@@ -99,45 +91,50 @@ class _Shooter:
         self.grid = grid
         self.w = geom.weight.values
         self.a = geom.base_term.values
-        self.w_hi = float(self.w[-1])
-        self.dw_hi = float(grid.differentiate_values(self.w, 1)[-1])
         self.p_slope_lo = float(self.w[0]) * geom.slope_lo
-
-    def integrate(self, s_vals: np.ndarray):
-        rhs = self.a - self.w * s_vals
-        p1 = self.p_slope_lo + self.grid.antiderivative_values(rhs)
-        p = self.grid.antiderivative_values(p1)
-        return p, p1
+        w_hi = float(self.w[-1])
+        dw_hi = float(grid.differentiate_values(self.w, 1)[-1])
+        q = grid.quad_weights
+        lever = grid.hi - grid.x
+        # (theta_hi, theta'_hi) = rows . (p_hi, p'_hi)
+        rows = np.array([[1.0 / w_hi, 0.0], [-dw_hi / w_hi ** 2, 1.0 / w_hi]])
+        self.k = -rows @ np.stack([q * lever * self.w, q * self.w])
+        p0 = self.p_slope_lo * np.array([grid.span, 1.0]) + np.stack([q * lever, q]) @ self.a
+        self.m0 = rows @ p0 - np.array([0.0, geom.slope_hi])
 
     def mismatch(self, s_vals: np.ndarray) -> np.ndarray:
-        p, p1 = self.integrate(s_vals)
-        theta_hi = p[-1] / self.w_hi
-        dtheta_hi = (p1[-1] - self.dw_hi * theta_hi) / self.w_hi
-        return np.array([theta_hi, dtheta_hi - self.geom.slope_hi])
+        return self.k @ s_vals + self.m0
 
     def profile(self, s_vals: np.ndarray) -> MetricProfile:
-        p, _ = self.integrate(s_vals)
+        p1 = self.p_slope_lo + self.grid.antiderivative_values(self.a - self.w * s_vals)
+        p = self.grid.antiderivative_values(p1)
         return MetricProfile(self.geom, SampledFunction(self.grid, _theta_from_p(self.geom, p)))
 
 
-def _newton(shooter: _Shooter, s_of_ab, init, tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER):
+def _newton(shooter: _Shooter, s_of_ab, ds_dpsi, init, tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER):
+    """Newton on the far-end mismatch.  s_of_ab maps (alpha, beta) to s and
+    ds_dpsi(s) is the pointwise derivative of s in psi = alpha x + beta, so
+    the Jacobian K diag(ds_dpsi) [x 1] is exact."""
+    x = shooter.grid.x
     ab = np.array(init, dtype=float)
     trace = []
     for it in range(max_iter):
-        res = shooter.mismatch(s_of_ab(ab))
+        s = s_of_ab(ab)
+        res = shooter.mismatch(s)
         rnorm = float(np.abs(res).max())
         trace.append((tuple(ab), rnorm))
-        if rnorm < tol:
-            return ab, it, trace
-        jac = np.empty((2, 2))
-        for j in range(2):
-            bump = ab.copy()
-            bump[j] += NEWTON_FD_STEP
-            jac[:, j] = (shooter.mismatch(s_of_ab(bump)) - res) / NEWTON_FD_STEP
+        d = ds_dpsi(s)
+        kd = shooter.k * d
+        jac = np.stack([kd @ x, kd.sum(axis=1)], axis=1)
         sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[-1] <= 1e-12 * max(sv[0], 1.0):
+        if sv[-1] <= 1e-12 * sv[0]:
             raise ConvergenceError("rank-deficient Newton Jacobian", trace)
-        ab = ab - np.linalg.solve(jac, res)
+        step = np.linalg.solve(jac, res)
+        ab = ab - step
+        if rnorm < tol:
+            # J is exact, so this last step leaves a residual of order
+            # rnorm**2; s follows it to first order, which is as accurate.
+            return ab, s - d * (step[0] * x + step[1]), it, trace
     raise ConvergenceError(f"Newton stagnated after {max_iter} iterations", trace)
 
 
@@ -179,26 +176,23 @@ def solve_critical(
             raise ConvergenceError(
                 "EL potential is metric-independent and non-affine: no critical metric"
             )
-        ab, iters, trace = _newton(
-            shooter, lambda ab: ab[0] * x + ab[1], (0.0, s0), tol, max_iter
+        ab, s_final, iters, trace = _newton(
+            shooter,
+            lambda ab: ab[0] * x + ab[1],
+            lambda s: 1.0,
+            (0.0, s0) if init is None else init,
+            tol,
+            max_iter,
         )
         status = STATUS_EVERY_METRIC
     else:
-        try:
-            fp_inv = fprime.inverse()
-        except NotInvertible as exc:
-            raise NotInvertible(
-                f"f' of {f.render()} is not invertible; use residual_minimize"
-            ) from exc
+        fsecond = fprime.derivative()
+        s_prev = np.full(x.shape, s0)
 
         def s_of_ab(ab):
-            target = (ab[0] * x + ab[1]) / hr
-            try:
-                return np.asarray(fp_inv(target, x), dtype=float)
-            except DomainError as exc:
-                raise RangeError(
-                    f"affine target left the range of f' at node x={exc.node!r}"
-                ) from exc
+            nonlocal s_prev
+            s_prev = invert(fprime, (ab[0] * x + ab[1]) / hr, s_prev, x)
+            return s_prev
 
         if init is None:
             try:
@@ -206,10 +200,11 @@ def solve_critical(
             except DomainError:
                 beta0 = 1.0
             init = (0.0, beta0)
-        ab, iters, trace = _newton(shooter, s_of_ab, init, tol, max_iter)
+        ab, s_final, iters, trace = _newton(
+            shooter, s_of_ab, lambda s: 1.0 / (hr * fsecond(s, x)), init, tol, max_iter
+        )
         status = STATUS_CONVERGED
 
-    s_final = (ab[0] * x + ab[1]) if fp_const is not None else s_of_ab(ab)
     profile = shooter.profile(s_final)
     psi = el_potential(profile, f, h, phi)
     report = holomorphy_defect(profile, psi)
@@ -222,118 +217,6 @@ def solve_critical(
         converged=True,
         status=status,
         residual_trace=tuple(trace),
-    )
-
-
-class _ResidualObjective:
-    """Squared affine defect of the EL potential over the admissible
-    parametrization Theta = Theta_round + B(x) q(x)."""
-
-    def __init__(self, geom, f, h, phi, degree=6):
-        self.geom = geom
-        self.grid = geom.grid
-        self.f = f
-        self.h = h
-        self.degree = degree
-        x = self.grid.x
-        self.hv = np.asarray(h(phi.values(), x))
-        self.w = geom.weight.values
-        self.a_term = geom.base_term.values
-        self.theta0 = round_profile(geom).theta.values
-        b = bump_factor(geom)
-        tv = np.polynomial.chebyshev.chebvander(self.grid.t, degree)
-        self.basis = b[:, None] * tv  # dTheta/dq_k
-        self.fprime = f.derivative()
-        self.fp_const = self.fprime.constant_value()
-        self.fsecond = self.fprime.derivative()
-        # ds/dq_k = -(w * B T_k)'' / w, precomputed per basis column
-        cols = []
-        for k in range(degree + 1):
-            num = self.grid.differentiate_values(self.w * self.basis[:, k], 2)
-            cols.append(-self._div_w(num))
-        self.ds_basis = np.stack(cols, axis=1)
-        self.qw = self.grid.quad_weights * self.w
-
-    def _div_w(self, values):
-        if self.geom.weight_zero_order > 0:
-            return self.grid.divide_by_left_monomial(values, self.geom.weight_zero_order)
-        return values / self.w
-
-    def scalar_curvature(self, q):
-        theta = self.theta0 + self.basis @ q
-        return self._div_w(self.a_term - self.grid.differentiate_values(self.w * theta, 2))
-
-    def psi_and_dpsi(self, q):
-        x = self.grid.x
-        s = self.scalar_curvature(q)
-        if self.fp_const is not None:
-            # Degenerate direction: target affine scalar curvature instead.
-            return s, self.ds_basis
-        psi = np.asarray(self.fprime(s, x)) * self.hv
-        dpsi = (np.asarray(self.fsecond(s, x)) * self.hv)[:, None] * self.ds_basis
-        return psi, dpsi
-
-    def value_and_grad(self, q):
-        psi, dpsi = self.psi_and_dpsi(q)
-        alpha, beta, resid_norm = affine_projection(psi, self.w, self.grid)
-        value = self.geom.vol_const * resid_norm ** 2
-        resid = psi - (alpha * self.grid.x + beta)
-        grad = 2.0 * self.geom.vol_const * np.real(
-            (np.conj(resid) * self.qw) @ dpsi
-        )
-        return float(value), np.asarray(grad, dtype=float)
-
-    def profile(self, q):
-        return MetricProfile(
-            self.geom, SampledFunction(self.grid, self.theta0 + self.basis @ q)
-        )
-
-
-def residual_minimize(
-    geom: ProfileGeometry,
-    f: FunctionDescriptor,
-    h: FunctionDescriptor,
-    phi: HolomorphyPotential,
-    init_profile: MetricProfile,
-    degree: int = 6,
-    grad_tol: float = 1e-6,
-) -> CriticalSolveResult:
-    """Minimize the squared affine defect over the bump parametrization.
-
-    Fallback for f without an invertible derivative; quasi-second-order
-    (BFGS) descent with an analytic gradient.
-    """
-    obj = _ResidualObjective(geom, f, h, phi, degree)
-    # project the initial profile onto the parametrization
-    dtheta = init_profile.theta.values - obj.theta0
-    q0, *_ = np.linalg.lstsq(obj.basis[1:-1], dtheta[1:-1], rcond=None)
-    val0, grad0 = obj.value_and_grad(q0)
-    if float(np.linalg.norm(grad0)) < grad_tol:
-        q_opt, iters = q0, 0
-    else:
-        res = optimize.minimize(
-            obj.value_and_grad,
-            q0,
-            jac=True,
-            method="BFGS",
-            options={"gtol": min(grad_tol, 1e-9), "maxiter": 500},
-        )
-        if float(np.linalg.norm(res.jac)) > grad_tol:
-            raise ConvergenceError(
-                f"descent stalled: |grad| = {float(np.linalg.norm(res.jac)):.3e}"
-            )
-        q_opt, iters = res.x, int(res.nit)
-    profile = obj.profile(q_opt)
-    psi = el_potential(profile, f, h, phi)
-    report = holomorphy_defect(profile, psi)
-    return CriticalSolveResult(
-        profile=profile,
-        alpha=float(np.real(report.alpha)),
-        beta=float(np.real(report.beta)),
-        el_report=report,
-        iterations=iters,
-        converged=True,
-        status=STATUS_CONVERGED,
     )
 
 
@@ -358,7 +241,7 @@ def iterate(
     for i in range(max_steps):
         try:
             res = solve_critical(geom, f, h, phi)
-        except Exception as exc:  # propagated solver errors mark the step failed
+        except CalabiLabError as exc:  # a named solver failure marks the step failed
             steps.append(IterationStep(i, None, None, "failed", {"error": str(exc)}))
             break
         summary = {

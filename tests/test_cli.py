@@ -123,6 +123,16 @@ def test_exit_code_1_on_numerical_failure(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_1_on_io_failure(tmp_path, capsys):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    code = main(["solve", "--f", "id", "--h", "const:1", "--out", str(blocker / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: I/O")
+    assert "numerical failure" not in err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("geometry=cp1\nf=id\nh=const:1\ngrid.nodes=65\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from calabilab import parse_function, render_function
-from calabilab.errors import ConfigError, DomainError, NotInvertible
+from calabilab.errors import ConfigError, DomainError, RangeError
 from calabilab.functions import (
     affine,
     composed_with_affine,
@@ -10,6 +10,7 @@ from calabilab.functions import (
     exponential,
     fsum,
     identity,
+    invert,
     log_guarded,
     power,
     scaled,
@@ -50,34 +51,51 @@ def test_derivative_matches_finite_difference(spec):
     assert np.abs(dv - fd).max() < 1e-6 * (1.0 + np.abs(fd).max())
 
 
-@pytest.mark.parametrize(
-    "desc",
-    [
-        identity(),
-        exponential(),
-        log_guarded(),
-        power(2),
-        power(0.5),
-        affine(2.0, -1.0),
-        scaled(0.5, power(2)),
-        composed_with_affine(exponential(), 2.0, 1.0),
-    ],
-)
+# descriptor -> closed-form inverse (None: none in the catalog)
+INVERSES = {
+    identity(): lambda y: y,
+    exponential(): np.log,
+    log_guarded(): np.exp,
+    power(2): np.sqrt,
+    power(0.5): lambda y: y ** 2,
+    affine(2.0, -1.0): lambda y: (y + 1.0) / 2.0,
+    scaled(0.5, power(2)): lambda y: np.sqrt(2.0 * y),
+    composed_with_affine(exponential(), 2.0, 1.0): lambda y: (np.log(y) - 1.0) / 2.0,
+    fsum(identity(), identity()): lambda y: y / 2.0,
+    fsum(exponential(), identity()): None,
+}
+
+
+@pytest.mark.parametrize("desc", list(INVERSES))
 def test_inverse_is_right_inverse(desc):
-    inv = desc.inverse()
+    exact = INVERSES[desc]
     y = np.array([0.3, 1.0, 4.2])
-    assert np.abs(desc(inv(y)) - y).max() < 1e-10
+    start = 1.1 * exact(y) + 0.1 if exact is not None else 1.0
+    s = invert(desc, y, start)
+    assert np.abs(desc(s) - y).max() < 1e-12
+    if exact is not None:
+        assert np.abs(s - exact(y)).max() < 1e-12 * (1.0 + np.abs(s).max())
 
 
 def test_non_invertible_tags_raise():
-    with pytest.raises(NotInvertible):
-        constant(3.0).inverse()
-    with pytest.raises(NotInvertible):
-        affine(0.0, 1.0).inverse()
-    with pytest.raises(NotInvertible):
-        power(0).inverse()
-    with pytest.raises(NotInvertible):
-        fsum(identity(), identity()).inverse()
+    # g' = 0 identically: no Newton step exists
+    y = np.array([0.5, 2.0])
+    for desc in (constant(3.0), affine(0.0, 1.0), power(0)):
+        with pytest.raises(RangeError, match="is 0"):
+            invert(desc, y, 1.0)
+
+
+def test_invert_range_errors():
+    y = np.array([-1.0, 2.0])
+    # e^s never reaches -1: the iterates run off to -inf
+    with pytest.raises(RangeError):
+        invert(exponential(), y, 0.0)
+    # sqrt(s) = -1: the first step leaves the domain s > 0
+    with pytest.raises(RangeError, match="range"):
+        invert(power(0.5), y, 1.0, np.array([0.0, 1.0]))
+    # s^2 = -1 has no real root: Newton wanders without settling
+    with pytest.raises(RangeError):
+        invert(power(2), np.array([-1.0]), 0.7)
 
 
 def test_domain_errors_carry_location():

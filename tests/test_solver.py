@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,14 +16,17 @@ from calabilab import (
     delta_S_analytic,
     holomorphy_defect,
     el_potential,
+    affine_projection,
     iterate,
+    make_cp1_geometry,
+    make_cpm_geometry,
     normalize_potential,
     parse_function,
     random_admissible_profile,
-    residual_minimize,
     round_profile,
     solve_critical,
 )
+from calabilab import solver
 from calabilab.geometry import bump_factor
 
 E2 = float(np.exp(2.0))
@@ -105,29 +112,69 @@ def test_metric_independent_nonaffine_has_no_solution(cp1):
         solve_critical(cp1, parse_function("id"), parse_function("pow:2"), phi)
 
 
-def test_residual_minimize_agrees_with_shooting(cp1, cp1_phi):
-    init = random_admissible_profile(cp1, 13, 0.15)
-    res = residual_minimize(
-        cp1, parse_function("id"), parse_function("const:1"), cp1_phi, init
+def _affine_init(psi, geom):
+    alpha, beta, _ = affine_projection(psi, geom.weight)
+    return (alpha, beta)
+
+
+def test_solve_from_far_init(cp1, cp1_phi):
+    # the answer is (0, 2); the mismatch is affine in (alpha, beta) here
+    res = solve_critical(
+        cp1, parse_function("id"), parse_function("const:1"), cp1_phi, init=(1.0, -1.0)
     )
-    assert np.abs(res.profile.theta.values - (1.0 - cp1.grid.x ** 2)).max() < 1e-6
+    assert res.iterations == 1
+    assert np.abs(res.profile.theta.values - (1.0 - cp1.grid.x ** 2)).max() < 1e-10
 
 
-def test_residual_minimize_exact_init_stops_immediately(cp1, cp1_phi, cp1_round):
-    res = residual_minimize(
-        cp1, parse_function("id"), parse_function("const:1"), cp1_phi, cp1_round
-    )
-    assert res.iterations == 0
-    assert np.abs(res.profile.theta.values - cp1_round.theta.values).max() < 1e-10
+def test_solve_exact_init_stops_immediately(cp1, cp1_phi, cp1_round):
+    for f in ("id", "scaled:0.5:pow:2"):
+        res = solve_critical(
+            cp1, parse_function(f), parse_function("const:1"), cp1_phi, init=(0.0, 2.0)
+        )
+        assert res.iterations == 0
+        assert np.abs(res.profile.theta.values - cp1_round.theta.values).max() < 1e-10
 
 
-def test_residual_minimize_nonlinear(cp1):
+def test_solve_nonlinear_from_random_profile_init(cp1):
     phi = HolomorphyPotential(cp1, 1.0, 2.0)
     f, h = parse_function("exp"), parse_function("id")
     direct = solve_critical(cp1, f, h, phi)
-    init = random_admissible_profile(cp1, 17, 0.1)
-    res = residual_minimize(cp1, f, h, phi, init)
-    assert np.abs(res.profile.theta.values - direct.profile.theta.values).max() < 1e-6
+    init = _affine_init(el_potential(random_admissible_profile(cp1, 17, 0.05), f, h, phi), cp1)
+    res = solve_critical(cp1, f, h, phi, init=init)
+    assert np.abs(res.profile.theta.values - direct.profile.theta.values).max() < 1e-10
+    # at amplitude 0.1 the fitted alpha x + beta is negative at x = -1,
+    # outside the range of exp: a named failure, not a wrong answer
+    init = _affine_init(el_potential(random_admissible_profile(cp1, 17, 0.1), f, h, phi), cp1)
+    with pytest.raises(RangeError):
+        solve_critical(cp1, f, h, phi, init=init)
+
+
+@pytest.mark.parametrize("f", ["exp", "sum:exp,pow:2"])
+@pytest.mark.parametrize("geometry", ["cp1", "cpm:3"])
+def test_general_f_solves_to_round_profile(geometry, f):
+    # h(phi) = x + 2 is affine, so the constant-s round profile is critical
+    # for every f; the solve must find it and report it truthfully.
+    geom = make_cpm_geometry(3) if geometry == "cpm:3" else make_cp1_geometry()
+    phi = HolomorphyPotential(geom, 1.0, 2.0)
+    fd, h = parse_function(f), parse_function("id")
+    res = solve_critical(geom, fd, h, phi)
+    assert res.status == "converged"
+    theta = res.profile.theta.values
+    assert np.abs(theta - round_profile(geom).theta.values).max() < 1e-10
+    again = holomorphy_defect(res.profile, el_potential(res.profile, fd, h, phi))
+    assert again.is_critical and res.el_report.is_critical
+    assert again.defect_affine == res.el_report.defect_affine
+
+
+def test_exponential_solve_on_cpm3_large_beta():
+    # s0 = 24 on CP^3, so beta ~ e^24: the Jacobian entries are ~1/beta
+    geom = make_cpm_geometry(3, 129)
+    phi = HolomorphyPotential(geom, 1.0, 2.0)
+    res = solve_critical(geom, parse_function("exp"), parse_function("id"), phi)
+    x = geom.grid.x
+    assert np.abs(res.profile.theta.values - 2.0 * x * (1.0 - x)).max() < 1e-10
+    assert abs(res.alpha / np.exp(24.0) - 1.0) < 1e-9
+    assert abs(res.beta / (2.0 * np.exp(24.0)) - 1.0) < 1e-9
 
 
 def test_iterate_zero_field_immediately(cp1, cp1_phi):
@@ -153,6 +200,26 @@ def test_iterate_records_failure_step(cp1):
     trace = iterate(cp1, parse_function("exp"), parse_function("id"), phi, 4)
     assert trace.steps[-1].status == "failed"
     assert trace.final_status == "failed"
+
+
+def test_iterate_propagates_non_library_errors(cp1, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("bug in the solver")
+
+    monkeypatch.setattr(solver, "solve_critical", broken)
+    phi = HolomorphyPotential(cp1, 1.0, 2.0)
+    with pytest.raises(ZeroDivisionError):
+        iterate(cp1, parse_function("exp"), parse_function("id"), phi, 2)
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, calabilab; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_solver_boundary_mismatch_tolerance(cp1):
