@@ -26,7 +26,6 @@ from .geometry import (
     make_cpm_geometry,
     random_admissible_profile,
     round_profile,
-    scalar_curvature,
 )
 from .potentials import (
     HolomorphyPotential,
@@ -40,10 +39,12 @@ from .potentials import (
 from .rng import SplitMix64
 from .serialize import dump_json, fmt, profile_from_csv, profile_to_csv, sampled_to_csv
 from .solver import iterate, solve_critical
-from .spectral import SampledFunction
+from .spectral import MIN_NODES, SampledFunction
 
 
 def _geometry(cfg: RunConfig):
+    if cfg.nodes < MIN_NODES:
+        raise ConfigError(f"node count must be at least {MIN_NODES}, got {cfg.nodes}")
     spec = cfg.geometry.strip().lower()
     if spec == "cp1":
         return make_cp1_geometry(cfg.nodes)
@@ -52,6 +53,8 @@ def _geometry(cfg: RunConfig):
             m = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad geometry spec {cfg.geometry!r}") from exc
+        if m < 2:
+            raise ConfigError(f"bad geometry spec {cfg.geometry!r} (m must be at least 2)")
         return make_cpm_geometry(m, cfg.nodes)
     raise ConfigError(f"unknown geometry {cfg.geometry!r} (use cp1 or cpm:<m>)")
 
@@ -62,8 +65,13 @@ def _profile(geom, cfg: RunConfig):
         return round_profile(geom)
     if spec.startswith("random"):
         parts = spec.split(":")
-        seed = int(parts[1]) if len(parts) > 1 else cfg.seed
-        amp = float(parts[2]) if len(parts) > 2 else cfg.amplitude
+        try:
+            seed = int(parts[1]) if len(parts) > 1 else cfg.seed
+            amp = float(parts[2]) if len(parts) > 2 else cfg.amplitude
+        except ValueError as exc:
+            raise ConfigError(f"bad profile spec {cfg.profile!r}") from exc
+        if amp < 0:
+            raise ConfigError(f"bad profile spec {cfg.profile!r} (amplitude must be nonnegative)")
         return random_admissible_profile(geom, seed, amp)
     if spec.startswith("file:"):
         with open(spec[5:]) as fh:
@@ -87,13 +95,11 @@ def _random_direction(geom, seed: int, degree: int = 4, scale: float = 0.2) -> S
 
 
 def _safe_t_max(profile, path, t_max: float = 0.25) -> float:
-    from .geometry import validate
-
     for _ in range(30):
         try:
             for sign in (1.0, -1.0):
                 moved, _ = var.transport(profile, path, sign * t_max)
-                if validate(moved):
+                if moved.violations:
                     raise PathExitsClass(sign * t_max)
             return t_max
         except CalabiLabError:
@@ -132,7 +138,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     with open(os.path.join(out, "psi.csv"), "w") as fh:
         fh.write(sampled_to_csv(psi, "psi"))
     with open(os.path.join(out, "s.csv"), "w") as fh:
-        fh.write(sampled_to_csv(scalar_curvature(profile), "s"))
+        fh.write(sampled_to_csv(profile.s, "s"))
     print(f"evaluate: S = {s_val}, is_critical = {report.is_critical}")
     return 0
 

@@ -12,11 +12,12 @@ the prescribed slopes.  Scalar curvature reduces to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AdmissibilityError, DegenerateWeight, UnsupportedGeometry
+from .errors import AdmissibilityError, UnsupportedGeometry
 from .rng import SplitMix64
 from .spectral import SampledFunction, SpectralGrid, get_grid
 
@@ -55,10 +56,23 @@ class ProfileGeometry:
     def grid(self) -> SpectralGrid:
         return self.weight.grid
 
+    def divide_by_weight(self, values: np.ndarray) -> np.ndarray:
+        """values / w.  At a degenerate weight end this is polynomial
+        division in coefficient space, exact when the numerator vanishes
+        there to the weight's order; w > 0 inside is checked at
+        construction."""
+        if self.weight_zero_order > 0:
+            return self.grid.divide_by_left_monomial(values, self.weight_zero_order)
+        return values / self.weight.values
+
 
 @dataclass(frozen=True)
 class MetricProfile:
-    """One Kahler metric in the class: the sampled profile Theta(x)."""
+    """One Kahler metric in the class: the sampled profile Theta(x).
+
+    A profile is a value: its admissibility and its scalar curvature are
+    evaluated once, on first read, and cached on the instance.
+    """
 
     geometry: ProfileGeometry
     theta: SampledFunction
@@ -68,6 +82,42 @@ class MetricProfile:
             raise ValueError("profile and geometry live on different grids")
         if np.iscomplexobj(self.theta.values):
             raise ValueError("theta must be real")
+
+    @cached_property
+    def violations(self) -> tuple:
+        """The violated MetricProfile invariants, within BOUNDARY_TOL."""
+        geom = self.geometry
+        grid = geom.grid
+        th = self.theta.values
+        out = []
+        if abs(th[0]) > BOUNDARY_TOL:
+            out.append(Violation("endpoint value", geom.x_lo, abs(th[0])))
+        if abs(th[-1]) > BOUNDARY_TOL:
+            out.append(Violation("endpoint value", geom.x_hi, abs(th[-1])))
+        # one-sided spectral slopes
+        dlo = float(grid.d1[0] @ th)
+        dhi = float(grid.d1[-1] @ th)
+        if abs(dlo - geom.slope_lo) > BOUNDARY_TOL:
+            out.append(Violation("boundary slope", geom.x_lo, abs(dlo - geom.slope_lo)))
+        if abs(dhi - geom.slope_hi) > BOUNDARY_TOL:
+            out.append(Violation("boundary slope", geom.x_hi, abs(dhi - geom.slope_hi)))
+        interior = th[1:-1]
+        if np.any(interior <= 0):
+            i = int(np.argmin(interior)) + 1
+            out.append(Violation("interior positivity", float(grid.x[i]), abs(min(interior.min(), 0.0))))
+        return tuple(out)
+
+    @cached_property
+    def s(self) -> SampledFunction:
+        """Pointwise scalar curvature s = (A - (w Theta)'') / w of an
+        admissible profile, computed in Chebyshev coefficient space."""
+        require_admissible(self)
+        geom = self.geometry
+        grid = geom.grid
+        num = geom.base_term.values - grid.differentiate_values(geom.weight.values * self.theta.values, 2)
+        s = geom.divide_by_weight(num)
+        s.setflags(write=False)  # shared by every reader of the cache
+        return SampledFunction(grid, s)
 
 
 class Violation(NamedTuple):
@@ -140,56 +190,20 @@ def round_profile(geom: ProfileGeometry) -> MetricProfile:
     return MetricProfile(geom, SampledFunction(geom.grid, theta))
 
 
-def validate(profile: MetricProfile, tol: float = BOUNDARY_TOL) -> list[Violation]:
+def validate(profile: MetricProfile) -> list[Violation]:
     """Check the MetricProfile invariants; violations are data, not errors."""
-    geom = profile.geometry
-    grid = geom.grid
-    th = profile.theta.values.real
-    out = []
-    if abs(th[0]) > tol:
-        out.append(Violation("endpoint value", geom.x_lo, abs(th[0])))
-    if abs(th[-1]) > tol:
-        out.append(Violation("endpoint value", geom.x_hi, abs(th[-1])))
-    # one-sided spectral slopes
-    dlo = float(grid.d1[0] @ th)
-    dhi = float(grid.d1[-1] @ th)
-    if abs(dlo - geom.slope_lo) > tol:
-        out.append(Violation("boundary slope", geom.x_lo, abs(dlo - geom.slope_lo)))
-    if abs(dhi - geom.slope_hi) > tol:
-        out.append(Violation("boundary slope", geom.x_hi, abs(dhi - geom.slope_hi)))
-    interior = th[1:-1]
-    if np.any(interior <= 0):
-        i = int(np.argmin(interior)) + 1
-        out.append(Violation("interior positivity", float(grid.x[i]), abs(min(interior.min(), 0.0))))
-    return out
+    return list(profile.violations)
 
 
-def require_admissible(profile: MetricProfile, tol: float = BOUNDARY_TOL) -> None:
-    bad = validate(profile, tol)
-    if bad:
-        raise AdmissibilityError(bad)
+def require_admissible(profile: MetricProfile) -> None:
+    if profile.violations:
+        raise AdmissibilityError(profile.violations)
 
 
-def scalar_curvature(profile: MetricProfile, tol: float = BOUNDARY_TOL) -> SampledFunction:
-    """Pointwise scalar curvature s = (A - (w Theta)'') / w.
-
-    Computed in Chebyshev coefficient space; at a degenerate weight end the
-    division is done as polynomial division, which is exact for admissible
-    profiles (the numerator vanishes there to the weight's order).
-    """
-    require_admissible(profile, tol)
-    geom = profile.geometry
-    grid = geom.grid
-    w = geom.weight.values
-    num = geom.base_term.values - grid.differentiate_values(w * profile.theta.values, 2)
-    if geom.weight_zero_order > 0:
-        s = grid.divide_by_left_monomial(num, geom.weight_zero_order)
-    else:
-        if np.any(w[1:-1] == 0.0):
-            i = int(np.argmin(np.abs(w[1:-1]))) + 1
-            raise DegenerateWeight(f"weight vanishes at interior node x={grid.x[i]!r}")
-        s = num / w
-    return SampledFunction(grid, s)
+def scalar_curvature(profile: MetricProfile) -> SampledFunction:
+    """Pointwise scalar curvature s = (A - (w Theta)'') / w (cached on the
+    profile); raises AdmissibilityError for an inadmissible profile."""
+    return profile.s
 
 
 def class_constants(geom: ProfileGeometry) -> ClassConstants:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeight
 from .functions import FunctionDescriptor
-from .geometry import MetricProfile, ProfileGeometry, class_constants, require_admissible, scalar_curvature
+from .geometry import MetricProfile, ProfileGeometry, class_constants, require_admissible
 from .spectral import SampledFunction, affine_projection
 
 DEFAULT_AFFINE_TOL = 1e-8
@@ -93,8 +92,7 @@ def eval_S(
     """The functional C_vol * int f(s(x)) h(phi(x)) w(x) dx."""
     geom = profile.geometry
     grid = geom.grid
-    s = scalar_curvature(profile).values
-    fv = f(s, grid.x)
+    fv = f(profile.s.values, grid.x)
     hv = h(_phi_values(profile, phi), grid.x)
     return complex(geom.vol_const * grid.integrate_values(fv * hv * geom.weight.values))
 
@@ -106,10 +104,8 @@ def el_potential(
     phi: HolomorphyPotential,
 ) -> SampledFunction:
     """psi(x) = f'(s(x)) * h(phi(x)), the candidate holomorphy potential."""
-    geom = profile.geometry
-    grid = geom.grid
-    s = scalar_curvature(profile).values
-    fp = f.derivative()(s, grid.x)
+    grid = profile.geometry.grid
+    fp = f.derivative()(profile.s.values, grid.x)
     hv = h(_phi_values(profile, phi), grid.x)
     return SampledFunction(grid, fp * hv)
 
@@ -121,15 +117,7 @@ def lichnerowicz(profile: MetricProfile, psi: SampledFunction) -> SampledFunctio
     grid = geom.grid
     psi2 = grid.differentiate_values(psi.values, 2)
     inner = geom.weight.values * profile.theta.values ** 2 * psi2
-    num = grid.differentiate_values(inner, 2)
-    if geom.weight_zero_order > 0:
-        out = grid.divide_by_left_monomial(num, geom.weight_zero_order)
-    else:
-        w = geom.weight.values
-        if np.any(w[1:-1] == 0.0):
-            raise DegenerateWeight("weight vanishes at an interior node")
-        out = num / w
-    return SampledFunction(grid, out)
+    return SampledFunction(grid, geom.divide_by_weight(grid.differentiate_values(inner, 2)))
 
 
 def quadratic_form(profile: MetricProfile, psi: SampledFunction) -> float:
@@ -179,9 +167,8 @@ def futaki(profile: MetricProfile, phi: HolomorphyPotential) -> float:
     """C_vol * int (s - s0) phi w dx, the class obstruction for the field."""
     geom = profile.geometry
     grid = geom.grid
-    s = scalar_curvature(profile).values
     s0 = class_constants(geom).s0
-    integrand = (s - s0) * _phi_values(profile, phi) * geom.weight.values
+    integrand = (profile.s.values - s0) * _phi_values(profile, phi) * geom.weight.values
     return float(geom.vol_const * grid.integrate_values(integrand))
 
 

@@ -73,8 +73,11 @@ def profile_from_csv(geom: ProfileGeometry, text: str) -> MetricProfile:
     xs, thetas = [], []
     for ln in lines[1:]:
         parts = ln.split(",")
-        xs.append(float(parts[0]))
-        thetas.append(float(parts[1]))
+        try:
+            xs.append(float(parts[0]))
+            thetas.append(float(parts[1]))
+        except (IndexError, ValueError) as exc:
+            raise ConfigError(f"profile CSV row {ln!r} is not two numbers") from exc
     x = np.array(xs)
     if x.size != geom.grid.n or not np.array_equal(x, geom.grid.x):
         raise ConfigError("profile CSV nodes do not match the geometry grid")

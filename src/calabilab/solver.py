@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CalabiLabError, ConvergenceError, DomainError, SingularPotential
+from .errors import CalabiLabError, ConfigError, ConvergenceError, DomainError, SingularPotential
 from .functions import FunctionDescriptor, invert
 from .geometry import MetricProfile, ProfileGeometry, class_constants
 from .potentials import ELReport, HolomorphyPotential, el_potential, holomorphy_defect
@@ -68,17 +68,6 @@ class IterationTrace:
         return self.steps[-1].status if self.steps else "empty"
 
 
-def _theta_from_p(geom: ProfileGeometry, p: np.ndarray) -> np.ndarray:
-    grid = geom.grid
-    if geom.weight_zero_order > 0:
-        theta = grid.divide_by_left_monomial(p, geom.weight_zero_order)
-    else:
-        theta = p / geom.weight.values
-    theta = theta.copy()
-    theta[0] = 0.0
-    return theta
-
-
 class _Shooter:
     """Left-to-right integration of (w Theta)'' = A - w s and its far-end
     mismatch K s + m0, where K and m0 are the Clenshaw-Curtis forms of
@@ -107,8 +96,9 @@ class _Shooter:
 
     def profile(self, s_vals: np.ndarray) -> MetricProfile:
         p1 = self.p_slope_lo + self.grid.antiderivative_values(self.a - self.w * s_vals)
-        p = self.grid.antiderivative_values(p1)
-        return MetricProfile(self.geom, SampledFunction(self.grid, _theta_from_p(self.geom, p)))
+        theta = self.geom.divide_by_weight(self.grid.antiderivative_values(p1))
+        theta[0] = 0.0
+        return MetricProfile(self.geom, SampledFunction(self.grid, theta))
 
 
 def _newton(shooter: _Shooter, s_of_ab, ds_dpsi, init, tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER):
@@ -234,7 +224,7 @@ def iterate(
     and repeat until the new field is trivial, the coefficients settle, a
     step fails, or max_steps is exhausted."""
     if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
+        raise ConfigError(f"max_steps must be at least 1, got {max_steps}")
     steps = []
     phi = phi0
     prev = None

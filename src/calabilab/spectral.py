@@ -17,6 +17,7 @@ from numpy.polynomial import chebyshev as cheb
 from .errors import DegenerateWeight
 
 CHOP_REL = 1e-14
+MIN_NODES = 8
 
 
 def _cgl_nodes(n: int):
@@ -89,8 +90,8 @@ class SpectralGrid:
     """Immutable CGL collocation grid on [lo, hi]."""
 
     def __init__(self, n: int, lo: float, hi: float):
-        if n < 8:
-            raise ValueError("node count must be at least 8")
+        if n < MIN_NODES:
+            raise ValueError(f"node count must be at least {MIN_NODES}")
         if not lo < hi:
             raise ValueError("need lo < hi")
         self.n = n

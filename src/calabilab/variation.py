@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .conventions import KAPPA_PHI, KAPPA_THETA
-from .errors import DegenerateWeight, PathExitsClass
+from .errors import PathExitsClass
 from .functions import FunctionDescriptor
 from .geometry import MetricProfile, require_admissible
 from .potentials import HolomorphyPotential, el_potential, eval_S, normalize_potential
@@ -52,16 +52,6 @@ class DeltaScalar(NamedTuple):
     fixed_point: SampledFunction
 
 
-def _divide_by_weight(geom, values):
-    grid = geom.grid
-    if geom.weight_zero_order > 0:
-        return grid.divide_by_left_monomial(values, geom.weight_zero_order)
-    w = geom.weight.values
-    if np.any(w[1:-1] == 0.0):
-        raise DegenerateWeight("weight vanishes at an interior node")
-    return values / w
-
-
 def first_order(profile: MetricProfile, path: DeformationPath) -> FirstOrder:
     """First-order fields (dTheta, dphi at a fixed complex point, and the
     volume-form trace d(omega^m)/omega^m = (w * dphi)' / w)."""
@@ -74,7 +64,7 @@ def first_order(profile: MetricProfile, path: DeformationPath) -> FirstOrder:
     theta = profile.theta.values
     d_theta = path.kappa_theta * theta ** 2 * u2
     d_phi = path.kappa_phi * theta * u1
-    trace = _divide_by_weight(geom, grid.differentiate_values(geom.weight.values * d_phi, 1))
+    trace = geom.divide_by_weight(grid.differentiate_values(geom.weight.values * d_phi, 1))
     return FirstOrder(
         SampledFunction(grid, d_theta),
         SampledFunction(grid, d_phi),
@@ -89,12 +79,8 @@ def delta_s(profile: MetricProfile, path: DeformationPath) -> DeltaScalar:
     geom = profile.geometry
     grid = geom.grid
     fo = first_order(profile, path)
-    fixed_x = -_divide_by_weight(
-        geom, grid.differentiate_values(geom.weight.values * fo.d_theta.values, 2)
-    )
-    from .geometry import scalar_curvature
-
-    s1 = grid.differentiate_values(scalar_curvature(profile).values, 1)
+    fixed_x = -geom.divide_by_weight(grid.differentiate_values(geom.weight.values * fo.d_theta.values, 2))
+    s1 = grid.differentiate_values(profile.s.values, 1)
     fixed_point = fixed_x + fo.d_phi_fixed_point.values * s1
     return DeltaScalar(SampledFunction(grid, fixed_x), SampledFunction(grid, fixed_point))
 

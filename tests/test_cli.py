@@ -113,6 +113,19 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     assert main(["evaluate", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert main(["evaluate", "--f", "nonsense_fn", "--out", str(tmp_path / "x")]) == 2
     assert main(["evaluate", "--geometry", "marsian", "--out", str(tmp_path / "y")]) == 2
+    bad_csv = tmp_path / "bad.csv"
+    bad_csv.write_text("x,theta\n-1,0\nabc,1\n")
+    for args in (
+        ["evaluate", "--nodes", "4"],
+        ["evaluate", "--geometry", "cpm:1"],
+        ["evaluate", "--profile", "random:x"],
+        ["evaluate", "--profile", "random:1:abc"],
+        ["evaluate", "--profile", "random:1:-1"],
+        ["evaluate", "--profile", f"file:{bad_csv}"],
+        ["iterate", "--max-steps", "0"],
+    ):
+        assert main(args + ["--out", str(tmp_path / "w")]) == 2, args
+        assert capsys.readouterr().err.startswith("error: "), args
     capsys.readouterr()
 
 

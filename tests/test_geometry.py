@@ -4,10 +4,18 @@ import pytest
 from calabilab import (
     AdmissibilityError,
     MetricProfile,
+    ProfileGeometry,
     SampledFunction,
     class_constants,
+    el_potential,
+    eval_S,
+    futaki,
+    get_grid,
+    lichnerowicz,
     make_cp1_geometry,
     make_cpm_geometry,
+    normalize_potential,
+    parse_function,
     random_admissible_profile,
     round_profile,
     scalar_curvature,
@@ -76,8 +84,52 @@ def test_validate_flags_each_invariant(cp1):
 
 def test_scalar_curvature_requires_admissible(cp1):
     bad = MetricProfile(cp1, SampledFunction(cp1.grid, 0.5 * round_profile(cp1).theta.values))
-    with pytest.raises(AdmissibilityError):
-        scalar_curvature(bad)
+    # a failed evaluation is not cached: every read raises again
+    for _ in range(3):
+        with pytest.raises(AdmissibilityError):
+            scalar_curvature(bad)
+        with pytest.raises(AdmissibilityError):
+            eval_S(bad, parse_function("id"), parse_function("id"), normalize_potential(cp1))
+    assert validate(bad) == list(bad.violations) != []
+
+
+def test_nondegenerate_weight_division():
+    # w = 2 + x > 0 up to both ends, so s and L psi divide by w pointwise:
+    # (w Theta)'' = (2 - 2x^2 + x - x^3)'' = -4 - 6x.
+    grid = get_grid(65, -1.0, 1.0)
+    x = grid.x
+    geom = ProfileGeometry(
+        x_lo=-1.0,
+        x_hi=1.0,
+        weight=SampledFunction(grid, 2.0 + x),
+        base_term=SampledFunction(grid, np.zeros(grid.n)),
+        slope_lo=2.0,
+        slope_hi=-2.0,
+        dim=1,
+        vol_const=2.0 * np.pi,
+    )
+    profile = MetricProfile(geom, SampledFunction(grid, 1.0 - x * x))
+    s = scalar_curvature(profile).values
+    assert np.abs(s - (4.0 + 6.0 * x) / (2.0 + x)).max() < 1e-12
+    psi = SampledFunction(grid, 3.0 * x - 1.0)
+    assert np.abs(lichnerowicz(profile, psi).values).max() < 1e-10
+
+
+@pytest.mark.parametrize("make", [make_cp1_geometry, lambda: make_cpm_geometry(3)], ids=["cp1", "cpm3"])
+def test_scalar_curvature_is_cached_per_profile(make):
+    geom = make()
+    phi = normalize_potential(geom, 2.0 * class_constants(geom).total_volume)
+    f, h = parse_function("exp"), parse_function("pow:2")
+    reused = random_admissible_profile(geom, 5, 0.2)
+    assert scalar_curvature(reused) is scalar_curvature(reused)
+    assert not reused.s.values.flags.writeable
+    for _ in range(2):
+        fresh = random_admissible_profile(geom, 5, 0.2)
+        assert eval_S(reused, f, h, phi) == eval_S(fresh, f, h, phi)
+        assert np.array_equal(
+            el_potential(reused, f, h, phi).values, el_potential(fresh, f, h, phi).values
+        )
+        assert futaki(reused, phi) == futaki(fresh, phi)
 
 
 def test_random_profile_reproducible_and_admissible(cp1):
