@@ -91,7 +91,7 @@ def _outdir(cfg: RunConfig) -> str:
 def _random_direction(geom, seed: int, degree: int = 4, scale: float = 0.2) -> SampledFunction:
     rng = SplitMix64(seed)
     coeffs = np.array([rng.uniform(-scale, scale) for _ in range(degree + 1)])
-    return SampledFunction(geom.grid, np.polynomial.chebyshev.chebval(geom.grid.t, coeffs))
+    return SampledFunction(geom.grid, geom.grid.coefficients_to_values(coeffs))
 
 
 def _safe_t_max(profile, path, t_max: float = 0.25) -> float:

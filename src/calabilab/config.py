@@ -93,6 +93,8 @@ def parse_config(text: str) -> RunConfig:
             cast = caster(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
+        if key == "amplitude" and cast < 0:
+            raise ConfigError(f"line {lineno}: amplitude must be nonnegative, got {value!r}")
         setattr(cfg, _FIELD_BY_KEY[key], cast)
     return cfg
 

@@ -94,9 +94,7 @@ class MetricProfile:
             out.append(Violation("endpoint value", geom.x_lo, abs(th[0])))
         if abs(th[-1]) > BOUNDARY_TOL:
             out.append(Violation("endpoint value", geom.x_hi, abs(th[-1])))
-        # one-sided spectral slopes
-        dlo = float(grid.d1[0] @ th)
-        dhi = float(grid.d1[-1] @ th)
+        dlo, dhi = (float(d) for d in grid.endpoint_slopes(th))
         if abs(dlo - geom.slope_lo) > BOUNDARY_TOL:
             out.append(Violation("boundary slope", geom.x_lo, abs(dlo - geom.slope_lo)))
         if abs(dhi - geom.slope_hi) > BOUNDARY_TOL:
@@ -244,7 +242,7 @@ def random_admissible_profile(
     rng = SplitMix64(seed)
     coeffs = np.array([rng.uniform(-amplitude, amplitude) for _ in range(7)])
     grid = geom.grid
-    q = np.polynomial.chebyshev.chebval(grid.t, coeffs)
+    q = grid.coefficients_to_values(coeffs)
     b = bump_factor(geom)
     theta0 = base.theta.values
     for _ in range(max_halvings + 1):

@@ -1,15 +1,19 @@
 """Spectral-calculus kernel on Chebyshev-Gauss-Lobatto grids.
 
-Differentiation is available both as dense barycentric matrices (used where
-an explicit operator is needed, e.g. the discrete quadratic form) and
-through Chebyshev coefficient space with trailing-coefficient chopping,
-which is the accurate route for repeated differentiation.  Quadrature is
-Clenshaw-Curtis on the same nodes.
+Every Chebyshev transform goes through one FFT DCT-I of the even extension
+(Chebfun's vals2coeffs / coeffs2vals): values to coefficients, coefficients
+to values, and the Clenshaw-Curtis weights from the moments of T_k
+(Waldvogel, BIT 46, 2006), all in O(N log N).  Calculus runs in coefficient
+space with trailing-coefficient chopping, which is the accurate route for
+repeated differentiation.  The dense barycentric differentiation matrices
+are built only on demand, for the callers that need an explicit operator
+(the discrete quadratic form); the boundary slopes use two O(N) rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -33,41 +37,49 @@ def _bary_weights(n: int):
     return w
 
 
+def _dct1(v: np.ndarray) -> np.ndarray:
+    """Unnormalised DCT-I, v_0 + (-1)^k v_m + 2 sum_{0<j<m} v_j cos(pi j k / m)
+    for k = 0..m, by an FFT of the even extension of v (real or complex)."""
+    ext = np.concatenate([v, v[-2:0:-1]])
+    if np.iscomplexobj(ext):
+        return np.fft.fft(ext)[: v.size]
+    return np.fft.rfft(ext).real
+
+
+def _d1_rows(x: np.ndarray, rows: np.ndarray):
+    """The given rows of the first barycentric differentiation matrix on
+    nodes x, with the negative-sum trick on the diagonal; also returns the
+    1 / (x_i - x_j) factors (1 on the diagonal)."""
+    w = _bary_weights(x.size)
+    diag = (np.arange(rows.size), rows)
+    dx = x[rows, None] - x[None, :]
+    dx[diag] = 1.0
+    dxi = 1.0 / dx
+    d1 = (w[None, :] / w[rows, None]) * dxi
+    d1[diag] = 0.0
+    d1[diag] = -d1.sum(axis=1)
+    return d1, dxi
+
+
 def _diff_matrices(x: np.ndarray):
     """First and second barycentric differentiation matrices on nodes x,
     with the negative-sum trick on the diagonal (Welfert's recurrence)."""
-    n = x.size
-    w = _bary_weights(n)
-    dx = x[:, None] - x[None, :]
-    np.fill_diagonal(dx, 1.0)
-    dxi = 1.0 / dx
-    dw = w[None, :] / w[:, None]
-    np.fill_diagonal(dw, 0.0)
-    d1 = dw * dxi
-    np.fill_diagonal(d1, 0.0)
-    np.fill_diagonal(d1, -d1.sum(axis=1))
-    d2 = 2.0 * d1 * (np.tile(np.diag(d1), (n, 1)).T - dxi)
+    d1, dxi = _d1_rows(x, np.arange(x.size))
+    d2 = 2.0 * d1 * (np.diag(d1)[:, None] - dxi)
     np.fill_diagonal(d2, 0.0)
     np.fill_diagonal(d2, -d2.sum(axis=1))
     return d1, d2
 
 
 def _clenshaw_curtis(n: int):
-    """Clenshaw-Curtis weights for n ascending CGL nodes on [-1, 1]."""
-    m = n - 1
-    theta = np.pi * np.arange(m + 1) / m
-    w = np.zeros(m + 1)
-    v = np.ones(m - 1)
-    if m % 2 == 0:
-        w[0] = w[m] = 1.0 / (m * m - 1)
-        for k in range(1, m // 2):
-            v -= 2.0 * np.cos(2 * k * theta[1:m]) / (4 * k * k - 1)
-        v -= np.cos(m * theta[1:m]) / (m * m - 1)
-    else:
-        w[0] = w[m] = 1.0 / (m * m)
-        for k in range(1, (m - 1) // 2 + 1):
-            v -= 2.0 * np.cos(2 * k * theta[1:m]) / (4 * k * k - 1)
-    w[1:m] = 2.0 * v / m
+    """Clenshaw-Curtis weights for n ascending CGL nodes on [-1, 1]: the
+    DCT-I of the moments int T_k = 2 / (1 - k^2) (k even, 0 for k odd)."""
+    k = np.arange(0, n, 2)
+    mu = np.zeros(n)
+    mu[k] = 2.0 / (1.0 - k * k)
+    w = _dct1(mu) / (n - 1)
+    w[0] *= 0.5
+    w[-1] *= 0.5
     return w[::-1].copy()
 
 
@@ -103,26 +115,52 @@ class SpectralGrid:
         # pin the endpoints exactly
         self.x[0] = self.lo
         self.x[-1] = self.hi
-        self.d1, self.d2 = _diff_matrices(self.x)
         self.quad_weights = _clenshaw_curtis(n) * (self.span / 2.0)
-        j = np.arange(n)
-        # DCT-I style synthesis matrix for values (descending t) -> coeffs
-        self._cos = np.cos(np.pi * np.outer(j, j) / (n - 1))
+        # rows 0 and n-1 of d1, bit-identical to the dense matrix's
+        self.slope_rows, _ = _d1_rows(self.x, np.array([0, n - 1]))
+
+    # -- dense operators, built on first use -------------------------------
+    @cached_property
+    def _diff(self):
+        return _diff_matrices(self.x)
+
+    @property
+    def d1(self) -> np.ndarray:
+        """Dense first barycentric differentiation matrix (built on demand)."""
+        return self._diff[0]
+
+    @property
+    def d2(self) -> np.ndarray:
+        """Dense second barycentric differentiation matrix (built on demand)."""
+        return self._diff[1]
+
+    def endpoint_slopes(self, values: np.ndarray):
+        """(d/dx at lo, d/dx at hi) of the grid polynomial; equal bit for bit
+        to d1[0] @ values and d1[-1] @ values."""
+        return self.slope_rows[0] @ values, self.slope_rows[1] @ values
 
     # -- coefficient transforms ------------------------------------------
     def values_to_coefficients(self, values: np.ndarray) -> np.ndarray:
-        m = self.n - 1
-        f = np.asarray(values)[::-1].astype(complex if np.iscomplexobj(values) else float)
-        f = f.copy()
-        f[0] *= 0.5
-        f[-1] *= 0.5
-        c = (2.0 / m) * (self._cos @ f)
+        """Chebyshev coefficients (in t) of the interpolant of the values."""
+        c = _dct1(np.asarray(values)[::-1]) / (self.n - 1)
         c[0] *= 0.5
         c[-1] *= 0.5
         return c
 
     def coefficients_to_values(self, coeffs: np.ndarray) -> np.ndarray:
-        return cheb.chebval(self.t, coeffs)
+        """Values at the nodes of sum_k c_k T_k(t).  Coefficients beyond the
+        grid's degree m = n - 1 are folded onto it: at the nodes T_k equals
+        T_j with j = k mod 2m reflected into [0, m]."""
+        c = np.asarray(coeffs)
+        n, m = self.n, self.n - 1
+        g = np.zeros(n, dtype=np.result_type(c, float))
+        if c.size > n:
+            k = np.arange(c.size) % (2 * m)
+            np.add.at(g, np.minimum(k, 2 * m - k), c)
+        else:
+            g[: c.size] = c
+        g[1:-1] *= 0.5
+        return _dct1(g)[::-1]
 
     # -- calculus ---------------------------------------------------------
     def differentiate_values(self, values: np.ndarray, order: int = 1) -> np.ndarray:

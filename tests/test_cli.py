@@ -21,6 +21,15 @@ def test_evaluate_writes_report(tmp_path):
     assert (out / "s.csv").exists()
 
 
+def test_evaluate_cpm3_at_1025_nodes(tmp_path):
+    out = tmp_path / "eval1025"
+    assert main(["evaluate", "--geometry", "cpm:3", "--nodes", "1025", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    # Fubini-Study: S = s0 * vol = 24 * 2 pi / 3, and the Futaki invariant vanishes
+    assert abs(report["S"] - 16.0 * math.pi) < 1e-9 * 16.0 * math.pi
+    assert abs(report["futaki"]) < 1e-10
+
+
 def test_solve_writes_round_profile(tmp_path):
     out = tmp_path / "solve"
     code = main(["solve", "--f", "id", "--h", "const:1", "--out", str(out)])
@@ -115,6 +124,8 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     assert main(["evaluate", "--geometry", "marsian", "--out", str(tmp_path / "y")]) == 2
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("x,theta\n-1,0\nabc,1\n")
+    neg_amp = tmp_path / "neg.cfg"
+    neg_amp.write_text("amplitude=-1\n")
     for args in (
         ["evaluate", "--nodes", "4"],
         ["evaluate", "--geometry", "cpm:1"],
@@ -123,6 +134,7 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
         ["evaluate", "--profile", "random:1:-1"],
         ["evaluate", "--profile", f"file:{bad_csv}"],
         ["iterate", "--max-steps", "0"],
+        ["invariance", "--config", str(neg_amp), "--samples", "2"],
     ):
         assert main(args + ["--out", str(tmp_path / "w")]) == 2, args
         assert capsys.readouterr().err.startswith("error: "), args

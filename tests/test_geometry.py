@@ -3,6 +3,7 @@ import pytest
 
 from calabilab import (
     AdmissibilityError,
+    HolomorphyPotential,
     MetricProfile,
     ProfileGeometry,
     SampledFunction,
@@ -19,6 +20,7 @@ from calabilab import (
     random_admissible_profile,
     round_profile,
     scalar_curvature,
+    solve_critical,
     validate,
 )
 
@@ -161,6 +163,26 @@ def test_cpm_fubini_study_constant_scalar(m):
     s = scalar_curvature(round_profile(geom)).values
     assert s.std() < 1e-8
     assert abs(s.mean() - 2.0 * m * (m + 1)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [33, 65, 129, 257, 513, 1025, 2049])
+def test_large_n_oracles(n):
+    """Fubini-Study constancy, Gauss-Bonnet and the cp1 exp|id solve hold to
+    1e-10 of their scale at every N (the roundoff plateau of the transform
+    stays below the chop threshold)."""
+    f_id, h_one = parse_function("id"), parse_function("const:1")
+    for geom in [make_cp1_geometry(n)] + [make_cpm_geometry(m, n) for m in (2, 3, 4)]:
+        m = geom.dim
+        s0 = 2.0 if m == 1 else 2.0 * m * (m + 1)
+        s = scalar_curvature(round_profile(geom)).values
+        assert np.abs(s - s0).max() <= 1e-10 * s0, geom.kind
+        total = FOUR_PI * (m + 1)
+        S = eval_S(random_admissible_profile(geom, 1, 0.3), f_id, h_one, normalize_potential(geom))
+        assert abs(S - total) <= 1e-10 * total, geom.kind
+    cp1 = make_cp1_geometry(n)
+    res = solve_critical(cp1, parse_function("exp"), parse_function("id"), HolomorphyPotential(cp1, 1.0, 2.0))
+    assert res.el_report.is_critical
+    assert res.el_report.defect_affine <= 1e-10 * abs(res.beta)
 
 
 def test_cpm_random_profiles_keep_class_total(cp1):

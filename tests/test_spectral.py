@@ -3,7 +3,9 @@ import pytest
 
 from calabilab import SampledFunction, affine_projection, get_grid
 from calabilab.errors import DegenerateWeight
-from calabilab.spectral import chop_coefficients
+from calabilab.spectral import SpectralGrid, chop_coefficients
+
+C = np.polynomial.chebyshev
 
 
 def test_derivative_of_constant_is_zero():
@@ -18,6 +20,58 @@ def test_quadrature_of_one_is_interval_length():
     for lo, hi in [(-1.0, 1.0), (0.0, 1.0), (2.0, 5.5)]:
         grid = get_grid(129, lo, hi)
         assert abs(grid.integrate_values(np.ones(grid.n)) - (hi - lo)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 9, 33, 1025])
+def test_transform_round_trip(n):
+    grid = get_grid(n, -1.0, 1.0)
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal(n)
+    for vals in (real, real + 1j * rng.standard_normal(n)):
+        back = grid.coefficients_to_values(grid.values_to_coefficients(vals))
+        assert np.abs(back - vals).max() < 1e-14 * np.abs(vals).max()
+
+
+@pytest.mark.parametrize("n", [8, 9, 33, 129])
+@pytest.mark.parametrize("extra", [-3, 0, 1])
+def test_coefficients_to_values_matches_chebval(n, extra):
+    # n + 1 coefficients alias T_n onto T_(n-2) at the nodes
+    grid = get_grid(n, -1.0, 1.0)
+    rng = np.random.default_rng(100 * n + extra)
+    real = rng.standard_normal(n + extra)
+    for c in (real, real + 1j * rng.standard_normal(n + extra)):
+        expect = C.chebval(grid.t, c)
+        assert np.abs(grid.coefficients_to_values(c) - expect).max() < 1e-13 * np.abs(c).sum()
+
+
+@pytest.mark.parametrize("n", [8, 9, 33, 129, 1025])
+def test_clenshaw_curtis_integrates_chebyshev_polynomials(n):
+    grid = SpectralGrid(n, -1.0, 1.0)
+    m = n - 1
+    k = np.arange(n)
+    # T_k(t_j) = cos(pi k (m - j) / m), the angle reduced exactly mod 2 pi
+    tk = np.cos(np.pi * (np.outer(k, m - k) % (2 * m)) / m)
+    exact = np.zeros(n)
+    exact[::2] = 2.0 / (1.0 - k[::2] ** 2.0)
+    assert np.abs(tk @ grid.quad_weights - exact).max() < 2e-15
+    for lo, hi in [(0.0, 1.0), (2.0, 5.5)]:
+        grid = SpectralGrid(n, lo, hi)
+        assert abs(grid.quad_weights.sum() - (hi - lo)) < 1e-14 * (hi - lo)
+
+
+@pytest.mark.parametrize("n", [8, 33, 129])
+def test_endpoint_slopes_equal_dense_rows(n):
+    grid = SpectralGrid(n, 0.0, 1.0)
+    v = np.sin(3.0 * grid.x) + grid.x ** 2
+    assert np.array_equal(grid.slope_rows, grid.d1[[0, -1]])
+    lo, hi = grid.endpoint_slopes(v)
+    assert lo == grid.d1[0] @ v and hi == grid.d1[-1] @ v
+
+
+def test_dense_operators_built_on_demand():
+    grid = SpectralGrid(65, -1.0, 1.0)
+    assert not any(getattr(a, "shape", ()) == (65, 65) for a in vars(grid).values())
+    assert grid.d2.shape == (65, 65) and grid.d1 is grid.d1
 
 
 @pytest.mark.parametrize("n", [33, 129, 200])
