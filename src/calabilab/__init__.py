@@ -70,10 +70,7 @@ from .spectral import (
     SampledFunction,
     SpectralGrid,
     affine_projection,
-    differentiate,
     get_grid,
-    integrate,
-    sample,
 )
 from .variation import (
     DeformationPath,

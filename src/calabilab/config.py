@@ -11,34 +11,20 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 from .serialize import fmt
 
+# config key -> (RunConfig field, value type)
 _KEYS = {
-    "geometry": str,
-    "profile": str,
-    "f": str,
-    "h": str,
-    "normalization.target": float,
-    "grid.nodes": int,
-    "seed": int,
-    "amplitude": float,
-    "samples": int,
-    "iterate.max_steps": int,
-    "out": str,
+    "geometry": ("geometry", str),
+    "profile": ("profile", str),
+    "f": ("f_expr", str),
+    "h": ("h_expr", str),
+    "normalization.target": ("target", float),
+    "grid.nodes": ("nodes", int),
+    "seed": ("seed", int),
+    "amplitude": ("amplitude", float),
+    "samples": ("samples", int),
+    "iterate.max_steps": ("max_steps", int),
+    "out": ("out", str),
 }
-
-_FIELD_BY_KEY = {
-    "geometry": "geometry",
-    "profile": "profile",
-    "f": "f_expr",
-    "h": "h_expr",
-    "normalization.target": "target",
-    "grid.nodes": "nodes",
-    "seed": "seed",
-    "amplitude": "amplitude",
-    "samples": "samples",
-    "iterate.max_steps": "max_steps",
-    "out": "out",
-}
-_KEY_BY_FIELD = {v: k for k, v in _FIELD_BY_KEY.items()}
 
 
 @dataclass
@@ -57,8 +43,8 @@ class RunConfig:
 
     def render(self) -> str:
         lines = []
-        for key in sorted(_KEYS):
-            value = getattr(self, _FIELD_BY_KEY[key])
+        for key, (name, _) in sorted(_KEYS.items()):
+            value = getattr(self, name)
             if value is None:
                 continue
             if isinstance(value, float):
@@ -88,14 +74,14 @@ def parse_config(text: str) -> RunConfig:
         value = value.strip()
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        caster = _KEYS[key]
+        name, caster = _KEYS[key]
         try:
             cast = caster(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
         if key == "amplitude" and cast < 0:
             raise ConfigError(f"line {lineno}: amplitude must be nonnegative, got {value!r}")
-        setattr(cfg, _FIELD_BY_KEY[key], cast)
+        setattr(cfg, name, cast)
     return cfg
 
 

@@ -2,15 +2,19 @@
 
 Tags: constant(c), identity, affine(a, b), power(p), exponential,
 log_guarded, scaled(c, inner), sum(inner, inner),
-composed_with_affine(inner, a, b).  Scalars may be complex (for h); f is
-expected real.  Each descriptor knows its derivative as another descriptor;
-invert solves g(s) = y pointwise by Newton's method with that exact
-derivative, for any g whose derivative does not vanish.
+composed_with_affine(inner, a, b).  One entry per tag in the table _TAGS
+holds its grammar heads, parameter and operand counts, evaluation, exact
+derivative (another descriptor) and constant value; the descriptor
+methods and the expression reader and writer all dispatch through it.
+Scalars may be complex (for h); f is expected real.  invert solves
+g(s) = y pointwise by Newton's method with the exact derivative, for any
+g whose derivative does not vanish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,35 +41,7 @@ class FunctionDescriptor:
 
     # -- evaluation --------------------------------------------------------
     def __call__(self, z, nodes=None):
-        z = np.asarray(z)
-        tag = self.tag
-        if tag == "constant":
-            return np.full(z.shape, self.params[0])
-        if tag == "identity":
-            return z + 0.0
-        if tag == "affine":
-            a, b = self.params
-            return a * z + b
-        if tag == "power":
-            p = self.params[0]
-            if p != int(p):
-                self._require_positive(z, nodes)
-            elif p < 0:
-                self._require_nonzero(z, nodes)
-            return z ** p
-        if tag == "exponential":
-            return np.exp(z)
-        if tag == "log_guarded":
-            self._require_positive(z, nodes)
-            return np.log(z)
-        if tag == "scaled":
-            return self.params[0] * self.inner[0](z, nodes)
-        if tag == "sum":
-            return self.inner[0](z, nodes) + self.inner[1](z, nodes)
-        if tag == "composed_with_affine":
-            a, b = self.params
-            return self.inner[0](a * z + b, nodes)
-        raise ConfigError(f"unknown function tag {tag!r}")
+        return _TAGS[self.tag].evaluate(self, np.asarray(z), nodes)
 
     def _require_positive(self, z, nodes):
         zr = np.real(np.atleast_1d(z))
@@ -84,59 +60,11 @@ class FunctionDescriptor:
 
     # -- exact calculus ----------------------------------------------------
     def derivative(self) -> "FunctionDescriptor":
-        tag = self.tag
-        if tag == "constant":
-            return constant(0.0)
-        if tag == "identity":
-            return constant(1.0)
-        if tag == "affine":
-            return constant(self.params[0])
-        if tag == "power":
-            p = self.params[0]
-            if p == 0:
-                return constant(0.0)
-            if p == 1:
-                return constant(1.0)
-            return scaled(p, power(p - 1))
-        if tag == "exponential":
-            return exponential()
-        if tag == "log_guarded":
-            return power(-1)
-        if tag == "scaled":
-            return scaled(self.params[0], self.inner[0].derivative())
-        if tag == "sum":
-            return fsum(self.inner[0].derivative(), self.inner[1].derivative())
-        if tag == "composed_with_affine":
-            a, b = self.params
-            return scaled(a, composed_with_affine(self.inner[0].derivative(), a, b))
-        raise ConfigError(f"unknown function tag {tag!r}")
+        return _TAGS[self.tag].derivative(self)
 
     def constant_value(self):
         """Return c if the descriptor is the constant function c, else None."""
-        tag = self.tag
-        if tag == "constant":
-            return self.params[0]
-        if tag == "affine" and self.params[0] == 0:
-            return self.params[1]
-        if tag == "power" and self.params[0] == 0:
-            return 1.0
-        if tag == "scaled":
-            v = self.inner[0].constant_value()
-            return None if v is None else _scalar(self.params[0] * v)
-        if tag == "sum":
-            v0 = self.inner[0].constant_value()
-            v1 = self.inner[1].constant_value()
-            if v0 is None or v1 is None:
-                return None
-            return _scalar(v0 + v1)
-        if tag == "composed_with_affine":
-            v = self.inner[0].constant_value()
-            if v is not None:
-                return v
-            if self.params[0] == 0:
-                return _scalar(self.inner[0](np.array([self.params[1]]))[0])
-            return None
-        return None
+        return _TAGS[self.tag].constant_value(self)
 
     def is_complex(self) -> bool:
         return any(not _is_real(p) for p in self.params) or any(
@@ -190,6 +118,101 @@ def composed_with_affine(g: FunctionDescriptor, a, b) -> FunctionDescriptor:
     return FunctionDescriptor("composed_with_affine", (_scalar(a), _scalar(b)), (g,))
 
 
+# -- the catalog table -------------------------------------------------------
+class _Tag(NamedTuple):
+    """One tag: grammar heads (the first is written), parameter and
+    operand counts, make(*params, *operands), evaluate(desc, z, nodes),
+    derivative(desc) and constant_value(desc)."""
+
+    heads: tuple
+    n_params: int
+    n_inner: int
+    make: Callable
+    evaluate: Callable
+    derivative: Callable
+    constant_value: Callable = lambda d: None
+
+
+def _power_values(d, z, nodes):
+    p = d.params[0]
+    if p != int(p):
+        d._require_positive(z, nodes)
+    elif p < 0:
+        d._require_nonzero(z, nodes)
+    return z ** p
+
+
+def _power_derivative(d):
+    p = d.params[0]
+    return constant(p) if p in (0, 1) else scaled(p, power(p - 1))
+
+
+def _log_values(d, z, nodes):
+    d._require_positive(z, nodes)
+    return np.log(z)
+
+
+def _constant_if(d, is_constant: bool):
+    """The value of d, read at 0, if d is constant; else None."""
+    return _scalar(d(np.zeros(1))[0]) if is_constant else None
+
+
+_TAGS = {
+    "constant": _Tag(
+        ("const", "constant"), 1, 0, constant,
+        lambda d, z, nodes: np.full(z.shape, d.params[0]),
+        lambda d: constant(0.0),
+        lambda d: d.params[0],
+    ),
+    "identity": _Tag(
+        ("id", "identity"), 0, 0, identity,
+        lambda d, z, nodes: z + 0.0,
+        lambda d: constant(1.0),
+    ),
+    "affine": _Tag(
+        ("affine",), 2, 0, affine,
+        lambda d, z, nodes: d.params[0] * z + d.params[1],
+        lambda d: constant(d.params[0]),
+        lambda d: d.params[1] if d.params[0] == 0 else None,
+    ),
+    "power": _Tag(
+        ("pow", "power"), 1, 0, power,
+        _power_values,
+        _power_derivative,
+        lambda d: 1.0 if d.params[0] == 0 else None,
+    ),
+    "exponential": _Tag(
+        ("exp", "exponential"), 0, 0, exponential,
+        lambda d, z, nodes: np.exp(z),
+        lambda d: exponential(),
+    ),
+    "log_guarded": _Tag(
+        ("log", "log_guarded"), 0, 0, log_guarded,
+        _log_values,
+        lambda d: power(-1),
+    ),
+    "scaled": _Tag(
+        ("scaled",), 1, 1, scaled,
+        lambda d, z, nodes: d.params[0] * d.inner[0](z, nodes),
+        lambda d: scaled(d.params[0], d.inner[0].derivative()),
+        lambda d: _constant_if(d, d.inner[0].constant_value() is not None),
+    ),
+    "sum": _Tag(
+        ("sum",), 0, 2, fsum,
+        lambda d, z, nodes: d.inner[0](z, nodes) + d.inner[1](z, nodes),
+        lambda d: fsum(d.inner[0].derivative(), d.inner[1].derivative()),
+        lambda d: _constant_if(d, all(g.constant_value() is not None for g in d.inner)),
+    ),
+    "composed_with_affine": _Tag(
+        ("compaff",), 2, 1, lambda a, b, g: composed_with_affine(g, a, b),
+        lambda d, z, nodes: d.inner[0](d.params[0] * z + d.params[1], nodes),
+        lambda d: scaled(d.params[0], composed_with_affine(d.inner[0].derivative(), *d.params)),
+        lambda d: _constant_if(d, d.params[0] == 0 or d.inner[0].constant_value() is not None),
+    ),
+}
+_TAG_BY_HEAD = {head: entry for entry in _TAGS.values() for head in entry.heads}
+
+
 def invert(g: FunctionDescriptor, y, start, nodes=None) -> np.ndarray:
     """Solve g(s) = y pointwise by Newton's method with the exact g',
     starting from start (a scalar or one value per point); cf. rtsafe,
@@ -231,52 +254,6 @@ def _parse_scalar(text: str):
         raise ConfigError(f"bad numeric literal {text!r}") from exc
 
 
-def parse_function(spec: str) -> FunctionDescriptor:
-    """Parse the small colon-separated expression grammar.
-
-    Examples: "exp", "id", "pow:2", "const:1", "affine:1:2",
-    "scaled:3:exp", "compaff:1:2:exp", "sum:id,const:1", "log".
-    Within "sum" the two operands are separated by the first top-level
-    comma; operands themselves must not contain commas.
-    """
-    spec = spec.strip()
-    if not spec:
-        raise ConfigError("empty function expression")
-    head, _, rest = spec.partition(":")
-    head = head.lower()
-    if head in ("id", "identity"):
-        return identity()
-    if head in ("exp", "exponential"):
-        return exponential()
-    if head in ("log", "log_guarded"):
-        return log_guarded()
-    if head in ("const", "constant"):
-        return constant(_parse_scalar(rest))
-    if head in ("pow", "power"):
-        return power(_parse_scalar(rest))
-    if head == "affine":
-        parts = rest.split(":")
-        if len(parts) != 2:
-            raise ConfigError("affine needs two parameters: affine:a:b")
-        return affine(_parse_scalar(parts[0]), _parse_scalar(parts[1]))
-    if head == "scaled":
-        c, sep, inner = rest.partition(":")
-        if not sep:
-            raise ConfigError("scaled needs a factor and an inner expression")
-        return scaled(_parse_scalar(c), parse_function(inner))
-    if head == "compaff":
-        parts = rest.split(":", 2)
-        if len(parts) != 3:
-            raise ConfigError("compaff needs compaff:a:b:<inner>")
-        return composed_with_affine(parse_function(parts[2]), _parse_scalar(parts[0]), _parse_scalar(parts[1]))
-    if head == "sum":
-        left, sep, right = rest.partition(",")
-        if not sep:
-            raise ConfigError("sum needs two comma-separated operands")
-        return fsum(parse_function(left), parse_function(right))
-    raise ConfigError(f"unknown function expression {spec!r}")
-
-
 def _render_scalar(c) -> str:
     c = complex(c)
     if c.imag == 0.0:
@@ -284,26 +261,37 @@ def _render_scalar(c) -> str:
     return repr(c).strip("()")
 
 
+def parse_function(spec: str) -> FunctionDescriptor:
+    """Parse the colon grammar head:params:operands.
+
+    Examples: "exp", "id", "pow:2", "const:1", "affine:1:2",
+    "scaled:3:exp", "compaff:1:2:exp", "sum:id,const:1", "log".  Each
+    head takes exactly its tag's parameter count and operand count;
+    trailing text is an error.  Within "sum" the two operands are
+    separated by the first comma; operands themselves must not contain
+    commas.
+    """
+    spec = spec.strip()
+    if not spec:
+        raise ConfigError("empty function expression")
+    head, sep, rest = spec.partition(":")
+    entry = _TAG_BY_HEAD.get(head.lower())
+    if entry is None:
+        raise ConfigError(f"unknown function expression {spec!r}")
+    fields = rest.split(":", entry.n_params) if sep else []
+    operands = []
+    if entry.n_inner and len(fields) > entry.n_params:
+        operands = fields.pop().split(",", entry.n_inner - 1)
+    if len(fields) != entry.n_params or len(operands) != entry.n_inner:
+        raise ConfigError(
+            f"{head} takes {entry.n_params} parameter(s) and {entry.n_inner} operand(s), got {spec!r}"
+        )
+    params = [_parse_scalar(text) for text in fields]
+    return entry.make(*params, *(parse_function(text) for text in operands))
+
+
 def render_function(desc: FunctionDescriptor) -> str:
-    tag = desc.tag
-    if tag == "identity":
-        return "id"
-    if tag == "exponential":
-        return "exp"
-    if tag == "log_guarded":
-        return "log"
-    if tag == "constant":
-        return f"const:{_render_scalar(desc.params[0])}"
-    if tag == "power":
-        return f"pow:{_render_scalar(desc.params[0])}"
-    if tag == "affine":
-        a, b = desc.params
-        return f"affine:{_render_scalar(a)}:{_render_scalar(b)}"
-    if tag == "scaled":
-        return f"scaled:{_render_scalar(desc.params[0])}:{render_function(desc.inner[0])}"
-    if tag == "composed_with_affine":
-        a, b = desc.params
-        return f"compaff:{_render_scalar(a)}:{_render_scalar(b)}:{render_function(desc.inner[0])}"
-    if tag == "sum":
-        return f"sum:{render_function(desc.inner[0])},{render_function(desc.inner[1])}"
-    raise ConfigError(f"unknown function tag {tag!r}")
+    parts = [_TAGS[desc.tag].heads[0], *map(_render_scalar, desc.params)]
+    if desc.inner:
+        parts.append(",".join(map(render_function, desc.inner)))
+    return ":".join(parts)

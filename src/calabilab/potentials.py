@@ -36,9 +36,6 @@ class HolomorphyPotential:
     def values(self) -> np.ndarray:
         return self.scale * self.geometry.grid.x + self.shift
 
-    def sampled(self) -> SampledFunction:
-        return SampledFunction(self.geometry.grid, self.values())
-
 
 @dataclass(frozen=True)
 class ELReport:

@@ -150,7 +150,6 @@ def solve_critical(
     grid = geom.grid
     x = grid.x
     hv = np.asarray(h(phi.values(), x))
-    _check_nonvanishing(hv)
     hr = hv.real
     s0 = class_constants(geom).s0
     fprime = f.derivative()
@@ -176,6 +175,8 @@ def solve_critical(
         )
         status = STATUS_EVERY_METRIC
     else:
+        # s = (f')^-1((alpha x + beta) / h(phi)) divides by h, here only
+        _check_nonvanishing(hv)
         fsecond = fprime.derivative()
         s_prev = np.full(x.shape, s0)
 

@@ -3,11 +3,11 @@
 Every Chebyshev transform goes through one FFT DCT-I of the even extension
 (Chebfun's vals2coeffs / coeffs2vals): values to coefficients, coefficients
 to values, and the Clenshaw-Curtis weights from the moments of T_k
-(Waldvogel, BIT 46, 2006), all in O(N log N).  Calculus runs in coefficient
-space with trailing-coefficient chopping, which is the accurate route for
-repeated differentiation.  The dense barycentric differentiation matrices
-are built only on demand, for the callers that need an explicit operator
-(the discrete quadratic form); the boundary slopes use two O(N) rows.
+(Waldvogel, BIT 46, 2006), all in O(N log N).  Calculus, the endpoint
+slopes included, runs in coefficient space with trailing-coefficient
+chopping, which is the accurate route for repeated differentiation.  The
+dense barycentric differentiation matrices are built only on demand, for
+the callers that need an explicit operator (the discrete quadratic form).
 """
 
 from __future__ import annotations
@@ -46,25 +46,16 @@ def _dct1(v: np.ndarray) -> np.ndarray:
     return np.fft.rfft(ext).real
 
 
-def _d1_rows(x: np.ndarray, rows: np.ndarray):
-    """The given rows of the first barycentric differentiation matrix on
-    nodes x, with the negative-sum trick on the diagonal; also returns the
-    1 / (x_i - x_j) factors (1 on the diagonal)."""
-    w = _bary_weights(x.size)
-    diag = (np.arange(rows.size), rows)
-    dx = x[rows, None] - x[None, :]
-    dx[diag] = 1.0
-    dxi = 1.0 / dx
-    d1 = (w[None, :] / w[rows, None]) * dxi
-    d1[diag] = 0.0
-    d1[diag] = -d1.sum(axis=1)
-    return d1, dxi
-
-
 def _diff_matrices(x: np.ndarray):
     """First and second barycentric differentiation matrices on nodes x,
     with the negative-sum trick on the diagonal (Welfert's recurrence)."""
-    d1, dxi = _d1_rows(x, np.arange(x.size))
+    w = _bary_weights(x.size)
+    dx = x[:, None] - x[None, :]
+    np.fill_diagonal(dx, 1.0)
+    dxi = 1.0 / dx
+    d1 = (w[None, :] / w[:, None]) * dxi
+    np.fill_diagonal(d1, 0.0)
+    np.fill_diagonal(d1, -d1.sum(axis=1))
     d2 = 2.0 * d1 * (np.diag(d1)[:, None] - dxi)
     np.fill_diagonal(d2, 0.0)
     np.fill_diagonal(d2, -d2.sum(axis=1))
@@ -116,8 +107,6 @@ class SpectralGrid:
         self.x[0] = self.lo
         self.x[-1] = self.hi
         self.quad_weights = _clenshaw_curtis(n) * (self.span / 2.0)
-        # rows 0 and n-1 of d1, bit-identical to the dense matrix's
-        self.slope_rows, _ = _d1_rows(self.x, np.array([0, n - 1]))
 
     # -- dense operators, built on first use -------------------------------
     @cached_property
@@ -133,11 +122,6 @@ class SpectralGrid:
     def d2(self) -> np.ndarray:
         """Dense second barycentric differentiation matrix (built on demand)."""
         return self._diff[1]
-
-    def endpoint_slopes(self, values: np.ndarray):
-        """(d/dx at lo, d/dx at hi) of the grid polynomial; equal bit for bit
-        to d1[0] @ values and d1[-1] @ values."""
-        return self.slope_rows[0] @ values, self.slope_rows[1] @ values
 
     # -- coefficient transforms ------------------------------------------
     def values_to_coefficients(self, values: np.ndarray) -> np.ndarray:
@@ -175,6 +159,16 @@ class SpectralGrid:
         v = self.coefficients_to_values(ci)
         return v - v[0]
 
+    def endpoint_slopes(self, values: np.ndarray):
+        """(d/dx at lo, d/dx at hi) of the interpolant, read from its chopped
+        coefficients: T_k'(1) = k^2 and T_k'(-1) = (-1)^(k+1) k^2."""
+        c = chop_coefficients(self.values_to_coefficients(values))
+        k = np.arange(c.size)
+        kc = k * k * c
+        even, odd = kc[::2].sum(), kc[1::2].sum()
+        scale = 2.0 / self.span
+        return (odd - even) * scale, (odd + even) * scale
+
     def integrate_values(self, values: np.ndarray):
         return self.quad_weights @ np.asarray(values)
 
@@ -191,21 +185,6 @@ class SpectralGrid:
             if c.size == 0:
                 c = np.zeros(1)
         return self.coefficients_to_values(c)
-
-    def interpolate(self, values: np.ndarray, xq):
-        """Barycentric interpolation of the grid polynomial at points xq."""
-        xq = np.atleast_1d(np.asarray(xq, dtype=float))
-        w = _bary_weights(self.n)
-        out = np.empty(xq.shape, dtype=np.result_type(values, float))
-        for i, xv in enumerate(xq):
-            d = xv - self.x
-            hit = np.nonzero(d == 0.0)[0]
-            if hit.size:
-                out[i] = values[hit[0]]
-            else:
-                k = w / d
-                out[i] = (k @ values) / k.sum()
-        return out if out.size > 1 else out[0]
 
     def __repr__(self):
         return f"SpectralGrid(n={self.n}, lo={self.lo}, hi={self.hi})"
@@ -239,27 +218,17 @@ class SampledFunction:
     def derivative(self, order: int = 1) -> "SampledFunction":
         return SampledFunction(self.grid, self.grid.differentiate_values(self.values, order))
 
-    def definite_integral(self):
-        return self.grid.integrate_values(self.values)
-
     def __call__(self, xq):
-        return self.grid.interpolate(self.values, xq)
-
-
-def sample(grid: SpectralGrid, fn) -> SampledFunction:
-    return SampledFunction(grid, np.asarray(fn(grid.x)))
-
-
-def differentiate(f: SampledFunction, order: int = 1) -> SampledFunction:
-    """Spectral derivative of the stated order (1 or 2)."""
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    return f.derivative(order)
-
-
-def integrate(f: SampledFunction):
-    """Clenshaw-Curtis quadrature of f over its grid interval."""
-    return f.definite_integral()
+        """The interpolant at the points xq, by one chebval of the grid
+        coefficients; a point on a node returns that node's value."""
+        grid = self.grid
+        xq = np.atleast_1d(np.asarray(xq, dtype=float))
+        t = (2.0 * xq - grid.lo - grid.hi) / grid.span
+        out = cheb.chebval(t, grid.values_to_coefficients(self.values))
+        i = np.minimum(np.searchsorted(grid.x, xq), grid.n - 1)
+        on_node = grid.x[i] == xq
+        out[on_node] = self.values[i[on_node]]
+        return out if out.size > 1 else out[0]
 
 
 def affine_projection(psi, weight, grid: SpectralGrid | None = None):

@@ -97,10 +97,14 @@ def test_sweep_csv_schema(tmp_path):
 
 def test_sweep_records_errors_in_rows(tmp_path):
     out = tmp_path / "sweep_err"
-    # h = id with phi = x crosses zero: the row records the error, exit 0
-    code = main(["sweep", "--f-list", "exp", "--h-list", "id", "--out", str(out)])
+    # h = id with phi = x crosses zero: the exp row records the error, exit 0;
+    # with f = id the solver never divides by h and every metric is critical
+    code = main(["sweep", "--f-list", "exp;id", "--h-list", "id", "--out", str(out)])
     assert code == 0
-    assert "error:SingularPotential" in (out / "sweep.csv").read_text()
+    exp_row, id_row = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert exp_row[6] == "error:SingularPotential"
+    assert id_row[:2] == ["id", "id"] and id_row[6] == "every_metric_critical"
+    assert abs(float(id_row[2])) < 1e-12 and abs(float(id_row[3]) - 2.0) < 1e-12
 
 
 def test_variation_check_command(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from calabilab import parse_function, render_function
 from calabilab.errors import ConfigError, DomainError, RangeError
 from calabilab.functions import (
+    _TAGS,
     affine,
     composed_with_affine,
     constant,
@@ -35,9 +36,23 @@ CATALOG = [
 @pytest.mark.parametrize("spec", CATALOG)
 def test_parse_render_roundtrip(spec):
     desc = parse_function(spec)
+    assert render_function(desc) == spec  # every CATALOG spec is canonical
     again = parse_function(render_function(desc))
     z = np.array([0.7, 1.3, 2.9])
     assert np.allclose(desc(z), again(z))
+
+
+def test_catalog_covers_every_tag():
+    assert set(_TAGS) == {parse_function(spec).tag for spec in CATALOG}
+
+
+@pytest.mark.parametrize(
+    "alias, short",
+    [("identity", "id"), ("exponential", "exp"), ("log_guarded", "log"),
+     ("constant:1", "const:1"), ("power:2", "pow:2"), ("ID", "id")],
+)
+def test_alias_heads_parse_like_short_heads(alias, short):
+    assert parse_function(alias) == parse_function(short)
 
 
 @pytest.mark.parametrize("spec", CATALOG)
@@ -143,7 +158,11 @@ def test_second_derivative_chains():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "nope", "pow", "affine:1", "scaled:2", "compaff:1:2", "sum:id", "const:xyz"],
+    [
+        "", "nope", "pow", "affine:1", "scaled:2", "compaff:1:2", "sum:id", "const:xyz",
+        # trailing text after a complete expression
+        "id:junk", "exp:1", "log:2", "const:1:2", "affine:1:2:3",
+    ],
 )
 def test_bad_expressions_raise_config_error(bad):
     with pytest.raises(ConfigError):

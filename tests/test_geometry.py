@@ -167,9 +167,9 @@ def test_cpm_fubini_study_constant_scalar(m):
 
 @pytest.mark.parametrize("n", [33, 65, 129, 257, 513, 1025, 2049])
 def test_large_n_oracles(n):
-    """Fubini-Study constancy, Gauss-Bonnet and the cp1 exp|id solve hold to
-    1e-10 of their scale at every N (the roundoff plateau of the transform
-    stays below the chop threshold)."""
+    """Fubini-Study constancy, Gauss-Bonnet and the exp|id solves on cp1 and
+    cpm:2..4 hold to 1e-10 of their scale at every N (the roundoff plateau
+    of the transform stays below the chop threshold)."""
     f_id, h_one = parse_function("id"), parse_function("const:1")
     for geom in [make_cp1_geometry(n)] + [make_cpm_geometry(m, n) for m in (2, 3, 4)]:
         m = geom.dim
@@ -183,6 +183,15 @@ def test_large_n_oracles(n):
     res = solve_critical(cp1, parse_function("exp"), parse_function("id"), HolomorphyPotential(cp1, 1.0, 2.0))
     assert res.el_report.is_critical
     assert res.el_report.defect_affine <= 1e-10 * abs(res.beta)
+    # cpm: the critical metric of exp|id is Fubini-Study for every shift, and
+    # validate must read its boundary slopes within BOUNDARY_TOL at every N
+    for m in (2, 3, 4):
+        geom = make_cpm_geometry(m, n)
+        x = geom.grid.x
+        for shift in np.linspace(2.0, 3.0, 9):
+            res = solve_critical(geom, parse_function("exp"), parse_function("id"), HolomorphyPotential(geom, 1.0, shift))
+            assert not validate(res.profile), (m, shift)
+            assert np.abs(res.profile.theta.values - 2.0 * x * (1.0 - x)).max() <= 1e-10, (m, shift)
 
 
 def test_cpm_random_profiles_keep_class_total(cp1):

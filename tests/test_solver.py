@@ -17,6 +17,7 @@ from calabilab import (
     holomorphy_defect,
     el_potential,
     affine_projection,
+    class_constants,
     iterate,
     make_cp1_geometry,
     make_cpm_geometry,
@@ -98,6 +99,17 @@ def test_singular_potential_rejected(cp1):
     phi = normalize_potential(cp1)  # phi = x crosses zero
     with pytest.raises(SingularPotential):
         solve_critical(cp1, parse_function("exp"), parse_function("id"), phi)
+
+
+@pytest.mark.parametrize("make", [make_cp1_geometry, lambda: make_cpm_geometry(3)], ids=["cp1", "cpm3"])
+def test_constant_fprime_accepts_h_with_zeros(make):
+    # f = id: psi = h(phi) = phi is affine for every metric and the solver
+    # never divides by h, so phi = x crossing zero is no obstruction
+    geom = make()
+    res = solve_critical(geom, parse_function("id"), parse_function("id"), normalize_potential(geom))
+    s0 = class_constants(geom).s0
+    assert res.status == "every_metric_critical"
+    assert abs(res.alpha) < 1e-12 and abs(res.beta - s0) < 1e-12 * s0
 
 
 def test_range_error_when_target_leaves_range(cp1):
