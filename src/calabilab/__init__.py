@@ -14,7 +14,6 @@ from .errors import (
     PathExitsClass,
     RangeError,
     SingularPotential,
-    UnsupportedGeometry,
 )
 from .functions import (
     FunctionDescriptor,

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import variation as var
-from .config import RunConfig, load_config
+from .config import RunConfig, finite_float, load_config
 from .conventions import KAPPA_PHI, KAPPA_THETA
 from .errors import CalabiLabError, ConfigError, PathExitsClass
 from .functions import identity, parse_function
@@ -63,11 +63,11 @@ def _profile(geom, cfg: RunConfig):
     spec = cfg.profile.strip()
     if spec == "round":
         return round_profile(geom)
-    if spec.startswith("random"):
-        parts = spec.split(":")
+    parts = spec.split(":")
+    if parts[0] == "random" and len(parts) <= 3:
         try:
             seed = int(parts[1]) if len(parts) > 1 else cfg.seed
-            amp = float(parts[2]) if len(parts) > 2 else cfg.amplitude
+            amp = finite_float(parts[2]) if len(parts) > 2 else cfg.amplitude
         except ValueError as exc:
             raise ConfigError(f"bad profile spec {cfg.profile!r}") from exc
         if amp < 0:
@@ -353,7 +353,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--profile", help="round | random[:seed[:amplitude]] | file:<path>")
     p.add_argument("--f", dest="f_expr", help="f expression, e.g. exp, pow:2, scaled:0.5:pow:2")
     p.add_argument("--h", dest="h_expr", help="h expression, e.g. const:1, id, pow:2")
-    p.add_argument("--target", type=float, help="normalization target for phi")
+    p.add_argument("--target", type=finite_float, help="normalization target for phi")
     p.add_argument("--nodes", type=int, help="collocation nodes (default 129)")
     p.add_argument("--seed", type=int, help="seed for the splitmix64 generator")
     p.add_argument("--out", help="output directory")
@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "sweep":
             p.add_argument("--f-list", default="id;pow:2;exp", help="semicolon-separated f grid")
             p.add_argument("--h-list", default="const:1;id", help="semicolon-separated h grid")
-            p.add_argument("--alpha-threshold", type=float, default=1e-8)
+            p.add_argument("--alpha-threshold", type=finite_float, default=1e-8)
     return ap
 
 

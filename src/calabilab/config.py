@@ -6,10 +6,20 @@ rejected.  Command-line flags override file values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .serialize import fmt
+
+
+def finite_float(text) -> float:
+    """float(text) for the real-valued inputs, refusing nan and inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
 
 # config key -> (RunConfig field, value type)
 _KEYS = {
@@ -17,10 +27,10 @@ _KEYS = {
     "profile": ("profile", str),
     "f": ("f_expr", str),
     "h": ("h_expr", str),
-    "normalization.target": ("target", float),
+    "normalization.target": ("target", finite_float),
     "grid.nodes": ("nodes", int),
     "seed": ("seed", int),
-    "amplitude": ("amplitude", float),
+    "amplitude": ("amplitude", finite_float),
     "samples": ("samples", int),
     "iterate.max_steps": ("max_steps", int),
     "out": ("out", str),

@@ -5,11 +5,6 @@ class CalabiLabError(Exception):
     """Base class for all library errors."""
 
 
-class UnsupportedGeometry(CalabiLabError):
-    """Raised when an operation only defined for CP^1/CP^m geometries
-    receives something else."""
-
-
 class AdmissibilityError(CalabiLabError):
     """A metric profile violates its admissibility invariants."""
 
@@ -20,7 +15,7 @@ class AdmissibilityError(CalabiLabError):
 
 
 class DegenerateWeight(CalabiLabError):
-    """The volume weight vanishes where a division is required."""
+    """A weighted affine projection has a negative weight or singular normal equations."""
 
 
 class DomainError(CalabiLabError):

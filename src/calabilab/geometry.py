@@ -1,25 +1,28 @@
 """Reduced circle-symmetric Kahler geometries and their momentum profiles.
 
-A geometry fixes the Kahler class: the momentum interval [x_lo, x_hi], the
-volume weight w(x), the base-curvature term A(x), the required boundary
-slopes of the profile, and the angular volume factor C_vol.  A metric in
-the class is a single profile Theta(x) >= 0 vanishing at the endpoints with
-the prescribed slopes.  Scalar curvature reduces to
-
-    s = (A - (w Theta)'') / w.
+Every geometry is one family: with y = x - x_lo on the grid's interval
+[x_lo, x_hi], the volume weight is w = y^k and the base-curvature term is
+A = k (k + 1) slope_lo y^(k - 1); CP^1 is k = 0 and CP^m is k = m - 1.  A
+metric in the class is a profile Theta(x) >= 0 vanishing at the endpoints
+with the prescribed slopes, of scalar curvature s = (A - (w Theta)'') / w.
+Nothing divides by w: with R = Theta / y, one division by the single root,
+s = -Theta'' + k ((k + 1) (slope_lo - R) / y - 2 R') takes one more, and
+(w Theta^j g)^(j) / w expands by Leibniz into R, g and powers of y.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
-from .errors import AdmissibilityError, UnsupportedGeometry
+from .errors import AdmissibilityError
 from .rng import SplitMix64
-from .spectral import SampledFunction, SpectralGrid, get_grid
+from .spectral import SampledFunction, SpectralGrid, chop_coefficients, get_grid
 
 DEFAULT_NODES = 129
 BOUNDARY_TOL = 1e-8
@@ -28,51 +31,46 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class ProfileGeometry:
-    """Fixed Kahler-class data of a reduced geometry."""
+    """Fixed Kahler-class data: the grid, the order k of the weight
+    w = (x - x_lo)^k, the boundary slopes and C_vol (one angular circle)."""
 
-    x_lo: float
-    x_hi: float
-    weight: SampledFunction
-    base_term: SampledFunction
-    slope_lo: float
-    slope_hi: float
+    grid: SpectralGrid
+    k: int
     dim: int
-    vol_const: float
-    # order k >= 1 means w = (x - x_lo)^k exactly, enabling polynomial
-    # division at the degenerate end; 0 means w > 0 up to the boundary.
-    weight_zero_order: int = 0
-    kind: str = "custom"
+    kind: str
+    slope_lo: float = 2.0
+    slope_hi: float = -2.0
+    vol_const: float = TWO_PI
 
     def __post_init__(self):
-        if not self.x_lo < self.x_hi:
-            raise ValueError("x_lo must be less than x_hi")
         if self.vol_const <= 0:
             raise ValueError("vol_const must be positive")
-        w = self.weight.values
-        if np.any(w[1:-1] <= 0):
-            raise ValueError("weight must be positive on the open interval")
 
     @property
-    def grid(self) -> SpectralGrid:
-        return self.weight.grid
+    def x_lo(self) -> float:
+        return self.grid.lo
 
-    def divide_by_weight(self, values: np.ndarray) -> np.ndarray:
-        """values / w.  At a degenerate weight end this is polynomial
-        division in coefficient space, exact when the numerator vanishes
-        there to the weight's order; w > 0 inside is checked at
-        construction."""
-        if self.weight_zero_order > 0:
-            return self.grid.divide_by_left_monomial(values, self.weight_zero_order)
-        return values / self.weight.values
+    @property
+    def x_hi(self) -> float:
+        return self.grid.hi
+
+    @cached_property
+    def weight(self) -> SampledFunction:
+        """w = (x - x_lo)^k."""
+        return SampledFunction(self.grid, (self.grid.x - self.x_lo) ** self.k)
+
+    @cached_property
+    def base_term(self) -> SampledFunction:
+        """A = k (k + 1) slope_lo (x - x_lo)^(k - 1), zero when k = 0."""
+        k, y = self.k, self.grid.x - self.x_lo
+        return SampledFunction(self.grid, k * (k + 1) * self.slope_lo * y ** max(k - 1, 0))
 
 
 @dataclass(frozen=True)
 class MetricProfile:
-    """One Kahler metric in the class: the sampled profile Theta(x).
-
-    A profile is a value: its admissibility and its scalar curvature are
-    evaluated once, on first read, and cached on the instance.
-    """
+    """One Kahler metric in the class, the sampled profile Theta(x): a value
+    whose coefficients (of Theta and R), admissibility and scalar curvature
+    are evaluated once, on first read, and cached on the instance."""
 
     geometry: ProfileGeometry
     theta: SampledFunction
@@ -82,6 +80,16 @@ class MetricProfile:
             raise ValueError("profile and geometry live on different grids")
         if np.iscomplexobj(self.theta.values):
             raise ValueError("theta must be real")
+
+    @cached_property
+    def theta_coeffs(self) -> np.ndarray:
+        """Chopped Chebyshev coefficients of Theta, read by violations and s."""
+        return chop_coefficients(self.geometry.grid.values_to_coefficients(self.theta.values))
+
+    @cached_property
+    def r_coeffs(self) -> np.ndarray:
+        """Coefficients of R = Theta / (x - x_lo), one single-root division."""
+        return self.geometry.grid.divide_by_left_root(self.theta_coeffs)
 
     @cached_property
     def violations(self) -> tuple:
@@ -94,7 +102,7 @@ class MetricProfile:
             out.append(Violation("endpoint value", geom.x_lo, abs(th[0])))
         if abs(th[-1]) > BOUNDARY_TOL:
             out.append(Violation("endpoint value", geom.x_hi, abs(th[-1])))
-        dlo, dhi = (float(d) for d in grid.endpoint_slopes(th))
+        dlo, dhi = (float(d) for d in grid.endpoint_slopes(self.theta_coeffs))
         if abs(dlo - geom.slope_lo) > BOUNDARY_TOL:
             out.append(Violation("boundary slope", geom.x_lo, abs(dlo - geom.slope_lo)))
         if abs(dhi - geom.slope_hi) > BOUNDARY_TOL:
@@ -107,15 +115,32 @@ class MetricProfile:
 
     @cached_property
     def s(self) -> SampledFunction:
-        """Pointwise scalar curvature s = (A - (w Theta)'') / w of an
-        admissible profile, computed in Chebyshev coefficient space."""
+        """Pointwise scalar curvature of an admissible profile,
+        s = -Theta'' + k ((k + 1) (slope_lo - R) / (x - x_lo) - 2 R'),
+        computed in Chebyshev coefficient space."""
         require_admissible(self)
         geom = self.geometry
         grid = geom.grid
-        num = geom.base_term.values - grid.differentiate_values(geom.weight.values * self.theta.values, 2)
-        s = geom.divide_by_weight(num)
+        k = geom.k
+        scale = 2.0 / grid.span
+        c = cheb.chebder(self.theta_coeffs, 2) * -(scale ** 2)
+        if k:
+            r = self.r_coeffs
+            lead = grid.divide_by_left_root(cheb.chebsub([geom.slope_lo], r))
+            c = cheb.chebadd(c, k * cheb.chebsub((k + 1) * lead, 2.0 * scale * cheb.chebder(r)))
+        s = grid.coefficients_to_values(c)
         s.setflags(write=False)  # shared by every reader of the cache
         return SampledFunction(grid, s)
+
+    def weighted_derivative(self, g: np.ndarray, j: int) -> np.ndarray:
+        """(w Theta^j g)^(j) / w for j = 1 or 2, without dividing by w.
+        With y = x - x_lo, w = y^k and Theta = y R, Leibniz gives
+        sum_i C(j, i) (k + j)! / (k + i)! y^i F^(i), where F = R^j g."""
+        grid, k = self.geometry.grid, self.geometry.k
+        y = grid.x - grid.lo
+        f = grid.coefficients_to_values(self.r_coeffs) ** j * g
+        return sum(math.comb(j, i) * math.perm(k + j, j - i) * y ** i * grid.differentiate_values(f, i)
+                   for i in range(j + 1))
 
 
 class Violation(NamedTuple):
@@ -134,57 +159,23 @@ class ClassConstants(NamedTuple):
 
 
 def make_cp1_geometry(nodes: int = DEFAULT_NODES) -> ProfileGeometry:
-    """The CP^1 geometry: interval [-1, 1], w = 1, A = 0, slopes (2, -2)."""
-    grid = get_grid(nodes, -1.0, 1.0)
-    return ProfileGeometry(
-        x_lo=-1.0,
-        x_hi=1.0,
-        weight=SampledFunction(grid, np.ones(grid.n)),
-        base_term=SampledFunction(grid, np.zeros(grid.n)),
-        slope_lo=2.0,
-        slope_hi=-2.0,
-        dim=1,
-        vol_const=TWO_PI,
-        weight_zero_order=0,
-        kind="cp1",
-    )
+    """The CP^1 geometry: interval [-1, 1], k = 0 (w = 1, A = 0), slopes (2, -2)."""
+    return ProfileGeometry(grid=get_grid(nodes, -1.0, 1.0), k=0, dim=1, kind="cp1")
 
 
 def make_cpm_geometry(m: int, nodes: int = DEFAULT_NODES) -> ProfileGeometry:
-    """The U(m)-invariant CP^m geometry on [0, 1]: w = x^(m-1) and
-    A = 2m(m-1) x^(m-2).
-
-    The base-term coefficient is the one pinned by the Fubini-Study
-    constancy oracle (see conventions.pin_cpm_base_coefficient).
-    """
+    """The U(m)-invariant CP^m geometry on [0, 1]: k = m - 1, so w = x^(m-1)
+    and A = 2m(m-1) x^(m-2), the coefficient that the Fubini-Study constancy
+    oracle (conventions.pin_cpm_base_coefficient) recovers."""
     if m < 2:
         raise ValueError("m must be at least 2")
-    grid = get_grid(nodes, 0.0, 1.0)
-    x = grid.x
-    coeff = 2.0 * m * (m - 1)
-    return ProfileGeometry(
-        x_lo=0.0,
-        x_hi=1.0,
-        weight=SampledFunction(grid, x ** (m - 1)),
-        base_term=SampledFunction(grid, coeff * x ** (m - 2)),
-        slope_lo=2.0,
-        slope_hi=-2.0,
-        dim=m,
-        vol_const=TWO_PI,
-        weight_zero_order=m - 1,
-        kind="cpm",
-    )
+    return ProfileGeometry(grid=get_grid(nodes, 0.0, 1.0), k=m - 1, dim=m, kind="cpm")
 
 
 def round_profile(geom: ProfileGeometry) -> MetricProfile:
     """Canonical base profile: 1 - x^2 on CP^1, 2x(1-x) on CP^m."""
     x = geom.grid.x
-    if geom.kind == "cp1":
-        theta = 1.0 - x * x
-    elif geom.kind == "cpm":
-        theta = 2.0 * x * (1.0 - x)
-    else:
-        raise UnsupportedGeometry(f"no canonical profile for kind {geom.kind!r}")
+    theta = 1.0 - x * x if geom.kind == "cp1" else 2.0 * x * (1.0 - x)
     return MetricProfile(geom, SampledFunction(geom.grid, theta))
 
 
@@ -200,7 +191,8 @@ def require_admissible(profile: MetricProfile) -> None:
 
 def scalar_curvature(profile: MetricProfile) -> SampledFunction:
     """Pointwise scalar curvature s = (A - (w Theta)'') / w (cached on the
-    profile); raises AdmissibilityError for an inadmissible profile."""
+    profile, computed without dividing by w); raises AdmissibilityError for
+    an inadmissible profile."""
     return profile.s
 
 

@@ -110,11 +110,9 @@ def el_potential(
 def lichnerowicz(profile: MetricProfile, psi: SampledFunction) -> SampledFunction:
     """Reduced fourth-order operator L psi = (w Theta^2 psi'')'' / w."""
     require_admissible(profile)
-    geom = profile.geometry
-    grid = geom.grid
+    grid = profile.geometry.grid
     psi2 = grid.differentiate_values(psi.values, 2)
-    inner = geom.weight.values * profile.theta.values ** 2 * psi2
-    return SampledFunction(grid, geom.divide_by_weight(grid.differentiate_values(inner, 2)))
+    return SampledFunction(grid, profile.weighted_derivative(psi2, 2))
 
 
 def quadratic_form(profile: MetricProfile, psi: SampledFunction) -> float:

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedGeometry
+from .errors import ConfigError
 from .geometry import MetricProfile, ProfileGeometry, make_cp1_geometry, make_cpm_geometry
 from .spectral import SampledFunction
 
@@ -110,5 +110,5 @@ def profile_from_document(doc: dict) -> MetricProfile:
     elif g["kind"] == "cpm":
         geom = make_cpm_geometry(int(g["dim"]), nodes)
     else:
-        raise UnsupportedGeometry("only cp1/cpm documents can be reconstructed")
+        raise ConfigError(f"unknown geometry kind {g['kind']!r} in document")
     return MetricProfile(geom, SampledFunction(geom.grid, np.array(doc["theta_values"], dtype=float)))

@@ -20,12 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 from .errors import CalabiLabError, ConfigError, ConvergenceError, DomainError, SingularPotential
 from .functions import FunctionDescriptor, invert
 from .geometry import MetricProfile, ProfileGeometry, class_constants
 from .potentials import ELReport, HolomorphyPotential, el_potential, holomorphy_defect
-from .spectral import SampledFunction, affine_projection
+from .spectral import SampledFunction, affine_projection, chop_coefficients, solve_euler
 
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITER = 50
@@ -69,36 +70,38 @@ class IterationTrace:
 
 
 class _Shooter:
-    """Left-to-right integration of (w Theta)'' = A - w s and its far-end
-    mismatch K s + m0, where K and m0 are the Clenshaw-Curtis forms of
-    p_hi = w_lo slope_lo span + int (x_hi - x)(A - w s) and
-    p'_hi = w_lo slope_lo + int (A - w s), with p = w Theta."""
+    """The profile Theta = slope_lo y - y^-k int_lo^x (x - t) w s dt that
+    solves (w Theta)'' = A - w s from the left end (y = x - x_lo, w = y^k),
+    and its far-end mismatch (Theta, Theta' - slope_hi) at x_hi = x_lo + L:
+    K s + m0, K the Clenshaw-Curtis forms of -L^-k int (x_hi - x) w s and
+    L^-k int (k (x_hi - x) / L - 1) w s, m0 = (slope_lo L, slope_lo - slope_hi)."""
 
     def __init__(self, geom: ProfileGeometry):
         self.geom = geom
-        grid = geom.grid
-        self.grid = grid
-        self.w = geom.weight.values
-        self.a = geom.base_term.values
-        self.p_slope_lo = float(self.w[0]) * geom.slope_lo
-        w_hi = float(self.w[-1])
-        dw_hi = float(grid.differentiate_values(self.w, 1)[-1])
-        q = grid.quad_weights
+        grid = self.grid = geom.grid
+        k, span = geom.k, grid.span
+        qw = grid.quad_weights * geom.weight.values / span ** k
         lever = grid.hi - grid.x
-        # (theta_hi, theta'_hi) = rows . (p_hi, p'_hi)
-        rows = np.array([[1.0 / w_hi, 0.0], [-dw_hi / w_hi ** 2, 1.0 / w_hi]])
-        self.k = -rows @ np.stack([q * lever * self.w, q * self.w])
-        p0 = self.p_slope_lo * np.array([grid.span, 1.0]) + np.stack([q * lever, q]) @ self.a
-        self.m0 = rows @ p0 - np.array([0.0, geom.slope_hi])
+        self.k = np.stack([-qw * lever, (k / span) * qw * lever - qw])
+        self.m0 = np.array([geom.slope_lo * span, geom.slope_lo - geom.slope_hi])
 
     def mismatch(self, s_vals: np.ndarray) -> np.ndarray:
         return self.k @ s_vals + self.m0
 
     def profile(self, s_vals: np.ndarray) -> MetricProfile:
-        p1 = self.p_slope_lo + self.grid.antiderivative_values(self.a - self.w * s_vals)
-        theta = self.geom.divide_by_weight(self.grid.antiderivative_values(p1))
+        """Theta = slope_lo y - y^2 M, M(y) = int_0^1 (1 - tau) tau^k
+        s(x_lo + y tau) dtau, for every k and with no division.  M maps y^n
+        to y^n / ((n + k + 1)(n + k + 2)), so it solves
+        (y d/dy + k + 1)(y d/dy + k + 2) M = s, exactly on the chopped s."""
+        grid, geom = self.grid, self.geom
+        m = chop_coefficients(grid.values_to_coefficients(s_vals))
+        for a in (geom.k + 1, geom.k + 2):
+            m = solve_euler(m, a)
+        y = np.full(2, grid.span / 2.0)  # x - x_lo = span (t + 1) / 2
+        theta = cheb.chebsub(geom.slope_lo * y, cheb.chebmul(cheb.chebmul(y, y), m))
+        theta = grid.coefficients_to_values(theta)
         theta[0] = 0.0
-        return MetricProfile(self.geom, SampledFunction(self.grid, theta))
+        return MetricProfile(geom, SampledFunction(grid, theta))
 
 
 def _newton(shooter: _Shooter, s_of_ab, ds_dpsi, init, tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER):

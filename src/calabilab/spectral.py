@@ -4,10 +4,10 @@ Every Chebyshev transform goes through one FFT DCT-I of the even extension
 (Chebfun's vals2coeffs / coeffs2vals): values to coefficients, coefficients
 to values, and the Clenshaw-Curtis weights from the moments of T_k
 (Waldvogel, BIT 46, 2006), all in O(N log N).  Calculus, the endpoint
-slopes included, runs in coefficient space with trailing-coefficient
-chopping, which is the accurate route for repeated differentiation.  The
-dense barycentric differentiation matrices are built only on demand, for
-the callers that need an explicit operator (the discrete quadratic form).
+slopes and the one division, by the single root x - lo, run in coefficient
+space with trailing-coefficient chopping, the accurate route for repeated
+differentiation.  The dense barycentric differentiation matrices are built
+only on demand, for the explicit operator of the discrete quadratic form.
 """
 
 from __future__ import annotations
@@ -89,6 +89,18 @@ def chop_coefficients(c: np.ndarray, rel: float = CHOP_REL) -> np.ndarray:
     return c[: keep[-1] + 1].copy()
 
 
+def solve_euler(coeffs: np.ndarray, a: float) -> np.ndarray:
+    """Chebyshev coefficients v with (y d/dy + a) v = coeffs, y = x - lo, a > 0:
+    y d/dy = (t + 1) d/dt and (t + 1) T_n' = n T_n + 2n sum'_{j<n} T_j (the
+    j = 0 term halved) make it upper triangular, solved by back substitution."""
+    v = np.empty(coeffs.size, dtype=np.result_type(coeffs, float))
+    tail = 0.0  # sum over n > j of n v_n
+    for j in range(coeffs.size - 1, -1, -1):
+        v[j] = (coeffs[j] - (tail if j == 0 else 2.0 * tail)) / (j + a)
+        tail += j * v[j]
+    return v
+
+
 class SpectralGrid:
     """Immutable CGL collocation grid on [lo, hi]."""
 
@@ -144,7 +156,7 @@ class SpectralGrid:
         else:
             g[: c.size] = c
         g[1:-1] *= 0.5
-        return _dct1(g)[::-1]
+        return _dct1(g)[::-1].copy()  # contiguous: sums over it run in numpy's pairwise order
 
     # -- calculus ---------------------------------------------------------
     def differentiate_values(self, values: np.ndarray, order: int = 1) -> np.ndarray:
@@ -159,12 +171,11 @@ class SpectralGrid:
         v = self.coefficients_to_values(ci)
         return v - v[0]
 
-    def endpoint_slopes(self, values: np.ndarray):
-        """(d/dx at lo, d/dx at hi) of the interpolant, read from its chopped
+    def endpoint_slopes(self, coeffs: np.ndarray):
+        """(d/dx at lo, d/dx at hi) of sum_k c_k T_k, from its (chopped)
         coefficients: T_k'(1) = k^2 and T_k'(-1) = (-1)^(k+1) k^2."""
-        c = chop_coefficients(self.values_to_coefficients(values))
-        k = np.arange(c.size)
-        kc = k * k * c
+        k = np.arange(coeffs.size)
+        kc = k * k * coeffs
         even, odd = kc[::2].sum(), kc[1::2].sum()
         scale = 2.0 / self.span
         return (odd - even) * scale, (odd + even) * scale
@@ -172,19 +183,11 @@ class SpectralGrid:
     def integrate_values(self, values: np.ndarray):
         return self.quad_weights @ np.asarray(values)
 
-    def divide_by_left_monomial(self, values: np.ndarray, order: int) -> np.ndarray:
-        """Evaluate values / (x - lo)**order by polynomial division in
-        coefficient space.  Requires the numerator to vanish at lo to the
-        stated order up to grid accuracy; the remainder is discarded."""
-        if order <= 0:
-            return np.asarray(values, dtype=values.dtype)
-        c = chop_coefficients(self.values_to_coefficients(values))
-        den = np.array([self.span / 2.0, self.span / 2.0])  # (x - lo) in t
-        for _ in range(order):
-            c, _rem = cheb.chebdiv(c, den)
-            if c.size == 0:
-                c = np.zeros(1)
-        return self.coefficients_to_values(c)
+    def divide_by_left_root(self, coeffs: np.ndarray) -> np.ndarray:
+        """Coefficients of sum_k c_k T_k divided by (x - lo), by one
+        polynomial division.  The remainder, the value at lo, is discarded,
+        so the numerator must vanish there up to grid accuracy."""
+        return cheb.chebdiv(coeffs, [self.span / 2.0, self.span / 2.0])[0]
 
     def __repr__(self):
         return f"SpectralGrid(n={self.n}, lo={self.lo}, hi={self.hi})"

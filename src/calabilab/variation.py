@@ -56,15 +56,14 @@ def first_order(profile: MetricProfile, path: DeformationPath) -> FirstOrder:
     """First-order fields (dTheta, dphi at a fixed complex point, and the
     volume-form trace d(omega^m)/omega^m = (w * dphi)' / w)."""
     require_admissible(profile)
-    geom = profile.geometry
-    grid = geom.grid
+    grid = profile.geometry.grid
     u = path.u.values
     u1 = grid.differentiate_values(u, 1)
     u2 = grid.differentiate_values(u, 2)
     theta = profile.theta.values
     d_theta = path.kappa_theta * theta ** 2 * u2
     d_phi = path.kappa_phi * theta * u1
-    trace = geom.divide_by_weight(grid.differentiate_values(geom.weight.values * d_phi, 1))
+    trace = profile.weighted_derivative(path.kappa_phi * u1, 1)
     return FirstOrder(
         SampledFunction(grid, d_theta),
         SampledFunction(grid, d_phi),
@@ -76,10 +75,10 @@ def delta_s(profile: MetricProfile, path: DeformationPath) -> DeltaScalar:
     """First-order scalar-curvature variation, in both bookkeepings:
     at fixed momentum x, ds = -(w dTheta)''/w; at a fixed complex point the
     transport term dphi * s' is added."""
-    geom = profile.geometry
-    grid = geom.grid
+    grid = profile.geometry.grid
     fo = first_order(profile, path)
-    fixed_x = -geom.divide_by_weight(grid.differentiate_values(geom.weight.values * fo.d_theta.values, 2))
+    u2 = grid.differentiate_values(path.u.values, 2)
+    fixed_x = -profile.weighted_derivative(path.kappa_theta * u2, 2)
     s1 = grid.differentiate_values(profile.s.values, 1)
     fixed_point = fixed_x + fo.d_phi_fixed_point.values * s1
     return DeltaScalar(SampledFunction(grid, fixed_x), SampledFunction(grid, fixed_point))

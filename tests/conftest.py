@@ -1,6 +1,6 @@
 import pytest
 
-from calabilab import make_cp1_geometry, normalize_potential, round_profile
+from calabilab import make_cp1_geometry, make_cpm_geometry, normalize_potential, round_profile
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +16,9 @@ def cp1_round(cp1):
 @pytest.fixture(scope="session")
 def cp1_phi(cp1):
     return normalize_potential(cp1)
+
+
+@pytest.fixture(scope="session")
+def geometries():
+    """cp1 and cpm:2..4 at the default N, keyed by their CLI spec."""
+    return {"cp1": make_cp1_geometry(), **{f"cpm:{m}": make_cpm_geometry(m) for m in (2, 3, 4)}}

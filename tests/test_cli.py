@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from calabilab.cli import main
 
@@ -130,6 +131,10 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     bad_csv.write_text("x,theta\n-1,0\nabc,1\n")
     neg_amp = tmp_path / "neg.cfg"
     neg_amp.write_text("amplitude=-1\n")
+    inf_target = tmp_path / "inf.cfg"
+    inf_target.write_text("normalization.target=inf\n")
+    nan_amp = tmp_path / "nan.cfg"
+    nan_amp.write_text("amplitude=nan\n")
     for args in (
         ["evaluate", "--nodes", "4"],
         ["evaluate", "--geometry", "cpm:1"],
@@ -139,9 +144,27 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
         ["evaluate", "--profile", f"file:{bad_csv}"],
         ["iterate", "--max-steps", "0"],
         ["invariance", "--config", str(neg_amp), "--samples", "2"],
+        ["invariance", "--h", "id", "--config", str(inf_target), "--samples", "2"],
+        ["invariance", "--config", str(nan_amp), "--samples", "2"],
+        ["evaluate", "--profile", "random:1:nan"],
+        ["evaluate", "--profile", "random:1:inf"],
+        ["evaluate", "--profile", "randomXYZ"],
+        ["evaluate", "--profile", "random:1:0.1:junk"],
     ):
         assert main(args + ["--out", str(tmp_path / "w")]) == 2, args
         assert capsys.readouterr().err.startswith("error: "), args
+    # non-finite numbers on the command line are refused by the argument
+    # parser, which exits 2 with its usage line and "error: ..."
+    for args in (
+        ["evaluate", "--target", "nan"],
+        ["invariance", "--h", "id", "--target", "inf"],
+        ["sweep", "--alpha-threshold", "nan"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--out", str(tmp_path / "w")])
+        assert exc.value.code == 2, args
+        assert "error: argument" in capsys.readouterr().err, args
+    assert not (tmp_path / "w").exists()
     capsys.readouterr()
 
 

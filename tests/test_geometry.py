@@ -5,14 +5,11 @@ from calabilab import (
     AdmissibilityError,
     HolomorphyPotential,
     MetricProfile,
-    ProfileGeometry,
     SampledFunction,
     class_constants,
     el_potential,
     eval_S,
     futaki,
-    get_grid,
-    lichnerowicz,
     make_cp1_geometry,
     make_cpm_geometry,
     normalize_potential,
@@ -23,6 +20,7 @@ from calabilab import (
     solve_critical,
     validate,
 )
+from calabilab.conventions import pin_cpm_base_coefficient
 
 FOUR_PI = 4.0 * np.pi
 EIGHT_PI = 8.0 * np.pi
@@ -95,28 +93,6 @@ def test_scalar_curvature_requires_admissible(cp1):
     assert validate(bad) == list(bad.violations) != []
 
 
-def test_nondegenerate_weight_division():
-    # w = 2 + x > 0 up to both ends, so s and L psi divide by w pointwise:
-    # (w Theta)'' = (2 - 2x^2 + x - x^3)'' = -4 - 6x.
-    grid = get_grid(65, -1.0, 1.0)
-    x = grid.x
-    geom = ProfileGeometry(
-        x_lo=-1.0,
-        x_hi=1.0,
-        weight=SampledFunction(grid, 2.0 + x),
-        base_term=SampledFunction(grid, np.zeros(grid.n)),
-        slope_lo=2.0,
-        slope_hi=-2.0,
-        dim=1,
-        vol_const=2.0 * np.pi,
-    )
-    profile = MetricProfile(geom, SampledFunction(grid, 1.0 - x * x))
-    s = scalar_curvature(profile).values
-    assert np.abs(s - (4.0 + 6.0 * x) / (2.0 + x)).max() < 1e-12
-    psi = SampledFunction(grid, 3.0 * x - 1.0)
-    assert np.abs(lichnerowicz(profile, psi).values).max() < 1e-10
-
-
 @pytest.mark.parametrize("make", [make_cp1_geometry, lambda: make_cpm_geometry(3)], ids=["cp1", "cpm3"])
 def test_scalar_curvature_is_cached_per_profile(make):
     geom = make()
@@ -163,6 +139,10 @@ def test_cpm_fubini_study_constant_scalar(m):
     s = scalar_curvature(round_profile(geom)).values
     assert s.std() < 1e-8
     assert abs(s.mean() - 2.0 * m * (m + 1)) < 1e-8
+    # the base-term coefficient the family derives is the one the
+    # Fubini-Study constancy oracle pins
+    k = geom.k
+    assert abs(pin_cpm_base_coefficient(m)[0] - k * (k + 1) * geom.slope_lo) < 1e-10
 
 
 @pytest.mark.parametrize("n", [33, 65, 129, 257, 513, 1025, 2049])

@@ -90,19 +90,20 @@ def test_lichnerowicz_annihilates_affine(cp1, cp1_round):
     assert np.abs(lichnerowicz(cp1_round, psi).values).max() < 1e-8
 
 
-def test_operator_energy_identity_random_pairs(cp1):
-    grid = cp1.grid
-    rng = np.random.default_rng(0)
-    for trial in range(20):
-        profile = random_admissible_profile(cp1, 100 + trial, 0.25)
-        psi = SampledFunction(
-            grid, np.polynomial.chebyshev.chebval(grid.t, rng.uniform(-1, 1, 8))
-        )
-        lhs = cp1.vol_const * grid.integrate_values(
-            psi.values * lichnerowicz(profile, psi).values * cp1.weight.values
-        )
-        rhs = quadratic_form(profile, psi)
-        assert abs(lhs - rhs) < 1e-8 * max(abs(rhs), 1.0)
+def test_operator_energy_identity_random_pairs(geometries):
+    for spec, geom in geometries.items():
+        grid = geom.grid
+        rng = np.random.default_rng(0)
+        for trial in range(20):
+            profile = random_admissible_profile(geom, 100 + trial, 0.25)
+            psi = SampledFunction(
+                grid, np.polynomial.chebyshev.chebval(grid.t, rng.uniform(-1, 1, 8))
+            )
+            lhs = geom.vol_const * grid.integrate_values(
+                psi.values * lichnerowicz(profile, psi).values * geom.weight.values
+            )
+            rhs = quadratic_form(profile, psi)
+            assert abs(lhs - rhs) < 1e-8 * max(abs(rhs), 1.0), (spec, trial)
 
 
 def test_operator_energy_identity_on_cpm():

@@ -26,6 +26,7 @@ from calabilab import (
     random_admissible_profile,
     round_profile,
     solve_critical,
+    validate,
 )
 from calabilab import solver
 from calabilab.geometry import bump_factor
@@ -176,6 +177,26 @@ def test_general_f_solves_to_round_profile(geometry, f):
     again = holomorphy_defect(res.profile, el_potential(res.profile, fd, h, phi))
     assert again.is_critical and res.el_report.is_critical
     assert again.defect_affine == res.el_report.defect_affine
+
+
+@pytest.mark.parametrize("f", ["exp", "sum:exp,pow:2"])
+@pytest.mark.parametrize("m", [3, 4])
+def test_non_fubini_study_critical_metrics_on_cpm(m, f):
+    # h = pow:2 is not affine, so the critical metric is not Fubini-Study;
+    # CGL grids with N = 2^j + 1 nest, so each solve is compared with the
+    # previous one on the coarser grid's nodes
+    fd, h = parse_function(f), parse_function("pow:2")
+    coarse = None
+    for n in (65, 129, 513, 2049):
+        geom = make_cpm_geometry(m, n)
+        res = solve_critical(geom, fd, h, HolomorphyPotential(geom, 1.0, 2.5))
+        assert validate(res.profile) == [], n
+        assert res.el_report.is_critical, n
+        theta = res.profile.theta.values
+        if coarse is not None:
+            stride = (n - 1) // (coarse.size - 1)
+            assert np.abs(theta[::stride] - coarse).max() <= 1e-10, n
+        coarse = theta
 
 
 def test_exponential_solve_on_cpm3_large_beta():

@@ -17,6 +17,7 @@ from calabilab import (
     eval_S,
     first_order,
     futaki,
+    lichnerowicz,
     normalize_potential,
     parse_function,
     random_admissible_profile,
@@ -66,15 +67,16 @@ def test_transport_exits_class(cp1, cp1_round):
         transport(cp1_round, path, 1.0 / KAPPA_THETA)
 
 
-def test_delta_s_matches_transport_difference(cp1):
-    profile = random_admissible_profile(cp1, 9, 0.2)
-    path = DeformationPath(_direction(cp1.grid, lambda x: np.sin(x)))
-    ds = delta_s(profile, path).fixed_x.values
-    t = 1e-5
-    plus, _ = transport(profile, path, t)
-    minus, _ = transport(profile, path, -t)
-    fd = (scalar_curvature(plus).values - scalar_curvature(minus).values) / (2 * t)
-    assert np.abs(ds - fd).max() < 1e-4 * (1.0 + np.abs(ds).max())
+def test_delta_s_matches_transport_difference(geometries):
+    for spec, geom in geometries.items():
+        profile = random_admissible_profile(geom, 9, 0.2)
+        path = DeformationPath(_direction(geom.grid, lambda x: np.sin(x)))
+        ds = delta_s(profile, path).fixed_x.values
+        t = 1e-5
+        plus, _ = transport(profile, path, t)
+        minus, _ = transport(profile, path, -t)
+        fd = (scalar_curvature(plus).values - scalar_curvature(minus).values) / (2 * t)
+        assert np.abs(ds - fd).max() < 1e-4 * (1.0 + np.abs(ds).max()), spec
 
 
 def test_moment_velocity_pins_kappa_phi(cp1, cp1_round):
@@ -118,14 +120,16 @@ def test_equivariant_integrals_constant_along_transport(cp1, cp1_round, cp1_phi)
         assert max(abs(v - sphi_vals[0]) for v in sphi_vals) < 1e-8
 
 
-def test_futaki_constant_along_transport(cp1, cp1_phi):
-    profile = random_admissible_profile(cp1, 21, 0.2)
-    path = DeformationPath(_direction(cp1.grid, lambda x: x ** 2 + 0.3 * x ** 3))
-    vals = [
-        futaki(transport(profile, path, float(t), cp1_phi)[0], cp1_phi)
-        for t in np.linspace(-0.2, 0.2, 11)
-    ]
-    assert max(abs(v - vals[0]) for v in vals) < 1e-8
+def test_futaki_constant_along_transport(geometries):
+    for spec, geom in geometries.items():
+        phi = normalize_potential(geom)
+        profile = random_admissible_profile(geom, 21, 0.2)
+        path = DeformationPath(_direction(geom.grid, lambda x: x ** 2 + 0.3 * x ** 3))
+        vals = [
+            futaki(transport(profile, path, float(t), phi)[0], phi)
+            for t in np.linspace(-0.2, 0.2, 11)
+        ]
+        assert max(abs(v - vals[0]) for v in vals) < 1e-8, spec
 
 
 def test_delta_S_convergence_order(cp1):
@@ -168,3 +172,27 @@ def test_volume_normalization_constant_along_transport(cp1, cp1_round, cp1_phi):
             equivariant_integral(moved, parse_function("id"), phi_t)
         )
     assert max(abs(v - vals[0]) for v in vals) < 1e-8
+
+
+@pytest.mark.parametrize("u", ["x4", "sin2x"])
+@pytest.mark.parametrize("spec", ["cp1", "cpm:2", "cpm:3", "cpm:4"])
+def test_second_variation_is_lichnerowicz_energy(geometries, spec, u):
+    """Calabi's second variation ("Extremal Kahler metrics II", 1985): at the
+    Fubini-Study profile, critical for f = s^2/2 and h = 1,
+    d^2S/dt^2 = kappa_theta^2 C_vol int (L u)^2 w dx along the transport.
+    The Richardson-extrapolated central second difference reaches 8.5e-8 of
+    the scale on cp1; the tolerance is about ten times that floor."""
+    geom = geometries[spec]
+    profile, phi = round_profile(geom), normalize_potential(geom)
+    f, h = parse_function("scaled:0.5:pow:2"), parse_function("const:1")
+    x = geom.grid.x
+    path = DeformationPath(SampledFunction(geom.grid, x ** 4 if u == "x4" else np.sin(2.0 * x)))
+
+    def second_difference(step):
+        s_at = [eval_S(transport(profile, path, t, phi)[0], f, h, phi).real for t in (-step, 0.0, step)]
+        return (s_at[0] - 2.0 * s_at[1] + s_at[2]) / step ** 2
+
+    numeric = (4.0 * second_difference(5e-3) - second_difference(1e-2)) / 3.0
+    lu = lichnerowicz(profile, path.u).values
+    exact = KAPPA_THETA ** 2 * geom.vol_const * geom.grid.integrate_values(lu ** 2 * geom.weight.values)
+    assert abs(numeric - exact) <= 1e-6 * exact
