@@ -22,7 +22,7 @@ from numpy.polynomial import chebyshev as cheb
 
 from .errors import AdmissibilityError
 from .rng import SplitMix64
-from .spectral import SampledFunction, SpectralGrid, chop_coefficients, get_grid
+from .spectral import SampledFunction, SpectralGrid, chop_coefficients, derivative_coefficients, get_grid
 
 DEFAULT_NODES = 129
 BOUNDARY_TOL = 1e-8
@@ -123,11 +123,11 @@ class MetricProfile:
         grid = geom.grid
         k = geom.k
         scale = 2.0 / grid.span
-        c = cheb.chebder(self.theta_coeffs, 2) * -(scale ** 2)
+        c = derivative_coefficients(self.theta_coeffs, 2) * -(scale ** 2)
         if k:
             r = self.r_coeffs
             lead = grid.divide_by_left_root(cheb.chebsub([geom.slope_lo], r))
-            c = cheb.chebadd(c, k * cheb.chebsub((k + 1) * lead, 2.0 * scale * cheb.chebder(r)))
+            c = cheb.chebadd(c, k * cheb.chebsub((k + 1) * lead, 2.0 * scale * derivative_coefficients(r)))
         s = grid.coefficients_to_values(c)
         s.setflags(write=False)  # shared by every reader of the cache
         return SampledFunction(grid, s)

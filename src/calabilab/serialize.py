@@ -81,7 +81,16 @@ def profile_from_csv(geom: ProfileGeometry, text: str) -> MetricProfile:
     x = np.array(xs)
     if x.size != geom.grid.n or not np.array_equal(x, geom.grid.x):
         raise ConfigError("profile CSV nodes do not match the geometry grid")
-    return MetricProfile(geom, SampledFunction(geom.grid, np.array(thetas)))
+    return _read_profile(geom, thetas, "profile CSV")
+
+
+def _read_profile(geom: ProfileGeometry, thetas, source: str) -> MetricProfile:
+    """The profile of theta values read from outside; a non-finite value is
+    a ConfigError naming its source, not a ValueError from SampledFunction."""
+    theta = np.array(thetas, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ConfigError(f"{source} has a non-finite theta value")
+    return MetricProfile(geom, SampledFunction(geom.grid, theta))
 
 
 def profile_to_document(profile: MetricProfile) -> dict:
@@ -111,4 +120,4 @@ def profile_from_document(doc: dict) -> MetricProfile:
         geom = make_cpm_geometry(int(g["dim"]), nodes)
     else:
         raise ConfigError(f"unknown geometry kind {g['kind']!r} in document")
-    return MetricProfile(geom, SampledFunction(geom.grid, np.array(doc["theta_values"], dtype=float)))
+    return _read_profile(geom, doc["theta_values"], "profile document")

@@ -6,8 +6,12 @@ to values, and the Clenshaw-Curtis weights from the moments of T_k
 (Waldvogel, BIT 46, 2006), all in O(N log N).  Calculus, the endpoint
 slopes and the one division, by the single root x - lo, run in coefficient
 space with trailing-coefficient chopping, the accurate route for repeated
-differentiation.  The dense barycentric differentiation matrices are built
-only on demand, for the explicit operator of the discrete quadratic form.
+differentiation.  Derivative and antiderivative coefficients are O(L) array
+recurrences on the L kept coefficients (Mason & Handscomb, Chebyshev
+Polynomials, 2003): one routine, derivative_coefficients, differentiates
+for this module and for geometry.  The dense barycentric differentiation
+matrices are built only on demand, for the explicit operator of the
+discrete quadratic form.
 """
 
 from __future__ import annotations
@@ -89,6 +93,24 @@ def chop_coefficients(c: np.ndarray, rel: float = CHOP_REL) -> np.ndarray:
     return c[: keep[-1] + 1].copy()
 
 
+def derivative_coefficients(coeffs, order: int = 1) -> np.ndarray:
+    """Chebyshev coefficients of the order-th t-derivative of sum_k c_k T_k
+    (real or complex), order >= 0.  Each order takes
+    d_j = (2 - [j = 0]) sum_{k > j, k - j odd} k c_k, a reverse cumulative
+    sum along each parity strand; a series of degree below order gives [0]."""
+    c = np.asarray(coeffs)
+    d = np.array(c, dtype=np.result_type(c, float), ndmin=1)
+    for _ in range(order):
+        if d.size < 2:
+            return np.zeros(1, dtype=d.dtype)
+        kc = np.arange(1, d.size) * d[1:]  # kc[j] = (j + 1) c_(j+1)
+        d = np.empty_like(kc)
+        d[::2] = kc[::2][::-1].cumsum()[::-1]
+        d[1::2] = kc[1::2][::-1].cumsum()[::-1]
+        d[1:] *= 2.0
+    return d
+
+
 def solve_euler(coeffs: np.ndarray, a: float) -> np.ndarray:
     """Chebyshev coefficients v with (y d/dy + a) v = coeffs, y = x - lo, a > 0:
     y d/dy = (t + 1) d/dt and (t + 1) T_n' = n T_n + 2n sum'_{j<n} T_j (the
@@ -161,13 +183,18 @@ class SpectralGrid:
     # -- calculus ---------------------------------------------------------
     def differentiate_values(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         c = chop_coefficients(self.values_to_coefficients(values))
-        dc = cheb.chebder(c, order) * (2.0 / self.span) ** order
+        dc = derivative_coefficients(c, order) * (2.0 / self.span) ** order
         return self.coefficients_to_values(dc)
 
     def antiderivative_values(self, values: np.ndarray) -> np.ndarray:
-        """Antiderivative vanishing at the left endpoint."""
+        """Antiderivative vanishing at the left endpoint, from the closed form
+        C_k = (c_(k-1) - c_(k+1)) / (2k) with c_0 counted twice and C_0 = 0
+        (the constant drops out when the value at lo is subtracted)."""
         c = chop_coefficients(self.values_to_coefficients(values))
-        ci = cheb.chebint(c) * (self.span / 2.0)
+        padded = np.concatenate([c, np.zeros(2)])
+        padded[0] *= 2.0
+        ci = np.zeros(c.size + 1, dtype=padded.dtype)
+        ci[1:] = (padded[:-2] - padded[2:]) * (self.span / 4.0) / np.arange(1, c.size + 1)
         v = self.coefficients_to_values(ci)
         return v - v[0]
 

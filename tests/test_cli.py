@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from calabilab import make_cp1_geometry, profile_to_csv, round_profile
 from calabilab.cli import main
 
 EIGHT_PI = 8.0 * math.pi
@@ -129,6 +130,13 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     assert main(["evaluate", "--geometry", "marsian", "--out", str(tmp_path / "y")]) == 2
     bad_csv = tmp_path / "bad.csv"
     bad_csv.write_text("x,theta\n-1,0\nabc,1\n")
+    # the default cp1 grid's nodes, with one theta replaced by nan or inf
+    rows = profile_to_csv(round_profile(make_cp1_geometry())).splitlines()
+    nonfinite_csvs = []
+    for value in ("nan", "inf"):
+        path = tmp_path / f"{value}.csv"
+        path.write_text("\n".join(rows[:5] + [rows[5].split(",")[0] + "," + value] + rows[6:]) + "\n")
+        nonfinite_csvs.append(path)
     neg_amp = tmp_path / "neg.cfg"
     neg_amp.write_text("amplitude=-1\n")
     inf_target = tmp_path / "inf.cfg"
@@ -142,6 +150,8 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
         ["evaluate", "--profile", "random:1:abc"],
         ["evaluate", "--profile", "random:1:-1"],
         ["evaluate", "--profile", f"file:{bad_csv}"],
+        ["evaluate", "--profile", f"file:{nonfinite_csvs[0]}"],
+        ["evaluate", "--profile", f"file:{nonfinite_csvs[1]}"],
         ["iterate", "--max-steps", "0"],
         ["invariance", "--config", str(neg_amp), "--samples", "2"],
         ["invariance", "--h", "id", "--config", str(inf_target), "--samples", "2"],

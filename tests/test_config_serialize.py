@@ -87,6 +87,10 @@ def test_profile_document_roundtrip():
     assert np.array_equal(back.theta.values, profile.theta.values)
     assert back.geometry.kind == "cpm"
     assert back.geometry.dim == 3
+    for value in (float("nan"), float("inf")):
+        bad = dict(doc, theta_values=doc["theta_values"][:3] + [value] + doc["theta_values"][4:])
+        with pytest.raises(ConfigError, match="non-finite"):
+            profile_from_document(bad)
 
 
 def test_jsonable_handles_numpy_and_complex():

@@ -3,7 +3,7 @@ import pytest
 
 from calabilab import SampledFunction, affine_projection, get_grid
 from calabilab.errors import DegenerateWeight
-from calabilab.spectral import SpectralGrid, chop_coefficients
+from calabilab.spectral import SpectralGrid, chop_coefficients, derivative_coefficients
 
 C = np.polynomial.chebyshev
 
@@ -87,6 +87,48 @@ def test_derivative_exact_on_high_degree_polynomials(n):
         scale = max(np.abs(exact).max(), 1.0)
         assert np.abs(grid.differentiate_values(vals) - exact).max() < 1e-9 * scale
         assert np.abs(grid.d1 @ vals - exact).max() < 1e-9 * scale
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 33, 1025])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_derivative_coefficients_match_chebder(order, size, complex_):
+    rng = np.random.default_rng(10 * size + order)
+    c = rng.standard_normal(size)
+    if complex_:
+        c = c + 1j * rng.standard_normal(size)
+    expect = C.chebder(c, order)
+    got = derivative_coefficients(c, order)
+    assert got.shape == expect.shape and got.dtype == expect.dtype
+    scale = max(np.abs(expect).max(), 1.0)
+    assert np.abs(got - expect).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [8, 33, 129])
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.0, 1.0), (2.0, 5.5)])
+def test_antiderivative_matches_chebint(n, lo, hi):
+    # the closed form and chebint differ only in the constant, which the
+    # subtraction of the value at lo removes
+    grid = get_grid(n, lo, hi)
+    rng = np.random.default_rng(n)
+    real = np.sin(3.0 * grid.x) + grid.x ** 2
+    for vals in (real, real + 1j * rng.standard_normal(n)):
+        c = chop_coefficients(grid.values_to_coefficients(vals))
+        ref = grid.coefficients_to_values(C.chebint(c) * (grid.span / 2.0))
+        expect = ref - ref[0]
+        got = grid.antiderivative_values(vals)
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_differentiate_complex_values_componentwise(order):
+    grid = get_grid(33, 0.0, 1.0)
+    rng = np.random.default_rng(order)
+    coeffs = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+    vals = C.chebval(grid.t, coeffs)
+    got = grid.differentiate_values(vals, order)
+    expect = grid.differentiate_values(vals.real, order) + 1j * grid.differentiate_values(vals.imag, order)
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 def test_quadrature_differentiation_compatibility():
