@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -40,6 +41,10 @@ from .rng import SplitMix64
 from .serialize import dump_json, fmt, profile_from_csv, profile_to_csv, sampled_to_csv
 from .solver import iterate, solve_critical
 from .spectral import MIN_NODES, SampledFunction
+
+DIRECTION_DEGREE = 4
+DIRECTION_SCALE = 0.2
+T_MAX = 0.25
 
 
 def _geometry(cfg: RunConfig):
@@ -88,22 +93,25 @@ def _outdir(cfg: RunConfig) -> str:
     return cfg.out
 
 
-def _random_direction(geom, seed: int, degree: int = 4, scale: float = 0.2) -> SampledFunction:
+def _random_direction(geom, seed: int) -> SampledFunction:
+    """A degree-DIRECTION_DEGREE Chebyshev polynomial with coefficients
+    drawn uniformly from [-DIRECTION_SCALE, DIRECTION_SCALE]."""
     rng = SplitMix64(seed)
-    coeffs = np.array([rng.uniform(-scale, scale) for _ in range(degree + 1)])
+    coeffs = np.array([rng.uniform(-DIRECTION_SCALE, DIRECTION_SCALE) for _ in range(DIRECTION_DEGREE + 1)])
     return SampledFunction(geom.grid, geom.grid.coefficients_to_values(coeffs))
 
 
-def _safe_t_max(profile, path, t_max: float = 0.25) -> float:
+def _safe_t_max(profile, path, phi) -> float:
+    """The first of T_MAX, T_MAX / 2, ... (30 tries) at which the transports
+    to +t and -t both stay in the class and admissible, else 0.0."""
+    t = T_MAX
     for _ in range(30):
         try:
-            for sign in (1.0, -1.0):
-                moved, _ = var.transport(profile, path, sign * t_max)
-                if moved.violations:
-                    raise PathExitsClass(sign * t_max)
-            return t_max
-        except CalabiLabError:
-            t_max /= 2.0
+            if not any(var.transport(profile, path, sign * t, phi)[0].violations for sign in (1.0, -1.0)):
+                return t
+        except PathExitsClass:
+            pass
+        t /= 2.0
     return 0.0
 
 
@@ -170,7 +178,7 @@ def cmd_invariance(cfg: RunConfig) -> int:
     for k in range(3):
         u = _random_direction(geom, cfg.seed + 1000 + k)
         dpath = var.DeformationPath(u)
-        t_max = _safe_t_max(base, dpath)
+        t_max = _safe_t_max(base, dpath, phi)
         for t in np.linspace(-t_max, t_max, 11):
             moved, phi_t = var.transport(base, dpath, float(t), phi)
             eq_path.append(equivariant_integral(moved, h, phi_t))
@@ -283,7 +291,7 @@ def cmd_variation_check(cfg: RunConfig) -> int:
         hdesc = parse_function(he)
         for u in us.values():
             dpath = var.DeformationPath(u)
-            t_max = _safe_t_max(profile, dpath, 0.25)
+            t_max = _safe_t_max(profile, dpath, phi)
             step = t_max / 8 if t_max else 0.0
             if not step:
                 continue
@@ -386,19 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    cfg.override(
-        geometry=args.geometry,
-        profile=args.profile,
-        f_expr=args.f_expr,
-        h_expr=args.h_expr,
-        target=args.target,
-        nodes=args.nodes,
-        seed=args.seed,
-        out=args.out,
-        samples=getattr(args, "samples", None),
-        max_steps=getattr(args, "max_steps", None),
-    )
-    return cfg
+    return cfg.override(**{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
 
 
 def main(argv=None) -> int:

@@ -23,16 +23,16 @@ KAPPA_PHI = 0.5
 GENERATOR = "splitmix64"
 
 
-def pin_cpm_base_coefficient(m: int, nodes: int = DEFAULT_NODES) -> tuple[float, float]:
+def pin_cpm_base_coefficient(m: int) -> tuple[float, float]:
     """Pin the coefficient a in A(x) = a * x^(m-2) by requiring the
     Fubini-Study profile 2x(1-x) to have constant scalar curvature.
 
     Solves the linear least-squares problem
         a * x^(m-2) - (w Theta_FS)'' = c * x^(m-1)
-    over the grid for (a, c) and returns them; c is the pinned constant
-    scalar curvature.
+    over the grid of DEFAULT_NODES nodes for (a, c) and returns them; c is
+    the pinned constant scalar curvature.
     """
-    geom = make_cpm_geometry(m, nodes)
+    geom = make_cpm_geometry(m, DEFAULT_NODES)
     grid = geom.grid
     x = grid.x
     w = geom.weight.values
@@ -44,37 +44,32 @@ def pin_cpm_base_coefficient(m: int, nodes: int = DEFAULT_NODES) -> tuple[float,
     return float(a), float(-neg_c)
 
 
-def fubini_study_scalar_constant(m: int, nodes: int = DEFAULT_NODES) -> float:
-    """Constant scalar curvature of the Fubini-Study profile on CP^m,
-    recorded from the computation rather than asserted."""
-    geom = make_cpm_geometry(m, nodes)
-    s = scalar_curvature(round_profile(geom)).values
-    return float(s.mean())
-
-
-def build_manifest(nodes: int = DEFAULT_NODES, ms=(2, 3, 4)) -> dict:
-    """Recompute all pinned constants and return the conventions manifest."""
+def build_manifest() -> dict:
+    """Recompute all pinned constants and return the conventions manifest.
+    The observed Fubini-Study scalar curvature of CP^m is recorded from the
+    computation (its mean and spread) rather than asserted."""
     manifest = {
         "kappa_theta": KAPPA_THETA,
         "kappa_phi": KAPPA_PHI,
         "random_generator": GENERATOR,
         "vol_const_convention": "C_vol = 2*pi (one angular circle)",
-        "nodes": nodes,
+        "nodes": DEFAULT_NODES,
         "cpm": {},
     }
-    for m in ms:
-        a, c = pin_cpm_base_coefficient(m, nodes)
+    for m in (2, 3, 4):
+        a, c = pin_cpm_base_coefficient(m)
+        s = scalar_curvature(round_profile(make_cpm_geometry(m, DEFAULT_NODES))).values
         manifest["cpm"][str(m)] = {
             "base_coefficient": a,
             "scalar_constant": c,
-            "scalar_constant_observed": fubini_study_scalar_constant(m, nodes),
-            "scalar_std": float(scalar_curvature(round_profile(make_cpm_geometry(m, nodes))).values.std()),
+            "scalar_constant_observed": float(s.mean()),
+            "scalar_std": float(s.std()),
         }
     return manifest
 
 
-def write_manifest(path, nodes: int = DEFAULT_NODES) -> dict:
-    manifest = build_manifest(nodes)
+def write_manifest(path) -> dict:
+    manifest = build_manifest()
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -26,25 +26,30 @@ from .spectral import SampledFunction, SpectralGrid, chop_coefficients, derivati
 
 DEFAULT_NODES = 129
 BOUNDARY_TOL = 1e-8
-TWO_PI = 2.0 * np.pi
+MAX_HALVINGS = 20
 
 
 @dataclass(frozen=True)
 class ProfileGeometry:
-    """Fixed Kahler-class data: the grid, the order k of the weight
-    w = (x - x_lo)^k, the boundary slopes and C_vol (one angular circle)."""
+    """Fixed Kahler-class data: the grid and the order k of the weight
+    w = (x - x_lo)^k.  The boundary slopes and C_vol (one angular circle)
+    are the same for every class."""
 
     grid: SpectralGrid
     k: int
-    dim: int
-    kind: str
-    slope_lo: float = 2.0
-    slope_hi: float = -2.0
-    vol_const: float = TWO_PI
+    slope_lo: ClassVar[float] = 2.0
+    slope_hi: ClassVar[float] = -2.0
+    vol_const: ClassVar[float] = 2.0 * np.pi
 
-    def __post_init__(self):
-        if self.vol_const <= 0:
-            raise ValueError("vol_const must be positive")
+    @property
+    def dim(self) -> int:
+        """Complex dimension m = k + 1."""
+        return self.k + 1
+
+    @property
+    def kind(self) -> str:
+        """The geometry's name: cp1 for k = 0, else cpm."""
+        return "cp1" if self.k == 0 else "cpm"
 
     @property
     def x_lo(self) -> float:
@@ -160,7 +165,7 @@ class ClassConstants(NamedTuple):
 
 def make_cp1_geometry(nodes: int = DEFAULT_NODES) -> ProfileGeometry:
     """The CP^1 geometry: interval [-1, 1], k = 0 (w = 1, A = 0), slopes (2, -2)."""
-    return ProfileGeometry(grid=get_grid(nodes, -1.0, 1.0), k=0, dim=1, kind="cp1")
+    return ProfileGeometry(grid=get_grid(nodes, -1.0, 1.0), k=0)
 
 
 def make_cpm_geometry(m: int, nodes: int = DEFAULT_NODES) -> ProfileGeometry:
@@ -169,13 +174,13 @@ def make_cpm_geometry(m: int, nodes: int = DEFAULT_NODES) -> ProfileGeometry:
     oracle (conventions.pin_cpm_base_coefficient) recovers."""
     if m < 2:
         raise ValueError("m must be at least 2")
-    return ProfileGeometry(grid=get_grid(nodes, 0.0, 1.0), k=m - 1, dim=m, kind="cpm")
+    return ProfileGeometry(grid=get_grid(nodes, 0.0, 1.0), k=m - 1)
 
 
 def round_profile(geom: ProfileGeometry) -> MetricProfile:
     """Canonical base profile: 1 - x^2 on CP^1, 2x(1-x) on CP^m."""
     x = geom.grid.x
-    theta = 1.0 - x * x if geom.kind == "cp1" else 2.0 * x * (1.0 - x)
+    theta = 1.0 - x * x if geom.k == 0 else 2.0 * x * (1.0 - x)
     return MetricProfile(geom, SampledFunction(geom.grid, theta))
 
 
@@ -217,13 +222,11 @@ def bump_factor(geom: ProfileGeometry) -> np.ndarray:
     return (x - geom.x_lo) ** 2 * (geom.x_hi - x) ** 2
 
 
-def random_admissible_profile(
-    geom: ProfileGeometry, seed: int, amplitude: float, max_halvings: int = 20
-) -> MetricProfile:
+def random_admissible_profile(geom: ProfileGeometry, seed: int, amplitude: float) -> MetricProfile:
     """Round profile plus B(x) times a random degree-<=6 Chebyshev
     polynomial with coefficients drawn from splitmix64(seed).
 
-    The amplitude is halved up to max_halvings times if interior positivity
+    The amplitude is halved up to MAX_HALVINGS times if interior positivity
     fails; deterministic in the seed.
     """
     if amplitude < 0:
@@ -237,7 +240,7 @@ def random_admissible_profile(
     q = grid.coefficients_to_values(coeffs)
     b = bump_factor(geom)
     theta0 = base.theta.values
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         theta = theta0 + b * q
         if np.all(theta[1:-1] > 0):
             return MetricProfile(geom, SampledFunction(grid, theta))

@@ -18,7 +18,7 @@ from .functions import FunctionDescriptor
 from .geometry import MetricProfile, ProfileGeometry, class_constants, require_admissible
 from .spectral import SampledFunction, affine_projection
 
-DEFAULT_AFFINE_TOL = 1e-8
+AFFINE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -135,19 +135,16 @@ def quadratic_form_matrix(profile: MetricProfile) -> np.ndarray:
     return geom.vol_const * (d2.T * diag) @ d2
 
 
-def holomorphy_defect(
-    profile: MetricProfile, psi: SampledFunction, tol_affine: float | None = None
-) -> ELReport:
+def holomorphy_defect(profile: MetricProfile, psi: SampledFunction) -> ELReport:
     """Affine projection of psi against the class weight plus the
-    quadratic-form residual; is_critical when the affine defect is below
-    tol_affine (default 1e-8 * (1 + sup|psi|))."""
+    quadratic-form residual; is_critical when the affine defect is at most
+    AFFINE_TOL * (1 + sup|psi|)."""
     require_admissible(profile)
     geom = profile.geometry
-    alpha, beta, res = affine_projection(psi, geom.weight)
+    alpha, beta, res = affine_projection(psi.values, geom.weight.values, geom.grid)
     defect_affine = float(np.sqrt(geom.vol_const) * res)
     defect_operator = float(np.sqrt(quadratic_form(profile, psi)))
-    if tol_affine is None:
-        tol_affine = DEFAULT_AFFINE_TOL * (1.0 + float(np.abs(psi.values).max()))
+    tol_affine = AFFINE_TOL * (1.0 + float(np.abs(psi.values).max()))
     return ELReport(
         alpha=alpha,
         beta=beta,

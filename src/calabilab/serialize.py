@@ -1,7 +1,9 @@
 """Deterministic serialization: 17-significant-digit CSV and sorted JSON.
 
-Profiles round-trip bit-exactly at double precision: %.17g rendering is
-lossless for IEEE doubles.
+Profiles are read and written as (x, theta) CSV only, and round-trip
+bit-exactly at double precision: %.17g rendering is lossless for IEEE
+doubles.  A profile CSV read from outside is checked for the grid's nodes
+and for finite theta values, each a ConfigError.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import json
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import MetricProfile, ProfileGeometry, make_cp1_geometry, make_cpm_geometry
+from .geometry import MetricProfile, ProfileGeometry
 from .spectral import SampledFunction
 
 
@@ -81,43 +83,7 @@ def profile_from_csv(geom: ProfileGeometry, text: str) -> MetricProfile:
     x = np.array(xs)
     if x.size != geom.grid.n or not np.array_equal(x, geom.grid.x):
         raise ConfigError("profile CSV nodes do not match the geometry grid")
-    return _read_profile(geom, thetas, "profile CSV")
-
-
-def _read_profile(geom: ProfileGeometry, thetas, source: str) -> MetricProfile:
-    """The profile of theta values read from outside; a non-finite value is
-    a ConfigError naming its source, not a ValueError from SampledFunction."""
-    theta = np.array(thetas, dtype=float)
+    theta = np.array(thetas)
     if not np.all(np.isfinite(theta)):
-        raise ConfigError(f"{source} has a non-finite theta value")
+        raise ConfigError("profile CSV has a non-finite theta value")
     return MetricProfile(geom, SampledFunction(geom.grid, theta))
-
-
-def profile_to_document(profile: MetricProfile) -> dict:
-    geom = profile.geometry
-    doc = {
-        "geometry": {
-            "kind": geom.kind,
-            "x_lo": geom.x_lo,
-            "x_hi": geom.x_hi,
-            "slope_lo": geom.slope_lo,
-            "slope_hi": geom.slope_hi,
-            "dim": geom.dim,
-            "vol_const": geom.vol_const,
-        },
-        "nodes": geom.grid.n,
-        "theta_values": [float(v) for v in profile.theta.values],
-    }
-    return doc
-
-
-def profile_from_document(doc: dict) -> MetricProfile:
-    g = doc["geometry"]
-    nodes = int(doc["nodes"])
-    if g["kind"] == "cp1":
-        geom = make_cp1_geometry(nodes)
-    elif g["kind"] == "cpm":
-        geom = make_cpm_geometry(int(g["dim"]), nodes)
-    else:
-        raise ConfigError(f"unknown geometry kind {g['kind']!r} in document")
-    return _read_profile(geom, doc["theta_values"], "profile document")

@@ -30,6 +30,8 @@ from .spectral import SampledFunction, affine_projection, chop_coefficients, sol
 
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITER = 50
+ZERO_FIELD_TOL = 1e-10  # |alpha| below this: the new field is trivial
+SETTLE_TOL = 1e-8  # alpha and beta moved less than this: the iteration settled
 
 STATUS_CONVERGED = "converged"
 STATUS_EVERY_METRIC = "every_metric_critical"
@@ -104,14 +106,14 @@ class _Shooter:
         return MetricProfile(geom, SampledFunction(grid, theta))
 
 
-def _newton(shooter: _Shooter, s_of_ab, ds_dpsi, init, tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER):
+def _newton(shooter: _Shooter, s_of_ab, ds_dpsi, init):
     """Newton on the far-end mismatch.  s_of_ab maps (alpha, beta) to s and
     ds_dpsi(s) is the pointwise derivative of s in psi = alpha x + beta, so
     the Jacobian K diag(ds_dpsi) [x 1] is exact."""
     x = shooter.grid.x
     ab = np.array(init, dtype=float)
     trace = []
-    for it in range(max_iter):
+    for it in range(MAX_NEWTON_ITER):
         s = s_of_ab(ab)
         res = shooter.mismatch(s)
         rnorm = float(np.abs(res).max())
@@ -124,11 +126,11 @@ def _newton(shooter: _Shooter, s_of_ab, ds_dpsi, init, tol=NEWTON_TOL, max_iter=
             raise ConvergenceError("rank-deficient Newton Jacobian", trace)
         step = np.linalg.solve(jac, res)
         ab = ab - step
-        if rnorm < tol:
+        if rnorm < NEWTON_TOL:
             # J is exact, so this last step leaves a residual of order
             # rnorm**2; s follows it to first order, which is as accurate.
             return ab, s - d * (step[0] * x + step[1]), it, trace
-    raise ConvergenceError(f"Newton stagnated after {max_iter} iterations", trace)
+    raise ConvergenceError(f"Newton stagnated after {MAX_NEWTON_ITER} iterations", trace)
 
 
 def _check_nonvanishing(hv: np.ndarray):
@@ -145,8 +147,6 @@ def solve_critical(
     h: FunctionDescriptor,
     phi: HolomorphyPotential,
     init: tuple | None = None,
-    tol: float = NEWTON_TOL,
-    max_iter: int = MAX_NEWTON_ITER,
 ) -> CriticalSolveResult:
     """Find the metric whose EL potential f'(s) h(phi) is alpha x + beta."""
     shooter = _Shooter(geom)
@@ -163,7 +163,7 @@ def solve_critical(
         # independent, so every metric is critical when it is affine.
         # Return the canonical representative with affine scalar curvature.
         psi_fixed = fp_const * hv
-        _, _, resid = affine_projection(psi_fixed, geom.weight, grid)
+        _, _, resid = affine_projection(psi_fixed, geom.weight.values, grid)
         if resid > 1e-8 * (1.0 + float(np.abs(psi_fixed).max())):
             raise ConvergenceError(
                 "EL potential is metric-independent and non-affine: no critical metric"
@@ -173,8 +173,6 @@ def solve_critical(
             lambda ab: ab[0] * x + ab[1],
             lambda s: 1.0,
             (0.0, s0) if init is None else init,
-            tol,
-            max_iter,
         )
         status = STATUS_EVERY_METRIC
     else:
@@ -194,9 +192,7 @@ def solve_critical(
             except DomainError:
                 beta0 = 1.0
             init = (0.0, beta0)
-        ab, s_final, iters, trace = _newton(
-            shooter, s_of_ab, lambda s: 1.0 / (hr * fsecond(s, x)), init, tol, max_iter
-        )
+        ab, s_final, iters, trace = _newton(shooter, s_of_ab, lambda s: 1.0 / (hr * fsecond(s, x)), init)
         status = STATUS_CONVERGED
 
     profile = shooter.profile(s_final)
@@ -220,8 +216,6 @@ def iterate(
     h: FunctionDescriptor,
     phi0: HolomorphyPotential,
     max_steps: int,
-    zero_tol: float = 1e-10,
-    conv_tol: float = 1e-8,
 ) -> IterationTrace:
     """Run the vector-field iteration: solve for a critical metric, read
     off psi = alpha x + beta as the next field's preassigned potential,
@@ -244,9 +238,10 @@ def iterate(
             "defect_operator": res.el_report.defect_operator,
             "solver_status": res.status,
         }
-        if abs(res.alpha) < zero_tol:
+        if abs(res.alpha) < ZERO_FIELD_TOL:
             status = "zero_field"
-        elif prev is not None and abs(res.alpha - prev[0]) < conv_tol and abs(res.beta - prev[1]) < conv_tol:
+        elif (prev is not None and abs(res.alpha - prev[0]) < SETTLE_TOL
+              and abs(res.beta - prev[1]) < SETTLE_TOL):
             status = "converged"
         else:
             status = "continued"

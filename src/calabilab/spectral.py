@@ -78,8 +78,8 @@ def _clenshaw_curtis(n: int):
     return w[::-1].copy()
 
 
-def chop_coefficients(c: np.ndarray, rel: float = CHOP_REL) -> np.ndarray:
-    """Drop the trailing run of coefficients below rel * max|c|.
+def chop_coefficients(c: np.ndarray) -> np.ndarray:
+    """Drop the trailing run of coefficients below CHOP_REL * max|c|.
 
     High-order coefficients of smooth sampled data sit on a roundoff
     plateau; differentiating them amplifies the noise by O(N^3), so they
@@ -89,7 +89,7 @@ def chop_coefficients(c: np.ndarray, rel: float = CHOP_REL) -> np.ndarray:
     top = mag.max() if c.size else 0.0
     if top == 0.0:
         return c[:1].copy()
-    keep = np.nonzero(mag > rel * top)[0]
+    keep = np.nonzero(mag > CHOP_REL * top)[0]
     return c[: keep[-1] + 1].copy()
 
 
@@ -261,20 +261,14 @@ class SampledFunction:
         return out if out.size > 1 else out[0]
 
 
-def affine_projection(psi, weight, grid: SpectralGrid | None = None):
-    """Weighted L2 projection of psi onto the affine functions a*x + b.
+def affine_projection(psi: np.ndarray, weight: np.ndarray, grid: SpectralGrid):
+    """Weighted L2 projection of the values psi onto the affine functions
+    a*x + b on the grid.
 
     Returns (alpha, beta, residual_norm) minimizing
-    int |psi - (alpha x + beta)|^2 w dx.  Complex psi is projected
-    componentwise (same Gram matrix for both parts).
+    int |psi - (alpha x + beta)|^2 w dx, w the weight values.  Complex psi
+    is projected componentwise (same Gram matrix for both parts).
     """
-    if isinstance(psi, SampledFunction):
-        grid = psi.grid
-        psi = psi.values
-    if isinstance(weight, SampledFunction):
-        weight = weight.values
-    if grid is None:
-        raise ValueError("grid required for raw arrays")
     w = np.asarray(weight, dtype=float)
     if np.any(w < -1e-13):
         raise DegenerateWeight("weight must be nonnegative")

@@ -11,6 +11,11 @@ potential, G_t'' = 1/Theta_t with G_t = G_0 - kappa_theta t u, so
     Theta_t = Theta / (1 - kappa_theta * t * Theta * u''),
 
 which keeps the class and the boundary behavior exact at every t.
+
+A DeformationPath is the direction u alone: kappa_theta and kappa_phi are
+the pinned constants KAPPA_THETA = KAPPA_PHI = 1/2 of conventions.py, and
+the first variation of S is checked against central differences of the
+transport at the fixed steps ORDER_STEPS.
 """
 
 from __future__ import annotations
@@ -27,18 +32,15 @@ from .geometry import MetricProfile, require_admissible
 from .potentials import HolomorphyPotential, el_potential, eval_S, normalize_potential
 from .spectral import SampledFunction
 
-DEFAULT_STEPS = (1e-2, 1e-3, 1e-4)
+ORDER_STEPS = (1e-2, 1e-3, 1e-4)  # the step schedule of convergence_order
 
 
 @dataclass(frozen=True)
 class DeformationPath:
-    """A deformation direction u with its convention constants and the
-    finite-difference step schedule."""
+    """A deformation direction u(x); its scale constants are the pinned
+    conventions KAPPA_THETA and KAPPA_PHI."""
 
     u: SampledFunction
-    kappa_theta: float = KAPPA_THETA
-    kappa_phi: float = KAPPA_PHI
-    steps: tuple = DEFAULT_STEPS
 
 
 class FirstOrder(NamedTuple):
@@ -61,9 +63,9 @@ def first_order(profile: MetricProfile, path: DeformationPath) -> FirstOrder:
     u1 = grid.differentiate_values(u, 1)
     u2 = grid.differentiate_values(u, 2)
     theta = profile.theta.values
-    d_theta = path.kappa_theta * theta ** 2 * u2
-    d_phi = path.kappa_phi * theta * u1
-    trace = profile.weighted_derivative(path.kappa_phi * u1, 1)
+    d_theta = KAPPA_THETA * theta ** 2 * u2
+    d_phi = KAPPA_PHI * theta * u1
+    trace = profile.weighted_derivative(KAPPA_PHI * u1, 1)
     return FirstOrder(
         SampledFunction(grid, d_theta),
         SampledFunction(grid, d_phi),
@@ -78,7 +80,7 @@ def delta_s(profile: MetricProfile, path: DeformationPath) -> DeltaScalar:
     grid = profile.geometry.grid
     fo = first_order(profile, path)
     u2 = grid.differentiate_values(path.u.values, 2)
-    fixed_x = -profile.weighted_derivative(path.kappa_theta * u2, 2)
+    fixed_x = -profile.weighted_derivative(KAPPA_THETA * u2, 2)
     s1 = grid.differentiate_values(profile.s.values, 1)
     fixed_point = fixed_x + fo.d_phi_fixed_point.values * s1
     return DeltaScalar(SampledFunction(grid, fixed_x), SampledFunction(grid, fixed_point))
@@ -99,7 +101,7 @@ def transport(
     if phi is None:
         phi = normalize_potential(geom)
     u2 = grid.differentiate_values(path.u.values, 2)
-    denom = 1.0 - path.kappa_theta * t * profile.theta.values * u2
+    denom = 1.0 - KAPPA_THETA * t * profile.theta.values * u2
     if np.any(denom[1:-1] <= 0.0):
         raise PathExitsClass(t)
     theta_t = profile.theta.values / denom
@@ -122,7 +124,7 @@ def delta_S_analytic(
     psi2 = grid.differentiate_values(psi.values, 2)
     u2 = grid.differentiate_values(path.u.values, 2)
     integrand = geom.weight.values * profile.theta.values ** 2 * psi2 * u2
-    return complex(-path.kappa_theta * geom.vol_const * grid.integrate_values(integrand))
+    return complex(-KAPPA_THETA * geom.vol_const * grid.integrate_values(integrand))
 
 
 def delta_S_numeric(
@@ -145,13 +147,10 @@ def convergence_order(
     h: FunctionDescriptor,
     phi: HolomorphyPotential,
     path: DeformationPath,
-    steps=None,
 ) -> float:
-    """Empirical order of |numeric - analytic| over the step schedule,
-    from a log-log least-squares fit (steps aggregated in sorted order)."""
-    if steps is None:
-        steps = path.steps
-    steps = sorted(steps, reverse=True)
+    """Empirical order of |numeric - analytic| over ORDER_STEPS, from a
+    log-log least-squares fit (steps aggregated in sorted order)."""
+    steps = sorted(ORDER_STEPS, reverse=True)
     ana = delta_S_analytic(profile, f, h, phi, path)
     errs = []
     for s in steps:

@@ -10,11 +10,7 @@ from calabilab import (
     random_admissible_profile,
 )
 from calabilab.config import RunConfig
-from calabilab.serialize import (
-    jsonable,
-    profile_from_document,
-    profile_to_document,
-)
+from calabilab.serialize import jsonable
 
 
 def test_parse_config_roundtrip():
@@ -75,22 +71,6 @@ def test_profile_csv_rejects_wrong_grid():
         profile_from_csv(geom, text)
     with pytest.raises(ConfigError):
         profile_from_csv(geom, "a,b\n1,2\n")
-
-
-def test_profile_document_roundtrip():
-    from calabilab import make_cpm_geometry
-
-    geom = make_cpm_geometry(3, 65)
-    profile = random_admissible_profile(geom, 9, 0.2)
-    doc = profile_to_document(profile)
-    back = profile_from_document(doc)
-    assert np.array_equal(back.theta.values, profile.theta.values)
-    assert back.geometry.kind == "cpm"
-    assert back.geometry.dim == 3
-    for value in (float("nan"), float("inf")):
-        bad = dict(doc, theta_values=doc["theta_values"][:3] + [value] + doc["theta_values"][4:])
-        with pytest.raises(ConfigError, match="non-finite"):
-            profile_from_document(bad)
 
 
 def test_jsonable_handles_numpy_and_complex():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,22 @@ from calabilab.conventions import pin_cpm_base_coefficient
 
 FOUR_PI = 4.0 * np.pi
 EIGHT_PI = 8.0 * np.pi
+
+
+@pytest.mark.parametrize("n", [33, 129])
+def test_geometry_is_grid_and_k(n):
+    """A geometry is (grid, k); kind, dim, the slopes, C_vol, the interval,
+    w and A all follow from k."""
+    cases = [(make_cp1_geometry(n), "cp1", 1, -1.0)]
+    cases += [(make_cpm_geometry(m, n), "cpm", m, 0.0) for m in (2, 3, 4, 5)]
+    for geom, kind, dim, x_lo in cases:
+        assert tuple(f.name for f in dataclasses.fields(geom)) == ("grid", "k")
+        assert (geom.kind, geom.dim, geom.k) == (kind, dim, dim - 1)
+        assert (geom.slope_lo, geom.slope_hi, geom.vol_const) == (2.0, -2.0, 2.0 * np.pi)
+        assert (geom.x_lo, geom.x_hi) == (x_lo, 1.0)
+        k, y = geom.k, geom.grid.x - x_lo
+        assert np.array_equal(geom.weight.values, y ** k)
+        assert np.array_equal(geom.base_term.values, k * (k + 1) * 2.0 * y ** max(k - 1, 0))
 
 
 def test_cp1_class_constants(cp1):

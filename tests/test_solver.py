@@ -126,7 +126,7 @@ def test_metric_independent_nonaffine_has_no_solution(cp1):
 
 
 def _affine_init(psi, geom):
-    alpha, beta, _ = affine_projection(psi, geom.weight)
+    alpha, beta, _ = affine_projection(psi.values, geom.weight.values, geom.grid)
     return (alpha, beta)
 
 
