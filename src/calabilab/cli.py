@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .geometry import (
     round_profile,
 )
 from .potentials import (
-    HolomorphyPotential,
     el_potential,
     equivariant_integral,
     eval_S,
@@ -84,10 +83,6 @@ def _profile(geom, cfg: RunConfig):
     raise ConfigError(f"unknown profile spec {cfg.profile!r}")
 
 
-def _potential(geom, cfg: RunConfig) -> HolomorphyPotential:
-    return normalize_potential(geom, cfg.target)
-
-
 def _outdir(cfg: RunConfig) -> str:
     os.makedirs(cfg.out, exist_ok=True)
     return cfg.out
@@ -121,7 +116,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     profile = _profile(geom, cfg)
     f = parse_function(cfg.f_expr)
     h = parse_function(cfg.h_expr)
-    phi = _potential(geom, cfg)
+    phi = normalize_potential(geom, cfg.target)
     consts = class_constants(geom)
     s_val = eval_S(profile, f, h, phi)
     psi = el_potential(profile, f, h, phi)
@@ -136,7 +131,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
                 "s0": consts.s0,
             },
             "futaki": futaki(profile, phi),
-            "el_report": report.as_dict(),
+            "el_report": asdict(report),
             "f": f.render(),
             "h": h.render(),
             "phi_shift": phi.shift,
@@ -160,7 +155,7 @@ def cmd_invariance(cfg: RunConfig) -> int:
         return 0
     geom = _geometry(cfg)
     h = parse_function(cfg.h_expr)
-    phi = _potential(geom, cfg)
+    phi = normalize_potential(geom, cfg.target)
     eq_vals, sphi_vals, fut_vals = [], [], []
     failures = []
     for i in range(cfg.samples):
@@ -211,7 +206,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     geom = _geometry(cfg)
     f = parse_function(cfg.f_expr)
     h = parse_function(cfg.h_expr)
-    phi = _potential(geom, cfg)
+    phi = normalize_potential(geom, cfg.target)
     result = solve_critical(geom, f, h, phi)
     out = _outdir(cfg)
     with open(os.path.join(out, "solution.csv"), "w") as fh:
@@ -223,7 +218,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             "iterations": result.iterations,
             "converged": result.converged,
             "status": result.status,
-            "el_report": result.el_report.as_dict(),
+            "el_report": asdict(result.el_report),
         },
         os.path.join(out, "solve.json"),
     )
@@ -237,7 +232,7 @@ def cmd_iterate(cfg: RunConfig) -> int:
     geom = _geometry(cfg)
     f = parse_function(cfg.f_expr)
     h = parse_function(cfg.h_expr)
-    phi = _potential(geom, cfg)
+    phi = normalize_potential(geom, cfg.target)
     trace = iterate(geom, f, h, phi, cfg.max_steps)
     out = _outdir(cfg)
     dump_json(
@@ -317,7 +312,7 @@ def cmd_variation_check(cfg: RunConfig) -> int:
 
 def cmd_sweep(cfg: RunConfig, f_list: str, h_list: str, alpha_threshold: float) -> int:
     geom = _geometry(cfg)
-    phi = _potential(geom, cfg)
+    phi = normalize_potential(geom, cfg.target)
     rows = []
     for fe in [s.strip() for s in f_list.split(";") if s.strip()]:
         for he in [s.strip() for s in h_list.split(";") if s.strip()]:
@@ -401,20 +396,15 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        if args.command == "invariance":
-            return cmd_invariance(cfg)
-        if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "iterate":
-            return cmd_iterate(cfg)
-        if args.command == "variation-check":
-            return cmd_variation_check(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.f_list, args.h_list, args.alpha_threshold)
-        raise ConfigError(f"unknown command {args.command!r}")
+        commands = {
+            "evaluate": cmd_evaluate,
+            "invariance": cmd_invariance,
+            "solve": cmd_solve,
+            "iterate": cmd_iterate,
+            "variation-check": cmd_variation_check,
+            "sweep": lambda cfg: cmd_sweep(cfg, args.f_list, args.h_list, args.alpha_threshold),
+        }
+        return commands[args.command](_config_from_args(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,8 @@ class DomainError(CalabiLabError):
 
 
 class SingularPotential(CalabiLabError):
-    """h(phi) crosses zero on the momentum interval."""
+    """Re h(phi), which the solver divides by, vanishes or changes sign on
+    the momentum interval."""
 
 
 class RangeError(CalabiLabError):

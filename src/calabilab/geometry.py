@@ -5,24 +5,32 @@ Every geometry is one family: with y = x - x_lo on the grid's interval
 A = k (k + 1) slope_lo y^(k - 1); CP^1 is k = 0 and CP^m is k = m - 1.  A
 metric in the class is a profile Theta(x) >= 0 vanishing at the endpoints
 with the prescribed slopes, of scalar curvature s = (A - (w Theta)'') / w.
-Nothing divides by w: with R = Theta / y, one division by the single root,
-s = -Theta'' + k ((k + 1) (slope_lo - R) / y - 2 R') takes one more, and
-(w Theta^j g)^(j) / w expands by Leibniz into R, g and powers of y.
+Nothing divides by w or by y: d/dy (y^b F) = y^(b-1) E_b F with the Euler
+operator E_b = y d/dy + b (spectral.euler_coefficients, inverted by
+spectral.solve_euler), so R = Theta / y = E_1^-1 Theta',
+s = -E_(k+1) E_(k+2) (E_1 E_2)^-1 Theta'' and
+(w Theta^j g)^(j) / w = E_(k+1) ... E_(k+j) (R^j g).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, NamedTuple
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from .errors import AdmissibilityError
 from .rng import SplitMix64
-from .spectral import SampledFunction, SpectralGrid, chop_coefficients, derivative_coefficients, get_grid
+from .spectral import (
+    SampledFunction,
+    SpectralGrid,
+    chop_coefficients,
+    derivative_coefficients,
+    euler_coefficients,
+    get_grid,
+    solve_euler,
+)
 
 DEFAULT_NODES = 129
 BOUNDARY_TOL = 1e-8
@@ -93,8 +101,10 @@ class MetricProfile:
 
     @cached_property
     def r_coeffs(self) -> np.ndarray:
-        """Coefficients of R = Theta / (x - x_lo), one single-root division."""
-        return self.geometry.grid.divide_by_left_root(self.theta_coeffs)
+        """Coefficients of R = Theta / (x - x_lo) = E_1^-1 Theta': Theta' drops
+        the value Theta(x_lo), so nothing is divided."""
+        grid = self.geometry.grid
+        return solve_euler(derivative_coefficients(self.theta_coeffs) * (2.0 / grid.span), 1)
 
     @cached_property
     def violations(self) -> tuple:
@@ -120,32 +130,30 @@ class MetricProfile:
 
     @cached_property
     def s(self) -> SampledFunction:
-        """Pointwise scalar curvature of an admissible profile,
-        s = -Theta'' + k ((k + 1) (slope_lo - R) / (x - x_lo) - 2 R'),
-        computed in Chebyshev coefficient space."""
+        """Pointwise scalar curvature of an admissible profile in Chebyshev
+        coefficient space.  Theta = slope_lo y - y^2 M gives Theta'' =
+        -E_1 E_2 M and s = E_(k+1) E_(k+2) M; the factors common to both
+        pairs cancel, so cp1 (k = 0) reads s = -Theta''."""
         require_admissible(self)
-        geom = self.geometry
-        grid = geom.grid
-        k = geom.k
-        scale = 2.0 / grid.span
-        c = derivative_coefficients(self.theta_coeffs, 2) * -(scale ** 2)
-        if k:
-            r = self.r_coeffs
-            lead = grid.divide_by_left_root(cheb.chebsub([geom.slope_lo], r))
-            c = cheb.chebadd(c, k * cheb.chebsub((k + 1) * lead, 2.0 * scale * derivative_coefficients(r)))
+        grid, k = self.geometry.grid, self.geometry.k
+        c = derivative_coefficients(self.theta_coeffs, 2) * -((2.0 / grid.span) ** 2)
+        for a in {1, 2} - {k + 1, k + 2}:
+            c = solve_euler(c, a)
+        for a in {k + 1, k + 2} - {1, 2}:
+            c = euler_coefficients(c, a)
         s = grid.coefficients_to_values(c)
         s.setflags(write=False)  # shared by every reader of the cache
         return SampledFunction(grid, s)
 
     def weighted_derivative(self, g: np.ndarray, j: int) -> np.ndarray:
-        """(w Theta^j g)^(j) / w for j = 1 or 2, without dividing by w.
-        With y = x - x_lo, w = y^k and Theta = y R, Leibniz gives
-        sum_i C(j, i) (k + j)! / (k + i)! y^i F^(i), where F = R^j g."""
+        """(w Theta^j g)^(j) / w = E_(k+1) ... E_(k+j) F for j >= 1, where
+        F = R^j g: (y^(k+j) F)^(j) = y^k E_(k+1) ... E_(k+j) F."""
         grid, k = self.geometry.grid, self.geometry.k
-        y = grid.x - grid.lo
         f = grid.coefficients_to_values(self.r_coeffs) ** j * g
-        return sum(math.comb(j, i) * math.perm(k + j, j - i) * y ** i * grid.differentiate_values(f, i)
-                   for i in range(j + 1))
+        c = chop_coefficients(grid.values_to_coefficients(f))
+        for a in range(k + 1, k + j + 1):
+            c = euler_coefficients(c, a)
+        return grid.coefficients_to_values(c)
 
 
 class Violation(NamedTuple):

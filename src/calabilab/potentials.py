@@ -48,16 +48,6 @@ class ELReport:
     is_critical: bool
     tolerance: float
 
-    def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "defect_affine": self.defect_affine,
-            "defect_operator": self.defect_operator,
-            "is_critical": self.is_critical,
-            "tolerance": self.tolerance,
-        }
-
 
 def normalize_potential(geom: ProfileGeometry, target: float | None = None) -> HolomorphyPotential:
     """Potential x + c with c fixed by C_vol * int (x + c) w dx = target.

@@ -7,17 +7,19 @@ from the previous iterate), and Newton iterates on the two far-end
 mismatches of integrating (w Theta)'' = A - w s from the left endpoint.
 The mismatch is affine in s, K s + m0, so the Newton Jacobian is exact:
 J = K diag(1 / (h f''(s))) [x 1].  The profile is integrated once, from
-the final s.
+the final s, and a solution whose EL potential is not affine within the
+report's tolerance raises ConvergenceError instead of being returned.
 
 When f' is constant the EL potential does not depend on the metric, so
-every metric is critical; the solver detects this degenerate direction and
-returns the canonical representative with affine scalar curvature instead
-of iterating on a singular system.
+every metric is critical or none is; the solver detects this degenerate
+direction and returns the canonical representative with affine scalar
+curvature instead of iterating on a singular system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -26,7 +28,7 @@ from .errors import CalabiLabError, ConfigError, ConvergenceError, DomainError, 
 from .functions import FunctionDescriptor, invert
 from .geometry import MetricProfile, ProfileGeometry, class_constants
 from .potentials import ELReport, HolomorphyPotential, el_potential, holomorphy_defect
-from .spectral import SampledFunction, affine_projection, chop_coefficients, solve_euler
+from .spectral import SampledFunction, chop_coefficients, solve_euler
 
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITER = 50
@@ -44,9 +46,9 @@ class CriticalSolveResult:
     beta: float
     el_report: ELReport
     iterations: int
-    converged: bool
     status: str
     residual_trace: tuple = ()
+    converged: ClassVar[bool] = True  # only a critical metric is returned
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ class IterationTrace:
     # In the circle-symmetric reduction every invariant holomorphy
     # potential is affine in x, so each new field is proportional to the
     # ansatz field; the flag records that structural degeneracy.
-    degenerate_direction: bool = True
+    degenerate_direction: ClassVar[bool] = True
 
     @property
     def final_status(self) -> str:
@@ -133,12 +135,12 @@ def _newton(shooter: _Shooter, s_of_ab, ds_dpsi, init):
     raise ConvergenceError(f"Newton stagnated after {MAX_NEWTON_ITER} iterations", trace)
 
 
-def _check_nonvanishing(hv: np.ndarray):
-    if np.abs(hv).min() <= 1e-12 * max(np.abs(hv).max(), 1.0):
-        raise SingularPotential("h(phi) crosses zero on the momentum interval")
-    hr = hv.real
+def _check_nonvanishing(hr: np.ndarray):
+    """The inversion of f' divides by hr = Re h(phi): it must keep one sign."""
+    if np.abs(hr).min() <= 1e-12 * max(np.abs(hr).max(), 1.0):
+        raise SingularPotential("Re h(phi) vanishes on the momentum interval")
     if hr.max() > 0 > hr.min():
-        raise SingularPotential("h(phi) changes sign on the momentum interval")
+        raise SingularPotential("Re h(phi) changes sign on the momentum interval")
 
 
 def solve_critical(
@@ -150,24 +152,17 @@ def solve_critical(
 ) -> CriticalSolveResult:
     """Find the metric whose EL potential f'(s) h(phi) is alpha x + beta."""
     shooter = _Shooter(geom)
-    grid = geom.grid
-    x = grid.x
-    hv = np.asarray(h(phi.values(), x))
-    hr = hv.real
+    x = geom.grid.x
+    hr = np.asarray(h(phi.values(), x)).real  # a complex h leaves Im h to the check below
     s0 = class_constants(geom).s0
     fprime = f.derivative()
     fp_const = fprime.constant_value()
 
     if fp_const is not None:
         # Degenerate direction: psi = fp_const * h(phi) is metric
-        # independent, so every metric is critical when it is affine.
-        # Return the canonical representative with affine scalar curvature.
-        psi_fixed = fp_const * hv
-        _, _, resid = affine_projection(psi_fixed, geom.weight.values, grid)
-        if resid > 1e-8 * (1.0 + float(np.abs(psi_fixed).max())):
-            raise ConvergenceError(
-                "EL potential is metric-independent and non-affine: no critical metric"
-            )
+        # independent, so every metric is critical when it is affine and
+        # none is otherwise.  Return the canonical representative with
+        # affine scalar curvature; the criticality check below decides.
         ab, s_final, iters, trace = _newton(
             shooter,
             lambda ab: ab[0] * x + ab[1],
@@ -176,8 +171,8 @@ def solve_critical(
         )
         status = STATUS_EVERY_METRIC
     else:
-        # s = (f')^-1((alpha x + beta) / h(phi)) divides by h, here only
-        _check_nonvanishing(hv)
+        # s = (f')^-1((alpha x + beta) / Re h(phi)) divides by Re h, here only
+        _check_nonvanishing(hr)
         fsecond = fprime.derivative()
         s_prev = np.full(x.shape, s0)
 
@@ -196,15 +191,17 @@ def solve_critical(
         status = STATUS_CONVERGED
 
     profile = shooter.profile(s_final)
-    psi = el_potential(profile, f, h, phi)
-    report = holomorphy_defect(profile, psi)
+    report = holomorphy_defect(profile, el_potential(profile, f, h, phi))
+    if not report.is_critical:
+        raise ConvergenceError(
+            f"the solution is not critical: defect_affine {report.defect_affine:.3e} "
+            f"above tolerance {report.tolerance:.3e}", trace)
     return CriticalSolveResult(
         profile=profile,
         alpha=float(ab[0]),
         beta=float(ab[1]),
         el_report=report,
         iterations=iters,
-        converged=True,
         status=status,
         residual_trace=tuple(trace),
     )

@@ -3,15 +3,16 @@
 Every Chebyshev transform goes through one FFT DCT-I of the even extension
 (Chebfun's vals2coeffs / coeffs2vals): values to coefficients, coefficients
 to values, and the Clenshaw-Curtis weights from the moments of T_k
-(Waldvogel, BIT 46, 2006), all in O(N log N).  Calculus, the endpoint
-slopes and the one division, by the single root x - lo, run in coefficient
-space with trailing-coefficient chopping, the accurate route for repeated
-differentiation.  Derivative and antiderivative coefficients are O(L) array
-recurrences on the L kept coefficients (Mason & Handscomb, Chebyshev
-Polynomials, 2003): one routine, derivative_coefficients, differentiates
-for this module and for geometry.  The dense barycentric differentiation
-matrices are built only on demand, for the explicit operator of the
-discrete quadratic form.
+(Waldvogel, BIT 46, 2006), all in O(N log N).  Calculus and the endpoint
+slopes run in coefficient space with trailing-coefficient chopping, the
+accurate route for repeated differentiation.  Derivative and antiderivative
+coefficients are O(L) array recurrences on the L kept coefficients (Mason &
+Handscomb, Chebyshev Polynomials, 2003): one routine,
+derivative_coefficients, differentiates for this module and for geometry.
+The scale-free Euler operator E_a = y d/dy + a, y = x - lo, and its inverse
+(euler_coefficients, solve_euler) carry every weight y^k: nothing divides
+by x - lo.  The dense barycentric differentiation matrices are built only
+on demand, for the explicit operator of the discrete quadratic form.
 """
 
 from __future__ import annotations
@@ -111,10 +112,22 @@ def derivative_coefficients(coeffs, order: int = 1) -> np.ndarray:
     return d
 
 
+def euler_coefficients(coeffs, a: float) -> np.ndarray:
+    """Chebyshev coefficients of (y d/dy + a) sum_n c_n T_n, y = x - lo (real
+    or complex): y d/dy = (t + 1) d/dt and (t + 1) T_n' = n T_n +
+    2n sum'_{j<n} T_j (the j = 0 term halved), one reverse cumulative sum."""
+    c = np.asarray(coeffs)
+    n = np.arange(c.size)
+    tail = np.zeros(c.size, dtype=np.result_type(c, float))  # sum over n > j of n c_n
+    tail[:-1] = (n * c)[:0:-1].cumsum()[::-1]
+    tail[1:] *= 2.0
+    return (n + a) * c + tail
+
+
 def solve_euler(coeffs: np.ndarray, a: float) -> np.ndarray:
-    """Chebyshev coefficients v with (y d/dy + a) v = coeffs, y = x - lo, a > 0:
-    y d/dy = (t + 1) d/dt and (t + 1) T_n' = n T_n + 2n sum'_{j<n} T_j (the
-    j = 0 term halved) make it upper triangular, solved by back substitution."""
+    """Chebyshev coefficients v with (y d/dy + a) v = coeffs, a > 0: the
+    inverse of euler_coefficients, whose map is upper triangular, by back
+    substitution."""
     v = np.empty(coeffs.size, dtype=np.result_type(coeffs, float))
     tail = 0.0  # sum over n > j of n v_n
     for j in range(coeffs.size - 1, -1, -1):
@@ -209,12 +222,6 @@ class SpectralGrid:
 
     def integrate_values(self, values: np.ndarray):
         return self.quad_weights @ np.asarray(values)
-
-    def divide_by_left_root(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients of sum_k c_k T_k divided by (x - lo), by one
-        polynomial division.  The remainder, the value at lo, is discarded,
-        so the numerator must vanish there up to grid accuracy."""
-        return cheb.chebdiv(coeffs, [self.span / 2.0, self.span / 2.0])[0]
 
     def __repr__(self):
         return f"SpectralGrid(n={self.n}, lo={self.lo}, hi={self.hi})"

@@ -179,10 +179,18 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
 
 
 def test_exit_code_1_on_numerical_failure(tmp_path, capsys):
-    # solve with phi = x and h = id: h(phi) crosses zero
-    code = main(["solve", "--f", "exp", "--h", "id", "--out", str(tmp_path / "z")])
-    assert code == 1
-    capsys.readouterr()
+    for args, message in (
+        # phi = x and h = id: h(phi) crosses zero
+        (["--f", "exp", "--h", "id"], "Re h(phi) vanishes"),
+        # the solver inverts f' against Re h only; the imaginary part leaves
+        # the EL potential non-affine, so the metric is not critical
+        (["--f", "exp", "--h", "sum:pow:2,const:0.5j", "--target", str(EIGHT_PI)], "not critical"),
+        # Re h = 0: the solver would divide by zero
+        (["--f", "pow:2", "--h", "const:0.5j"], "Re h(phi) vanishes"),
+    ):
+        assert main(["solve", *args, "--out", str(tmp_path / "z")]) == 1, args
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and message in err, args
 
 
 def test_exit_code_1_on_io_failure(tmp_path, capsys):

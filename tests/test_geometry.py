@@ -151,6 +151,40 @@ def test_scalar_curvature_against_polynomial_oracle(cp1):
     assert np.abs(scalar_curvature(profile).values - s_exact).max() < 1e-11
 
 
+def _polynomial_profile(geom):
+    """An admissible polynomial profile in y = x - x_lo: the round profile
+    plus a bump that keeps the endpoint values and slopes."""
+    grid = geom.grid
+    y = np.polynomial.Polynomial([-grid.lo, 1.0])
+    theta = 2.0 * y * (1.0 - y / grid.span) + 0.05 * y ** 2 * (grid.span - y) ** 2 * (1.0 + 0.5 * y)
+    return y, theta, MetricProfile(geom, SampledFunction(grid, theta(grid.x)))
+
+
+@pytest.mark.parametrize("spec", ["cp1", "cpm:2", "cpm:3", "cpm:4"])
+def test_r_coeffs_is_theta_over_y(geometries, spec):
+    geom = geometries[spec]
+    y, theta, profile = _polynomial_profile(geom)
+    r_exact, rem = divmod(theta, y)
+    assert np.abs(rem.coef).max() < 1e-15
+    r = geom.grid.coefficients_to_values(profile.r_coeffs)
+    assert np.abs(r - r_exact(geom.grid.x)).max() < 1e-14
+
+
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("spec", ["cp1", "cpm:2", "cpm:3", "cpm:4"])
+def test_weighted_derivative_against_polynomial_oracle(geometries, spec, j):
+    # (w Theta^j g)^(j) / w with w = y^k, divided exactly in polynomial
+    # arithmetic, for a complex polynomial g
+    geom = geometries[spec]
+    x = geom.grid.x
+    y, theta, profile = _polynomial_profile(geom)
+    g = np.polynomial.Polynomial([0.3, -1.0, 0.5, 0.2]) + 1j * np.polynomial.Polynomial([0.1, 0.2, 0.0, -0.4])
+    exact, rem = divmod((y ** geom.k * theta ** j * g).deriv(j), y ** geom.k)
+    assert np.abs(rem.coef).max() < 1e-12
+    expect = exact(x)
+    assert np.abs(profile.weighted_derivative(g(x), j) - expect).max() < 1e-12 * np.abs(expect).max()
+
+
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_cpm_fubini_study_constant_scalar(m):
     geom = make_cpm_geometry(m)

@@ -102,6 +102,21 @@ def test_singular_potential_rejected(cp1):
         solve_critical(cp1, parse_function("exp"), parse_function("id"), phi)
 
 
+def test_vanishing_real_part_of_h_is_singular(cp1):
+    # |h| = 0.5 everywhere, but the inversion of f' divides by Re h = 0
+    with pytest.raises(SingularPotential, match="Re h"):
+        solve_critical(cp1, parse_function("pow:2"), parse_function("const:0.5j"), normalize_potential(cp1))
+
+
+def test_non_critical_solution_is_not_returned(cp1):
+    # the shooting solves f'(s) Re h(phi) = alpha x + beta; Im h(phi) = 0.5
+    # then leaves psi = e^s h(phi) non-affine, far above the tolerance
+    phi = HolomorphyPotential(cp1, 1.0, 2.0)
+    with pytest.raises(ConvergenceError, match="not critical") as exc:
+        solve_critical(cp1, parse_function("exp"), parse_function("sum:pow:2,const:0.5j"), phi)
+    assert exc.value.trace and exc.value.trace[-1][1] < 1e-10  # the shooting itself converged
+
+
 @pytest.mark.parametrize("make", [make_cp1_geometry, lambda: make_cpm_geometry(3)], ids=["cp1", "cpm3"])
 def test_constant_fprime_accepts_h_with_zeros(make):
     # f = id: psi = h(phi) = phi is affine for every metric and the solver

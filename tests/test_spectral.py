@@ -3,7 +3,13 @@ import pytest
 
 from calabilab import SampledFunction, affine_projection, get_grid
 from calabilab.errors import DegenerateWeight
-from calabilab.spectral import SpectralGrid, chop_coefficients, derivative_coefficients
+from calabilab.spectral import (
+    SpectralGrid,
+    chop_coefficients,
+    derivative_coefficients,
+    euler_coefficients,
+    solve_euler,
+)
 
 C = np.polynomial.chebyshev
 
@@ -102,6 +108,29 @@ def test_derivative_coefficients_match_chebder(order, size, complex_):
     assert got.shape == expect.shape and got.dtype == expect.dtype
     scale = max(np.abs(expect).max(), 1.0)
     assert np.abs(got - expect).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
+def test_euler_coefficients_eigenfunctions(a):
+    # y d/dy = (t + 1) d/dt, so (y d/dy + a) (t + 1)^n = (n + a) (t + 1)^n
+    for n in range(9):
+        c = C.chebpow([1.0, 1.0], n)
+        assert np.abs(euler_coefficients(c, a) - (n + a) * c).max() <= 1e-15 * np.abs(c).max()
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 33, 1025])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_euler_coefficients_inverts_solve_euler(size, complex_):
+    rng = np.random.default_rng(size)
+    c = rng.standard_normal(size)
+    if complex_:
+        c = c + 1j * rng.standard_normal(size)
+    for a in (1.0, 2.5, 4.0):
+        back = euler_coefficients(solve_euler(c, a), a)
+        assert back.dtype == c.dtype
+        assert np.abs(back - c).max() <= 1e-14 * np.abs(c).max()
+        ec = euler_coefficients(c, a)
+        assert np.abs(solve_euler(ec, a) - c).max() <= 1e-14 * np.abs(ec).max()
 
 
 @pytest.mark.parametrize("n", [8, 33, 129])
