@@ -147,9 +147,11 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 
 
 def cmd_invariance(cfg: RunConfig) -> int:
+    if cfg.samples < 0:
+        raise ConfigError(f"samples must be nonnegative, got {cfg.samples}")
     out = _outdir(cfg)
     path_json = os.path.join(out, "invariance.json")
-    if cfg.samples <= 0:
+    if cfg.samples == 0:
         dump_json({"samples": 0, "results": {}}, path_json)
         print("invariance: empty report")
         return 0

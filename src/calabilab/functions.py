@@ -4,11 +4,12 @@ Tags: constant(c), identity, affine(a, b), power(p), exponential,
 log_guarded, scaled(c, inner), sum(inner, inner),
 composed_with_affine(inner, a, b).  One entry per tag in the table _TAGS
 holds its grammar heads, parameter and operand counts, evaluation, exact
-derivative (another descriptor) and constant value; the descriptor
-methods and the expression reader and writer all dispatch through it.
-Scalars may be complex (for h); f is expected real.  invert solves
-g(s) = y pointwise by Newton's method with the exact derivative, for any
-g whose derivative does not vanish.
+derivative (another descriptor), constant value and closed-form inverse
+(another descriptor, or None); the descriptor methods and the expression
+reader and writer all dispatch through it.  Scalars may be complex (for
+h); f is expected real.  invert solves g(s) = y pointwise: closed-form
+inverse per catalog tag, Newton otherwise (with the exact derivative, for
+any g whose derivative does not vanish).
 """
 
 from __future__ import annotations
@@ -66,6 +67,10 @@ class FunctionDescriptor:
         """Return c if the descriptor is the constant function c, else None."""
         return _TAGS[self.tag].constant_value(self)
 
+    def inverse(self) -> "FunctionDescriptor | None":
+        """The catalog's closed-form inverse function, or None."""
+        return _TAGS[self.tag].inverse(self)
+
     def is_complex(self) -> bool:
         return any(not _is_real(p) for p in self.params) or any(
             g.is_complex() for g in self.inner
@@ -122,7 +127,7 @@ def composed_with_affine(g: FunctionDescriptor, a, b) -> FunctionDescriptor:
 class _Tag(NamedTuple):
     """One tag: grammar heads (the first is written), parameter and
     operand counts, make(*params, *operands), evaluate(desc, z, nodes),
-    derivative(desc) and constant_value(desc)."""
+    derivative(desc), constant_value(desc) and inverse(desc)."""
 
     heads: tuple
     n_params: int
@@ -131,6 +136,7 @@ class _Tag(NamedTuple):
     evaluate: Callable
     derivative: Callable
     constant_value: Callable = lambda d: None
+    inverse: Callable = lambda d: None
 
 
 def _power_values(d, z, nodes):
@@ -145,6 +151,21 @@ def _power_values(d, z, nodes):
 def _power_derivative(d):
     p = d.params[0]
     return constant(p) if p in (0, 1) else scaled(p, power(p - 1))
+
+
+def _power_inverse(d):
+    p = d.params[0]
+    return identity() if p == 1 else d if p == -1 else None
+
+
+def _scaled_inverse(d):
+    c, inner = d.params[0], d.inner[0].inverse()
+    return None if c == 0 or inner is None else composed_with_affine(inner, 1 / c, 0.0)
+
+
+def _composed_inverse(d):
+    (a, b), inner = d.params, d.inner[0].inverse()
+    return None if a == 0 or inner is None else fsum(scaled(1 / a, inner), constant(-b / a))
 
 
 def _log_values(d, z, nodes):
@@ -168,34 +189,40 @@ _TAGS = {
         ("id", "identity"), 0, 0, identity,
         lambda d, z, nodes: z + 0.0,
         lambda d: constant(1.0),
+        inverse=lambda d: d,
     ),
     "affine": _Tag(
         ("affine",), 2, 0, affine,
         lambda d, z, nodes: d.params[0] * z + d.params[1],
         lambda d: constant(d.params[0]),
         lambda d: d.params[1] if d.params[0] == 0 else None,
+        lambda d: None if d.params[0] == 0 else affine(1 / d.params[0], -d.params[1] / d.params[0]),
     ),
     "power": _Tag(
         ("pow", "power"), 1, 0, power,
         _power_values,
         _power_derivative,
         lambda d: 1.0 if d.params[0] == 0 else None,
+        _power_inverse,
     ),
     "exponential": _Tag(
         ("exp", "exponential"), 0, 0, exponential,
         lambda d, z, nodes: np.exp(z),
         lambda d: exponential(),
+        inverse=lambda d: log_guarded(),
     ),
     "log_guarded": _Tag(
         ("log", "log_guarded"), 0, 0, log_guarded,
         _log_values,
         lambda d: power(-1),
+        inverse=lambda d: exponential(),
     ),
     "scaled": _Tag(
         ("scaled",), 1, 1, scaled,
         lambda d, z, nodes: d.params[0] * d.inner[0](z, nodes),
         lambda d: scaled(d.params[0], d.inner[0].derivative()),
         lambda d: _constant_if(d, d.inner[0].constant_value() is not None),
+        _scaled_inverse,
     ),
     "sum": _Tag(
         ("sum",), 0, 2, fsum,
@@ -208,32 +235,47 @@ _TAGS = {
         lambda d, z, nodes: d.inner[0](d.params[0] * z + d.params[1], nodes),
         lambda d: scaled(d.params[0], composed_with_affine(d.inner[0].derivative(), *d.params)),
         lambda d: _constant_if(d, d.params[0] == 0 or d.inner[0].constant_value() is not None),
+        _composed_inverse,
     ),
 }
 _TAG_BY_HEAD = {head: entry for entry in _TAGS.values() for head in entry.heads}
 
 
 def invert(g: FunctionDescriptor, y, start, nodes=None) -> np.ndarray:
-    """Solve g(s) = y pointwise by Newton's method with the exact g',
-    starting from start (a scalar or one value per point); cf. rtsafe,
-    Numerical Recipes 9.4, without the bracket.
+    """Solve g(s) = y pointwise: by g's closed-form inverse when the
+    catalog has one, else by Newton's method from start (a scalar or one
+    value per point).
 
-    Raises RangeError when g' vanishes at an iterate, an iterate leaves
-    the domain of g, an iterate is not finite, or the steps do not settle.
+    Raises RangeError, naming the node where one is known, when y leaves
+    the range of g or the solution is not finite; on the Newton path also
+    when g' vanishes at an iterate or the steps do not settle.
     """
+    inverse = g.inverse()
+    try:
+        if inverse is None:
+            s = _newton_invert(g, y, start, nodes)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = inverse(y, nodes)
+    except DomainError as exc:
+        raise RangeError(f"target left the range of {g.render()} at node x={exc.node!r}") from exc
+    if not np.all(np.isfinite(s)):
+        raise RangeError(f"target left the range of {g.render()}: non-finite value")
+    return s
+
+
+def _newton_invert(g: FunctionDescriptor, y, start, nodes=None) -> np.ndarray:
+    """Solve g(s) = y pointwise by Newton's method with the exact g',
+    starting from start; cf. rtsafe, Numerical Recipes 9.4, without the
+    bracket.  An iterate outside the domain of g raises its DomainError."""
     dg = g.derivative()
     s = np.array(np.broadcast_to(start, np.shape(y)), dtype=float)
     for _ in range(MAX_INVERT_ITER):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                slope = dg(s, nodes)
-                if np.any(slope == 0.0):
-                    raise RangeError(f"derivative of {g.render()} is 0 at an iterate")
-                step = (g(s, nodes) - y) / slope
-        except DomainError as exc:
-            raise RangeError(
-                f"target left the range of {g.render()} at node x={exc.node!r}"
-            ) from exc
+        with np.errstate(over="ignore", invalid="ignore"):
+            slope = dg(s, nodes)
+            if np.any(slope == 0.0):
+                raise RangeError(f"derivative of {g.render()} is 0 at an iterate")
+            step = (g(s, nodes) - y) / slope
         s = s - step
         if not np.all(np.isfinite(s)):
             raise RangeError(f"target left the range of {g.render()}: non-finite iterate")

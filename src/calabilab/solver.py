@@ -2,13 +2,16 @@
 
 solve_critical shoots on the affine coefficients (alpha, beta) of the EL
 potential: given (alpha, beta), the scalar curvature s solves
-f'(s) = (alpha x + beta) / h(phi) (Newton inversion of f', warm-started
-from the previous iterate), and Newton iterates on the two far-end
-mismatches of integrating (w Theta)'' = A - w s from the left endpoint.
-The mismatch is affine in s, K s + m0, so the Newton Jacobian is exact:
-J = K diag(1 / (h f''(s))) [x 1].  The profile is integrated once, from
-the final s, and a solution whose EL potential is not affine within the
-report's tolerance raises ConvergenceError instead of being returned.
+f'(s) = (alpha x + beta) / h(phi) (closed-form inverse per catalog tag,
+Newton otherwise, warm-started from the previous iterate), and Newton
+iterates on the two far-end mismatches of integrating
+(w Theta)'' = A - w s from the left endpoint.  The mismatch is affine in
+s, K s + m0, so the Newton Jacobian is exact: J = K diag(1 / (h f''(s)))
+[x 1].  A J whose singular values (in closed form) are in a ratio of at
+most RANK_TOL stops the solve as rank-deficient.  The profile is
+integrated once, from the final s, and a solution whose EL potential is
+not affine within the report's tolerance raises ConvergenceError instead
+of being returned.
 
 When f' is constant the EL potential does not depend on the metric, so
 every metric is critical or none is; the solver detects this degenerate
@@ -18,6 +21,7 @@ curvature instead of iterating on a singular system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -32,6 +36,7 @@ from .spectral import SampledFunction, chop_coefficients, solve_euler
 
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITER = 50
+RANK_TOL = 1e-12  # sigma_min / sigma_max at or below this: the Jacobian is singular
 ZERO_FIELD_TOL = 1e-10  # |alpha| below this: the new field is trivial
 SETTLE_TOL = 1e-8  # alpha and beta moved less than this: the iteration settled
 
@@ -108,6 +113,20 @@ class _Shooter:
         return MetricProfile(geom, SampledFunction(grid, theta))
 
 
+def _singular_value_ratio(m: np.ndarray) -> float:
+    """sigma_min / sigma_max of a real 2x2 matrix in closed form, 0 for the
+    zero matrix.  With m scaled by its largest entry, sigma_max =
+    (hypot(a + d, c - b) + hypot(a - d, c + b)) / 2 lies in [1, 2] and
+    sigma_min = |ad - bc| / sigma_max, so nothing overflows or divides by 0."""
+    a, b, c, d = np.ravel(m).tolist()
+    scale = max(abs(a), abs(b), abs(c), abs(d))
+    if scale == 0.0:
+        return 0.0
+    a, b, c, d = a / scale, b / scale, c / scale, d / scale
+    smax = (math.hypot(a + d, c - b) + math.hypot(a - d, c + b)) / 2.0
+    return abs(a * d - b * c) / smax ** 2
+
+
 def _newton(shooter: _Shooter, s_of_ab, ds_dpsi, init):
     """Newton on the far-end mismatch.  s_of_ab maps (alpha, beta) to s and
     ds_dpsi(s) is the pointwise derivative of s in psi = alpha x + beta, so
@@ -123,8 +142,7 @@ def _newton(shooter: _Shooter, s_of_ab, ds_dpsi, init):
         d = ds_dpsi(s)
         kd = shooter.k * d
         jac = np.stack([kd @ x, kd.sum(axis=1)], axis=1)
-        sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[-1] <= 1e-12 * sv[0]:
+        if _singular_value_ratio(jac) <= RANK_TOL:
             raise ConvergenceError("rank-deficient Newton Jacobian", trace)
         step = np.linalg.solve(jac, res)
         ab = ab - step

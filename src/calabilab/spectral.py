@@ -26,6 +26,7 @@ from numpy.polynomial import chebyshev as cheb
 from .errors import DegenerateWeight
 
 CHOP_REL = 1e-14
+DEGENERATE_REL = 1e-12  # Gram determinant over g00 g11 at or below this: degenerate weight
 MIN_NODES = 8
 
 
@@ -282,7 +283,13 @@ def affine_projection(psi: np.ndarray, weight: np.ndarray, grid: SpectralGrid):
     qw = grid.quad_weights * w
     x = grid.x
     g = np.array([[qw @ (x * x), qw @ x], [qw @ x, qw.sum()]])
-    if qw.sum() <= 0 or abs(np.linalg.det(g)) < 1e-300:
+    mass = g[1, 1]
+    if not mass > 0:
+        raise DegenerateWeight("degenerate normal equations")
+    # the moments of the unit-mass weight make the test scale-free: its
+    # Gram determinant m2 - m1^2 against g00 g11 = m2
+    m1, m2 = g[0, 1] / mass, g[0, 0] / mass
+    if m2 - m1 * m1 <= DEGENERATE_REL * m2:
         raise DegenerateWeight("degenerate normal equations")
     rhs = np.array([qw @ (x * psi), qw @ psi])
     alpha, beta = np.linalg.solve(g, rhs)

@@ -55,6 +55,13 @@ def test_invariance_report(tmp_path):
     assert report["results"]["futaki_max"] < 1e-8
 
 
+def test_invariance_zero_samples_writes_empty_report(tmp_path, capsys):
+    out = tmp_path / "inv0"
+    assert main(["invariance", "--samples", "0", "--out", str(out)]) == 0
+    assert json.loads((out / "invariance.json").read_text()) == {"samples": 0, "results": {}}
+    assert "empty report" in capsys.readouterr().out
+
+
 def test_iterate_command(tmp_path):
     out = tmp_path / "it"
     code = main(
@@ -143,6 +150,8 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     inf_target.write_text("normalization.target=inf\n")
     nan_amp = tmp_path / "nan.cfg"
     nan_amp.write_text("amplitude=nan\n")
+    neg_samples = tmp_path / "negsamples.cfg"
+    neg_samples.write_text("samples=-3\n")
     for args in (
         ["evaluate", "--nodes", "4"],
         ["evaluate", "--geometry", "cpm:1"],
@@ -156,6 +165,8 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
         ["invariance", "--config", str(neg_amp), "--samples", "2"],
         ["invariance", "--h", "id", "--config", str(inf_target), "--samples", "2"],
         ["invariance", "--config", str(nan_amp), "--samples", "2"],
+        ["invariance", "--samples", "-3"],
+        ["invariance", "--config", str(neg_samples)],
         ["evaluate", "--profile", "random:1:nan"],
         ["evaluate", "--profile", "random:1:inf"],
         ["evaluate", "--profile", "randomXYZ"],

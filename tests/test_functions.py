@@ -5,6 +5,7 @@ from calabilab import parse_function, render_function
 from calabilab.errors import ConfigError, DomainError, RangeError
 from calabilab.functions import (
     _TAGS,
+    _newton_invert,
     affine,
     composed_with_affine,
     constant,
@@ -98,6 +99,77 @@ def test_non_invertible_tags_raise():
     for desc in (constant(3.0), affine(0.0, 1.0), power(0)):
         with pytest.raises(RangeError, match="is 0"):
             invert(desc, y, 1.0)
+
+
+# Per catalog tag: descriptors, each with whether it has a closed-form
+# inverse.  Keyed by tag so that a new tag fails the tests below until its
+# cases are added.
+INVERSE_CASES = {
+    "constant": [(constant(3.0), False)],
+    "identity": [(identity(), True)],
+    "affine": [(affine(2.0, -1.0), True), (affine(-0.3, 4.0), True), (affine(0.0, 1.0), False)],
+    "power": [(power(1), True), (power(-1), True), (power(2), False), (power(0.5), False),
+              (power(0), False)],
+    "exponential": [(exponential(), True)],
+    "log_guarded": [(log_guarded(), True)],
+    "scaled": [(scaled(0.5, scaled(2.0, power(1))), True), (scaled(-3.0, exponential()), True),
+               (scaled(0.0, exponential()), False), (scaled(2.0, power(2)), False)],
+    "sum": [(fsum(identity(), identity()), False), (fsum(exponential(), power(2)), False)],
+    "composed_with_affine": [
+        (composed_with_affine(exponential(), 2.0, 1.0), True),
+        (composed_with_affine(log_guarded(), -0.5, 3.0), True),
+        (composed_with_affine(scaled(4.0, power(-1)), 1.5, 0.25), True),
+        (composed_with_affine(exponential(), 0.0, 1.0), False),
+        (composed_with_affine(power(2), 1.0, 0.0), False),
+    ],
+}
+DOMAIN_POINTS = np.array([0.6, 1.1, 2.4])  # safely inside every case's domain
+
+
+@pytest.mark.parametrize("tag", sorted(_TAGS))
+def test_catalog_inverse_is_inverse(tag):
+    for desc, invertible in INVERSE_CASES[tag]:
+        assert desc.tag == tag
+        inverse = desc.inverse()
+        assert (inverse is not None) == invertible, desc.render()
+        if inverse is None:
+            continue
+        y = desc(DOMAIN_POINTS)
+        s = inverse(y)
+        assert np.abs(desc(s) - y).max() <= 1e-14 * np.abs(y).max(), desc.render()
+        assert np.abs(s - DOMAIN_POINTS).max() <= 1e-14 * np.abs(DOMAIN_POINTS).max(), desc.render()
+
+
+@pytest.mark.parametrize("tag", sorted(_TAGS))
+def test_closed_form_inverse_agrees_with_newton(tag):
+    for desc, invertible in INVERSE_CASES[tag]:
+        if not invertible:
+            continue
+        y = desc(DOMAIN_POINTS)
+        closed = invert(desc, y, 1.0)
+        newton = _newton_invert(desc, y, 1.0)
+        assert np.abs(closed - newton).max() <= 1e-13 * (1.0 + np.abs(newton).max()), desc.render()
+
+
+def test_sum_without_closed_form_still_inverts():
+    desc = parse_function("sum:exp,pow:2")
+    assert desc.inverse() is None
+    y = desc(DOMAIN_POINTS)
+    s = invert(desc, y, 1.0)
+    assert np.abs(s - DOMAIN_POINTS).max() < 1e-12
+
+
+def test_closed_form_inverse_range_errors_name_the_node():
+    nodes = np.array([0.25, 0.5, 0.75])
+    with pytest.raises(RangeError, match=r"range of exp at node x=0\.5"):
+        invert(exponential(), np.array([1.0, 0.0, 2.0]), 0.0, nodes)
+    with pytest.raises(RangeError, match=r"range of exp at node x=0\.25"):
+        invert(exponential(), np.array([-1.0, 0.0, 2.0]), 0.0, nodes)
+    with pytest.raises(RangeError, match=r"range of pow:-1 at node x=0\.75"):
+        invert(power(-1), np.array([1.0, 2.0, 0.0]), 1.0, nodes)
+    # e^800 overflows: no finite s is returned
+    with pytest.raises(RangeError, match="non-finite"):
+        invert(log_guarded(), np.array([1.0, 800.0]), 1.0)
 
 
 def test_invert_range_errors():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -293,3 +294,58 @@ def test_cpm_solve_recovers_fubini_study():
     assert abs(res.alpha) < 1e-6
     assert abs(res.beta - 12.0) < 1e-6
     assert np.abs(res.profile.theta.values - expect).max() < 1e-7
+
+
+def _rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def test_singular_value_ratio_matches_svd():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        m = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-5, 5)
+        sv = np.linalg.svd(m, compute_uv=False)
+        assert abs(solver._singular_value_ratio(m) - sv[1] / sv[0]) <= 2e-15
+    assert solver._singular_value_ratio(np.zeros((2, 2))) == 0.0
+
+
+@pytest.mark.parametrize("r", [1e-14, 3e-13, 8e-13, 1.25e-12, 3e-12, 1e-11])
+def test_singular_value_ratio_near_the_rank_threshold(r):
+    # sigma_min / sigma_max = r up to the roundoff of building m, which
+    # stays far below the distance of every r from the threshold 1e-12
+    rng = np.random.default_rng(int(r * 1e16))
+    for _ in range(50):
+        t1, t2 = rng.uniform(0.0, 2.0 * np.pi, 2)
+        m = _rotation(t1) @ np.diag([1.0, r]) @ _rotation(t2) * 10.0 ** rng.uniform(-3, 3)
+        sv = np.linalg.svd(m, compute_uv=False)
+        ratio = solver._singular_value_ratio(m)
+        assert abs(ratio - sv[1] / sv[0]) <= 2e-15
+        assert (ratio <= solver.RANK_TOL) == (sv[1] <= 1e-12 * sv[0]) == (r <= 1e-12)
+
+
+def _newton_on_scaled_s(geom, c, ds):
+    """Newton for s = c (alpha x + beta): J = c K [x 1], solution (0, s0 / c)
+    on the round profile."""
+    x = geom.grid.x
+    s0 = class_constants(geom).s0
+    return solver._newton(solver._Shooter(geom), lambda ab: c * (ab[0] * x + ab[1]),
+                          lambda s: ds, (0.5 / c, s0 / c))
+
+
+def test_zero_jacobian_is_rank_deficient(cp1):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="rank-deficient"):
+            _newton_on_scaled_s(cp1, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("c", [1e150, 1e-150])
+@pytest.mark.parametrize("make", [make_cp1_geometry, lambda: make_cpm_geometry(3)])
+def test_scaled_jacobian_is_not_refused(make, c):
+    geom = make()
+    s0 = class_constants(geom).s0
+    ab, s, _, _ = _newton_on_scaled_s(geom, c, c)
+    assert abs(ab[0]) * c < 1e-9 and abs(ab[1] * c - s0) < 1e-9 * s0
+    assert np.abs(s - s0).max() < 1e-9 * s0
+    jac = np.array([[0.3, -1.7], [2.2, 0.9]])
+    assert abs(solver._singular_value_ratio(jac * c) - solver._singular_value_ratio(jac)) < 1e-15

@@ -207,6 +207,28 @@ def test_affine_projection_rejects_degenerate_weight():
         affine_projection(grid.x, np.zeros(grid.n), grid)
 
 
+@pytest.mark.parametrize("node", [0, 5, 64, 128])
+def test_affine_projection_rejects_weight_on_one_node(node):
+    # one point does not fix a line: any (alpha, beta) through it fits
+    grid = get_grid(129, -1.0, 1.0)
+    w = np.zeros(grid.n)
+    w[node] = 1.0
+    with pytest.raises(DegenerateWeight):
+        affine_projection(grid.x ** 2, w, grid)
+
+
+def test_affine_projection_accepts_tiny_weight_on_two_nodes():
+    # two points fix the line, however small their weight
+    grid = get_grid(129, -1.0, 1.0)
+    w = np.zeros(grid.n)
+    w[[5, 40]] = 1e-200
+    a, b, _ = affine_projection(3.0 * grid.x - 1.5, w, grid)
+    assert abs(a - 3.0) < 1e-12 and abs(b + 1.5) < 1e-12
+    a, b, _ = affine_projection(grid.x ** 2, w, grid)  # the chord through both points
+    x5, x40 = grid.x[5], grid.x[40]
+    assert abs(a - (x5 + x40)) < 1e-12 and abs(b + x5 * x40) < 1e-12
+
+
 def test_chop_coefficients_drops_roundoff_plateau():
     c = np.array([1.0, 0.5, 1e-20, 1e-21, 0.0])
     assert chop_coefficients(c).size == 2
