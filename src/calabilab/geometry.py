@@ -23,6 +23,7 @@ import numpy as np
 from .errors import AdmissibilityError
 from .rng import SplitMix64
 from .spectral import (
+    AffineProjector,
     SampledFunction,
     SpectralGrid,
     chop_coefficients,
@@ -77,6 +78,26 @@ class ProfileGeometry:
         """A = k (k + 1) slope_lo (x - x_lo)^(k - 1), zero when k = 0."""
         k, y = self.k, self.grid.x - self.x_lo
         return SampledFunction(self.grid, k * (k + 1) * self.slope_lo * y ** max(k - 1, 0))
+
+    @cached_property
+    def affine_projector(self) -> AffineProjector:
+        """The weighted affine projection against w, built once per geometry."""
+        return AffineProjector(self.weight.values, self.grid)
+
+    @cached_property
+    def constants(self) -> ClassConstants:
+        """Volume, total scalar curvature and its average for the class.
+
+        total_scalar uses boundary data only and is independent of the
+        profile: C_vol * (int A dx - [ (w Theta)' ]_lo^hi ) with
+        (w Theta)' = w * slope at each endpoint.
+        """
+        grid, w = self.grid, self.weight.values
+        total_volume = self.vol_const * float(grid.integrate_values(w))
+        base = float(grid.integrate_values(self.base_term.values))
+        bdry = w[-1] * self.slope_hi - w[0] * self.slope_lo
+        total_scalar = self.vol_const * (base - bdry)
+        return ClassConstants(total_volume, total_scalar, total_scalar / total_volume)
 
 
 @dataclass(frozen=True)
@@ -210,18 +231,9 @@ def scalar_curvature(profile: MetricProfile) -> SampledFunction:
 
 
 def class_constants(geom: ProfileGeometry) -> ClassConstants:
-    """Volume, total scalar curvature and its average for the class.
-
-    total_scalar uses boundary data only and is independent of the profile:
-    C_vol * (int A dx - [ (w Theta)' ]_lo^hi ) with (w Theta)' = w * slope
-    at each endpoint.
-    """
-    grid = geom.grid
-    total_volume = geom.vol_const * float(grid.integrate_values(geom.weight.values))
-    base = float(grid.integrate_values(geom.base_term.values))
-    bdry = geom.weight.values[-1] * geom.slope_hi - geom.weight.values[0] * geom.slope_lo
-    total_scalar = geom.vol_const * (base - bdry)
-    return ClassConstants(total_volume, total_scalar, total_scalar / total_volume)
+    """Volume, total scalar curvature and its average for the class
+    (ProfileGeometry.constants, computed once per geometry)."""
+    return geom.constants
 
 
 def bump_factor(geom: ProfileGeometry) -> np.ndarray:

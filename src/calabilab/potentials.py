@@ -16,7 +16,7 @@ import numpy as np
 
 from .functions import FunctionDescriptor
 from .geometry import MetricProfile, ProfileGeometry, class_constants, require_admissible
-from .spectral import SampledFunction, affine_projection
+from .spectral import SampledFunction
 
 AFFINE_TOL = 1e-8
 
@@ -131,7 +131,7 @@ def holomorphy_defect(profile: MetricProfile, psi: SampledFunction) -> ELReport:
     AFFINE_TOL * (1 + sup|psi|)."""
     require_admissible(profile)
     geom = profile.geometry
-    alpha, beta, res = affine_projection(psi.values, geom.weight.values, geom.grid)
+    alpha, beta, res = geom.affine_projector.project(psi.values)
     defect_affine = float(np.sqrt(geom.vol_const) * res)
     defect_operator = float(np.sqrt(quadratic_form(profile, psi)))
     tol_affine = AFFINE_TOL * (1.0 + float(np.abs(psi.values).max()))

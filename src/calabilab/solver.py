@@ -5,13 +5,23 @@ potential: given (alpha, beta), the scalar curvature s solves
 f'(s) = (alpha x + beta) / h(phi) (closed-form inverse per catalog tag,
 Newton otherwise, warm-started from the previous iterate), and Newton
 iterates on the two far-end mismatches of integrating
-(w Theta)'' = A - w s from the left endpoint.  The mismatch is affine in
-s, K s + m0, so the Newton Jacobian is exact: J = K diag(1 / (h f''(s)))
-[x 1].  A J whose singular values (in closed form) are in a ratio of at
-most RANK_TOL stops the solve as rank-deficient.  The profile is
-integrated once, from the final s, and a solution whose EL potential is
-not affine within the report's tolerance raises ConvergenceError instead
-of being returned.
+(w Theta)'' = A - w s from the left endpoint.  Newton starts at the
+weighted affine projection of psi_0 = f'(s0) Re h(phi), the EL potential
+of the constant-curvature profile, so a problem whose answer is the round
+metric (Re h(phi) affine, constants included) is solved at its first
+mismatch.  The
+mismatch is affine in s, K s + m0, so the Newton Jacobian is exact:
+J = K diag(1 / (h f''(s))) [x 1], one matvec of the precomputed rows
+K diag(x) and K.  A J that is not finite, or whose singular values (in
+closed form) are in a ratio of at most RANK_TOL, stops the solve with a
+ConvergenceError.  The profile is integrated once, from the final s, and
+a solution whose EL potential is not affine within the report's
+tolerance raises ConvergenceError instead of being returned.
+
+What depends only on the geometry is built once per geometry: the
+shooter's forms (a module-level cache, like spectral.get_grid's), and
+the class constants and the weighted affine projector (cached on
+ProfileGeometry).
 
 When f' is constant the EL potential does not depend on the metric, so
 every metric is critical or none is; the solver detects this degenerate
@@ -26,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from .errors import CalabiLabError, ConfigError, ConvergenceError, DomainError, SingularPotential
 from .functions import FunctionDescriptor, invert
@@ -83,19 +92,27 @@ class _Shooter:
     solves (w Theta)'' = A - w s from the left end (y = x - x_lo, w = y^k),
     and its far-end mismatch (Theta, Theta' - slope_hi) at x_hi = x_lo + L:
     K s + m0, K the Clenshaw-Curtis forms of -L^-k int (x_hi - x) w s and
-    L^-k int (k (x_hi - x) / L - 1) w s, m0 = (slope_lo L, slope_lo - slope_hi)."""
+    L^-k int (k (x_hi - x) / L - 1) w s, m0 = (slope_lo L, slope_lo - slope_hi).
+    jac_rows stacks K_0 diag(x), K_0, K_1 diag(x) and K_1, so the Newton
+    Jacobian K diag(d) [x 1] is jac_rows @ d, reshaped to 2x2."""
 
     def __init__(self, geom: ProfileGeometry):
         self.geom = geom
         grid = self.grid = geom.grid
-        k, span = geom.k, grid.span
+        k, span, x = geom.k, grid.span, grid.x
         qw = grid.quad_weights * geom.weight.values / span ** k
-        lever = grid.hi - grid.x
+        lever = grid.hi - x
         self.k = np.stack([-qw * lever, (k / span) * qw * lever - qw])
+        self.jac_rows = np.stack([self.k[0] * x, self.k[0], self.k[1] * x, self.k[1]])
         self.m0 = np.array([geom.slope_lo * span, geom.slope_lo - geom.slope_hi])
 
     def mismatch(self, s_vals: np.ndarray) -> np.ndarray:
         return self.k @ s_vals + self.m0
+
+    def jacobian(self, d: np.ndarray) -> np.ndarray:
+        """The 2x2 Jacobian K diag(d) [x 1] of the mismatch in (alpha, beta),
+        d = ds/dpsi at the nodes."""
+        return (self.jac_rows @ d).reshape(2, 2)
 
     def profile(self, s_vals: np.ndarray) -> MetricProfile:
         """Theta = slope_lo y - y^2 M, M(y) = int_0^1 (1 - tau) tau^k
@@ -106,11 +123,40 @@ class _Shooter:
         m = chop_coefficients(grid.values_to_coefficients(s_vals))
         for a in (geom.k + 1, geom.k + 2):
             m = solve_euler(m, a)
-        y = np.full(2, grid.span / 2.0)  # x - x_lo = span (t + 1) / 2
-        theta = cheb.chebsub(geom.slope_lo * y, cheb.chebmul(cheb.chebmul(y, y), m))
-        theta = grid.coefficients_to_values(theta)
+        theta = grid.coefficients_to_values(_theta_coefficients(m, geom.slope_lo, grid.span))
         theta[0] = 0.0
         return MetricProfile(geom, SampledFunction(grid, theta))
+
+
+_SHOOTERS: dict = {}
+
+
+def _shooter(geom: ProfileGeometry) -> _Shooter:
+    """The geometry's shooter, built on first use: its forms depend on the
+    geometry alone."""
+    if geom not in _SHOOTERS:
+        _SHOOTERS[geom] = _Shooter(geom)
+    return _SHOOTERS[geom]
+
+
+def _times_t_plus_1(c: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of (t + 1) sum_n c_n T_n: t T_0 = T_1 and
+    t T_n = (T_(n+1) + T_(n-1)) / 2 for n >= 1."""
+    half = 0.5 * c
+    out = np.zeros(c.size + 1)
+    out[:-1] = c
+    out[1:] += half
+    out[:-2] += half[1:]
+    out[1] += half[0]
+    return out
+
+
+def _theta_coefficients(m: np.ndarray, slope_lo: float, span: float) -> np.ndarray:
+    """Chebyshev coefficients of slope_lo y - y^2 M from those of M, with
+    y = x - x_lo = span (t + 1) / 2: two passes of multiplication by t + 1."""
+    theta = _times_t_plus_1(_times_t_plus_1(m)) * -((span / 2.0) ** 2)
+    theta[:2] += slope_lo * span / 2.0
+    return theta
 
 
 def _singular_value_ratio(m: np.ndarray) -> float:
@@ -130,7 +176,9 @@ def _singular_value_ratio(m: np.ndarray) -> float:
 def _newton(shooter: _Shooter, s_of_ab, ds_dpsi, init):
     """Newton on the far-end mismatch.  s_of_ab maps (alpha, beta) to s and
     ds_dpsi(s) is the pointwise derivative of s in psi = alpha x + beta, so
-    the Jacobian K diag(ds_dpsi) [x 1] is exact."""
+    the Jacobian K diag(ds_dpsi) [x 1] is exact; ds_dpsi is evaluated with
+    numpy's floating-point warnings off, and a value that is not finite
+    stops the solve at its node."""
     x = shooter.grid.x
     ab = np.array(init, dtype=float)
     trace = []
@@ -139,9 +187,12 @@ def _newton(shooter: _Shooter, s_of_ab, ds_dpsi, init):
         res = shooter.mismatch(s)
         rnorm = float(np.abs(res).max())
         trace.append((tuple(ab), rnorm))
-        d = ds_dpsi(s)
-        kd = shooter.k * d
-        jac = np.stack([kd @ x, kd.sum(axis=1)], axis=1)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            d = np.broadcast_to(ds_dpsi(s), x.shape)
+        bad = np.flatnonzero(~np.isfinite(d))
+        if bad.size:
+            raise ConvergenceError(f"Newton Jacobian is not finite at node x={float(x[bad[0]])!r}", trace)
+        jac = shooter.jacobian(d)
         if _singular_value_ratio(jac) <= RANK_TOL:
             raise ConvergenceError("rank-deficient Newton Jacobian", trace)
         step = np.linalg.solve(jac, res)
@@ -169,7 +220,7 @@ def solve_critical(
     init: tuple | None = None,
 ) -> CriticalSolveResult:
     """Find the metric whose EL potential f'(s) h(phi) is alpha x + beta."""
-    shooter = _Shooter(geom)
+    shooter = _shooter(geom)
     x = geom.grid.x
     hr = np.asarray(h(phi.values(), x)).real  # a complex h leaves Im h to the check below
     s0 = class_constants(geom).s0
@@ -199,13 +250,20 @@ def solve_critical(
             s_prev = invert(fprime, (ab[0] * x + ab[1]) / hr, s_prev, x)
             return s_prev
 
+        def ds_dpsi(s):
+            # 1 / (Re h f''(s)); nan where f'' itself is not finite (an
+            # overflow would leave a 0 here), so that Newton names the node
+            hf2 = hr * fsecond(s, x)
+            return np.where(np.isfinite(hf2), 1.0 / hf2, np.nan)
+
         if init is None:
+            # the EL potential of the constant-curvature profile, projected
             try:
-                beta0 = float(np.asarray(fprime(np.array([s0])))[0])
+                fp0 = float(np.asarray(fprime(np.array([s0])))[0])
             except DomainError:
-                beta0 = 1.0
-            init = (0.0, beta0)
-        ab, s_final, iters, trace = _newton(shooter, s_of_ab, lambda s: 1.0 / (hr * fsecond(s, x)), init)
+                fp0 = 1.0
+            init = geom.affine_projector.coefficients(fp0 * hr)
+        ab, s_final, iters, trace = _newton(shooter, s_of_ab, ds_dpsi, init)
         status = STATUS_CONVERGED
 
     profile = shooter.profile(s_final)

@@ -249,7 +249,7 @@ class SampledFunction:
         v = np.asarray(self.values)
         if v.shape != (self.grid.n,):
             raise ValueError("value count does not match the grid")
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+        if not np.isfinite(v).all():  # complex: both parts
             raise ValueError("non-finite sample values")
         object.__setattr__(self, "values", v)
 
@@ -269,32 +269,52 @@ class SampledFunction:
         return out if out.size > 1 else out[0]
 
 
+class AffineProjector:
+    """Weighted L2 projection onto the affine functions a*x + b on a grid:
+    the Clenshaw-Curtis weights qw of w and the Gram matrix of (x, 1) are
+    built once, when the projector is, so that projecting costs two dot
+    products and a 2x2 solve."""
+
+    def __init__(self, weight: np.ndarray, grid: SpectralGrid):
+        w = np.asarray(weight, dtype=float)
+        if np.any(w < -1e-13):
+            raise DegenerateWeight("weight must be nonnegative")
+        qw = grid.quad_weights * w
+        x = grid.x
+        g = np.array([[qw @ (x * x), qw @ x], [qw @ x, qw.sum()]])
+        mass = g[1, 1]
+        if not mass > 0:
+            raise DegenerateWeight("degenerate normal equations")
+        # the moments of the unit-mass weight make the test scale-free: its
+        # Gram determinant m2 - m1^2 against g00 g11 = m2
+        m1, m2 = g[0, 1] / mass, g[0, 0] / mass
+        if m2 - m1 * m1 <= DEGENERATE_REL * m2:
+            raise DegenerateWeight("degenerate normal equations")
+        self.x, self.qw, self.gram = x, qw, g
+
+    def coefficients(self, psi: np.ndarray) -> np.ndarray:
+        """(alpha, beta) minimizing int |psi - (alpha x + beta)|^2 w dx."""
+        return np.linalg.solve(self.gram, np.array([self.qw @ (self.x * psi), self.qw @ psi]))
+
+    def project(self, psi: np.ndarray):
+        """(alpha, beta, residual_norm) of the projection; complex psi is
+        projected componentwise (same Gram matrix for both parts)."""
+        alpha, beta = self.coefficients(psi)
+        resid = psi - (alpha * self.x + beta)
+        residual_norm = float(np.sqrt(max(self.qw @ np.abs(resid) ** 2, 0.0).real))
+        if not np.iscomplexobj(psi):
+            alpha, beta = float(alpha.real), float(beta.real)
+        return alpha, beta, residual_norm
+
+
 def affine_projection(psi: np.ndarray, weight: np.ndarray, grid: SpectralGrid):
     """Weighted L2 projection of the values psi onto the affine functions
     a*x + b on the grid.
 
     Returns (alpha, beta, residual_norm) minimizing
     int |psi - (alpha x + beta)|^2 w dx, w the weight values.  Complex psi
-    is projected componentwise (same Gram matrix for both parts).
+    is projected componentwise (same Gram matrix for both parts).  A
+    geometry keeps the projector of its class weight
+    (ProfileGeometry.affine_projector).
     """
-    w = np.asarray(weight, dtype=float)
-    if np.any(w < -1e-13):
-        raise DegenerateWeight("weight must be nonnegative")
-    qw = grid.quad_weights * w
-    x = grid.x
-    g = np.array([[qw @ (x * x), qw @ x], [qw @ x, qw.sum()]])
-    mass = g[1, 1]
-    if not mass > 0:
-        raise DegenerateWeight("degenerate normal equations")
-    # the moments of the unit-mass weight make the test scale-free: its
-    # Gram determinant m2 - m1^2 against g00 g11 = m2
-    m1, m2 = g[0, 1] / mass, g[0, 0] / mass
-    if m2 - m1 * m1 <= DEGENERATE_REL * m2:
-        raise DegenerateWeight("degenerate normal equations")
-    rhs = np.array([qw @ (x * psi), qw @ psi])
-    alpha, beta = np.linalg.solve(g, rhs)
-    resid = psi - (alpha * x + beta)
-    residual_norm = float(np.sqrt(max(qw @ np.abs(resid) ** 2, 0.0).real))
-    if not np.iscomplexobj(psi):
-        alpha, beta = float(alpha.real), float(beta.real)
-    return alpha, beta, residual_norm
+    return AffineProjector(weight, grid).project(psi)

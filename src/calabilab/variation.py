@@ -21,6 +21,7 @@ transport at the fixed steps ORDER_STEPS.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -38,9 +39,25 @@ ORDER_STEPS = (1e-2, 1e-3, 1e-4)  # the step schedule of convergence_order
 @dataclass(frozen=True)
 class DeformationPath:
     """A deformation direction u(x); its scale constants are the pinned
-    conventions KAPPA_THETA and KAPPA_PHI."""
+    conventions KAPPA_THETA and KAPPA_PHI.  u' and u'' are computed once,
+    on first read, and cached on the instance."""
 
     u: SampledFunction
+
+    @cached_property
+    def u1(self) -> np.ndarray:
+        """u' at the nodes."""
+        return self._derivative(1)
+
+    @cached_property
+    def u2(self) -> np.ndarray:
+        """u'' at the nodes."""
+        return self._derivative(2)
+
+    def _derivative(self, order: int) -> np.ndarray:
+        d = self.u.grid.differentiate_values(self.u.values, order)
+        d.setflags(write=False)  # shared by every reader of the cache
+        return d
 
 
 class FirstOrder(NamedTuple):
@@ -59,9 +76,7 @@ def first_order(profile: MetricProfile, path: DeformationPath) -> FirstOrder:
     volume-form trace d(omega^m)/omega^m = (w * dphi)' / w)."""
     require_admissible(profile)
     grid = profile.geometry.grid
-    u = path.u.values
-    u1 = grid.differentiate_values(u, 1)
-    u2 = grid.differentiate_values(u, 2)
+    u1, u2 = path.u1, path.u2
     theta = profile.theta.values
     d_theta = KAPPA_THETA * theta ** 2 * u2
     d_phi = KAPPA_PHI * theta * u1
@@ -79,8 +94,7 @@ def delta_s(profile: MetricProfile, path: DeformationPath) -> DeltaScalar:
     transport term dphi * s' is added."""
     grid = profile.geometry.grid
     fo = first_order(profile, path)
-    u2 = grid.differentiate_values(path.u.values, 2)
-    fixed_x = -profile.weighted_derivative(KAPPA_THETA * u2, 2)
+    fixed_x = -profile.weighted_derivative(KAPPA_THETA * path.u2, 2)
     s1 = grid.differentiate_values(profile.s.values, 1)
     fixed_point = fixed_x + fo.d_phi_fixed_point.values * s1
     return DeltaScalar(SampledFunction(grid, fixed_x), SampledFunction(grid, fixed_point))
@@ -100,8 +114,7 @@ def transport(
     grid = geom.grid
     if phi is None:
         phi = normalize_potential(geom)
-    u2 = grid.differentiate_values(path.u.values, 2)
-    denom = 1.0 - KAPPA_THETA * t * profile.theta.values * u2
+    denom = 1.0 - KAPPA_THETA * t * profile.theta.values * path.u2
     if np.any(denom[1:-1] <= 0.0):
         raise PathExitsClass(t)
     theta_t = profile.theta.values / denom
@@ -122,8 +135,7 @@ def delta_S_analytic(
     grid = geom.grid
     psi = el_potential(profile, f, h, phi)
     psi2 = grid.differentiate_values(psi.values, 2)
-    u2 = grid.differentiate_values(path.u.values, 2)
-    integrand = geom.weight.values * profile.theta.values ** 2 * psi2 * u2
+    integrand = geom.weight.values * profile.theta.values ** 2 * psi2 * path.u2
     return complex(-KAPPA_THETA * geom.vol_const * grid.integrate_values(integrand))
 
 

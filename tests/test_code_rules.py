@@ -5,6 +5,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "calabilab"
 BLANKET = {"Exception", "BaseException"}
+# numpy's Chebyshev-series products, quotients and calculus: the library
+# has O(L) array recurrences for each (spectral.py, solver.py)
+CHEB_SERIES = {"chebmul", "chebsub", "chebdiv", "chebder", "chebint"}
 
 
 def _blanket_handlers(tree: ast.AST):
@@ -21,6 +24,26 @@ def _blanket_handlers(tree: ast.AST):
                 yield node.lineno, f"except {name}"
 
 
+def _cheb_series_calls(tree: ast.AST):
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+        if name in CHEB_SERIES:
+            yield node.lineno, name
+
+
+def _library_findings(rule):
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    return [
+        f"{path.name}:{line}: {what}"
+        for path in files
+        for line, what in rule(ast.parse(path.read_text(), filename=str(path)))
+    ]
+
+
 def test_rule_detects_blanket_handlers():
     code = (
         "try:\n    pass\nexcept:\n    pass\n"
@@ -32,11 +55,21 @@ def test_rule_detects_blanket_handlers():
 
 
 def test_no_blanket_except_in_library():
-    files = sorted(SRC.glob("*.py"))
-    assert files
-    found = [
-        f"{path.name}:{line}: {what}"
-        for path in files
-        for line, what in _blanket_handlers(ast.parse(path.read_text(), filename=str(path)))
-    ]
-    assert found == []
+    assert _library_findings(_blanket_handlers) == []
+
+
+def test_rule_detects_cheb_series_calls():
+    code = (
+        "from numpy.polynomial import chebyshev as cheb\n"
+        "from numpy.polynomial.chebyshev import chebint\n"
+        "a = cheb.chebmul(x, y)\n"
+        "b = np.polynomial.chebyshev.chebsub(x, y)\n"
+        "c = chebint(x)\n"
+        "d = cheb.chebval(t, x)\n"
+        "e = cheb.chebdiv(x, y)[0] + cheb.chebder(x)\n"
+    )
+    assert [line for line, _ in _cheb_series_calls(ast.parse(code))] == [3, 4, 5, 7, 7]
+
+
+def test_no_cheb_series_calls_in_library():
+    assert _library_findings(_cheb_series_calls) == []

@@ -130,9 +130,16 @@ def test_constant_fprime_accepts_h_with_zeros(make):
 
 
 def test_range_error_when_target_leaves_range(cp1):
+    # psi = -e^s is affine at the Fubini-Study metric, psi = -e^(s0), and
+    # the projected start psi_0 = f'(s0) h finds it at once
     phi = HolomorphyPotential(cp1, 1.0, 2.0)
-    with pytest.raises(RangeError):
-        solve_critical(cp1, parse_function("exp"), parse_function("const:-1"), phi)
+    f, h = parse_function("exp"), parse_function("const:-1")
+    res = solve_critical(cp1, f, h, phi)
+    assert abs(res.beta + E2) < 1e-14 * E2 and abs(res.alpha) < 1e-14
+    assert np.abs(res.profile.theta.values - (1.0 - cp1.grid.x ** 2)).max() < 1.3e-15
+    # started at psi = e^2 > 0, the target psi / h = -e^2 leaves the range of exp
+    with pytest.raises(RangeError, match="x=-1.0"):
+        solve_critical(cp1, f, h, phi, init=(0.0, E2))
 
 
 def test_metric_independent_nonaffine_has_no_solution(cp1):
@@ -349,3 +356,96 @@ def test_scaled_jacobian_is_not_refused(make, c):
     assert np.abs(s - s0).max() < 1e-9 * s0
     jac = np.array([[0.3, -1.7], [2.2, 0.9]])
     assert abs(solver._singular_value_ratio(jac * c) - solver._singular_value_ratio(jac)) < 1e-15
+
+
+@pytest.mark.parametrize("h", ["id", "affine:2:1"])
+@pytest.mark.parametrize("f", ["exp", "pow:2", "pow:3", "sum:exp,pow:2", "log"])
+def test_round_metric_is_found_at_the_first_mismatch(geometries, f, h):
+    # h(phi) affine: the round metric is critical, and the projected start
+    # psi_0 = f'(s0) h(phi) is its EL potential, so Newton only confirms it
+    for spec, geom in geometries.items():
+        res = solve_critical(geom, parse_function(f), parse_function(h), HolomorphyPotential(geom, 1.0, 2.0))
+        assert len(res.residual_trace) == 1 and res.iterations == 0, spec
+        assert np.abs(res.profile.theta.values - round_profile(geom).theta.values).max() < 1e-12, spec
+
+
+@pytest.mark.parametrize("h", ["pow:2", "exp"])
+def test_projected_start_shortens_non_affine_solves(geometries, h):
+    for spec, geom in geometries.items():
+        res = solve_critical(geom, parse_function("exp"), parse_function(h), HolomorphyPotential(geom, 1.0, 2.0))
+        assert len(res.residual_trace) <= 5, spec  # 7 from (0, f'(s0))
+        assert res.el_report.is_critical and validate(res.profile) == [], spec
+
+
+@pytest.mark.parametrize("h, scale, shift", [("log", 1.0, 1.2), ("pow:-2", 2.0, 3.0)])
+def test_projected_start_solves_problems_the_old_start_refused(h, scale, shift):
+    # from (0, f'(s0)) both left the range of exp at x = 0 (RangeError)
+    geom = make_cpm_geometry(3)
+    res = solve_critical(geom, parse_function("exp"), parse_function(h), HolomorphyPotential(geom, scale, shift))
+    assert res.status == "converged" and res.el_report.is_critical
+    assert validate(res.profile) == []
+
+
+def test_calabi_start_is_the_constant_potential(geometries):
+    # h = const: the projection of the constant f'(s0) is (0, s0) to roundoff
+    for spec, geom in geometries.items():
+        s0 = class_constants(geom).s0
+        hr = np.ones(geom.grid.n)
+        alpha, beta = geom.affine_projector.coefficients(s0 * hr)
+        assert abs(alpha) < 1e-13 * s0 and abs(beta - s0) < 1e-14 * s0, spec
+
+
+def test_overflowing_second_derivative_is_a_named_error(cp1):
+    # f = log, h = exp, phi = 5x + 0.1: Newton drives psi to 1e208, where
+    # f''(s) = -1/s^2 overflows; that is a ConvergenceError naming the
+    # node, not a RuntimeWarning followed by a rank verdict
+    phi = HolomorphyPotential(cp1, 5.0, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match=r"Jacobian is not finite at node x=-1\.0") as exc:
+            solve_critical(cp1, parse_function("log"), parse_function("exp"), phi)
+    assert exc.value.trace
+
+
+def test_vanishing_second_derivative_is_a_named_error(cp1):
+    # f = pow:3 with s = 0 at every node: f'' = 6s = 0, so ds/dpsi is infinite
+    x = cp1.grid.x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="not finite at node"):
+            solver._newton(solver._shooter(cp1), lambda ab: 0.0 * x, lambda s: 1.0 / (6.0 * s), (0.0, 0.0))
+
+
+def test_geometry_forms_are_built_once(geometries):
+    for spec, geom in geometries.items():
+        assert solver._shooter(geom) is solver._shooter(geom), spec
+        assert geom.affine_projector is geom.affine_projector, spec
+        assert class_constants(geom) is class_constants(geom), spec
+        # the cached projector answers exactly as a fresh projection does
+        psi = np.exp(geom.grid.x)
+        assert geom.affine_projector.project(psi) == affine_projection(psi, geom.weight.values, geom.grid)
+
+
+def test_jacobian_is_one_matvec_of_the_cached_rows(geometries):
+    rng = np.random.default_rng(3)
+    for spec, geom in geometries.items():
+        sh, x = solver._shooter(geom), geom.grid.x
+        d = rng.uniform(0.5, 2.0, x.size)
+        kd = sh.k * d
+        expect = np.stack([kd @ x, kd.sum(axis=1)], axis=1)
+        assert np.abs(sh.jacobian(d) - expect).max() <= 1e-14 * np.abs(expect).max(), spec
+
+
+@pytest.mark.parametrize("span", [1.0, 2.0])
+def test_theta_coefficients_match_numpy_chebmul(span):
+    # slope_lo y - y^2 M with y = span (t + 1) / 2, against numpy's products
+    cheb = np.polynomial.chebyshev
+    rng = np.random.default_rng(int(span))
+    y = np.full(2, span / 2.0)
+    for size in [1, 2, *range(3, 41)]:
+        m = rng.uniform(-1.0, 1.0, size)
+        ref = cheb.chebsub(2.0 * y, cheb.chebmul(cheb.chebmul(y, y), m))
+        got = solver._theta_coefficients(m, 2.0, span)
+        assert got.size == size + 2
+        ref = np.concatenate([ref, np.zeros(got.size - ref.size)])  # chebsub trims trailing zeros
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(m).max() * span ** 2, size

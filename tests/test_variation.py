@@ -196,3 +196,12 @@ def test_second_variation_is_lichnerowicz_energy(geometries, spec, u):
     lu = lichnerowicz(profile, path.u).values
     exact = KAPPA_THETA ** 2 * geom.vol_const * geom.grid.integrate_values(lu ** 2 * geom.weight.values)
     assert abs(numeric - exact) <= 1e-6 * exact
+
+
+def test_path_derivatives_are_cached(geometries):
+    for spec, geom in geometries.items():
+        path = DeformationPath(_direction(geom.grid, lambda x: np.sin(2.0 * x) + 0.3 * x ** 3))
+        assert path.u2 is path.u2 and path.u1 is path.u1, spec
+        assert not path.u2.flags.writeable and not path.u1.flags.writeable, spec
+        for order, cached in ((1, path.u1), (2, path.u2)):
+            assert np.array_equal(cached, geom.grid.differentiate_values(path.u.values, order)), spec
