@@ -42,7 +42,6 @@ from .geometry import (
     require_admissible,
     round_profile,
     scalar_curvature,
-    validate,
 )
 from .potentials import (
     ELReport,
@@ -65,12 +64,7 @@ from .solver import (
     iterate,
     solve_critical,
 )
-from .spectral import (
-    SampledFunction,
-    SpectralGrid,
-    affine_projection,
-    get_grid,
-)
+from .spectral import AffineProjector, SampledFunction, SpectralGrid, get_grid
 from .variation import (
     DeformationPath,
     convergence_order,

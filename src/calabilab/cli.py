@@ -20,8 +20,9 @@ from . import variation as var
 from .config import RunConfig, finite_float, load_config
 from .conventions import KAPPA_PHI, KAPPA_THETA
 from .errors import CalabiLabError, ConfigError, PathExitsClass
-from .functions import identity, parse_function
+from .functions import constant, identity, parse_function
 from .geometry import (
+    DEFAULT_NODES,
     class_constants,
     make_cp1_geometry,
     make_cpm_geometry,
@@ -61,6 +62,14 @@ def _geometry(cfg: RunConfig):
             raise ConfigError(f"bad geometry spec {cfg.geometry!r} (m must be at least 2)")
         return make_cpm_geometry(m, cfg.nodes)
     raise ConfigError(f"unknown geometry {cfg.geometry!r} (use cp1 or cpm:<m>)")
+
+
+def _problem(cfg: RunConfig):
+    """The geometry, f, h and the normalised potential phi of a run."""
+    geom = _geometry(cfg)
+    f = parse_function(cfg.f_expr)
+    h = parse_function(cfg.h_expr)
+    return geom, f, h, normalize_potential(geom, cfg.target)
 
 
 def _profile(geom, cfg: RunConfig):
@@ -112,11 +121,8 @@ def _safe_t_max(profile, path, phi) -> float:
 
 # -- commands ----------------------------------------------------------------
 def cmd_evaluate(cfg: RunConfig) -> int:
-    geom = _geometry(cfg)
+    geom, f, h, phi = _problem(cfg)
     profile = _profile(geom, cfg)
-    f = parse_function(cfg.f_expr)
-    h = parse_function(cfg.h_expr)
-    phi = normalize_potential(geom, cfg.target)
     consts = class_constants(geom)
     s_val = eval_S(profile, f, h, phi)
     psi = el_potential(profile, f, h, phi)
@@ -205,10 +211,7 @@ def cmd_invariance(cfg: RunConfig) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    geom = _geometry(cfg)
-    f = parse_function(cfg.f_expr)
-    h = parse_function(cfg.h_expr)
-    phi = normalize_potential(geom, cfg.target)
+    geom, f, h, phi = _problem(cfg)
     result = solve_critical(geom, f, h, phi)
     out = _outdir(cfg)
     with open(os.path.join(out, "solution.csv"), "w") as fh:
@@ -231,10 +234,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_iterate(cfg: RunConfig) -> int:
-    geom = _geometry(cfg)
-    f = parse_function(cfg.f_expr)
-    h = parse_function(cfg.h_expr)
-    phi = normalize_potential(geom, cfg.target)
+    geom, f, h, phi = _problem(cfg)
     trace = iterate(geom, f, h, phi, cfg.max_steps)
     out = _outdir(cfg)
     dump_json(
@@ -282,22 +282,15 @@ def cmd_variation_check(cfg: RunConfig) -> int:
                 orders[f"{fe}|{he}|{uname}"] = var.convergence_order(
                     profile, parse_function(fe), parse_function(he), phi, dpath
                 )
-    # first-order drift of the equivariant integrals along the transports
+    # first-order drift of the equivariant integrals, S with f = 1
     drift = 0.0
-    for he in hs + ["exp"]:
-        hdesc = parse_function(he)
-        for u in us.values():
-            dpath = var.DeformationPath(u)
-            t_max = _safe_t_max(profile, dpath, phi)
-            step = t_max / 8 if t_max else 0.0
-            if not step:
-                continue
-            plus, phi_p = var.transport(profile, dpath, step, phi)
-            minus, phi_m = var.transport(profile, dpath, -step, phi)
-            d = (
-                equivariant_integral(plus, hdesc, phi_p)
-                - equivariant_integral(minus, hdesc, phi_m)
-            ) / (2 * step)
+    for u in us.values():
+        dpath = var.DeformationPath(u)
+        step = _safe_t_max(profile, dpath, phi) / 8
+        if not step:
+            continue
+        for he in hs + ["exp"]:
+            d = var.delta_S_numeric(profile, constant(1.0), parse_function(he), phi, dpath, step)
             drift = max(drift, abs(d))
     report = {
         "kappa_theta": KAPPA_THETA,
@@ -359,7 +352,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--f", dest="f_expr", help="f expression, e.g. exp, pow:2, scaled:0.5:pow:2")
     p.add_argument("--h", dest="h_expr", help="h expression, e.g. const:1, id, pow:2")
     p.add_argument("--target", type=finite_float, help="normalization target for phi")
-    p.add_argument("--nodes", type=int, help="collocation nodes (default 129)")
+    p.add_argument("--nodes", type=int, help=f"collocation nodes (default {DEFAULT_NODES})")
     p.add_argument("--seed", type=int, help="seed for the splitmix64 generator")
     p.add_argument("--out", help="output directory")
 
@@ -391,7 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    return cfg.override(**{f.name: getattr(args, f.name, None) for f in fields(RunConfig)})
+    for f in fields(RunConfig):
+        if getattr(args, f.name, None) is not None:
+            setattr(cfg, f.name, getattr(args, f.name))
+    return cfg
 
 
 def main(argv=None) -> int:

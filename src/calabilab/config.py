@@ -1,16 +1,16 @@
-"""Flat dotted-key run configuration: parse, validate, canonical render.
+"""Flat dotted-key run configuration: parse and validate.
 
 Format: one "key=value" per line; '#' starts a comment; unknown keys are
-rejected.  Command-line flags override file values.
+rejected.  Command-line flags override file values (cli._config_from_args).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import ConfigError
-from .serialize import fmt
+from .geometry import DEFAULT_NODES
 
 
 def finite_float(text) -> float:
@@ -44,31 +44,12 @@ class RunConfig:
     f_expr: str = "id"
     h_expr: str = "const:1"
     target: float | None = None
-    nodes: int = 129
+    nodes: int = DEFAULT_NODES
     seed: int = 0
     amplitude: float = 0.3
     samples: int = 50
     max_steps: int = 8
     out: str = "."
-
-    def render(self) -> str:
-        lines = []
-        for key, (name, _) in sorted(_KEYS.items()):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if isinstance(value, float):
-                value = fmt(value)
-            lines.append(f"{key}={value}")
-        return "\n".join(lines) + "\n"
-
-    def override(self, **kwargs) -> "RunConfig":
-        for name, value in kwargs.items():
-            if value is not None:
-                if name not in {f.name for f in fields(self)}:
-                    raise ConfigError(f"unknown config field {name!r}")
-                setattr(self, name, value)
-        return self
 
 
 def parse_config(text: str) -> RunConfig:

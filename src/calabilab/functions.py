@@ -25,10 +25,6 @@ INVERT_TOL = 1e-13
 MAX_INVERT_ITER = 50
 
 
-def _is_real(c) -> bool:
-    return abs(complex(c).imag) == 0.0
-
-
 def _scalar(c):
     c = complex(c)
     return c.real if c.imag == 0.0 else c
@@ -70,11 +66,6 @@ class FunctionDescriptor:
     def inverse(self) -> "FunctionDescriptor | None":
         """The catalog's closed-form inverse function, or None."""
         return _TAGS[self.tag].inverse(self)
-
-    def is_complex(self) -> bool:
-        return any(not _is_real(p) for p in self.params) or any(
-            g.is_complex() for g in self.inner
-        )
 
     def render(self) -> str:
         return render_function(self)
@@ -267,7 +258,9 @@ def invert(g: FunctionDescriptor, y, start, nodes=None) -> np.ndarray:
 def _newton_invert(g: FunctionDescriptor, y, start, nodes=None) -> np.ndarray:
     """Solve g(s) = y pointwise by Newton's method with the exact g',
     starting from start; cf. rtsafe, Numerical Recipes 9.4, without the
-    bracket.  An iterate outside the domain of g raises its DomainError."""
+    bracket.  An iterate outside the domain of g raises its DomainError;
+    steps that do not settle raise RangeError naming the node with the
+    largest last step and its target."""
     dg = g.derivative()
     s = np.array(np.broadcast_to(start, np.shape(y)), dtype=float)
     for _ in range(MAX_INVERT_ITER):
@@ -281,7 +274,13 @@ def _newton_invert(g: FunctionDescriptor, y, start, nodes=None) -> np.ndarray:
             raise RangeError(f"target left the range of {g.render()}: non-finite iterate")
         if np.abs(step).max() <= INVERT_TOL * (1.0 + np.abs(s).max()):
             return s
-    raise RangeError(f"inversion of {g.render()} did not converge in {MAX_INVERT_ITER} steps")
+    i = int(np.argmax(np.abs(step)))  # the node furthest from settling
+    node = None if nodes is None else float(np.broadcast_to(nodes, s.shape)[i])
+    target = np.broadcast_to(y, s.shape)[i].item()
+    raise RangeError(
+        f"inversion of {g.render()} did not converge in {MAX_INVERT_ITER} steps "
+        f"at node x={node!r} (target {target!r})"
+    )
 
 
 # -- expression grammar -------------------------------------------------------

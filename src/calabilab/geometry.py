@@ -129,7 +129,8 @@ class MetricProfile:
 
     @cached_property
     def violations(self) -> tuple:
-        """The violated MetricProfile invariants, within BOUNDARY_TOL."""
+        """The violated MetricProfile invariants, within BOUNDARY_TOL: data,
+        not errors (require_admissible raises them)."""
         geom = self.geometry
         grid = geom.grid
         th = self.theta.values
@@ -211,11 +212,6 @@ def round_profile(geom: ProfileGeometry) -> MetricProfile:
     x = geom.grid.x
     theta = 1.0 - x * x if geom.k == 0 else 2.0 * x * (1.0 - x)
     return MetricProfile(geom, SampledFunction(geom.grid, theta))
-
-
-def validate(profile: MetricProfile) -> list[Violation]:
-    """Check the MetricProfile invariants; violations are data, not errors."""
-    return list(profile.violations)
 
 
 def require_admissible(profile: MetricProfile) -> None:

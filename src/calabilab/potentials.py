@@ -56,12 +56,10 @@ def normalize_potential(geom: ProfileGeometry, target: float | None = None) -> H
     normalization under which transport constants vanish).
     """
     grid = geom.grid
-    w = geom.weight.values
-    moment = geom.vol_const * float(grid.integrate_values(grid.x * w))
-    volume = geom.vol_const * float(grid.integrate_values(w))
+    moment = geom.vol_const * float(grid.integrate_values(grid.x * geom.weight.values))
     if target is None:
         target = moment
-    return HolomorphyPotential(geom, 1.0, (target - moment) / volume)
+    return HolomorphyPotential(geom, 1.0, (target - moment) / geom.constants.total_volume)
 
 
 def _phi_values(profile: MetricProfile, phi: HolomorphyPotential) -> np.ndarray:

@@ -19,9 +19,8 @@ a solution whose EL potential is not affine within the report's
 tolerance raises ConvergenceError instead of being returned.
 
 What depends only on the geometry is built once per geometry: the
-shooter's forms (a module-level cache, like spectral.get_grid's), and
-the class constants and the weighted affine projector (cached on
-ProfileGeometry).
+shooter's forms (_shooter, memoised by functools.cache), and the class
+constants and the weighted affine projector (cached on ProfileGeometry).
 
 When f' is constant the EL potential does not depend on the metric, so
 every metric is critical or none is; the solver detects this degenerate
@@ -31,6 +30,7 @@ curvature instead of iterating on a singular system.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -128,15 +128,11 @@ class _Shooter:
         return MetricProfile(geom, SampledFunction(grid, theta))
 
 
-_SHOOTERS: dict = {}
-
-
+@functools.cache
 def _shooter(geom: ProfileGeometry) -> _Shooter:
     """The geometry's shooter, built on first use: its forms depend on the
     geometry alone."""
-    if geom not in _SHOOTERS:
-        _SHOOTERS[geom] = _Shooter(geom)
-    return _SHOOTERS[geom]
+    return _Shooter(geom)
 
 
 def _times_t_plus_1(c: np.ndarray) -> np.ndarray:

@@ -13,6 +13,9 @@ The scale-free Euler operator E_a = y d/dy + a, y = x - lo, and its inverse
 (euler_coefficients, solve_euler) carry every weight y^k: nothing divides
 by x - lo.  The dense barycentric differentiation matrices are built only
 on demand, for the explicit operator of the discrete quadratic form.
+AffineProjector is the one weighted affine projection.  A SampledFunction
+is differentiated by its grid and never evaluated between the nodes, so
+nothing here needs numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from .errors import DegenerateWeight
 
@@ -253,27 +255,13 @@ class SampledFunction:
             raise ValueError("non-finite sample values")
         object.__setattr__(self, "values", v)
 
-    def derivative(self, order: int = 1) -> "SampledFunction":
-        return SampledFunction(self.grid, self.grid.differentiate_values(self.values, order))
-
-    def __call__(self, xq):
-        """The interpolant at the points xq, by one chebval of the grid
-        coefficients; a point on a node returns that node's value."""
-        grid = self.grid
-        xq = np.atleast_1d(np.asarray(xq, dtype=float))
-        t = (2.0 * xq - grid.lo - grid.hi) / grid.span
-        out = cheb.chebval(t, grid.values_to_coefficients(self.values))
-        i = np.minimum(np.searchsorted(grid.x, xq), grid.n - 1)
-        on_node = grid.x[i] == xq
-        out[on_node] = self.values[i[on_node]]
-        return out if out.size > 1 else out[0]
-
 
 class AffineProjector:
     """Weighted L2 projection onto the affine functions a*x + b on a grid:
     the Clenshaw-Curtis weights qw of w and the Gram matrix of (x, 1) are
     built once, when the projector is, so that projecting costs two dot
-    products and a 2x2 solve."""
+    products and a 2x2 solve.  A geometry keeps the projector of its class
+    weight (ProfileGeometry.affine_projector)."""
 
     def __init__(self, weight: np.ndarray, grid: SpectralGrid):
         w = np.asarray(weight, dtype=float)
@@ -306,15 +294,3 @@ class AffineProjector:
             alpha, beta = float(alpha.real), float(beta.real)
         return alpha, beta, residual_norm
 
-
-def affine_projection(psi: np.ndarray, weight: np.ndarray, grid: SpectralGrid):
-    """Weighted L2 projection of the values psi onto the affine functions
-    a*x + b on the grid.
-
-    Returns (alpha, beta, residual_norm) minimizing
-    int |psi - (alpha x + beta)|^2 w dx, w the weight values.  Complex psi
-    is projected componentwise (same Gram matrix for both parts).  A
-    geometry keeps the projector of its class weight
-    (ProfileGeometry.affine_projector).
-    """
-    return AffineProjector(weight, grid).project(psi)

@@ -226,6 +226,22 @@ def test_config_file_with_flag_override(tmp_path):
     assert len((out / "psi.csv").read_text().strip().splitlines()) == 130
 
 
+def test_flag_overrides_only_its_own_config_key(tmp_path):
+    # every key below differs from its default; the command line sets nodes alone
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("profile=random\nf=exp\nh=pow:2\nseed=5\ngrid.nodes=65\n")
+    out = tmp_path / "cfgout"
+    assert main(["evaluate", "--config", str(cfg), "--nodes", "33", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert (report["f"], report["h"]) == ("exp", "pow:2")
+    assert len((out / "psi.csv").read_text().strip().splitlines()) == 1 + 33
+    # the file's seed survives: the same run spelled out in flags alone
+    flags = tmp_path / "flags"
+    args = ["--profile", "random", "--f", "exp", "--h", "pow:2", "--seed", "5", "--nodes", "33"]
+    assert main(["evaluate", *args, "--out", str(flags)]) == 0
+    assert (out / "s.csv").read_bytes() == (flags / "s.csv").read_bytes()
+
+
 def test_evaluate_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "d1", tmp_path / "d2"
     args = ["evaluate", "--f", "exp", "--h", "pow:2", "--profile", "random:3:0.2",

@@ -8,6 +8,9 @@ BLANKET = {"Exception", "BaseException"}
 # numpy's Chebyshev-series products, quotients and calculus: the library
 # has O(L) array recurrences for each (spectral.py, solver.py)
 CHEB_SERIES = {"chebmul", "chebsub", "chebdiv", "chebder", "chebint"}
+# every Chebyshev transform is the FFT DCT-I of spectral.py, so nothing
+# needs numpy's polynomial package
+POLYNOMIAL = "numpy.polynomial"
 
 
 def _blanket_handlers(tree: ast.AST):
@@ -32,6 +35,19 @@ def _cheb_series_calls(tree: ast.AST):
         name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
         if name in CHEB_SERIES:
             yield node.lineno, name
+
+
+def _polynomial_imports(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if name == POLYNOMIAL or name.startswith(POLYNOMIAL + "."):
+                yield node.lineno, f"import {name}"
 
 
 def _library_findings(rule):
@@ -73,3 +89,20 @@ def test_rule_detects_cheb_series_calls():
 
 def test_no_cheb_series_calls_in_library():
     assert _library_findings(_cheb_series_calls) == []
+
+
+def test_rule_detects_numpy_polynomial_imports():
+    code = (
+        "import numpy as np\n"
+        "from numpy.polynomial import chebyshev as cheb\n"
+        "import numpy.polynomial.legendre\n"
+        "from numpy import polynomial\n"
+        "from numpy.polynomial.chebyshev import chebval\n"
+        "from numpy import fft\n"
+        "from .polynomial import x\n"
+    )
+    assert [line for line, _ in _polynomial_imports(ast.parse(code))] == [2, 3, 4, 5]
+
+
+def test_no_numpy_polynomial_import_in_library():
+    assert _library_findings(_polynomial_imports) == []

@@ -213,9 +213,7 @@ def test_constant_value_detection():
 
 def test_complex_parameters():
     desc = parse_function("const:1j")
-    assert desc.is_complex()
     assert desc(np.array([0.0]))[0] == 1j
-    assert not parse_function("pow:2").is_complex()
 
 
 def test_second_derivative_chains():

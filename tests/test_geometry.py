@@ -20,7 +20,6 @@ from calabilab import (
     round_profile,
     scalar_curvature,
     solve_critical,
-    validate,
 )
 from calabilab.conventions import pin_cpm_base_coefficient
 
@@ -86,17 +85,17 @@ def test_scalar_curvature_linear_in_theta(cp1):
 def test_validate_flags_each_invariant(cp1):
     grid = cp1.grid
     good = round_profile(cp1)
-    assert validate(good) == []
+    assert good.violations == ()
     shifted = MetricProfile(cp1, SampledFunction(grid, good.theta.values + 1e-3))
-    names = {v.invariant for v in validate(shifted)}
+    names = {v.invariant for v in shifted.violations}
     assert "endpoint value" in names
     wrong_slope = MetricProfile(
         cp1, SampledFunction(grid, 0.9 * good.theta.values)
     )
-    names = {v.invariant for v in validate(wrong_slope)}
+    names = {v.invariant for v in wrong_slope.violations}
     assert "boundary slope" in names
     negative = MetricProfile(cp1, SampledFunction(grid, -good.theta.values))
-    names = {v.invariant for v in validate(negative)}
+    names = {v.invariant for v in negative.violations}
     assert "interior positivity" in names
 
 
@@ -108,7 +107,7 @@ def test_scalar_curvature_requires_admissible(cp1):
             scalar_curvature(bad)
         with pytest.raises(AdmissibilityError):
             eval_S(bad, parse_function("id"), parse_function("id"), normalize_potential(cp1))
-    assert validate(bad) == list(bad.violations) != []
+    assert bad.violations != ()
 
 
 @pytest.mark.parametrize("make", [make_cp1_geometry, lambda: make_cpm_geometry(3)], ids=["cp1", "cpm3"])
@@ -134,8 +133,8 @@ def test_random_profile_reproducible_and_admissible(cp1):
     assert np.array_equal(a.theta.values, b.theta.values)
     c = random_admissible_profile(cp1, 43, 0.3)
     assert not np.array_equal(a.theta.values, c.theta.values)
-    assert validate(a) == []
-    assert validate(random_admissible_profile(cp1, 7, 5.0)) == []  # amplitude halved
+    assert a.violations == ()
+    assert random_admissible_profile(cp1, 7, 5.0).violations == ()  # amplitude halved
 
 
 def test_scalar_curvature_against_polynomial_oracle(cp1):
@@ -216,13 +215,13 @@ def test_large_n_oracles(n):
     assert res.el_report.is_critical
     assert res.el_report.defect_affine <= 1e-10 * abs(res.beta)
     # cpm: the critical metric of exp|id is Fubini-Study for every shift, and
-    # validate must read its boundary slopes within BOUNDARY_TOL at every N
+    # violations must read its boundary slopes within BOUNDARY_TOL at every N
     for m in (2, 3, 4):
         geom = make_cpm_geometry(m, n)
         x = geom.grid.x
         for shift in np.linspace(2.0, 3.0, 9):
             res = solve_critical(geom, parse_function("exp"), parse_function("id"), HolomorphyPotential(geom, 1.0, shift))
-            assert not validate(res.profile), (m, shift)
+            assert not res.profile.violations, (m, shift)
             assert np.abs(res.profile.theta.values - 2.0 * x * (1.0 - x)).max() <= 1e-10, (m, shift)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from calabilab import (
+    AffineProjector,
     ConvergenceError,
     DeformationPath,
     HolomorphyPotential,
@@ -17,7 +18,6 @@ from calabilab import (
     delta_S_analytic,
     holomorphy_defect,
     el_potential,
-    affine_projection,
     class_constants,
     iterate,
     make_cp1_geometry,
@@ -27,7 +27,6 @@ from calabilab import (
     random_admissible_profile,
     round_profile,
     solve_critical,
-    validate,
 )
 from calabilab import solver
 from calabilab.geometry import bump_factor
@@ -142,6 +141,15 @@ def test_range_error_when_target_leaves_range(cp1):
         solve_critical(cp1, f, h, phi, init=(0.0, E2))
 
 
+def test_unsettled_inversion_names_its_node(cp1):
+    # f' = 3 s^2 has no closed-form inverse, and the target psi / h of the
+    # inversion reaches -0.0132 at x = 1, below the range of 3 s^2: Newton
+    # settles everywhere but there
+    phi = HolomorphyPotential(cp1, 0.5, 1.05)
+    with pytest.raises(RangeError, match=r"did not converge in 50 steps at node x=1\.0 \(target -0\.0131"):
+        solve_critical(cp1, parse_function("pow:3"), parse_function("pow:-2"), phi)
+
+
 def test_metric_independent_nonaffine_has_no_solution(cp1):
     phi = HolomorphyPotential(cp1, 1.0, 2.0)
     with pytest.raises(ConvergenceError):
@@ -149,7 +157,7 @@ def test_metric_independent_nonaffine_has_no_solution(cp1):
 
 
 def _affine_init(psi, geom):
-    alpha, beta, _ = affine_projection(psi.values, geom.weight.values, geom.grid)
+    alpha, beta, _ = geom.affine_projector.project(psi.values)
     return (alpha, beta)
 
 
@@ -213,7 +221,7 @@ def test_non_fubini_study_critical_metrics_on_cpm(m, f):
     for n in (65, 129, 513, 2049):
         geom = make_cpm_geometry(m, n)
         res = solve_critical(geom, fd, h, HolomorphyPotential(geom, 1.0, 2.5))
-        assert validate(res.profile) == [], n
+        assert res.profile.violations == (), n
         assert res.el_report.is_critical, n
         theta = res.profile.theta.values
         if coarse is not None:
@@ -374,7 +382,7 @@ def test_projected_start_shortens_non_affine_solves(geometries, h):
     for spec, geom in geometries.items():
         res = solve_critical(geom, parse_function("exp"), parse_function(h), HolomorphyPotential(geom, 1.0, 2.0))
         assert len(res.residual_trace) <= 5, spec  # 7 from (0, f'(s0))
-        assert res.el_report.is_critical and validate(res.profile) == [], spec
+        assert res.el_report.is_critical and res.profile.violations == (), spec
 
 
 @pytest.mark.parametrize("h, scale, shift", [("log", 1.0, 1.2), ("pow:-2", 2.0, 3.0)])
@@ -383,7 +391,7 @@ def test_projected_start_solves_problems_the_old_start_refused(h, scale, shift):
     geom = make_cpm_geometry(3)
     res = solve_critical(geom, parse_function("exp"), parse_function(h), HolomorphyPotential(geom, scale, shift))
     assert res.status == "converged" and res.el_report.is_critical
-    assert validate(res.profile) == []
+    assert res.profile.violations == ()
 
 
 def test_calabi_start_is_the_constant_potential(geometries):
@@ -423,7 +431,7 @@ def test_geometry_forms_are_built_once(geometries):
         assert class_constants(geom) is class_constants(geom), spec
         # the cached projector answers exactly as a fresh projection does
         psi = np.exp(geom.grid.x)
-        assert geom.affine_projector.project(psi) == affine_projection(psi, geom.weight.values, geom.grid)
+        assert geom.affine_projector.project(psi) == AffineProjector(geom.weight.values, geom.grid).project(psi)
 
 
 def test_jacobian_is_one_matvec_of_the_cached_rows(geometries):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from calabilab import SampledFunction, affine_projection, get_grid
+from calabilab import AffineProjector, SampledFunction, get_grid
 from calabilab.errors import DegenerateWeight
 from calabilab.spectral import (
     SpectralGrid,
@@ -185,17 +185,17 @@ def test_second_derivative_of_smooth_function():
 def test_affine_projection_residual_zero_iff_affine():
     grid = get_grid(129, -1.0, 1.0)
     w = np.ones(grid.n)
-    a, b, res = affine_projection(3.0 * grid.x - 1.5, w, grid)
+    a, b, res = AffineProjector(w, grid).project(3.0 * grid.x - 1.5)
     assert abs(a - 3.0) < 1e-12 and abs(b + 1.5) < 1e-12
     assert res <= 1e-12
-    _, _, res2 = affine_projection(grid.x ** 2, w, grid)
+    _, _, res2 = AffineProjector(w, grid).project(grid.x ** 2)
     assert res2 > 1e-3
 
 
 def test_affine_projection_complex_componentwise():
     grid = get_grid(129, -1.0, 1.0)
     psi = (1.0 + 2.0j) * grid.x + (0.5 - 1.0j)
-    a, b, res = affine_projection(psi, np.ones(grid.n), grid)
+    a, b, res = AffineProjector(np.ones(grid.n), grid).project(psi)
     assert abs(a - (1.0 + 2.0j)) < 1e-12
     assert abs(b - (0.5 - 1.0j)) < 1e-12
     assert res <= 1e-12
@@ -204,7 +204,7 @@ def test_affine_projection_complex_componentwise():
 def test_affine_projection_rejects_degenerate_weight():
     grid = get_grid(129, -1.0, 1.0)
     with pytest.raises(DegenerateWeight):
-        affine_projection(grid.x, np.zeros(grid.n), grid)
+        AffineProjector(np.zeros(grid.n), grid).project(grid.x)
 
 
 @pytest.mark.parametrize("node", [0, 5, 64, 128])
@@ -214,7 +214,7 @@ def test_affine_projection_rejects_weight_on_one_node(node):
     w = np.zeros(grid.n)
     w[node] = 1.0
     with pytest.raises(DegenerateWeight):
-        affine_projection(grid.x ** 2, w, grid)
+        AffineProjector(w, grid).project(grid.x ** 2)
 
 
 def test_affine_projection_accepts_tiny_weight_on_two_nodes():
@@ -222,9 +222,9 @@ def test_affine_projection_accepts_tiny_weight_on_two_nodes():
     grid = get_grid(129, -1.0, 1.0)
     w = np.zeros(grid.n)
     w[[5, 40]] = 1e-200
-    a, b, _ = affine_projection(3.0 * grid.x - 1.5, w, grid)
+    a, b, _ = AffineProjector(w, grid).project(3.0 * grid.x - 1.5)
     assert abs(a - 3.0) < 1e-12 and abs(b + 1.5) < 1e-12
-    a, b, _ = affine_projection(grid.x ** 2, w, grid)  # the chord through both points
+    a, b, _ = AffineProjector(w, grid).project(grid.x ** 2)  # the chord through both points
     x5, x40 = grid.x[5], grid.x[40]
     assert abs(a - (x5 + x40)) < 1e-12 and abs(b + x5 * x40) < 1e-12
 
@@ -233,14 +233,6 @@ def test_chop_coefficients_drops_roundoff_plateau():
     c = np.array([1.0, 0.5, 1e-20, 1e-21, 0.0])
     assert chop_coefficients(c).size == 2
     assert chop_coefficients(np.zeros(5)).size == 1
-
-
-def test_interpolation_matches_nodes_and_polynomials():
-    grid = get_grid(33, -1.0, 1.0)
-    f = SampledFunction(grid, grid.x ** 3 - grid.x)
-    assert f(grid.x[7]) == f.values[7]
-    xq = 0.123456
-    assert abs(f(xq) - (xq ** 3 - xq)) < 1e-13
 
 
 def test_sampled_function_rejects_bad_values():
