@@ -6,14 +6,16 @@ composed_with_affine(inner, a, b).  One entry per tag in the table _TAGS
 holds its grammar heads, parameter and operand counts, evaluation, exact
 derivative (another descriptor), constant value and closed-form inverse
 (another descriptor, or None); the descriptor methods and the expression
-reader and writer all dispatch through it.  Scalars may be complex (for
-h); f is expected real.  invert solves g(s) = y pointwise: closed-form
-inverse per catalog tag, Newton otherwise (with the exact derivative, for
-any g whose derivative does not vanish).
+reader and writer all dispatch through it; a descriptor's derivative and
+inverse are built once per distinct descriptor (a bounded cache).  Scalars
+may be complex (for h); f is expected real.  invert solves g(s) = y
+pointwise: closed-form inverse per catalog tag, Newton otherwise (with the
+exact derivative, for any g whose derivative does not vanish).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -23,6 +25,7 @@ from .errors import ConfigError, DomainError, RangeError
 
 INVERT_TOL = 1e-13
 MAX_INVERT_ITER = 50
+CALCULUS_CACHE_SIZE = 256  # descriptors whose derivative and inverse are kept
 
 
 def _scalar(c):
@@ -57,15 +60,17 @@ class FunctionDescriptor:
 
     # -- exact calculus ----------------------------------------------------
     def derivative(self) -> "FunctionDescriptor":
-        return _TAGS[self.tag].derivative(self)
+        """The exact derivative, built once per distinct descriptor."""
+        return _derivative(self)
 
     def constant_value(self):
         """Return c if the descriptor is the constant function c, else None."""
         return _TAGS[self.tag].constant_value(self)
 
     def inverse(self) -> "FunctionDescriptor | None":
-        """The catalog's closed-form inverse function, or None."""
-        return _TAGS[self.tag].inverse(self)
+        """The catalog's closed-form inverse function, or None; built once
+        per distinct descriptor."""
+        return _inverse(self)
 
     def render(self) -> str:
         return render_function(self)
@@ -230,6 +235,19 @@ _TAGS = {
     ),
 }
 _TAG_BY_HEAD = {head: entry for entry in _TAGS.values() for head in entry.heads}
+
+
+# Descriptors are frozen values, so equal descriptors share one derivative
+# and one inverse; equal means equal params, and 0.0 == -0.0, so a signed
+# zero parameter may come back with the other sign.
+@functools.lru_cache(maxsize=CALCULUS_CACHE_SIZE)
+def _derivative(d: FunctionDescriptor) -> FunctionDescriptor:
+    return _TAGS[d.tag].derivative(d)
+
+
+@functools.lru_cache(maxsize=CALCULUS_CACHE_SIZE)
+def _inverse(d: FunctionDescriptor) -> FunctionDescriptor | None:
+    return _TAGS[d.tag].inverse(d)
 
 
 def invert(g: FunctionDescriptor, y, start, nodes=None) -> np.ndarray:

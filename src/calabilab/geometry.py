@@ -14,6 +14,7 @@ s = -E_(k+1) E_(k+2) (E_1 E_2)^-1 Theta'' and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, NamedTuple
@@ -104,7 +105,8 @@ class ProfileGeometry:
 class MetricProfile:
     """One Kahler metric in the class, the sampled profile Theta(x): a value
     whose coefficients (of Theta and R), admissibility and scalar curvature
-    are evaluated once, on first read, and cached on the instance."""
+    are evaluated once, on first read, and cached on the instance (the
+    arrays read-only, as every reader shares them)."""
 
     geometry: ProfileGeometry
     theta: SampledFunction
@@ -115,17 +117,32 @@ class MetricProfile:
         if np.iscomplexobj(self.theta.values):
             raise ValueError("theta must be real")
 
+    @classmethod
+    def with_coefficients(cls, geometry: ProfileGeometry, theta: np.ndarray, coeffs: np.ndarray) -> MetricProfile:
+        """The profile with values theta whose chopped Chebyshev coefficients
+        coeffs are already known (Theta was sampled from them): they are
+        made read-only and cached as theta_coeffs, not transformed back
+        from the values."""
+        profile = cls(geometry, SampledFunction(geometry.grid, theta))
+        coeffs.setflags(write=False)
+        profile.__dict__["theta_coeffs"] = coeffs  # the cached_property's slot
+        return profile
+
     @cached_property
     def theta_coeffs(self) -> np.ndarray:
         """Chopped Chebyshev coefficients of Theta, read by violations and s."""
-        return chop_coefficients(self.geometry.grid.values_to_coefficients(self.theta.values))
+        c = chop_coefficients(self.geometry.grid.values_to_coefficients(self.theta.values))
+        c.setflags(write=False)
+        return c
 
     @cached_property
     def r_coeffs(self) -> np.ndarray:
         """Coefficients of R = Theta / (x - x_lo) = E_1^-1 Theta': Theta' drops
         the value Theta(x_lo), so nothing is divided."""
         grid = self.geometry.grid
-        return solve_euler(derivative_coefficients(self.theta_coeffs) * (2.0 / grid.span), 1)
+        r = solve_euler(derivative_coefficients(self.theta_coeffs) * (2.0 / grid.span), 1)
+        r.setflags(write=False)
+        return r
 
     @cached_property
     def violations(self) -> tuple:
@@ -207,10 +224,15 @@ def make_cpm_geometry(m: int, nodes: int = DEFAULT_NODES) -> ProfileGeometry:
     return ProfileGeometry(grid=get_grid(nodes, 0.0, 1.0), k=m - 1)
 
 
+@functools.cache
 def round_profile(geom: ProfileGeometry) -> MetricProfile:
-    """Canonical base profile: 1 - x^2 on CP^1, 2x(1-x) on CP^m."""
+    """Canonical base profile: 1 - x^2 on CP^1, 2x(1-x) on CP^m.  One
+    object per geometry, built on first use, so that its cached
+    coefficients, violations and s are computed once per class; its
+    Theta array is read-only."""
     x = geom.grid.x
     theta = 1.0 - x * x if geom.k == 0 else 2.0 * x * (1.0 - x)
+    theta.setflags(write=False)
     return MetricProfile(geom, SampledFunction(geom.grid, theta))
 
 

@@ -14,13 +14,19 @@ mismatch is affine in s, K s + m0, so the Newton Jacobian is exact:
 J = K diag(1 / (h f''(s))) [x 1], one matvec of the precomputed rows
 K diag(x) and K.  A J that is not finite, or whose singular values (in
 closed form) are in a ratio of at most RANK_TOL, stops the solve with a
-ConvergenceError.  The profile is integrated once, from the final s, and
-a solution whose EL potential is not affine within the report's
-tolerance raises ConvergenceError instead of being returned.
+ConvergenceError; otherwise the step is a 2x2 elimination on Python
+floats (spectral.PivotedLU2), with no LAPACK call.  The profile is
+integrated once, from the final s, and keeps the Theta coefficients it is
+sampled from; an s whose chop keeps every coefficient is not resolved on
+the grid and raises ConvergenceError.  A solution whose EL potential is
+not affine within the report's tolerance raises ConvergenceError instead
+of being returned; that check reads s again from Theta's coefficients.
 
 What depends only on the geometry is built once per geometry: the
-shooter's forms (_shooter, memoised by functools.cache), and the class
-constants and the weighted affine projector (cached on ProfileGeometry).
+shooter's forms (_shooter, memoised by functools.cache), the class
+constants and the weighted affine projector with its factored Gram matrix
+(cached on ProfileGeometry), and the round profile (geometry.round_profile).
+f' and f'' are built once per distinct f (FunctionDescriptor.derivative).
 
 When f' is constant the EL potential does not depend on the metric, so
 every metric is critical or none is; the solver detects this degenerate
@@ -41,7 +47,7 @@ from .errors import CalabiLabError, ConfigError, ConvergenceError, DomainError, 
 from .functions import FunctionDescriptor, invert
 from .geometry import MetricProfile, ProfileGeometry, class_constants
 from .potentials import ELReport, HolomorphyPotential, el_potential, holomorphy_defect
-from .spectral import SampledFunction, chop_coefficients, solve_euler
+from .spectral import PivotedLU2, chop_coefficients, solve_euler
 
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITER = 50
@@ -114,18 +120,25 @@ class _Shooter:
         d = ds/dpsi at the nodes."""
         return (self.jac_rows @ d).reshape(2, 2)
 
-    def profile(self, s_vals: np.ndarray) -> MetricProfile:
+    def profile(self, s_vals: np.ndarray, trace: list) -> MetricProfile:
         """Theta = slope_lo y - y^2 M, M(y) = int_0^1 (1 - tau) tau^k
         s(x_lo + y tau) dtau, for every k and with no division.  M maps y^n
         to y^n / ((n + k + 1)(n + k + 2)), so it solves
-        (y d/dy + k + 1)(y d/dy + k + 2) M = s, exactly on the chopped s."""
+        (y d/dy + k + 1)(y d/dy + k + 2) M = s, exactly on the chopped s.
+        The profile keeps the chopped coefficients of Theta it was sampled
+        from.  An s whose chop keeps every coefficient is not resolved on
+        the grid: a ConvergenceError carrying the Newton trace."""
         grid, geom = self.grid, self.geom
         m = chop_coefficients(grid.values_to_coefficients(s_vals))
+        if m.size == grid.n:
+            raise ConvergenceError(
+                f"scalar curvature not resolved: kept {m.size} of {grid.n} coefficients", trace)
         for a in (geom.k + 1, geom.k + 2):
             m = solve_euler(m, a)
-        theta = grid.coefficients_to_values(_theta_coefficients(m, geom.slope_lo, grid.span))
+        coeffs = chop_coefficients(_theta_coefficients(m, geom.slope_lo, grid.span))
+        theta = grid.coefficients_to_values(coeffs)
         theta[0] = 0.0
-        return MetricProfile(geom, SampledFunction(grid, theta))
+        return MetricProfile.with_coefficients(geom, theta, coeffs)
 
 
 @functools.cache
@@ -174,15 +187,16 @@ def _newton(shooter: _Shooter, s_of_ab, ds_dpsi, init):
     ds_dpsi(s) is the pointwise derivative of s in psi = alpha x + beta, so
     the Jacobian K diag(ds_dpsi) [x 1] is exact; ds_dpsi is evaluated with
     numpy's floating-point warnings off, and a value that is not finite
-    stops the solve at its node."""
+    stops the solve at its node.  (alpha, beta) and the 2x2 step are Python
+    floats."""
     x = shooter.grid.x
-    ab = np.array(init, dtype=float)
+    alpha, beta = float(init[0]), float(init[1])
     trace = []
     for it in range(MAX_NEWTON_ITER):
-        s = s_of_ab(ab)
+        s = s_of_ab((alpha, beta))
         res = shooter.mismatch(s)
         rnorm = float(np.abs(res).max())
-        trace.append((tuple(ab), rnorm))
+        trace.append(((alpha, beta), rnorm))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             d = np.broadcast_to(ds_dpsi(s), x.shape)
         bad = np.flatnonzero(~np.isfinite(d))
@@ -191,12 +205,12 @@ def _newton(shooter: _Shooter, s_of_ab, ds_dpsi, init):
         jac = shooter.jacobian(d)
         if _singular_value_ratio(jac) <= RANK_TOL:
             raise ConvergenceError("rank-deficient Newton Jacobian", trace)
-        step = np.linalg.solve(jac, res)
-        ab = ab - step
+        da, db = PivotedLU2(*jac.ravel().tolist()).solve(*res.tolist())
+        alpha, beta = alpha - da, beta - db
         if rnorm < NEWTON_TOL:
             # J is exact, so this last step leaves a residual of order
             # rnorm**2; s follows it to first order, which is as accurate.
-            return ab, s - d * (step[0] * x + step[1]), it, trace
+            return (alpha, beta), s - d * (da * x + db), it, trace
     raise ConvergenceError(f"Newton stagnated after {MAX_NEWTON_ITER} iterations", trace)
 
 
@@ -262,7 +276,7 @@ def solve_critical(
         ab, s_final, iters, trace = _newton(shooter, s_of_ab, ds_dpsi, init)
         status = STATUS_CONVERGED
 
-    profile = shooter.profile(s_final)
+    profile = shooter.profile(s_final, trace)
     report = holomorphy_defect(profile, el_potential(profile, f, h, phi))
     if not report.is_critical:
         raise ConvergenceError(

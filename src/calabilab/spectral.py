@@ -13,7 +13,11 @@ The scale-free Euler operator E_a = y d/dy + a, y = x - lo, and its inverse
 (euler_coefficients, solve_euler) carry every weight y^k: nothing divides
 by x - lo.  The dense barycentric differentiation matrices are built only
 on demand, for the explicit operator of the discrete quadratic form.
-AffineProjector is the one weighted affine projection.  A SampledFunction
+AffineProjector is the one weighted affine projection; it and the solver's
+Newton step solve their 2x2 systems by PivotedLU2, partial-pivot
+elimination on Python floats, as a LAPACK call costs several times the
+arithmetic.  values_to_coefficients divides by one per-grid divisor, n - 1
+doubled at both ends.  A SampledFunction
 is differentiated by its grid and never evaluated between the nodes, so
 nothing here needs numpy.polynomial.
 """
@@ -157,6 +161,10 @@ class SpectralGrid:
         self.x[0] = self.lo
         self.x[-1] = self.hi
         self.quad_weights = _clenshaw_curtis(n) * (self.span / 2.0)
+        # values_to_coefficients divides the DCT-I by n - 1, and by 2 (n - 1)
+        # at both ends: the halving is exact, so c_0 and c_m get the same bits
+        self._v2c_divisor = np.full(n, float(n - 1))
+        self._v2c_divisor[[0, -1]] = 2.0 * (n - 1)
 
     # -- dense operators, built on first use -------------------------------
     @cached_property
@@ -176,10 +184,7 @@ class SpectralGrid:
     # -- coefficient transforms ------------------------------------------
     def values_to_coefficients(self, values: np.ndarray) -> np.ndarray:
         """Chebyshev coefficients (in t) of the interpolant of the values."""
-        c = _dct1(np.asarray(values)[::-1]) / (self.n - 1)
-        c[0] *= 0.5
-        c[-1] *= 0.5
-        return c
+        return _dct1(np.asarray(values)[::-1]) / self._v2c_divisor
 
     def coefficients_to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Values at the nodes of sum_k c_k T_k(t).  Coefficients beyond the
@@ -256,12 +261,38 @@ class SampledFunction:
         object.__setattr__(self, "values", v)
 
 
+class PivotedLU2:
+    """Partial-pivot LU factors of the real 2x2 matrix [[a, b], [c, d]], on
+    Python floats: factored once, each solve is a forward and a back
+    substitution.  The pivot is the larger entry of the first column, as in
+    LAPACK's getrf, which multiplies by its reciprocal where this divides,
+    so the two may differ in the last bits.  A singular matrix divides by
+    zero: callers test the rank (or the Gram determinant) first."""
+
+    __slots__ = ("swap", "a", "b", "lower", "upper")
+
+    def __init__(self, a: float, b: float, c: float, d: float):
+        self.swap = abs(c) > abs(a)
+        if self.swap:
+            a, b, c, d = c, d, a, b
+        self.a, self.b = a, b
+        self.lower = c / a
+        self.upper = d - self.lower * b
+
+    def solve(self, r0, r1):
+        """(u, v) with [[a, b], [c, d]] (u, v) = (r0, r1); r may be complex."""
+        if self.swap:
+            r0, r1 = r1, r0
+        v = (r1 - self.lower * r0) / self.upper
+        return (r0 - self.b * v) / self.a, v
+
+
 class AffineProjector:
     """Weighted L2 projection onto the affine functions a*x + b on a grid:
-    the Clenshaw-Curtis weights qw of w and the Gram matrix of (x, 1) are
-    built once, when the projector is, so that projecting costs two dot
-    products and a 2x2 solve.  A geometry keeps the projector of its class
-    weight (ProfileGeometry.affine_projector)."""
+    the Clenshaw-Curtis weights qw of w and the pivoted LU factors of the
+    Gram matrix of (x, 1) are built once, when the projector is, so that
+    projecting costs two dot products and a back substitution.  A geometry
+    keeps the projector of its class weight (ProfileGeometry.affine_projector)."""
 
     def __init__(self, weight: np.ndarray, grid: SpectralGrid):
         w = np.asarray(weight, dtype=float)
@@ -269,20 +300,21 @@ class AffineProjector:
             raise DegenerateWeight("weight must be nonnegative")
         qw = grid.quad_weights * w
         x = grid.x
-        g = np.array([[qw @ (x * x), qw @ x], [qw @ x, qw.sum()]])
-        mass = g[1, 1]
+        g00, g01, mass = float(qw @ (x * x)), float(qw @ x), float(qw.sum())
         if not mass > 0:
             raise DegenerateWeight("degenerate normal equations")
         # the moments of the unit-mass weight make the test scale-free: its
         # Gram determinant m2 - m1^2 against g00 g11 = m2
-        m1, m2 = g[0, 1] / mass, g[0, 0] / mass
+        m1, m2 = g01 / mass, g00 / mass
         if m2 - m1 * m1 <= DEGENERATE_REL * m2:
             raise DegenerateWeight("degenerate normal equations")
-        self.x, self.qw, self.gram = x, qw, g
+        self.x, self.qw = x, qw
+        self.gram = PivotedLU2(g00, g01, g01, mass)
 
-    def coefficients(self, psi: np.ndarray) -> np.ndarray:
-        """(alpha, beta) minimizing int |psi - (alpha x + beta)|^2 w dx."""
-        return np.linalg.solve(self.gram, np.array([self.qw @ (self.x * psi), self.qw @ psi]))
+    def coefficients(self, psi: np.ndarray) -> tuple:
+        """(alpha, beta) minimizing int |psi - (alpha x + beta)|^2 w dx, as
+        Python floats (complex for complex psi)."""
+        return self.gram.solve((self.qw @ (self.x * psi)).item(), (self.qw @ psi).item())
 
     def project(self, psi: np.ndarray):
         """(alpha, beta, residual_norm) of the projection; complex psi is
@@ -293,4 +325,3 @@ class AffineProjector:
         if not np.iscomplexobj(psi):
             alpha, beta = float(alpha.real), float(beta.real)
         return alpha, beta, residual_norm
-

@@ -11,6 +11,9 @@ CHEB_SERIES = {"chebmul", "chebsub", "chebdiv", "chebder", "chebint"}
 # every Chebyshev transform is the FFT DCT-I of spectral.py, so nothing
 # needs numpy's polynomial package
 POLYNOMIAL = "numpy.polynomial"
+# 2x2 systems are solved by spectral.PivotedLU2 on Python floats: a LAPACK
+# call costs several times the arithmetic, and no larger system is solved
+LINALG = "linalg"
 
 
 def _blanket_handlers(tree: ast.AST):
@@ -48,6 +51,18 @@ def _polynomial_imports(tree: ast.AST):
         for name in names:
             if name == POLYNOMIAL or name.startswith(POLYNOMIAL + "."):
                 yield node.lineno, f"import {name}"
+
+
+def _linalg_solve_calls(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and LINALG in node.module.split("."):
+            if any(alias.name == "solve" for alias in node.names):
+                yield node.lineno, f"from {node.module} import solve"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "solve":
+            owner = node.func.value
+            name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)
+            if name == LINALG:
+                yield node.lineno, "linalg.solve"
 
 
 def _library_findings(rule):
@@ -106,3 +121,23 @@ def test_rule_detects_numpy_polynomial_imports():
 
 def test_no_numpy_polynomial_import_in_library():
     assert _library_findings(_polynomial_imports) == []
+
+
+def test_rule_detects_linalg_solve_calls():
+    code = (
+        "import numpy as np\n"
+        "from numpy import linalg\n"
+        "from numpy.linalg import solve\n"
+        "from scipy.linalg import lstsq, solve as lsolve\n"
+        "a = np.linalg.solve(m, r)\n"
+        "b = linalg.solve(m, r)\n"
+        "c = np.linalg.lstsq(m, r, rcond=None)\n"
+        "d = lu.solve(r0, r1)\n"
+        "e = numpy.linalg.solve(m, r)\n"
+        "f = scipy.linalg.solve(m, r)\n"
+    )
+    assert [line for line, _ in _linalg_solve_calls(ast.parse(code))] == [3, 4, 5, 6, 9, 10]
+
+
+def test_no_linalg_solve_in_library():
+    assert _library_findings(_linalg_solve_calls) == []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from calabilab import parse_function, render_function
+from calabilab import functions, parse_function, render_function
 from calabilab.errors import ConfigError, DomainError, RangeError
 from calabilab.functions import (
     _TAGS,
@@ -209,6 +209,24 @@ def test_constant_value_detection():
     # f = id has constant derivative; f = s^2/2 does not
     assert parse_function("id").derivative().constant_value() == 1.0
     assert parse_function("scaled:0.5:pow:2").derivative().constant_value() is None
+
+
+@pytest.mark.parametrize("calculus", ["derivative", "inverse"])
+def test_memoised_calculus_matches_an_uncached_build(calculus):
+    specs = [*CATALOG, "scaled:2:exp", "compaff:2:1:exp", "pow:-1", "compaff:1:2:scaled:0.5:pow:2"]
+    memo = {spec: getattr(parse_function(spec), calculus)() for spec in specs}
+    for spec in specs:  # a second parse is another object, equal to the first
+        assert getattr(parse_function(spec), calculus)() is memo[spec], spec
+    for cache in (functions._derivative, functions._inverse):
+        assert cache.cache_info().maxsize == functions.CALCULUS_CACHE_SIZE
+        cache.cache_clear()  # every level of the next builds is new
+    z = np.array([0.6, 1.1, 2.4])
+    for spec in specs:
+        fresh = getattr(parse_function(spec), calculus)()
+        assert fresh == memo[spec], spec
+        if fresh is not None:
+            assert np.array_equal(fresh(z), memo[spec](z)), spec
+    assert any(memo.values())  # some inverse exists: the check is not vacuous
 
 
 def test_complex_parameters():

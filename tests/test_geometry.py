@@ -22,6 +22,8 @@ from calabilab import (
     solve_critical,
 )
 from calabilab.conventions import pin_cpm_base_coefficient
+from calabilab.geometry import bump_factor
+from calabilab.rng import SplitMix64
 
 FOUR_PI = 4.0 * np.pi
 EIGHT_PI = 8.0 * np.pi
@@ -125,6 +127,35 @@ def test_scalar_curvature_is_cached_per_profile(make):
             el_potential(reused, f, h, phi).values, el_potential(fresh, f, h, phi).values
         )
         assert futaki(reused, phi) == futaki(fresh, phi)
+
+
+def test_round_profile_is_one_read_only_object_per_geometry(geometries):
+    for spec, geom in geometries.items():
+        base = round_profile(geom)
+        assert round_profile(geom) is base, spec
+        twin = make_cp1_geometry() if geom.k == 0 else make_cpm_geometry(geom.dim)
+        assert round_profile(twin) is base, spec  # an equal geometry: same grid and k
+        x = geom.grid.x
+        expect = 1.0 - x * x if geom.k == 0 else 2.0 * x * (1.0 - x)
+        assert np.array_equal(base.theta.values, expect), spec
+        for arr in (base.theta.values, base.theta_coeffs, base.r_coeffs, base.s.values):
+            assert not arr.flags.writeable, spec
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+        assert base.s is round_profile(geom).s, spec
+
+
+def test_random_profile_is_round_plus_bump_times_splitmix_series(geometries):
+    # round_profile's cached Theta is read, not changed: theta0 + B q
+    for spec, geom in geometries.items():
+        rng = SplitMix64(9)
+        q = geom.grid.coefficients_to_values(np.array([rng.uniform(-0.1, 0.1) for _ in range(7)]))
+        x = geom.grid.x
+        round_theta = 1.0 - x * x if geom.k == 0 else 2.0 * x * (1.0 - x)
+        got = random_admissible_profile(geom, 9, 0.1).theta.values
+        assert np.array_equal(got, round_theta + bump_factor(geom) * q), spec
+        assert got.flags.writeable and round_profile(geom).theta.values is not got, spec
+        assert random_admissible_profile(geom, 9, 0.0) is round_profile(geom), spec
 
 
 def test_random_profile_reproducible_and_admissible(cp1):

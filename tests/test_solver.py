@@ -30,6 +30,7 @@ from calabilab import (
 )
 from calabilab import solver
 from calabilab.geometry import bump_factor
+from calabilab.spectral import SpectralGrid
 
 E2 = float(np.exp(2.0))
 
@@ -457,3 +458,34 @@ def test_theta_coefficients_match_numpy_chebmul(span):
         assert got.size == size + 2
         ref = np.concatenate([ref, np.zeros(got.size - ref.size)])  # chebsub trims trailing zeros
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(m).max() * span ** 2, size
+
+
+def test_unresolved_scalar_curvature_is_a_named_error(cp1):
+    # f = log: s = Re h / psi, and psi vanishes just outside [-1, 1]; the
+    # mismatch converges while s spans -33..63 with no decaying tail
+    phi = HolomorphyPotential(cp1, 2.0, 3.0)
+    with pytest.raises(ConvergenceError, match="scalar curvature not resolved: kept 129 of 129 coefficients") as exc:
+        solve_critical(cp1, parse_function("log"), parse_function("pow:2"), phi)
+    assert exc.value.trace and exc.value.trace[-1][1] < solver.NEWTON_TOL
+
+
+@pytest.mark.parametrize("f, h", [("scaled:0.5:pow:2", "const:1"), ("exp", "id")])
+def test_transform_counts(geometries, monkeypatch, f, h):
+    # a round-metric solve transforms s (the shooter's chop) and psi (the
+    # quadratic form), not Theta; a memoised round profile's s transforms nothing
+    calls = []
+    v2c = SpectralGrid.values_to_coefficients
+
+    def counted(grid, values):
+        calls.append(grid.n)
+        return v2c(grid, values)
+
+    monkeypatch.setattr(SpectralGrid, "values_to_coefficients", counted)
+    for spec, geom in geometries.items():
+        calls.clear()
+        res = solve_critical(geom, parse_function(f), parse_function(h), HolomorphyPotential(geom, 1.0, 2.0))
+        assert res.iterations == 0 and len(calls) == 2, spec
+        round_profile(geom).s
+        calls.clear()
+        round_profile(geom).s
+        assert calls == [], spec

@@ -4,6 +4,7 @@ import pytest
 from calabilab import AffineProjector, SampledFunction, get_grid
 from calabilab.errors import DegenerateWeight
 from calabilab.spectral import (
+    PivotedLU2,
     SpectralGrid,
     chop_coefficients,
     derivative_coefficients,
@@ -12,6 +13,24 @@ from calabilab.spectral import (
 )
 
 C = np.polynomial.chebyshev
+EPS = np.finfo(float).eps
+# a 2x2 elimination is backward stable: the residual of either solve is a
+# few roundoffs of |m| |u| + |r|, and the two solutions differ by at most
+# that much times the condition number
+SOLVE_ROUNDOFFS = 8.0
+
+
+def _rotation(t):
+    return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+
+def _assert_solves_like_lapack(m, r):
+    u = np.array(PivotedLU2(*m.ravel().tolist()).solve(*r.tolist()))
+    ref = np.linalg.solve(m, r)
+    scale = np.abs(m) @ np.abs(u) + np.abs(r)
+    assert np.all(np.abs(m @ u - r) <= SOLVE_ROUNDOFFS * EPS * scale)
+    cond = np.linalg.cond(m)
+    assert np.abs(u - ref).max() <= SOLVE_ROUNDOFFS * EPS * cond * np.abs(ref).max()
 
 
 def test_derivative_of_constant_is_zero():
@@ -180,6 +199,53 @@ def test_second_derivative_of_smooth_function():
     grid = get_grid(129, -1.0, 1.0)
     vals = np.exp(grid.x)
     assert np.abs(grid.differentiate_values(vals, 2) - vals).max() < 1e-9
+
+
+def test_pivoted_lu2_agrees_with_linalg_solve():
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        m = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-5, 5)
+        _assert_solves_like_lapack(m, rng.standard_normal(2))
+
+
+@pytest.mark.parametrize("c", [1e150, 1e-150])
+def test_pivoted_lu2_on_scaled_jacobians(c):
+    # Newton's Jacobians span these scales (test_scaled_jacobian_is_not_refused)
+    rng = np.random.default_rng(int(np.log10(c)) + 200)
+    for _ in range(100):
+        _assert_solves_like_lapack(rng.standard_normal((2, 2)) * c, rng.standard_normal(2))
+
+
+@pytest.mark.parametrize("r", [1e-14, 3e-13, 8e-13, 1.25e-12, 3e-12, 1e-11])
+def test_pivoted_lu2_near_the_rank_threshold(r):
+    # singular value ratios around solver.RANK_TOL = 1e-12
+    rng = np.random.default_rng(int(r * 1e16))
+    for _ in range(50):
+        t1, t2 = rng.uniform(0.0, 2.0 * np.pi, 2)
+        m = _rotation(t1) @ np.diag([1.0, r]) @ _rotation(t2) * 10.0 ** rng.uniform(-3, 3)
+        _assert_solves_like_lapack(m, rng.standard_normal(2))
+
+
+def test_pivoted_lu2_pivots_on_the_larger_entry():
+    # no pivoting would divide by the 1e-20 entry and lose b's solution
+    u, v = PivotedLU2(1e-20, 1.0, 1.0, 1.0).solve(1.0, 2.0)
+    assert abs(u - 1.0) <= EPS and abs(v - 1.0) <= EPS
+
+
+@pytest.mark.parametrize("lo, k", [(-1.0, 0), (0.0, 1), (0.0, 2), (0.0, 3)])
+def test_factored_projector_matches_a_fresh_solve(lo, k):
+    grid = get_grid(129, lo, 1.0)
+    x = grid.x
+    w = (x - lo) ** k
+    qw = grid.quad_weights * w
+    gram = np.array([[qw @ (x * x), qw @ x], [qw @ x, qw.sum()]])
+    cond = np.linalg.cond(gram)
+    proj = AffineProjector(w, grid)
+    for psi in (np.exp(x), np.cos(3.0 * x) + 1j * x ** 3):
+        ref = np.linalg.solve(gram, np.array([qw @ (x * psi), qw @ psi]))
+        got = np.array(proj.coefficients(psi))
+        assert got.dtype == ref.dtype
+        assert np.abs(got - ref).max() <= SOLVE_ROUNDOFFS * EPS * cond * np.abs(ref).max()
 
 
 def test_affine_projection_residual_zero_iff_affine():
