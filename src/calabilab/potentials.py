@@ -115,10 +115,14 @@ def quadratic_form(profile: MetricProfile, psi: SampledFunction) -> float:
 
 def quadratic_form_matrix(profile: MetricProfile) -> np.ndarray:
     """Dense matrix Q with psi^T Q psi = C_vol int w Theta^2 (psi'')^2 dx,
-    built from the barycentric second-derivative operator."""
+    the discrete form that quadratic_form integrates: its second-derivative
+    operator is grid.differentiate_values applied to each unit vector."""
     geom = profile.geometry
     grid = geom.grid
-    d2 = grid.d2
+    # The chop drops nothing here: a unit vector's last Chebyshev
+    # coefficient is +-1/(n - 1), at least half its largest, so each column
+    # is the linear map's own and the stacked matrix is that map exactly.
+    d2 = np.stack([grid.differentiate_values(e, 2) for e in np.eye(grid.n)], axis=1)
     diag = grid.quad_weights * geom.weight.values * profile.theta.values ** 2
     return geom.vol_const * (d2.T * diag) @ d2
 

@@ -29,9 +29,10 @@ constants and the weighted affine projector with its factored Gram matrix
 f' and f'' are built once per distinct f (FunctionDescriptor.derivative).
 
 When f' is constant the EL potential does not depend on the metric, so
-every metric is critical or none is; the solver detects this degenerate
-direction and returns the canonical representative with affine scalar
-curvature instead of iterating on a singular system.
+every metric is critical or none is.  The solver then returns the
+canonical representative, Calabi's extremal metric with affine scalar
+curvature: the one Newton loop runs with f' := id and Re h := 1, that is
+Newton on s = alpha x + beta itself, from the same projected start.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import CalabiLabError, ConfigError, ConvergenceError, DomainError, SingularPotential
-from .functions import FunctionDescriptor, invert
+from .functions import FunctionDescriptor, identity, invert
 from .geometry import MetricProfile, ProfileGeometry, class_constants
 from .potentials import ELReport, HolomorphyPotential, el_potential, holomorphy_defect
 from .spectral import PivotedLU2, chop_coefficients, solve_euler
@@ -235,46 +236,37 @@ def solve_critical(
     hr = np.asarray(h(phi.values(), x)).real  # a complex h leaves Im h to the check below
     s0 = class_constants(geom).s0
     fprime = f.derivative()
-    fp_const = fprime.constant_value()
+    status = STATUS_CONVERGED
+    if fprime.constant_value() is not None:
+        # psi = f' h(phi) does not depend on the metric, so every metric is
+        # critical when it is affine and none is otherwise.  The canonical
+        # representative is Calabi's: Newton on s = alpha x + beta itself
+        # (f' := id, Re h := 1); the criticality check below decides.
+        fprime, hr, status = identity(), np.ones(x.shape), STATUS_EVERY_METRIC
+    # s = (f')^-1((alpha x + beta) / Re h(phi)) divides by Re h, here only
+    _check_nonvanishing(hr)
+    fsecond = fprime.derivative()
+    s_prev = np.full(x.shape, s0)
 
-    if fp_const is not None:
-        # Degenerate direction: psi = fp_const * h(phi) is metric
-        # independent, so every metric is critical when it is affine and
-        # none is otherwise.  Return the canonical representative with
-        # affine scalar curvature; the criticality check below decides.
-        ab, s_final, iters, trace = _newton(
-            shooter,
-            lambda ab: ab[0] * x + ab[1],
-            lambda s: 1.0,
-            (0.0, s0) if init is None else init,
-        )
-        status = STATUS_EVERY_METRIC
-    else:
-        # s = (f')^-1((alpha x + beta) / Re h(phi)) divides by Re h, here only
-        _check_nonvanishing(hr)
-        fsecond = fprime.derivative()
-        s_prev = np.full(x.shape, s0)
+    def s_of_ab(ab):
+        nonlocal s_prev
+        s_prev = invert(fprime, (ab[0] * x + ab[1]) / hr, s_prev, x)
+        return s_prev
 
-        def s_of_ab(ab):
-            nonlocal s_prev
-            s_prev = invert(fprime, (ab[0] * x + ab[1]) / hr, s_prev, x)
-            return s_prev
+    def ds_dpsi(s):
+        # 1 / (Re h f''(s)); nan where f'' itself is not finite (an
+        # overflow would leave a 0 here), so that Newton names the node
+        hf2 = hr * fsecond(s, x)
+        return np.where(np.isfinite(hf2), 1.0 / hf2, np.nan)
 
-        def ds_dpsi(s):
-            # 1 / (Re h f''(s)); nan where f'' itself is not finite (an
-            # overflow would leave a 0 here), so that Newton names the node
-            hf2 = hr * fsecond(s, x)
-            return np.where(np.isfinite(hf2), 1.0 / hf2, np.nan)
-
-        if init is None:
-            # the EL potential of the constant-curvature profile, projected
-            try:
-                fp0 = float(np.asarray(fprime(np.array([s0])))[0])
-            except DomainError:
-                fp0 = 1.0
-            init = geom.affine_projector.coefficients(fp0 * hr)
-        ab, s_final, iters, trace = _newton(shooter, s_of_ab, ds_dpsi, init)
-        status = STATUS_CONVERGED
+    if init is None:
+        # the EL potential of the constant-curvature profile, projected
+        try:
+            fp0 = float(np.asarray(fprime(np.array([s0])))[0])
+        except DomainError:
+            fp0 = 1.0
+        init = geom.affine_projector.coefficients(fp0 * hr)
+    ab, s_final, iters, trace = _newton(shooter, s_of_ab, ds_dpsi, init)
 
     profile = shooter.profile(s_final, trace)
     report = holomorphy_defect(profile, el_potential(profile, f, h, phi))

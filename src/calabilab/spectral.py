@@ -11,21 +11,19 @@ Handscomb, Chebyshev Polynomials, 2003): one routine,
 derivative_coefficients, differentiates for this module and for geometry.
 The scale-free Euler operator E_a = y d/dy + a, y = x - lo, and its inverse
 (euler_coefficients, solve_euler) carry every weight y^k: nothing divides
-by x - lo.  The dense barycentric differentiation matrices are built only
-on demand, for the explicit operator of the discrete quadratic form.
+by x - lo.  Differentiation has this one route: the explicit operator of
+the discrete quadratic form is built from it, column by column.
 AffineProjector is the one weighted affine projection; it and the solver's
 Newton step solve their 2x2 systems by PivotedLU2, partial-pivot
 elimination on Python floats, as a LAPACK call costs several times the
 arithmetic.  values_to_coefficients divides by one per-grid divisor, n - 1
-doubled at both ends.  A SampledFunction
-is differentiated by its grid and never evaluated between the nodes, so
-nothing here needs numpy.polynomial.
+doubled at both ends.  A SampledFunction is differentiated by its grid and
+never evaluated between the nodes, so nothing here needs numpy.polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -42,13 +40,6 @@ def _cgl_nodes(n: int):
     return -np.cos(np.pi * k / (n - 1))
 
 
-def _bary_weights(n: int):
-    w = np.ones(n)
-    w[0] = w[-1] = 0.5
-    w *= (-1.0) ** np.arange(n)
-    return w
-
-
 def _dct1(v: np.ndarray) -> np.ndarray:
     """Unnormalised DCT-I, v_0 + (-1)^k v_m + 2 sum_{0<j<m} v_j cos(pi j k / m)
     for k = 0..m, by an FFT of the even extension of v (real or complex)."""
@@ -56,22 +47,6 @@ def _dct1(v: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(ext):
         return np.fft.fft(ext)[: v.size]
     return np.fft.rfft(ext).real
-
-
-def _diff_matrices(x: np.ndarray):
-    """First and second barycentric differentiation matrices on nodes x,
-    with the negative-sum trick on the diagonal (Welfert's recurrence)."""
-    w = _bary_weights(x.size)
-    dx = x[:, None] - x[None, :]
-    np.fill_diagonal(dx, 1.0)
-    dxi = 1.0 / dx
-    d1 = (w[None, :] / w[:, None]) * dxi
-    np.fill_diagonal(d1, 0.0)
-    np.fill_diagonal(d1, -d1.sum(axis=1))
-    d2 = 2.0 * d1 * (np.diag(d1)[:, None] - dxi)
-    np.fill_diagonal(d2, 0.0)
-    np.fill_diagonal(d2, -d2.sum(axis=1))
-    return d1, d2
 
 
 def _clenshaw_curtis(n: int):
@@ -165,21 +140,6 @@ class SpectralGrid:
         # at both ends: the halving is exact, so c_0 and c_m get the same bits
         self._v2c_divisor = np.full(n, float(n - 1))
         self._v2c_divisor[[0, -1]] = 2.0 * (n - 1)
-
-    # -- dense operators, built on first use -------------------------------
-    @cached_property
-    def _diff(self):
-        return _diff_matrices(self.x)
-
-    @property
-    def d1(self) -> np.ndarray:
-        """Dense first barycentric differentiation matrix (built on demand)."""
-        return self._diff[0]
-
-    @property
-    def d2(self) -> np.ndarray:
-        """Dense second barycentric differentiation matrix (built on demand)."""
-        return self._diff[1]
 
     # -- coefficient transforms ------------------------------------------
     def values_to_coefficients(self, values: np.ndarray) -> np.ndarray:

@@ -14,6 +14,9 @@ POLYNOMIAL = "numpy.polynomial"
 # 2x2 systems are solved by spectral.PivotedLU2 on Python floats: a LAPACK
 # call costs several times the arithmetic, and no larger system is solved
 LINALG = "linalg"
+# solve_critical runs every case, f' constant included, through one Newton loop
+NEWTON = "_newton"
+SOLVER = SRC / "solver.py"
 
 
 def _blanket_handlers(tree: ast.AST):
@@ -63,6 +66,12 @@ def _linalg_solve_calls(tree: ast.AST):
             name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)
             if name == LINALG:
                 yield node.lineno, "linalg.solve"
+
+
+def _newton_calls(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == NEWTON:
+            yield node.lineno, NEWTON
 
 
 def _library_findings(rule):
@@ -141,3 +150,18 @@ def test_rule_detects_linalg_solve_calls():
 
 def test_no_linalg_solve_in_library():
     assert _library_findings(_linalg_solve_calls) == []
+
+
+def test_rule_detects_newton_calls():
+    code = (
+        "def _newton(shooter, s_of_ab, ds_dpsi, init):\n    pass\n"
+        "if flat:\n    ab = _newton(shooter, lambda ab: ab, lambda s: 1.0, init)\n"
+        "else:\n    ab = _newton(shooter, s_of_ab, ds_dpsi, init)\n"
+        "newton = _newton\n"
+    )
+    assert [line for line, _ in _newton_calls(ast.parse(code))] == [4, 6]
+
+
+def test_solver_calls_newton_once():
+    tree = ast.parse(SOLVER.read_text(), filename=str(SOLVER))
+    assert len(list(_newton_calls(tree))) == 1

@@ -118,6 +118,22 @@ def test_operator_energy_identity_on_cpm():
     assert abs(lhs - rhs) < 1e-8 * max(abs(rhs), 1.0)
 
 
+@pytest.mark.parametrize("geometry", ["cp1", "cpm:2", "cpm:3", "cpm:4"])
+def test_quadratic_form_matrix_is_the_integral(geometries, geometry):
+    # psi^T Q psi and quadratic_form are one operator: the same second
+    # derivative and the same Clenshaw-Curtis sum
+    geom = geometries[geometry]
+    grid = geom.grid
+    assert grid.n == 129
+    rng = np.random.default_rng(15)
+    profile = random_admissible_profile(geom, 41, 0.2)
+    q = quadratic_form_matrix(profile)
+    for _ in range(5):
+        psi = np.polynomial.chebyshev.chebval(grid.t, rng.uniform(-1, 1, 8))
+        integral = quadratic_form(profile, SampledFunction(grid, psi))
+        assert abs(psi @ q @ psi - integral) <= 1e-9 * integral
+
+
 def test_quadratic_form_kernel_is_affine(cp1):
     profile = random_admissible_profile(cp1, 5, 0.2)
     q = quadratic_form_matrix(profile)

@@ -4,6 +4,7 @@ import sys
 import warnings
 
 import numpy as np
+import numpy.polynomial.chebyshev as C
 import pytest
 
 from calabilab import (
@@ -127,6 +128,22 @@ def test_constant_fprime_accepts_h_with_zeros(make):
     s0 = class_constants(geom).s0
     assert res.status == "every_metric_critical"
     assert abs(res.alpha) < 1e-12 and abs(res.beta - s0) < 1e-12 * s0
+
+
+@pytest.mark.parametrize("target", [None, 5.0], ids=["default", "target5"])
+@pytest.mark.parametrize("geometry", ["cp1", "cpm:2", "cpm:3", "cpm:4"])
+@pytest.mark.parametrize("f, h", [("id", "const:1"), ("id", "id"), ("affine:3:1", "const:1")])
+def test_constant_fprime_solve_is_the_calabi_solve(geometries, geometry, target, f, h):
+    # with f' constant every metric or none is critical, and the solver
+    # returns Calabi's: Newton on s = alpha x + beta, bit for bit the solve
+    # of f = s^2 / 2, h = 1 from the same projected start
+    geom = geometries[geometry]
+    phi = normalize_potential(geom, target)
+    res = solve_critical(geom, parse_function(f), parse_function(h), phi)
+    calabi = solve_critical(geom, parse_function("scaled:0.5:pow:2"), parse_function("const:1"), phi)
+    assert res.status == "every_metric_critical" and calabi.status == "converged"
+    assert (res.alpha, res.beta) == (calabi.alpha, calabi.beta)
+    assert np.array_equal(res.profile.theta.values, calabi.profile.theta.values)
 
 
 def test_range_error_when_target_leaves_range(cp1):
@@ -293,8 +310,10 @@ def test_solver_boundary_mismatch_tolerance(cp1):
     theta = res.profile.theta.values
     grid = cp1.grid
     assert abs(theta[0]) < 1e-10 and abs(theta[-1]) < 1e-10
-    assert abs(float(grid.d1[0] @ theta) - 2.0) < 1e-8
-    assert abs(float(grid.d1[-1] @ theta) + 2.0) < 1e-8
+    dtheta = C.chebder(grid.values_to_coefficients(theta)) * (2.0 / grid.span)
+    slope_lo, slope_hi = C.chebval([-1.0, 1.0], dtheta)
+    assert abs(slope_lo - 2.0) < 1e-8
+    assert abs(slope_hi + 2.0) < 1e-8
     assert np.all(theta[1:-1] > 0)
 
 
