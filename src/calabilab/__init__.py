@@ -23,7 +23,6 @@ from .functions import (
     exponential,
     fsum,
     identity,
-    invert,
     log_guarded,
     parse_function,
     power,
@@ -72,7 +71,6 @@ from .variation import (
     delta_S_numeric,
     delta_s,
     first_order,
-    richardson_delta_S,
     transport,
 )
 

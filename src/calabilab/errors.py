@@ -38,8 +38,9 @@ class SingularPotential(CalabiLabError):
 
 
 class RangeError(CalabiLabError):
-    """A target left the range of the function being inverted (f' in a
-    solve), or the Newton inversion could not reach it."""
+    """A Newton step of the critical-metric solve, halved as far as the
+    solver allows, still leaves the domain of f or the branch of f' through
+    the start, or makes Re h f'(s) overflow; the message names the node."""
 
 
 class ConvergenceError(CalabiLabError):

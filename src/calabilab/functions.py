@@ -4,13 +4,12 @@ Tags: constant(c), identity, affine(a, b), power(p), exponential,
 log_guarded, scaled(c, inner), sum(inner, inner),
 composed_with_affine(inner, a, b).  One entry per tag in the table _TAGS
 holds its grammar heads, parameter and operand counts, evaluation, exact
-derivative (another descriptor), constant value and closed-form inverse
-(another descriptor, or None); the descriptor methods and the expression
-reader and writer all dispatch through it; a descriptor's derivative and
-inverse are built once per distinct descriptor (a bounded cache).  Scalars
-may be complex (for h); f is expected real.  invert solves g(s) = y
-pointwise: closed-form inverse per catalog tag, Newton otherwise (with the
-exact derivative, for any g whose derivative does not vanish).
+derivative (another descriptor) and constant value; the descriptor
+methods and the expression reader and writer all dispatch through it; a
+descriptor's derivative is built once per distinct descriptor (a bounded
+cache).  Scalars may be complex (for h); f is expected real.  The text
+form is prefix notation in which every head has a fixed arity, so it is
+read by recursive descent and every rendered descriptor reads back.
 """
 
 from __future__ import annotations
@@ -21,11 +20,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, RangeError
+from .errors import ConfigError, DomainError
 
-INVERT_TOL = 1e-13
-MAX_INVERT_ITER = 50
-CALCULUS_CACHE_SIZE = 256  # descriptors whose derivative and inverse are kept
+CALCULUS_CACHE_SIZE = 256  # descriptors whose derivative is kept
 
 
 def _scalar(c):
@@ -67,11 +64,6 @@ class FunctionDescriptor:
         """Return c if the descriptor is the constant function c, else None."""
         return _TAGS[self.tag].constant_value(self)
 
-    def inverse(self) -> "FunctionDescriptor | None":
-        """The catalog's closed-form inverse function, or None; built once
-        per distinct descriptor."""
-        return _inverse(self)
-
     def render(self) -> str:
         return render_function(self)
 
@@ -93,6 +85,8 @@ def affine(a, b) -> FunctionDescriptor:
 
 
 def power(p) -> FunctionDescriptor:
+    if isinstance(p, complex):
+        raise ConfigError(f"pow takes a real exponent, got {p!r}")
     p = float(p)
     if p == int(p):
         p = int(p)
@@ -123,7 +117,7 @@ def composed_with_affine(g: FunctionDescriptor, a, b) -> FunctionDescriptor:
 class _Tag(NamedTuple):
     """One tag: grammar heads (the first is written), parameter and
     operand counts, make(*params, *operands), evaluate(desc, z, nodes),
-    derivative(desc), constant_value(desc) and inverse(desc)."""
+    derivative(desc) and constant_value(desc)."""
 
     heads: tuple
     n_params: int
@@ -132,7 +126,6 @@ class _Tag(NamedTuple):
     evaluate: Callable
     derivative: Callable
     constant_value: Callable = lambda d: None
-    inverse: Callable = lambda d: None
 
 
 def _power_values(d, z, nodes):
@@ -147,21 +140,6 @@ def _power_values(d, z, nodes):
 def _power_derivative(d):
     p = d.params[0]
     return constant(p) if p in (0, 1) else scaled(p, power(p - 1))
-
-
-def _power_inverse(d):
-    p = d.params[0]
-    return identity() if p == 1 else d if p == -1 else None
-
-
-def _scaled_inverse(d):
-    c, inner = d.params[0], d.inner[0].inverse()
-    return None if c == 0 or inner is None else composed_with_affine(inner, 1 / c, 0.0)
-
-
-def _composed_inverse(d):
-    (a, b), inner = d.params, d.inner[0].inverse()
-    return None if a == 0 or inner is None else fsum(scaled(1 / a, inner), constant(-b / a))
 
 
 def _log_values(d, z, nodes):
@@ -185,40 +163,34 @@ _TAGS = {
         ("id", "identity"), 0, 0, identity,
         lambda d, z, nodes: z + 0.0,
         lambda d: constant(1.0),
-        inverse=lambda d: d,
     ),
     "affine": _Tag(
         ("affine",), 2, 0, affine,
         lambda d, z, nodes: d.params[0] * z + d.params[1],
         lambda d: constant(d.params[0]),
         lambda d: d.params[1] if d.params[0] == 0 else None,
-        lambda d: None if d.params[0] == 0 else affine(1 / d.params[0], -d.params[1] / d.params[0]),
     ),
     "power": _Tag(
         ("pow", "power"), 1, 0, power,
         _power_values,
         _power_derivative,
         lambda d: 1.0 if d.params[0] == 0 else None,
-        _power_inverse,
     ),
     "exponential": _Tag(
         ("exp", "exponential"), 0, 0, exponential,
         lambda d, z, nodes: np.exp(z),
         lambda d: exponential(),
-        inverse=lambda d: log_guarded(),
     ),
     "log_guarded": _Tag(
         ("log", "log_guarded"), 0, 0, log_guarded,
         _log_values,
         lambda d: power(-1),
-        inverse=lambda d: exponential(),
     ),
     "scaled": _Tag(
         ("scaled",), 1, 1, scaled,
         lambda d, z, nodes: d.params[0] * d.inner[0](z, nodes),
         lambda d: scaled(d.params[0], d.inner[0].derivative()),
         lambda d: _constant_if(d, d.inner[0].constant_value() is not None),
-        _scaled_inverse,
     ),
     "sum": _Tag(
         ("sum",), 0, 2, fsum,
@@ -231,74 +203,17 @@ _TAGS = {
         lambda d, z, nodes: d.inner[0](d.params[0] * z + d.params[1], nodes),
         lambda d: scaled(d.params[0], composed_with_affine(d.inner[0].derivative(), *d.params)),
         lambda d: _constant_if(d, d.params[0] == 0 or d.inner[0].constant_value() is not None),
-        _composed_inverse,
     ),
 }
 _TAG_BY_HEAD = {head: entry for entry in _TAGS.values() for head in entry.heads}
 
 
-# Descriptors are frozen values, so equal descriptors share one derivative
-# and one inverse; equal means equal params, and 0.0 == -0.0, so a signed
+# Descriptors are frozen values, so equal descriptors share one derivative;
+# equal means equal params, and 0.0 == -0.0, so a signed
 # zero parameter may come back with the other sign.
 @functools.lru_cache(maxsize=CALCULUS_CACHE_SIZE)
 def _derivative(d: FunctionDescriptor) -> FunctionDescriptor:
     return _TAGS[d.tag].derivative(d)
-
-
-@functools.lru_cache(maxsize=CALCULUS_CACHE_SIZE)
-def _inverse(d: FunctionDescriptor) -> FunctionDescriptor | None:
-    return _TAGS[d.tag].inverse(d)
-
-
-def invert(g: FunctionDescriptor, y, start, nodes=None) -> np.ndarray:
-    """Solve g(s) = y pointwise: by g's closed-form inverse when the
-    catalog has one, else by Newton's method from start (a scalar or one
-    value per point).
-
-    Raises RangeError, naming the node where one is known, when y leaves
-    the range of g or the solution is not finite; on the Newton path also
-    when g' vanishes at an iterate or the steps do not settle.
-    """
-    inverse = g.inverse()
-    try:
-        if inverse is None:
-            s = _newton_invert(g, y, start, nodes)
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                s = inverse(y, nodes)
-    except DomainError as exc:
-        raise RangeError(f"target left the range of {g.render()} at node x={exc.node!r}") from exc
-    if not np.all(np.isfinite(s)):
-        raise RangeError(f"target left the range of {g.render()}: non-finite value")
-    return s
-
-
-def _newton_invert(g: FunctionDescriptor, y, start, nodes=None) -> np.ndarray:
-    """Solve g(s) = y pointwise by Newton's method with the exact g',
-    starting from start; cf. rtsafe, Numerical Recipes 9.4, without the
-    bracket.  An iterate outside the domain of g raises its DomainError;
-    steps that do not settle raise RangeError naming the node with the
-    largest last step and its target."""
-    dg = g.derivative()
-    s = np.array(np.broadcast_to(start, np.shape(y)), dtype=float)
-    for _ in range(MAX_INVERT_ITER):
-        with np.errstate(over="ignore", invalid="ignore"):
-            slope = dg(s, nodes)
-            if np.any(slope == 0.0):
-                raise RangeError(f"derivative of {g.render()} is 0 at an iterate")
-            step = (g(s, nodes) - y) / slope
-        s = s - step
-        if not np.all(np.isfinite(s)):
-            raise RangeError(f"target left the range of {g.render()}: non-finite iterate")
-        if np.abs(step).max() <= INVERT_TOL * (1.0 + np.abs(s).max()):
-            return s
-    i = int(np.argmax(np.abs(step)))  # the node furthest from settling
-    node = None if nodes is None else float(np.broadcast_to(nodes, s.shape)[i])
-    target = np.broadcast_to(y, s.shape)[i].item()
-    raise RangeError(
-        f"inversion of {g.render()} did not converge in {MAX_INVERT_ITER} steps "
-        f"at node x={node!r} (target {target!r})"
-    )
 
 
 # -- expression grammar -------------------------------------------------------
@@ -325,28 +240,51 @@ def parse_function(spec: str) -> FunctionDescriptor:
 
     Examples: "exp", "id", "pow:2", "const:1", "affine:1:2",
     "scaled:3:exp", "compaff:1:2:exp", "sum:id,const:1", "log".  Each
-    head takes exactly its tag's parameter count and operand count;
-    trailing text is an error.  Within "sum" the two operands are
-    separated by the first comma; operands themselves must not contain
-    commas.
+    head takes exactly its tag's parameter count and operand count, so the
+    text is read by recursive descent: the first operand follows a colon,
+    a sum's second operand follows a comma, and either may itself contain
+    commas ("sum:sum:exp,id,pow:2").  Trailing text is an error.
     """
-    spec = spec.strip()
-    if not spec:
-        raise ConfigError("empty function expression")
-    head, sep, rest = spec.partition(":")
+    desc, end = _parse_at(spec, 0)
+    if end != len(spec):
+        raise ConfigError(f"trailing text {spec[end:]!r} in {spec!r}")
+    return desc
+
+
+def _field(spec: str, start: int) -> tuple[str, int]:
+    """The text from start to the next ':' or ',' (or the end), stripped,
+    and the index where it ends."""
+    end = len(spec)
+    for sep in ":,":
+        i = spec.find(sep, start)
+        if 0 <= i < end:
+            end = i
+    return spec[start:end].strip(), end
+
+
+def _parse_at(spec: str, pos: int) -> tuple[FunctionDescriptor, int]:
+    """The expression that starts at pos, read to its arity, and the index
+    after it."""
+    head, pos = _field(spec, pos)
+    if not head:
+        raise ConfigError(f"empty function expression in {spec!r}")
     entry = _TAG_BY_HEAD.get(head.lower())
     if entry is None:
-        raise ConfigError(f"unknown function expression {spec!r}")
-    fields = rest.split(":", entry.n_params) if sep else []
-    operands = []
-    if entry.n_inner and len(fields) > entry.n_params:
-        operands = fields.pop().split(",", entry.n_inner - 1)
-    if len(fields) != entry.n_params or len(operands) != entry.n_inner:
-        raise ConfigError(
-            f"{head} takes {entry.n_params} parameter(s) and {entry.n_inner} operand(s), got {spec!r}"
-        )
-    params = [_parse_scalar(text) for text in fields]
-    return entry.make(*params, *(parse_function(text) for text in operands))
+        raise ConfigError(f"unknown function expression {head!r} in {spec!r}")
+    # each parameter follows a colon, the first operand a colon and a sum's
+    # second operand a comma
+    params, operands = [], []
+    for sep in ":" * entry.n_params + ":,"[:entry.n_inner]:
+        if not spec.startswith(sep, pos):
+            raise ConfigError(
+                f"{head} takes {entry.n_params} parameter(s) and {entry.n_inner} operand(s), got {spec!r}")
+        if len(params) < entry.n_params:
+            text, pos = _field(spec, pos + 1)
+            params.append(_parse_scalar(text))
+        else:
+            operand, pos = _parse_at(spec, pos + 1)
+            operands.append(operand)
+    return entry.make(*params, *operands), pos
 
 
 def render_function(desc: FunctionDescriptor) -> str:

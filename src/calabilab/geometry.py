@@ -6,7 +6,7 @@ A = k (k + 1) slope_lo y^(k - 1); CP^1 is k = 0 and CP^m is k = m - 1.  A
 metric in the class is a profile Theta(x) >= 0 vanishing at the endpoints
 with the prescribed slopes, of scalar curvature s = (A - (w Theta)'') / w.
 Nothing divides by w or by y: d/dy (y^b F) = y^(b-1) E_b F with the Euler
-operator E_b = y d/dy + b (spectral.euler_coefficients, inverted by
+operator E_b = y d/dy + b (spectral.euler_coefficients, solved by
 spectral.solve_euler), so R = Theta / y = E_1^-1 Theta',
 s = -E_(k+1) E_(k+2) (E_1 E_2)^-1 Theta'' and
 (w Theta^j g)^(j) / w = E_(k+1) ... E_(k+j) (R^j g).

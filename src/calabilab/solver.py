@@ -1,26 +1,27 @@
 """The critical-metric solver and the vector-field iteration harness.
 
-solve_critical shoots on the affine coefficients (alpha, beta) of the EL
-potential: given (alpha, beta), the scalar curvature s solves
-f'(s) = (alpha x + beta) / h(phi) (closed-form inverse per catalog tag,
-Newton otherwise, warm-started from the previous iterate), and Newton
-iterates on the two far-end mismatches of integrating
-(w Theta)'' = A - w s from the left endpoint.  Newton starts at the
-weighted affine projection of psi_0 = f'(s0) Re h(phi), the EL potential
-of the constant-curvature profile, so a problem whose answer is the round
-metric (Re h(phi) affine, constants included) is solved at its first
-mismatch.  The
-mismatch is affine in s, K s + m0, so the Newton Jacobian is exact:
+solve_critical runs one Newton loop (_newton) on the scalar curvature s
+at the nodes and the affine coefficients (alpha, beta) of the EL potential
+together: F = Re h(phi) f'(s) - (alpha x + beta) = 0 at every node, and
+the two far-end mismatches of integrating (w Theta)'' = A - w s from the
+left endpoint vanish.  The mismatch is affine in s, K s + m0, so
+eliminating the pointwise corrections leaves the exact 2x2 Jacobian
 J = K diag(1 / (h f''(s))) [x 1], one matvec of the precomputed rows
-K diag(x) and K.  A J that is not finite, or whose singular values (in
-closed form) are in a ratio of at most RANK_TOL, stops the solve with a
-ConvergenceError; otherwise the step is a 2x2 elimination on Python
-floats (spectral.PivotedLU2), with no LAPACK call.  The profile is
-integrated once, from the final s, and keeps the Theta coefficients it is
-sampled from; an s whose chop keeps every coefficient is not resolved on
-the grid and raises ConvergenceError.  A solution whose EL potential is
-not affine within the report's tolerance raises ConvergenceError instead
-of being returned; that check reads s again from Theta's coefficients.
+K diag(x) and K: a bordered Newton step (Keller, "Numerical solution of
+bifurcation and nonlinear eigenvalue problems", 1977), with no inner
+solve for s.  Newton starts at s = s0 and at the weighted affine
+projection of psi_0 = f'(s0) Re h(phi), the EL potential of the
+constant-curvature profile, so a problem whose answer is the round metric
+(Re h(phi) affine, constants included) is solved at its first mismatch.
+A J that is not finite, or whose singular values (in closed form) are in
+a ratio of at most RANK_TOL, stops the solve with a ConvergenceError;
+otherwise the step is a 2x2 elimination on Python floats
+(spectral.PivotedLU2), with no LAPACK call.  The profile is integrated
+once, from the final s, and keeps the Theta coefficients it is sampled
+from; an s whose chop keeps every coefficient is not resolved on the grid
+and raises ConvergenceError.  A solution whose EL potential is not affine
+within the report's tolerance raises ConvergenceError instead of being
+returned; that check reads s again from Theta's coefficients.
 
 What depends only on the geometry is built once per geometry: the
 shooter's forms (_shooter, memoised by functools.cache), the class
@@ -31,8 +32,9 @@ f' and f'' are built once per distinct f (FunctionDescriptor.derivative).
 When f' is constant the EL potential does not depend on the metric, so
 every metric is critical or none is.  The solver then returns the
 canonical representative, Calabi's extremal metric with affine scalar
-curvature: the one Newton loop runs with f' := id and Re h := 1, that is
-Newton on s = alpha x + beta itself, from the same projected start.
+curvature: the one Newton loop runs with f' := id and Re h := 1, and no
+domain, that is Newton on s = alpha x + beta itself, from the same
+projected start.
 """
 
 from __future__ import annotations
@@ -44,14 +46,16 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import CalabiLabError, ConfigError, ConvergenceError, DomainError, SingularPotential
-from .functions import FunctionDescriptor, identity, invert
+from .errors import CalabiLabError, ConfigError, ConvergenceError, DomainError, RangeError, SingularPotential
+from .functions import FunctionDescriptor, identity
 from .geometry import MetricProfile, ProfileGeometry, class_constants
 from .potentials import ELReport, HolomorphyPotential, el_potential, holomorphy_defect
 from .spectral import PivotedLU2, chop_coefficients, solve_euler
 
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITER = 50
+POINTWISE_TOL = 1e-13  # max |d F| at or below this times 1 + max |s|: s settled at every node
+MAX_STEP_HALVINGS = 30  # a Newton step still off the branch after this many halvings fails
 RANK_TOL = 1e-12  # sigma_min / sigma_max at or below this: the Jacobian is singular
 ZERO_FIELD_TOL = 1e-10  # |alpha| below this: the new field is trivial
 SETTLE_TOL = 1e-8  # alpha and beta moved less than this: the iteration settled
@@ -118,7 +122,7 @@ class _Shooter:
 
     def jacobian(self, d: np.ndarray) -> np.ndarray:
         """The 2x2 Jacobian K diag(d) [x 1] of the mismatch in (alpha, beta),
-        d = ds/dpsi at the nodes."""
+        d = 1 / (Re h f''(s)) at the nodes."""
         return (self.jac_rows @ d).reshape(2, 2)
 
     def profile(self, s_vals: np.ndarray, trace: list) -> MetricProfile:
@@ -183,40 +187,84 @@ def _singular_value_ratio(m: np.ndarray) -> float:
     return abs(a * d - b * c) / smax ** 2
 
 
-def _newton(shooter: _Shooter, s_of_ab, ds_dpsi, init):
-    """Newton on the far-end mismatch.  s_of_ab maps (alpha, beta) to s and
-    ds_dpsi(s) is the pointwise derivative of s in psi = alpha x + beta, so
-    the Jacobian K diag(ds_dpsi) [x 1] is exact; ds_dpsi is evaluated with
-    numpy's floating-point warnings off, and a value that is not finite
-    stops the solve at its node.  (alpha, beta) and the 2x2 step are Python
-    floats."""
+def _newton(shooter: _Shooter, f, fprime, hr, init, s):
+    """Newton on the joint system F = Re h f'(s) - (alpha x + beta) = 0 at
+    the nodes and K s + m0 = 0, from (alpha, beta) = init and node values s.
+    With d = 1 / (Re h f''(s)), eliminating ds leaves the exact 2x2 system
+    K diag(d) [x 1] (da, db) = K (s - d F) + m0, and the step is
+    (alpha, beta, s) -= (da, db, d (da x + db + F)).  A d that is not
+    finite stops the solve at its node.  The step is halved, for s, alpha
+    and beta together, while at some node its s leaves the domain of f,
+    makes Re h f'(s) overflow, or leaves the branch of f' that s started
+    on: Re h f''(s) changes sign, or f' changes sign against its
+    monotonicity, as across the pole of s^-3 at 0.  A step that
+    MAX_STEP_HALVINGS halvings cannot save raises RangeError naming the
+    node.  Newton stops when the mismatch is below NEWTON_TOL and every
+    pointwise correction d F below POINTWISE_TOL (1 + max |s|).
+    (alpha, beta) and the 2x2 step are Python floats; numpy's
+    floating-point warnings are off, and these checks name the node
+    instead."""
     x = shooter.grid.x
+    fsecond = fprime.derivative()
     alpha, beta = float(init[0]), float(init[1])
     trace = []
-    for it in range(MAX_NEWTON_ITER):
-        s = s_of_ab((alpha, beta))
-        res = shooter.mismatch(s)
-        rnorm = float(np.abs(res).max())
-        trace.append(((alpha, beta), rnorm))
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            d = np.broadcast_to(ds_dpsi(s), x.shape)
-        bad = np.flatnonzero(~np.isfinite(d))
-        if bad.size:
-            raise ConvergenceError(f"Newton Jacobian is not finite at node x={float(x[bad[0]])!r}", trace)
-        jac = shooter.jacobian(d)
-        if _singular_value_ratio(jac) <= RANK_TOL:
-            raise ConvergenceError("rank-deficient Newton Jacobian", trace)
-        da, db = PivotedLU2(*jac.ravel().tolist()).solve(*res.tolist())
-        alpha, beta = alpha - da, beta - db
-        if rnorm < NEWTON_TOL:
-            # J is exact, so this last step leaves a residual of order
-            # rnorm**2; s follows it to first order, which is as accurate.
-            return (alpha, beta), s - d * (da * x + db), it, trace
-    raise ConvergenceError(f"Newton stagnated after {MAX_NEWTON_ITER} iterations", trace)
+
+    def at(s):
+        f(s, x)  # a DomainError outside the domain of f names the node
+        return hr * fprime(s, x), hr * fsecond(s, x)
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        g, hf2 = at(s)
+        sign = np.sign(hf2)
+        for it in range(MAX_NEWTON_ITER):
+            res = shooter.mismatch(s)
+            rnorm = float(np.abs(res).max())
+            trace.append(((alpha, beta), rnorm))
+            # nan where f'' itself is not finite (an overflow would leave a
+            # 0 here), so that the node is named
+            d = np.where(np.isfinite(hf2), 1.0 / hf2, np.nan)
+            bad = np.flatnonzero(~np.isfinite(d))
+            if bad.size:
+                raise ConvergenceError(f"Newton Jacobian is not finite at node x={float(x[bad[0]])!r}", trace)
+            jac = shooter.jacobian(d)
+            if _singular_value_ratio(jac) <= RANK_TOL:
+                raise ConvergenceError("rank-deficient Newton Jacobian", trace)
+            dF = d * (g - (alpha * x + beta))
+            da, db = PivotedLU2(*jac.ravel().tolist()).solve(*shooter.mismatch(s - dF).tolist())
+            ds = d * (da * x + db) + dF
+            if rnorm < NEWTON_TOL and np.abs(dF).max() <= POINTWISE_TOL * (1.0 + np.abs(s).max()):
+                # J is exact, so this last step leaves a residual of order
+                # rnorm**2; s follows it to first order, which is as accurate.
+                return (alpha - da, beta - db), s - ds, it, trace
+            t = 1.0
+            for _ in range(MAX_STEP_HALVINGS):
+                try:
+                    g_t, hf2_t = at(s - t * ds)
+                except DomainError as exc:
+                    fault = f"leaves the domain of {f.render()} at node x={exc.node!r}"
+                else:
+                    # off the branch: f'' changes sign, or f' changes sign
+                    # against its monotonicity (across a pole, as s^-3 at 0)
+                    off = (np.sign(hf2_t) != sign) | ((g * g_t < 0) & ((g_t - g) * ds * sign > 0))
+                    bad = np.flatnonzero(~np.isfinite(g_t) | off)
+                    if not bad.size:
+                        break
+                    i = bad[0]
+                    fault = (f"makes Re h f'(s) overflow at node x={float(x[i])!r}" if not np.isfinite(g_t[i])
+                             else f"leaves the branch of f' through the start at node x={float(x[i])!r}")
+                t *= 0.5
+            else:
+                raise RangeError(f"a Newton step halved {MAX_STEP_HALVINGS} times still {fault}")
+            alpha, beta, s, g, hf2 = alpha - t * da, beta - t * db, s - t * ds, g_t, hf2_t
+    i = int(np.argmax(np.abs(dF)))  # the node furthest from settling
+    raise ConvergenceError(
+        f"Newton stagnated after {MAX_NEWTON_ITER} iterations; the largest pointwise "
+        f"correction is at node x={float(x[i])!r}", trace)
 
 
 def _check_nonvanishing(hr: np.ndarray):
-    """The inversion of f' divides by hr = Re h(phi): it must keep one sign."""
+    """Newton solves Re h f'(s) = psi for s at each node, dividing by
+    hr = Re h(phi): it must keep one sign."""
     if np.abs(hr).min() <= 1e-12 * max(np.abs(hr).max(), 1.0):
         raise SingularPotential("Re h(phi) vanishes on the momentum interval")
     if hr.max() > 0 > hr.min():
@@ -235,38 +283,20 @@ def solve_critical(
     x = geom.grid.x
     hr = np.asarray(h(phi.values(), x)).real  # a complex h leaves Im h to the check below
     s0 = class_constants(geom).s0
-    fprime = f.derivative()
-    status = STATUS_CONVERGED
+    domain, fprime, status = f, f.derivative(), STATUS_CONVERGED
     if fprime.constant_value() is not None:
         # psi = f' h(phi) does not depend on the metric, so every metric is
         # critical when it is affine and none is otherwise.  The canonical
         # representative is Calabi's: Newton on s = alpha x + beta itself
-        # (f' := id, Re h := 1); the criticality check below decides.
-        fprime, hr, status = identity(), np.ones(x.shape), STATUS_EVERY_METRIC
-    # s = (f')^-1((alpha x + beta) / Re h(phi)) divides by Re h, here only
+        # (f' := id, Re h := 1, no domain to stay in); the criticality check
+        # below decides.
+        domain, fprime, hr, status = identity(), identity(), np.ones(x.shape), STATUS_EVERY_METRIC
+    # F = Re h f'(s) - psi is solved for s pointwise, so Re h must keep one sign
     _check_nonvanishing(hr)
-    fsecond = fprime.derivative()
-    s_prev = np.full(x.shape, s0)
-
-    def s_of_ab(ab):
-        nonlocal s_prev
-        s_prev = invert(fprime, (ab[0] * x + ab[1]) / hr, s_prev, x)
-        return s_prev
-
-    def ds_dpsi(s):
-        # 1 / (Re h f''(s)); nan where f'' itself is not finite (an
-        # overflow would leave a 0 here), so that Newton names the node
-        hf2 = hr * fsecond(s, x)
-        return np.where(np.isfinite(hf2), 1.0 / hf2, np.nan)
-
     if init is None:
         # the EL potential of the constant-curvature profile, projected
-        try:
-            fp0 = float(np.asarray(fprime(np.array([s0])))[0])
-        except DomainError:
-            fp0 = 1.0
-        init = geom.affine_projector.coefficients(fp0 * hr)
-    ab, s_final, iters, trace = _newton(shooter, s_of_ab, ds_dpsi, init)
+        init = geom.affine_projector.coefficients(float(fprime(np.array([s0]))[0]) * hr)
+    ab, s_final, iters, trace = _newton(shooter, domain, fprime, hr, init, np.full(x.shape, s0))
 
     profile = shooter.profile(s_final, trace)
     report = holomorphy_defect(profile, el_potential(profile, f, h, phi))

@@ -63,7 +63,6 @@ class DeformationPath:
 class FirstOrder(NamedTuple):
     d_theta: SampledFunction
     d_phi_fixed_point: SampledFunction
-    d_volume_density: SampledFunction
 
 
 class DeltaScalar(NamedTuple):
@@ -72,20 +71,13 @@ class DeltaScalar(NamedTuple):
 
 
 def first_order(profile: MetricProfile, path: DeformationPath) -> FirstOrder:
-    """First-order fields (dTheta, dphi at a fixed complex point, and the
-    volume-form trace d(omega^m)/omega^m = (w * dphi)' / w)."""
+    """First-order fields: dTheta, and dphi at a fixed complex point."""
     require_admissible(profile)
     grid = profile.geometry.grid
-    u1, u2 = path.u1, path.u2
     theta = profile.theta.values
-    d_theta = KAPPA_THETA * theta ** 2 * u2
-    d_phi = KAPPA_PHI * theta * u1
-    trace = profile.weighted_derivative(KAPPA_PHI * u1, 1)
-    return FirstOrder(
-        SampledFunction(grid, d_theta),
-        SampledFunction(grid, d_phi),
-        SampledFunction(grid, trace),
-    )
+    d_theta = KAPPA_THETA * theta ** 2 * path.u2
+    d_phi = KAPPA_PHI * theta * path.u1
+    return FirstOrder(SampledFunction(grid, d_theta), SampledFunction(grid, d_phi))
 
 
 def delta_s(profile: MetricProfile, path: DeformationPath) -> DeltaScalar:
@@ -170,17 +162,3 @@ def convergence_order(
         errs.append(max(abs(num - ana), 1e-300))
     slope = np.polyfit(np.log(steps), np.log(errs), 1)[0]
     return float(slope)
-
-
-def richardson_delta_S(
-    profile: MetricProfile,
-    f: FunctionDescriptor,
-    h: FunctionDescriptor,
-    phi: HolomorphyPotential,
-    path: DeformationPath,
-    step: float = 1e-3,
-) -> complex:
-    """Fourth-order Richardson extrapolation of the numeric variation."""
-    d1 = delta_S_numeric(profile, f, h, phi, path, step)
-    d2 = delta_S_numeric(profile, f, h, phi, path, step / 2.0)
-    return (4.0 * d2 - d1) / 3.0

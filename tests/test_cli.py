@@ -193,7 +193,7 @@ def test_exit_code_1_on_numerical_failure(tmp_path, capsys):
     for args, message in (
         # phi = x and h = id: h(phi) crosses zero
         (["--f", "exp", "--h", "id"], "Re h(phi) vanishes"),
-        # the solver inverts f' against Re h only; the imaginary part leaves
+        # the solver matches f' Re h to alpha x + beta; the imaginary part leaves
         # the EL potential non-affine, so the metric is not critical
         (["--f", "exp", "--h", "sum:pow:2,const:0.5j", "--target", str(EIGHT_PI)], "not critical"),
         # Re h = 0: the solver would divide by zero

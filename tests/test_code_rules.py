@@ -17,6 +17,10 @@ LINALG = "linalg"
 # solve_critical runs every case, f' constant included, through one Newton loop
 NEWTON = "_newton"
 SOLVER = SRC / "solver.py"
+# the one iteration capped by a *_ITER constant is solver._newton's: the
+# scalar curvature and (alpha, beta) are found by one Newton loop, with no
+# inner solve
+ITER_SUFFIX = "_ITER"
 
 
 def _blanket_handlers(tree: ast.AST):
@@ -72,6 +76,18 @@ def _newton_calls(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == NEWTON:
             yield node.lineno, NEWTON
+
+
+def _iter_bounded_loops(tree: ast.AST, func: str = "<module>"):
+    for node in ast.iter_child_nodes(tree):
+        bound = node.iter if isinstance(node, ast.For) else node.test if isinstance(node, ast.While) else None
+        if bound is not None:
+            for sub in ast.walk(bound):
+                name = sub.attr if isinstance(sub, ast.Attribute) else getattr(sub, "id", None)
+                if isinstance(name, str) and name.endswith(ITER_SUFFIX):
+                    yield node.lineno, f"loop bounded by {name} in {func}"
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield from _iter_bounded_loops(node, inner)
 
 
 def _library_findings(rule):
@@ -165,3 +181,27 @@ def test_rule_detects_newton_calls():
 def test_solver_calls_newton_once():
     tree = ast.parse(SOLVER.read_text(), filename=str(SOLVER))
     assert len(list(_newton_calls(tree))) == 1
+
+
+def test_rule_detects_iter_bounded_loops():
+    code = (
+        "def _newton(shooter):\n"
+        "    for it in range(MAX_NEWTON_ITER):\n"
+        "        for _ in range(MAX_STEP_HALVINGS):\n            pass\n"
+        "def _invert(g):\n"
+        "    def step():\n"
+        "        while k < cfg.MAX_INVERT_ITER:\n            pass\n"
+        "    for i in range(n):\n        pass\n"
+        "for _ in range(1, MAX_ITER + 1):\n    pass\n"
+    )
+    assert list(_iter_bounded_loops(ast.parse(code))) == [
+        (2, "loop bounded by MAX_NEWTON_ITER in _newton"),
+        (7, "loop bounded by MAX_INVERT_ITER in step"),
+        (11, "loop bounded by MAX_ITER in <module>"),
+    ]
+
+
+def test_only_newton_loops_to_an_iteration_cap():
+    findings = _library_findings(_iter_bounded_loops)
+    assert len(findings) == 1 and findings[0].startswith(SOLVER.name), findings
+    assert findings[0].endswith(f"in {NEWTON}"), findings

@@ -20,13 +20,17 @@ from calabilab import (
     holomorphy_defect,
     el_potential,
     class_constants,
+    fsum,
+    identity,
     iterate,
     make_cp1_geometry,
     make_cpm_geometry,
     normalize_potential,
     parse_function,
+    power,
     random_admissible_profile,
     round_profile,
+    scaled,
     solve_critical,
 )
 from calabilab import solver
@@ -146,7 +150,7 @@ def test_constant_fprime_solve_is_the_calabi_solve(geometries, geometry, target,
     assert np.array_equal(res.profile.theta.values, calabi.profile.theta.values)
 
 
-def test_range_error_when_target_leaves_range(cp1):
+def test_negative_h_solves_from_either_start(cp1):
     # psi = -e^s is affine at the Fubini-Study metric, psi = -e^(s0), and
     # the projected start psi_0 = f'(s0) h finds it at once
     phi = HolomorphyPotential(cp1, 1.0, 2.0)
@@ -154,18 +158,31 @@ def test_range_error_when_target_leaves_range(cp1):
     res = solve_critical(cp1, f, h, phi)
     assert abs(res.beta + E2) < 1e-14 * E2 and abs(res.alpha) < 1e-14
     assert np.abs(res.profile.theta.values - (1.0 - cp1.grid.x ** 2)).max() < 1.3e-15
-    # started at psi = e^2 > 0, the target psi / h = -e^2 leaves the range of exp
-    with pytest.raises(RangeError, match="x=-1.0"):
-        solve_critical(cp1, f, h, phi, init=(0.0, E2))
+    # started at psi = e^2 > 0, where psi / h = -e^2 is outside the range of
+    # exp: Newton on (s, alpha, beta) never inverts f', and reaches the same metric
+    far = solve_critical(cp1, f, h, phi, init=(0.0, E2))
+    assert far.el_report.is_critical
+    assert abs(far.alpha - res.alpha) < 1e-14 * E2 and abs(far.beta - res.beta) < 1e-14 * E2
+    assert np.abs(far.profile.theta.values - res.profile.theta.values).max() < 1e-14
 
 
-def test_unsettled_inversion_names_its_node(cp1):
-    # f' = 3 s^2 has no closed-form inverse, and the target psi / h of the
-    # inversion reaches -0.0132 at x = 1, below the range of 3 s^2: Newton
-    # settles everywhere but there
-    phi = HolomorphyPotential(cp1, 0.5, 1.05)
-    with pytest.raises(RangeError, match=r"did not converge in 50 steps at node x=1\.0 \(target -0\.0131"):
-        solve_critical(cp1, parse_function("pow:3"), parse_function("pow:-2"), phi)
+def test_solve_stays_on_the_branch_of_fprime_through_s0():
+    # f' = 3 s^2 takes every positive value at s and -s, and psi / h
+    # at the projected start reaches -0.0132 at x = 1, below the
+    # range of 3 s^2.  Newton keeps the sign of f'' = 6 s at every node, so
+    # s stays on the branch through s0 = 2, and the critical metric it finds
+    # converges in N (CGL grids with N = 2^j + 1 nest)
+    f, h = parse_function("pow:3"), parse_function("pow:-2")
+    coarse = None
+    for n in (129, 257):
+        geom = make_cp1_geometry(n)
+        res = solve_critical(geom, f, h, HolomorphyPotential(geom, 0.5, 1.05))
+        assert res.el_report.is_critical and res.profile.violations == (), n
+        assert res.profile.s.values.min() > 1.0, n
+        theta = res.profile.theta.values
+        if coarse is not None:
+            assert np.abs(theta[::2] - coarse).max() <= 1e-10
+        coarse = theta
 
 
 def test_metric_independent_nonaffine_has_no_solution(cp1):
@@ -205,10 +222,14 @@ def test_solve_nonlinear_from_random_profile_init(cp1):
     res = solve_critical(cp1, f, h, phi, init=init)
     assert np.abs(res.profile.theta.values - direct.profile.theta.values).max() < 1e-10
     # at amplitude 0.1 the fitted alpha x + beta is negative at x = -1,
-    # outside the range of exp: a named failure, not a wrong answer
+    # outside the range of exp; Newton on (s, alpha, beta) starts at s = s0
+    # and never inverts it
     init = _affine_init(el_potential(random_admissible_profile(cp1, 17, 0.1), f, h, phi), cp1)
-    with pytest.raises(RangeError):
-        solve_critical(cp1, f, h, phi, init=init)
+    assert init[1] - init[0] < 0
+    res = solve_critical(cp1, f, h, phi, init=init)
+    assert res.el_report.is_critical
+    assert np.abs(res.profile.theta.values - direct.profile.theta.values).max() < 1e-10
+    assert abs(res.alpha - direct.alpha) < 1e-12 * E2 and abs(res.beta - direct.beta) < 1e-12 * E2
 
 
 @pytest.mark.parametrize("f", ["exp", "sum:exp,pow:2"])
@@ -358,20 +379,23 @@ def test_singular_value_ratio_near_the_rank_threshold(r):
         assert (ratio <= solver.RANK_TOL) == (sv[1] <= 1e-12 * sv[0]) == (r <= 1e-12)
 
 
-def _newton_on_scaled_s(geom, c, ds):
-    """Newton for s = c (alpha x + beta): J = c K [x 1], solution (0, s0 / c)
-    on the round profile."""
-    x = geom.grid.x
-    s0 = class_constants(geom).s0
-    return solver._newton(solver._Shooter(geom), lambda ab: c * (ab[0] * x + ab[1]),
-                          lambda s: ds, (0.5 / c, s0 / c))
+def _newton_on_scaled_s(shooter, c):
+    """Newton for f'(s) = s / c, Re h = 1: d = c and J = c K [x 1], solution
+    (0, s0 / c) on the round profile, from s = c (alpha x + beta) at
+    (alpha, beta) = (0.5 / c, s0 / c)."""
+    x = shooter.grid.x
+    s0 = class_constants(shooter.geom).s0
+    return solver._newton(shooter, identity(), scaled(1.0 / c, identity()), np.ones(x.shape),
+                          (0.5 / c, s0 / c), 0.5 * x + s0)
 
 
 def test_zero_jacobian_is_rank_deficient(cp1):
+    shooter = solver._Shooter(cp1)
+    shooter.jac_rows = np.zeros_like(shooter.jac_rows)  # K diag(d) [x 1] = 0 for every d
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="rank-deficient"):
-            _newton_on_scaled_s(cp1, 1.0, 0.0)
+            _newton_on_scaled_s(shooter, 1.0)
 
 
 @pytest.mark.parametrize("c", [1e150, 1e-150])
@@ -379,7 +403,7 @@ def test_zero_jacobian_is_rank_deficient(cp1):
 def test_scaled_jacobian_is_not_refused(make, c):
     geom = make()
     s0 = class_constants(geom).s0
-    ab, s, _, _ = _newton_on_scaled_s(geom, c, c)
+    ab, s, _, _ = _newton_on_scaled_s(solver._Shooter(geom), c)
     assert abs(ab[0]) * c < 1e-9 and abs(ab[1] * c - s0) < 1e-9 * s0
     assert np.abs(s - s0).max() < 1e-9 * s0
     jac = np.array([[0.3, -1.7], [2.2, 0.9]])
@@ -399,9 +423,12 @@ def test_round_metric_is_found_at_the_first_mismatch(geometries, f, h):
 
 @pytest.mark.parametrize("h", ["pow:2", "exp"])
 def test_projected_start_shortens_non_affine_solves(geometries, h):
+    f, hd = parse_function("exp"), parse_function(h)
     for spec, geom in geometries.items():
-        res = solve_critical(geom, parse_function("exp"), parse_function(h), HolomorphyPotential(geom, 1.0, 2.0))
-        assert len(res.residual_trace) <= 5, spec  # 7 from (0, f'(s0))
+        phi = HolomorphyPotential(geom, 1.0, 2.0)
+        res = solve_critical(geom, f, hd, phi)
+        plain = solve_critical(geom, f, hd, phi, init=(0.0, float(np.exp(class_constants(geom).s0))))
+        assert len(res.residual_trace) <= len(plain.residual_trace), spec  # from (0, f'(s0))
         assert res.el_report.is_critical and res.profile.violations == (), spec
 
 
@@ -423,25 +450,42 @@ def test_calabi_start_is_the_constant_potential(geometries):
         assert abs(alpha) < 1e-13 * s0 and abs(beta - s0) < 1e-14 * s0, spec
 
 
-def test_overflowing_second_derivative_is_a_named_error(cp1):
-    # f = log, h = exp, phi = 5x + 0.1: Newton drives psi to 1e208, where
-    # f''(s) = -1/s^2 overflows; that is a ConvergenceError naming the
-    # node, not a RuntimeWarning followed by a rank verdict
+def test_unsettled_pointwise_correction_is_a_named_error(cp1):
+    # f = log, h = exp, phi = 5x + 0.1: the mismatch converges, but psi at
+    # x = -1 is 2.6e-7, the difference of two numbers near 8.2, so
+    # s = Re h / psi = 2.8e4 there is known to a few parts in 1e9 and the
+    # correction d F never settles; that is a ConvergenceError naming the
+    # node, not a RuntimeWarning or a wrong answer
     phi = HolomorphyPotential(cp1, 5.0, 0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError, match=r"Jacobian is not finite at node x=-1\.0") as exc:
+        with pytest.raises(ConvergenceError, match=r"stagnated after 50 iterations.*node x=-1\.0") as exc:
             solve_critical(cp1, parse_function("log"), parse_function("exp"), phi)
-    assert exc.value.trace
+    assert exc.value.trace and exc.value.trace[-1][1] < solver.NEWTON_TOL
+
+
+@pytest.mark.parametrize("geometry, f, h, fault", [
+    ("cpm:3", "log", "exp", r"leaves the branch of f' through the start at node x=0\.0"),
+    ("cp1", "exp", "pow:3", r"makes Re h f'\(s\) overflow at node x=-1\.0"),
+])
+def test_step_that_halving_cannot_save_is_a_range_error(geometries, geometry, f, h, fault):
+    # phi = 2x + 3: Newton heads off the branch of f' (log) or to where
+    # e^s overflows (exp), and no halving of the step stays put
+    geom = geometries[geometry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match=r"halved 30 times still " + fault):
+            solve_critical(geom, parse_function(f), parse_function(h), HolomorphyPotential(geom, 2.0, 3.0))
 
 
 def test_vanishing_second_derivative_is_a_named_error(cp1):
-    # f = pow:3 with s = 0 at every node: f'' = 6s = 0, so ds/dpsi is infinite
+    # f = pow:3 with s = 0 at every node: f'' = 6s = 0, so d = 1 / (h f'') is infinite
     x = cp1.grid.x
+    f = parse_function("pow:3")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="not finite at node"):
-            solver._newton(solver._shooter(cp1), lambda ab: 0.0 * x, lambda s: 1.0 / (6.0 * s), (0.0, 0.0))
+            solver._newton(solver._shooter(cp1), f, f.derivative(), np.ones(x.shape), (0.0, 0.0), np.zeros(x.shape))
 
 
 def test_geometry_forms_are_built_once(geometries):
@@ -508,3 +552,83 @@ def test_transform_counts(geometries, monkeypatch, f, h):
         calls.clear()
         round_profile(geom).s
         assert calls == [], spec
+
+
+# f with f'(s) = s^-p, p = 1..3
+MANUFACTURED_F = {1: "log", 2: "scaled:-1:pow:-1", 3: "scaled:-0.5:pow:-2"}
+
+
+def _manufactured_problem(geom, rng, p, sign):
+    """A critical metric chosen first: Theta* = round + B q with q a random
+    quadratic (coefficients in +-0.1), s* its scalar curvature, psi* =
+    alpha* x + beta* with beta* of the given sign, and h(t) = psi*(t) s*(t)^p
+    as a right-nested sum of scaled:c:pow:j terms.  At the default target
+    phi = x, so f'(s*) h(phi) = psi*: Theta* is critical with pair
+    (alpha*, beta*).  s* is a polynomial: with y = x - x_lo and
+    Theta* - round = y^2 r(y), (w Theta)'' = A - w s gives
+    s* = s0 - sum_j r_j (j + k + 1)(j + k + 2) y^j.  A draw whose s* is not
+    positive on [x_lo, x_hi] is not a problem for this f; the next draw is
+    taken (none is at the seeds used)."""
+    P = np.polynomial.Polynomial
+    lo, hi, k = geom.x_lo, geom.x_hi, geom.k
+    s0 = class_constants(geom).s0
+    y_of_x, x_of_y = P([-lo, 1.0]), P([lo, 1.0])
+    while True:
+        q = P(rng.uniform(-0.1, 0.1, 3))
+        r = (P([hi - lo, -1.0]) ** 2 * q(x_of_y)).coef
+        j = np.arange(r.size)
+        s_star = (s0 - P(r * (j + k + 1) * (j + k + 2)))(y_of_x)
+        if s_star(np.linspace(lo, hi, 1001)).min() > 0:
+            break
+    psi_star = P([sign * rng.uniform(1.5, 2.5), rng.uniform(-0.5, 0.5)])
+    h_coef = (psi_star * s_star ** p).coef
+    h = scaled(h_coef[-1], power(h_coef.size - 1))
+    for jj in range(h_coef.size - 2, -1, -1):
+        h = fsum(scaled(h_coef[jj], power(jj)), h)
+    x = geom.grid.x
+    theta = round_profile(geom).theta.values + bump_factor(geom) * q(x)
+    return parse_function(MANUFACTURED_F[p]), h, theta, psi_star.coef
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["psi>0", "psi<0"])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("n", [129, 1025])
+@pytest.mark.parametrize("geometry", ["cp1", "cpm:2", "cpm:3", "cpm:4"])
+def test_manufactured_critical_metrics(geometry, n, p, sign):
+    # the answer is chosen first and the problem built from it, so the solve
+    # is checked against a metric that is not round (method of manufactured
+    # solutions); s* > 0 puts s0 and s* on the same branch of f' = s^-p
+    m = 1 if geometry == "cp1" else int(geometry.split(":")[1])
+    geom = make_cp1_geometry(n) if m == 1 else make_cpm_geometry(m, n)
+    rng = np.random.default_rng([m, n, p, sign + 1])
+    f, h, theta, (beta_star, alpha_star) = _manufactured_problem(geom, rng, p, sign)
+    res = solve_critical(geom, f, h, normalize_potential(geom))
+    assert res.el_report.is_critical
+    scale = abs(alpha_star) + abs(beta_star)
+    assert abs(res.alpha - alpha_star) <= 1e-12 * scale and abs(res.beta - beta_star) <= 1e-12 * scale
+    assert np.abs(res.profile.theta.values - theta).max() <= 1e-12
+
+
+@pytest.mark.parametrize("p, seed", [(2, 3), (3, 2)], ids=["s^-2", "s^-3"])
+def test_newton_step_across_a_pole_of_fprime_is_halved(p, seed):
+    # f' = s^-p has a pole at 0.  For p = 2, f'' = -2 s^-3 changes sign
+    # there; for p = 3, f'' = -3 s^-4 keeps its sign, and f' changing sign
+    # against its monotonicity marks the crossing.  On these draws the
+    # first full Newton step takes s below 0 at some nodes, onto another
+    # branch of f'; the step is halved instead, and the solve finds Theta*
+    geom = make_cp1_geometry(129)
+    rng = np.random.default_rng([1, 129, p, 0, seed])
+    f, h, theta, (beta_star, alpha_star) = _manufactured_problem(geom, rng, p, -1)
+    x, s = geom.grid.x, np.full(geom.grid.n, class_constants(geom).s0)
+    hr = h(x).real
+    fprime, sh = f.derivative(), solver._shooter(geom)
+    alpha, beta = geom.affine_projector.coefficients(fprime(s[:1])[0] * hr)
+    d = 1.0 / (hr * fprime.derivative()(s))
+    d_f = d * (hr * fprime(s) - (alpha * x + beta))
+    da, db = np.linalg.solve(sh.jacobian(d), sh.mismatch(s - d_f))
+    assert (s - d * (da * x + db) - d_f).min() < 0  # the full step crosses the pole
+    res = solve_critical(geom, f, h, normalize_potential(geom))
+    scale = abs(alpha_star) + abs(beta_star)
+    assert abs(res.alpha - alpha_star) <= 1e-12 * scale and abs(res.beta - beta_star) <= 1e-12 * scale
+    assert np.abs(res.profile.theta.values - theta).max() <= 1e-12
+    assert res.profile.s.values.min() > 0

@@ -21,7 +21,6 @@ from calabilab import (
     normalize_potential,
     parse_function,
     random_admissible_profile,
-    richardson_delta_S,
     round_profile,
     scalar_curvature,
     transport,
@@ -150,18 +149,6 @@ def test_delta_S_vanishes_on_critical_profile(cp1, cp1_round):
     path = DeformationPath(_direction(cp1.grid, lambda x: 0.1 * (x ** 4 - x ** 2)))
     assert abs(delta_S_analytic(cp1_round, f, h, phi, path)) < 1e-10
     assert abs(delta_S_numeric(cp1_round, f, h, phi, path, 1e-3)) < 1e-6
-
-
-def test_richardson_improves_numeric_delta(cp1):
-    profile = random_admissible_profile(cp1, 41, 0.2)
-    phi = HolomorphyPotential(cp1, 1.0, 2.0)
-    f = parse_function("exp")
-    h = parse_function("id")
-    path = DeformationPath(_direction(cp1.grid, lambda x: x ** 2))
-    ana = delta_S_analytic(profile, f, h, phi, path)
-    plain = abs(delta_S_numeric(profile, f, h, phi, path, 1e-2) - ana)
-    rich = abs(richardson_delta_S(profile, f, h, phi, path, 1e-2) - ana)
-    assert rich < plain
 
 
 def test_volume_normalization_constant_along_transport(cp1, cp1_round, cp1_phi):
