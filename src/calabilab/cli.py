@@ -269,23 +269,22 @@ def cmd_variation_check(cfg: RunConfig) -> int:
     fs = ["pow:2", "exp", "scaled:0.5:pow:2"]
     hs = ["const:1", "id", "pow:2"]
     x = geom.grid.x
-    us = {
-        "quadratic": SampledFunction(geom.grid, x ** 2),
-        "cubic": SampledFunction(geom.grid, x ** 3 + 0.5 * x ** 2),
-        "random": _random_direction(geom, cfg.seed + 77),
+    # each direction's path is built once, so its u' and u'' are computed once
+    paths = {
+        "quadratic": var.DeformationPath(SampledFunction(geom.grid, x ** 2)),
+        "cubic": var.DeformationPath(SampledFunction(geom.grid, x ** 3 + 0.5 * x ** 2)),
+        "random": var.DeformationPath(_random_direction(geom, cfg.seed + 77)),
     }
     orders = {}
     for fe in fs:
         for he in hs:
-            for uname, u in us.items():
-                dpath = var.DeformationPath(u)
+            for uname, dpath in paths.items():
                 orders[f"{fe}|{he}|{uname}"] = var.convergence_order(
                     profile, parse_function(fe), parse_function(he), phi, dpath
                 )
     # first-order drift of the equivariant integrals, S with f = 1
     drift = 0.0
-    for u in us.values():
-        dpath = var.DeformationPath(u)
+    for dpath in paths.values():
         step = _safe_t_max(profile, dpath, phi) / 8
         if not step:
             continue

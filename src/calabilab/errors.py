@@ -6,10 +6,12 @@ class CalabiLabError(Exception):
 
 
 class AdmissibilityError(CalabiLabError):
-    """A metric profile violates its admissibility invariants."""
+    """A metric profile violates its admissibility invariants.  A profile
+    that a solve converged to carries the solver's residual trace."""
 
-    def __init__(self, violations):
+    def __init__(self, violations, trace=None):
         self.violations = list(violations)
+        self.trace = list(trace) if trace is not None else []
         msg = "; ".join(str(v) for v in self.violations) or "inadmissible profile"
         super().__init__(msg)
 
@@ -21,14 +23,17 @@ class DegenerateWeight(CalabiLabError):
 class DomainError(CalabiLabError):
     """A function was evaluated outside its domain.
 
-    Carries the offending value and, when known, the grid node.
+    Carries the offending value and, when known, the grid node or, for a
+    value not sampled on the grid, what was being evaluated.
     """
 
-    def __init__(self, tag, value, node=None):
+    def __init__(self, tag, value, node=None, where=None):
         self.tag = tag
         self.value = value
         self.node = node
         loc = f" at node x={node!r}" if node is not None else ""
+        if where is not None:
+            loc += f" ({where})"
         super().__init__(f"{tag}: value {value!r} outside domain{loc}")
 
 

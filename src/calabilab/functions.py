@@ -6,10 +6,11 @@ composed_with_affine(inner, a, b).  One entry per tag in the table _TAGS
 holds its grammar heads, parameter and operand counts, evaluation, exact
 derivative (another descriptor) and constant value; the descriptor
 methods and the expression reader and writer all dispatch through it; a
-descriptor's derivative is built once per distinct descriptor (a bounded
-cache).  Scalars may be complex (for h); f is expected real.  The text
-form is prefix notation in which every head has a fixed arity, so it is
-read by recursive descent and every rendered descriptor reads back.
+descriptor's derivative is built once per distinct descriptor, and a text
+is parsed once per distinct text (bounded caches).  Scalars may be complex
+(for h); f is expected real.  The text form is prefix notation in which
+every head has a fixed arity, so it is read by recursive descent and every
+rendered descriptor reads back.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
-CALCULUS_CACHE_SIZE = 256  # descriptors whose derivative is kept
+CALCULUS_CACHE_SIZE = 256  # descriptors whose derivative is kept, and texts whose parse is
 
 
 def _scalar(c):
@@ -245,6 +246,13 @@ def parse_function(spec: str) -> FunctionDescriptor:
     a sum's second operand follows a comma, and either may itself contain
     commas ("sum:sum:exp,id,pow:2").  Trailing text is an error.
     """
+    return _parse(spec)
+
+
+# Descriptors are frozen values, so a text read once is not read again; a
+# ConfigError is raised, not cached, so bad text raises on every call.
+@functools.lru_cache(maxsize=CALCULUS_CACHE_SIZE)
+def _parse(spec: str) -> FunctionDescriptor:
     desc, end = _parse_at(spec, 0)
     if end != len(spec):
         raise ConfigError(f"trailing text {spec[end:]!r} in {spec!r}")

@@ -11,6 +11,7 @@ kernel {affine}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,15 @@ class HolomorphyPotential:
     shift: float = 0.0
 
     def values(self) -> np.ndarray:
-        return self.scale * self.geometry.grid.x + self.shift
+        """phi at the grid's nodes, computed once per potential and
+        read-only, as every reader shares it."""
+        return self._values
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        v = self.scale * self.geometry.grid.x + self.shift
+        v.setflags(write=False)
+        return v
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,19 @@ bifurcation and nonlinear eigenvalue problems", 1977), with no inner
 solve for s.  Newton starts at s = s0 and at the weighted affine
 projection of psi_0 = f'(s0) Re h(phi), the EL potential of the
 constant-curvature profile, so a problem whose answer is the round metric
-(Re h(phi) affine, constants included) is solved at its first mismatch.
+(Re h(phi) affine, constants included) is solved at its first mismatch;
+an f' undefined at s0 is a DomainError naming f' and s0.
 A J that is not finite, or whose singular values (in closed form) are in
 a ratio of at most RANK_TOL, stops the solve with a ConvergenceError;
 otherwise the step is a 2x2 elimination on Python floats
 (spectral.PivotedLU2), with no LAPACK call.  The profile is integrated
 once, from the final s, and keeps the Theta coefficients it is sampled
 from; an s whose chop keeps every coefficient is not resolved on the grid
-and raises ConvergenceError.  A solution whose EL potential is not affine
-within the report's tolerance raises ConvergenceError instead of being
-returned; that check reads s again from Theta's coefficients.
+and raises ConvergenceError, and a profile that is not admissible raises
+AdmissibilityError, both carrying the Newton trace.  A solution whose EL
+potential is not affine within the report's tolerance raises
+ConvergenceError instead of being returned; that check reads s again from
+Theta's coefficients.
 
 What depends only on the geometry is built once per geometry: the
 shooter's forms (_shooter, memoised by functools.cache), the class
@@ -46,7 +49,15 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import CalabiLabError, ConfigError, ConvergenceError, DomainError, RangeError, SingularPotential
+from .errors import (
+    AdmissibilityError,
+    CalabiLabError,
+    ConfigError,
+    ConvergenceError,
+    DomainError,
+    RangeError,
+    SingularPotential,
+)
 from .functions import FunctionDescriptor, identity
 from .geometry import MetricProfile, ProfileGeometry, class_constants
 from .potentials import ELReport, HolomorphyPotential, el_potential, holomorphy_defect
@@ -295,10 +306,17 @@ def solve_critical(
     _check_nonvanishing(hr)
     if init is None:
         # the EL potential of the constant-curvature profile, projected
-        init = geom.affine_projector.coefficients(float(fprime(np.array([s0]))[0]) * hr)
+        try:
+            fprime0 = float(fprime(np.array([s0]))[0])
+        except DomainError as exc:
+            raise DomainError(exc.tag, exc.value,
+                              where=f"f' = {fprime.render()} at the start s0 = {float(s0)!r}") from exc
+        init = geom.affine_projector.coefficients(fprime0 * hr)
     ab, s_final, iters, trace = _newton(shooter, domain, fprime, hr, init, np.full(x.shape, s0))
 
     profile = shooter.profile(s_final, trace)
+    if profile.violations:
+        raise AdmissibilityError(profile.violations, trace)
     report = holomorphy_defect(profile, el_potential(profile, f, h, phi))
     if not report.is_critical:
         raise ConvergenceError(

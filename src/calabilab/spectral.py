@@ -1,11 +1,17 @@
 """Spectral-calculus kernel on Chebyshev-Gauss-Lobatto grids.
 
-Every Chebyshev transform goes through one FFT DCT-I of the even extension
-(Chebfun's vals2coeffs / coeffs2vals): values to coefficients, coefficients
-to values, and the Clenshaw-Curtis weights from the moments of T_k
-(Waldvogel, BIT 46, 2006), all in O(N log N).  Calculus and the endpoint
-slopes run in coefficient space with trailing-coefficient chopping, the
-accurate route for repeated differentiation.  Derivative and antiderivative
+Every Chebyshev transform goes through one FFT DCT-I, np.fft.hfft, which
+pads and evenly extends its input itself (Chebfun's vals2coeffs /
+coeffs2vals): values to coefficients, coefficients to values, and the
+Clenshaw-Curtis weights from the moments of T_k (Waldvogel, BIT 46, 2006),
+all in O(N log N).  The grid's tables replace every copy around it: no
+node is reversed and no buffer padded.  values_to_coefficients divides by
+one per-grid divisor, (-1)^k (n - 1) doubled at both ends;
+coefficients_to_values scales by one per-grid factor, (-1)^k halved inside
+the ends, and returns the transform's output, which is contiguous, so sums
+over it run in numpy's pairwise order.  Calculus and the endpoint slopes
+run in coefficient space with trailing-coefficient chopping, the accurate
+route for repeated differentiation.  Derivative and antiderivative
 coefficients are O(L) array recurrences on the L kept coefficients (Mason &
 Handscomb, Chebyshev Polynomials, 2003): one routine,
 derivative_coefficients, differentiates for this module and for geometry.
@@ -16,9 +22,8 @@ the discrete quadratic form is built from it, column by column.
 AffineProjector is the one weighted affine projection; it and the solver's
 Newton step solve their 2x2 systems by PivotedLU2, partial-pivot
 elimination on Python floats, as a LAPACK call costs several times the
-arithmetic.  values_to_coefficients divides by one per-grid divisor, n - 1
-doubled at both ends.  A SampledFunction is differentiated by its grid and
-never evaluated between the nodes, so nothing here needs numpy.polynomial.
+arithmetic.  A SampledFunction is differentiated by its grid and never
+evaluated between the nodes, so nothing here needs numpy.polynomial.
 """
 
 from __future__ import annotations
@@ -40,25 +45,29 @@ def _cgl_nodes(n: int):
     return -np.cos(np.pi * k / (n - 1))
 
 
-def _dct1(v: np.ndarray) -> np.ndarray:
-    """Unnormalised DCT-I, v_0 + (-1)^k v_m + 2 sum_{0<j<m} v_j cos(pi j k / m)
-    for k = 0..m, by an FFT of the even extension of v (real or complex)."""
-    ext = np.concatenate([v, v[-2:0:-1]])
-    if np.iscomplexobj(ext):
-        return np.fft.fft(ext)[: v.size]
-    return np.fft.rfft(ext).real
+def _dct1(v: np.ndarray, n: int) -> np.ndarray:
+    """Unnormalised DCT-I of length n = m + 1, v_0 + (-1)^k v_m +
+    2 sum_{0<j<m} v_j cos(pi j k / m) for k = 0..m, of v (at most n
+    entries, zero-padded to n).  np.fft.hfft of the half spectrum v is this
+    sum: it pads v and extends it evenly itself, so no extension or buffer
+    is built here.  Complex v goes through the same call as two real rows."""
+    if np.iscomplexobj(v):
+        y = np.fft.hfft(np.stack([v.real, v.imag]), 2 * (n - 1))
+        return y[0, :n] + 1j * y[1, :n]
+    return np.fft.hfft(v, 2 * (n - 1))[:n]
 
 
 def _clenshaw_curtis(n: int):
     """Clenshaw-Curtis weights for n ascending CGL nodes on [-1, 1]: the
-    DCT-I of the moments int T_k = 2 / (1 - k^2) (k even, 0 for k odd)."""
+    DCT-I of the moments int T_k = 2 / (1 - k^2) (k even, 0 for k odd),
+    which is symmetric, so it needs no reversal."""
     k = np.arange(0, n, 2)
     mu = np.zeros(n)
     mu[k] = 2.0 / (1.0 - k * k)
-    w = _dct1(mu) / (n - 1)
+    w = _dct1(mu, n) / (n - 1)
     w[0] *= 0.5
     w[-1] *= 0.5
-    return w[::-1].copy()
+    return w
 
 
 def chop_coefficients(c: np.ndarray) -> np.ndarray:
@@ -136,30 +145,40 @@ class SpectralGrid:
         self.x[0] = self.lo
         self.x[-1] = self.hi
         self.quad_weights = _clenshaw_curtis(n) * (self.span / 2.0)
-        # values_to_coefficients divides the DCT-I by n - 1, and by 2 (n - 1)
-        # at both ends: the halving is exact, so c_0 and c_m get the same bits
-        self._v2c_divisor = np.full(n, float(n - 1))
-        self._v2c_divisor[[0, -1]] = 2.0 * (n - 1)
+        # The DCT-I runs over the nodes in descending t, where T_k(t_j) =
+        # cos(pi j k / m); over the ascending nodes it carries (-1)^k, which
+        # these tables fold in.  values_to_coefficients divides by
+        # (-1)^k (n - 1), doubled at both ends, so c_0 and c_m are halved
+        # exactly.
+        sign = np.where(np.arange(n + 1) % 2, -1.0, 1.0)  # (-1)^k, k = 0..n
+        self._v2c_divisor = sign[:n] * (n - 1)
+        self._v2c_divisor[[0, -1]] *= 2.0
+        # coefficients_to_values scales c_k by (-1)^k, halved inside
+        self._c2v_factor = 0.5 * sign[:n]
+        self._c2v_factor[[0, -1]] *= 2.0
+        # T_k'(1) = k^2 and T_k'(-1) = (-1)^(k+1) k^2, n + 1 long: a profile
+        # built in coefficient space can carry n + 1 coefficients
+        self._slope_hi = np.arange(n + 1.0) ** 2
+        self._slope_lo = -sign * self._slope_hi
 
     # -- coefficient transforms ------------------------------------------
     def values_to_coefficients(self, values: np.ndarray) -> np.ndarray:
         """Chebyshev coefficients (in t) of the interpolant of the values."""
-        return _dct1(np.asarray(values)[::-1]) / self._v2c_divisor
+        return _dct1(np.asarray(values), self.n) / self._v2c_divisor
 
     def coefficients_to_values(self, coeffs: np.ndarray) -> np.ndarray:
-        """Values at the nodes of sum_k c_k T_k(t).  Coefficients beyond the
+        """Values at the nodes of sum_k c_k T_k(t), a contiguous array (sums
+        over it run in numpy's pairwise order).  Coefficients beyond the
         grid's degree m = n - 1 are folded onto it: at the nodes T_k equals
         T_j with j = k mod 2m reflected into [0, m]."""
         c = np.asarray(coeffs)
         n, m = self.n, self.n - 1
-        g = np.zeros(n, dtype=np.result_type(c, float))
         if c.size > n:
             k = np.arange(c.size) % (2 * m)
+            g = np.zeros(n, dtype=np.result_type(c, float))
             np.add.at(g, np.minimum(k, 2 * m - k), c)
-        else:
-            g[: c.size] = c
-        g[1:-1] *= 0.5
-        return _dct1(g)[::-1].copy()  # contiguous: sums over it run in numpy's pairwise order
+            c = g
+        return _dct1(c * self._c2v_factor[: c.size], n)
 
     # -- calculus ---------------------------------------------------------
     def differentiate_values(self, values: np.ndarray, order: int = 1) -> np.ndarray:
@@ -180,13 +199,12 @@ class SpectralGrid:
         return v - v[0]
 
     def endpoint_slopes(self, coeffs: np.ndarray):
-        """(d/dx at lo, d/dx at hi) of sum_k c_k T_k, from its (chopped)
-        coefficients: T_k'(1) = k^2 and T_k'(-1) = (-1)^(k+1) k^2."""
-        k = np.arange(coeffs.size)
-        kc = k * k * coeffs
-        even, odd = kc[::2].sum(), kc[1::2].sum()
+        """(d/dx at lo, d/dx at hi) of sum_k c_k T_k from its (chopped)
+        coefficients, at most n + 1 of them: T_k'(-1) = (-1)^(k+1) k^2 and
+        T_k'(1) = k^2, two dot products with the grid's tables."""
+        size = coeffs.size
         scale = 2.0 / self.span
-        return (odd - even) * scale, (odd + even) * scale
+        return (self._slope_lo[:size] @ coeffs) * scale, (self._slope_hi[:size] @ coeffs) * scale
 
     def integrate_values(self, values: np.ndarray):
         return self.quad_weights @ np.asarray(values)

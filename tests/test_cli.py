@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from calabilab import make_cp1_geometry, profile_to_csv, round_profile
+from calabilab import DeformationPath, make_cp1_geometry, profile_to_csv, round_profile
 from calabilab.cli import main
 
 EIGHT_PI = 8.0 * math.pi
@@ -127,6 +127,21 @@ def test_variation_check_command(tmp_path):
     assert report["kappa_phi"] == 0.5
     assert min(report["convergence_orders"].values()) >= 1.9
     assert report["max_invariance_drift"] < 1e-8
+
+
+def test_variation_check_builds_each_path_once(tmp_path, monkeypatch):
+    # three directions: u'' is computed once for each, not once per (f, h)
+    orders = []
+    derivative = DeformationPath._derivative
+
+    def counted(path, order):
+        orders.append(order)
+        return derivative(path, order)
+
+    monkeypatch.setattr(DeformationPath, "_derivative", counted)
+    out = tmp_path / "var"
+    assert main(["variation-check", "--nodes", "33", "--profile", "random:2:0.1", "--out", str(out)]) == 0
+    assert orders.count(2) == 3
 
 
 def test_exit_code_2_on_bad_config(tmp_path, capsys):

@@ -21,6 +21,13 @@ SOLVER = SRC / "solver.py"
 # scalar curvature and (alpha, beta) are found by one Newton loop, with no
 # inner solve
 ITER_SUFFIX = "_ITER"
+# every Chebyshev transform is one DCT-I, spectral._dct1, so numpy's FFT is
+# reached only there (the README's "one FFT DCT-I for every Chebyshev
+# transform")
+FFT = "fft"
+NUMPY = {"np", "numpy"}
+DCT1 = "_dct1"
+SPECTRAL = SRC / "spectral.py"
 
 
 def _blanket_handlers(tree: ast.AST):
@@ -88,6 +95,24 @@ def _iter_bounded_loops(tree: ast.AST, func: str = "<module>"):
                     yield node.lineno, f"loop bounded by {name} in {func}"
         inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
         yield from _iter_bounded_loops(node, inner)
+
+
+def _fft_uses(tree: ast.AST, func: str = "<module>"):
+    """Each reference to numpy's FFT module (np.fft, numpy.fft, or an import
+    of it), with the function it is in."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Attribute) and node.attr == FFT and getattr(node.value, "id", None) in NUMPY:
+            yield node.lineno, f"{node.value.id}.fft in {func}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[:2] == ["numpy", FFT]:
+                    yield node.lineno, f"import {alias.name} in {func}"
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            parts = node.module.split(".")
+            if parts[:2] == ["numpy", FFT] or (parts == ["numpy"] and any(a.name == FFT for a in node.names)):
+                yield node.lineno, f"from {node.module} import in {func}"
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield from _fft_uses(node, inner)
 
 
 def _library_findings(rule):
@@ -205,3 +230,32 @@ def test_only_newton_loops_to_an_iteration_cap():
     findings = _library_findings(_iter_bounded_loops)
     assert len(findings) == 1 and findings[0].startswith(SOLVER.name), findings
     assert findings[0].endswith(f"in {NEWTON}"), findings
+
+
+def test_rule_detects_fft_uses():
+    code = (
+        "import numpy as np\n"
+        "def _dct1(v, n):\n"
+        "    return np.fft.hfft(v, 2 * (n - 1))[:n]\n"
+        "def coefficients_to_values(c):\n"
+        "    return numpy.fft.rfft(c).real\n"
+        "from numpy import fft\n"
+        "from numpy.fft import irfft\n"
+        "import numpy.fft as F\n"
+        "rfft = np.fft.rfft\n"
+        "y = scipy.fft.dct(x)\n"
+    )
+    assert list(_fft_uses(ast.parse(code))) == [
+        (3, "np.fft in _dct1"),
+        (5, "numpy.fft in coefficients_to_values"),
+        (6, "from numpy import in <module>"),
+        (7, "from numpy.fft import in <module>"),
+        (8, "import numpy.fft in <module>"),
+        (9, "np.fft in <module>"),
+    ]
+
+
+def test_fft_only_in_dct1():
+    findings = _library_findings(_fft_uses)
+    assert findings, "spectral._dct1 calls np.fft"
+    assert all(f.startswith(f"{SPECTRAL.name}:") and f.endswith(f"in {DCT1}") for f in findings), findings

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -162,5 +164,18 @@ def test_second_derivative_chains():
     ],
 )
 def test_bad_expressions_raise_config_error(bad):
-    with pytest.raises(ConfigError):
-        parse_function(bad)
+    # an error is raised, not cached: the second call raises too
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            parse_function(bad)
+
+
+@pytest.mark.parametrize("spec", CATALOG)
+def test_parse_is_memoised(spec):
+    assert parse_function(spec) is parse_function(spec)
+
+
+def test_parse_function_is_a_plain_function():
+    # a plain def, so tools that wrap module functions (inspect.isfunction)
+    # still see it; the memo is a private helper
+    assert inspect.isfunction(parse_function)

@@ -35,6 +35,16 @@ def test_normalize_potential_hits_target(cp1):
     assert abs(total2 - 3.0) < 1e-10
 
 
+def test_potential_values_are_computed_once_and_read_only(cp1):
+    phi = HolomorphyPotential(cp1, 2.0, 0.5)
+    v = phi.values()
+    assert phi.values() is v
+    assert not v.flags.writeable
+    assert np.array_equal(v, 2.0 * cp1.grid.x + 0.5)
+    with pytest.raises(ValueError):
+        v[0] = 0.0
+
+
 def test_eval_S_with_constant_f_is_class_data(cp1, cp1_phi):
     f = parse_function("const:1")
     h = parse_function("exp")

@@ -8,9 +8,11 @@ import numpy.polynomial.chebyshev as C
 import pytest
 
 from calabilab import (
+    AdmissibilityError,
     AffineProjector,
     ConvergenceError,
     DeformationPath,
+    DomainError,
     HolomorphyPotential,
     MetricProfile,
     RangeError,
@@ -529,6 +531,25 @@ def test_unresolved_scalar_curvature_is_a_named_error(cp1):
     phi = HolomorphyPotential(cp1, 2.0, 3.0)
     with pytest.raises(ConvergenceError, match="scalar curvature not resolved: kept 129 of 129 coefficients") as exc:
         solve_critical(cp1, parse_function("log"), parse_function("pow:2"), phi)
+    assert exc.value.trace and exc.value.trace[-1][1] < solver.NEWTON_TOL
+
+
+def test_fprime_undefined_at_s0_names_fprime_and_s0(cp1):
+    # f = log(s - 2): f' = 1/(s - 2) has its pole at s0 = 2, where the
+    # projected start evaluates it; the error says so, as no node is involved
+    f = parse_function("compaff:1:-2:log")
+    with pytest.raises(DomainError, match=r"f' = scaled:1:compaff:1:-2:pow:-1 at the start s0 = 2\.0") as exc:
+        solve_critical(cp1, f, parse_function("id"), HolomorphyPotential(cp1, 1.0, 2.0))
+    assert exc.value.node is None and exc.value.value == 0.0
+
+
+@pytest.mark.parametrize("f", ["log", "scaled:-1:log", "compaff:1:-1:log"])
+def test_inadmissible_newton_profile_carries_the_trace(geometries, f):
+    # h = pow:-2 at phi = 5x + 0.1: Newton converges to a profile with
+    # Theta < 0 inside; the solver refuses it with its own trace
+    geom = geometries["cpm:3"]
+    with pytest.raises(AdmissibilityError, match="interior positivity") as exc:
+        solve_critical(geom, parse_function(f), parse_function("pow:-2"), HolomorphyPotential(geom, 5.0, 0.1))
     assert exc.value.trace and exc.value.trace[-1][1] < solver.NEWTON_TOL
 
 

@@ -67,6 +67,59 @@ def test_coefficients_to_values_matches_chebval(n, extra):
         assert np.abs(grid.coefficients_to_values(c) - expect).max() < 1e-13 * np.abs(c).sum()
 
 
+def _chebyshev_table(n, size):
+    """T_k(t_j) at the n ascending nodes for k < size, as dense cosines:
+    T_k(t_j) = cos(pi k (m - j) / m), the angle reduced exactly mod 2 pi."""
+    m = n - 1
+    return np.cos(np.pi * (np.outer(m - np.arange(n), np.arange(size)) % (2 * m)) / m)
+
+
+def _draw(rng, size, complex_):
+    real = rng.standard_normal(size)
+    return real + 1j * rng.standard_normal(size) if complex_ else real
+
+
+@pytest.mark.parametrize("n", [8, 9, 129, 1025])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_values_to_coefficients_matches_dense_cosine_sums(n, complex_):
+    # c_k = (2 / m) sum'' v_j T_k(t_j), the end terms of the sum and c_0, c_m halved
+    grid = SpectralGrid(n, -1.0, 1.0)
+    v = _draw(np.random.default_rng(n), n, complex_)
+    weights = np.full(n, 2.0 / (n - 1))
+    weights[[0, -1]] *= 0.5
+    expect = (_chebyshev_table(n, n).T * weights) @ v
+    expect[[0, -1]] *= 0.5
+    # an FFT of length 2m is accurate to a few roundoffs of the data's scale
+    assert np.abs(grid.values_to_coefficients(v) - expect).max() <= 8 * EPS * np.abs(v).max()
+
+
+@pytest.mark.parametrize("n", [8, 9, 129, 1025])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_coefficients_to_values_matches_dense_cosine_sums(n, complex_):
+    # n + 1 coefficients take the fold path: T_n equals T_(n-2) at the nodes
+    grid = SpectralGrid(n, -1.0, 1.0)
+    rng = np.random.default_rng(10 * n + complex_)
+    for size in (1, n - 1, n, n + 1):
+        c = _draw(rng, size, complex_)
+        got = grid.coefficients_to_values(c)
+        assert got.shape == (n,) and got.flags.c_contiguous
+        assert np.abs(got - _chebyshev_table(n, size) @ c).max() <= 8 * EPS * np.abs(c).sum(), size
+
+
+@pytest.mark.parametrize("n", [8, 9, 129, 1025])
+def test_endpoint_slopes_of_a_series_one_longer_than_the_grid(n):
+    # a profile built in coefficient space carries up to n + 1 coefficients
+    grid = SpectralGrid(n, 0.0, 2.0)
+    rng = np.random.default_rng(n)
+    for size in (1, n, n + 1):
+        c = rng.standard_normal(size) / np.arange(1, size + 1) ** 3
+        dc = C.chebder(c) if size > 1 else np.zeros(1)
+        expect = (C.chebval(-1.0, dc), C.chebval(1.0, dc))  # d/dx = d/dt on span 2
+        scale = (np.arange(size) ** 2 * np.abs(c)).sum()
+        for got, ref in zip(grid.endpoint_slopes(c), expect):
+            assert abs(got - ref) <= 8 * EPS * scale, size
+
+
 @pytest.mark.parametrize("n", [8, 9, 33, 129, 1025])
 def test_clenshaw_curtis_integrates_chebyshev_polynomials(n):
     grid = SpectralGrid(n, -1.0, 1.0)
