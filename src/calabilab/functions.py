@@ -42,18 +42,17 @@ class FunctionDescriptor:
         return _TAGS[self.tag].evaluate(self, np.asarray(z), nodes)
 
     def _require_positive(self, z, nodes):
-        zr = np.real(np.atleast_1d(z))
-        bad = np.nonzero(zr <= 0.0)[0]
+        zr = z.real.reshape(-1)
+        bad = (zr <= 0.0).nonzero()[0]
         if bad.size:
             i = int(bad[0])
-            node = None if nodes is None else float(np.atleast_1d(nodes)[i])
+            node = None if nodes is None else float(np.asarray(nodes).reshape(-1)[i])
             raise DomainError(self.tag, float(zr[i]), node)
 
     def _require_nonzero(self, z, nodes):
-        za = np.abs(np.atleast_1d(z))
-        bad = np.nonzero(za == 0.0)[0]
+        bad = (z == 0.0).reshape(-1).nonzero()[0]
         if bad.size:
-            node = None if nodes is None else float(np.atleast_1d(nodes)[int(bad[0])])
+            node = None if nodes is None else float(np.asarray(nodes).reshape(-1)[int(bad[0])])
             raise DomainError(self.tag, 0.0, node)
 
     # -- exact calculus ----------------------------------------------------
@@ -129,6 +128,14 @@ class _Tag(NamedTuple):
     constant_value: Callable = lambda d: None
 
 
+def _constant_values(d, z, nodes):
+    """c in the shape of z, as a float or complex array by the type of c."""
+    c = d.params[0]
+    out = np.empty(z.shape, dtype=type(c))
+    out.fill(c)
+    return out
+
+
 def _power_values(d, z, nodes):
     p = d.params[0]
     if p != int(p):
@@ -156,7 +163,7 @@ def _constant_if(d, is_constant: bool):
 _TAGS = {
     "constant": _Tag(
         ("const", "constant"), 1, 0, constant,
-        lambda d, z, nodes: np.full(z.shape, d.params[0]),
+        _constant_values,
         lambda d: constant(0.0),
         lambda d: d.params[0],
     ),

@@ -114,7 +114,7 @@ class MetricProfile:
     def __post_init__(self):
         if self.theta.grid is not self.geometry.grid:
             raise ValueError("profile and geometry live on different grids")
-        if np.iscomplexobj(self.theta.values):
+        if self.theta.values.dtype.kind == "c":
             raise ValueError("theta must be real")
 
     @classmethod
@@ -162,8 +162,8 @@ class MetricProfile:
         if abs(dhi - geom.slope_hi) > BOUNDARY_TOL:
             out.append(Violation("boundary slope", geom.x_hi, abs(dhi - geom.slope_hi)))
         interior = th[1:-1]
-        if np.any(interior <= 0):
-            i = int(np.argmin(interior)) + 1
+        if (interior <= 0).any():
+            i = int(interior.argmin()) + 1
             out.append(Violation("interior positivity", float(grid.x[i]), abs(min(interior.min(), 0.0))))
         return tuple(out)
 
@@ -280,7 +280,7 @@ def random_admissible_profile(geom: ProfileGeometry, seed: int, amplitude: float
     theta0 = base.theta.values
     for _ in range(MAX_HALVINGS + 1):
         theta = theta0 + b * q
-        if np.all(theta[1:-1] > 0):
+        if (theta[1:-1] > 0).all():
             return MetricProfile(geom, SampledFunction(grid, theta))
         q = q / 2.0
     raise AdmissibilityError(

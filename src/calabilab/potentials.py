@@ -10,6 +10,7 @@ kernel {affine}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -143,8 +144,8 @@ def holomorphy_defect(profile: MetricProfile, psi: SampledFunction) -> ELReport:
     require_admissible(profile)
     geom = profile.geometry
     alpha, beta, res = geom.affine_projector.project(psi.values)
-    defect_affine = float(np.sqrt(geom.vol_const) * res)
-    defect_operator = float(np.sqrt(quadratic_form(profile, psi)))
+    defect_affine = math.sqrt(geom.vol_const) * res
+    defect_operator = math.sqrt(quadratic_form(profile, psi))
     tol_affine = AFFINE_TOL * (1.0 + float(np.abs(psi.values).max()))
     return ELReport(
         alpha=alpha,

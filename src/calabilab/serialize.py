@@ -53,7 +53,7 @@ def dump_json(obj, path) -> None:
 def sampled_to_csv(sf: SampledFunction, name: str = "value") -> str:
     v = sf.values
     lines = []
-    if np.iscomplexobj(v):
+    if v.dtype.kind == "c":
         lines.append(f"x,{name}_re,{name}_im")
         for xi, vi in zip(sf.grid.x, v):
             lines.append(f"{fmt(xi)},{fmt(vi.real)},{fmt(vi.imag)}")
@@ -84,6 +84,6 @@ def profile_from_csv(geom: ProfileGeometry, text: str) -> MetricProfile:
     if x.size != geom.grid.n or not np.array_equal(x, geom.grid.x):
         raise ConfigError("profile CSV nodes do not match the geometry grid")
     theta = np.array(thetas)
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ConfigError("profile CSV has a non-finite theta value")
     return MetricProfile(geom, SampledFunction(geom.grid, theta))

@@ -66,6 +66,10 @@ from .spectral import PivotedLU2, chop_coefficients, solve_euler
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITER = 50
 POINTWISE_TOL = 1e-13  # max |d F| at or below this times 1 + max |s|: s settled at every node
+# d F = d (g - (alpha x + beta)) is rounded to a few eps |d| (|g| + |alpha x| + |beta|)
+# at each node; this many of them are added to the node's bound
+POINTWISE_ULPS = 4.0
+EPS = float(np.finfo(float).eps)
 MAX_STEP_HALVINGS = 30  # a Newton step still off the branch after this many halvings fails
 RANK_TOL = 1e-12  # sigma_min / sigma_max at or below this: the Jacobian is singular
 ZERO_FIELD_TOL = 1e-10  # |alpha| below this: the new field is trivial
@@ -189,7 +193,7 @@ def _singular_value_ratio(m: np.ndarray) -> float:
     zero matrix.  With m scaled by its largest entry, sigma_max =
     (hypot(a + d, c - b) + hypot(a - d, c + b)) / 2 lies in [1, 2] and
     sigma_min = |ad - bc| / sigma_max, so nothing overflows or divides by 0."""
-    a, b, c, d = np.ravel(m).tolist()
+    a, b, c, d = m.ravel().tolist()
     scale = max(abs(a), abs(b), abs(c), abs(d))
     if scale == 0.0:
         return 0.0
@@ -211,7 +215,8 @@ def _newton(shooter: _Shooter, f, fprime, hr, init, s):
     monotonicity, as across the pole of s^-3 at 0.  A step that
     MAX_STEP_HALVINGS halvings cannot save raises RangeError naming the
     node.  Newton stops when the mismatch is below NEWTON_TOL and every
-    pointwise correction d F below POINTWISE_TOL (1 + max |s|).
+    pointwise correction d F below POINTWISE_TOL (1 + max |s|) plus its own
+    rounding floor (_settled).
     (alpha, beta) and the 2x2 step are Python floats; numpy's
     floating-point warnings are off, and these checks name the node
     instead."""
@@ -231,10 +236,11 @@ def _newton(shooter: _Shooter, f, fprime, hr, init, s):
             res = shooter.mismatch(s)
             rnorm = float(np.abs(res).max())
             trace.append(((alpha, beta), rnorm))
-            # nan where f'' itself is not finite (an overflow would leave a
-            # 0 here), so that the node is named
-            d = np.where(np.isfinite(hf2), 1.0 / hf2, np.nan)
-            bad = np.flatnonzero(~np.isfinite(d))
+            # d hf2 is 1 to rounding where both are finite, and not finite
+            # where either is (an overflowed f'' leaves d = 0), so that the
+            # node is named
+            d = 1.0 / hf2
+            bad = (~np.isfinite(d * hf2)).nonzero()[0]
             if bad.size:
                 raise ConvergenceError(f"Newton Jacobian is not finite at node x={float(x[bad[0]])!r}", trace)
             jac = shooter.jacobian(d)
@@ -243,7 +249,7 @@ def _newton(shooter: _Shooter, f, fprime, hr, init, s):
             dF = d * (g - (alpha * x + beta))
             da, db = PivotedLU2(*jac.ravel().tolist()).solve(*shooter.mismatch(s - dF).tolist())
             ds = d * (da * x + db) + dF
-            if rnorm < NEWTON_TOL and np.abs(dF).max() <= POINTWISE_TOL * (1.0 + np.abs(s).max()):
+            if rnorm < NEWTON_TOL and _settled(dF, d, g, alpha * x, beta, s):
                 # J is exact, so this last step leaves a residual of order
                 # rnorm**2; s follows it to first order, which is as accurate.
                 return (alpha - da, beta - db), s - ds, it, trace
@@ -257,7 +263,7 @@ def _newton(shooter: _Shooter, f, fprime, hr, init, s):
                     # off the branch: f'' changes sign, or f' changes sign
                     # against its monotonicity (across a pole, as s^-3 at 0)
                     off = (np.sign(hf2_t) != sign) | ((g * g_t < 0) & ((g_t - g) * ds * sign > 0))
-                    bad = np.flatnonzero(~np.isfinite(g_t) | off)
+                    bad = (~np.isfinite(g_t) | off).nonzero()[0]
                     if not bad.size:
                         break
                     i = bad[0]
@@ -273,12 +279,35 @@ def _newton(shooter: _Shooter, f, fprime, hr, init, s):
         f"correction is at node x={float(x[i])!r}", trace)
 
 
+def _settled(dF, d, g, alpha_x, beta, s) -> bool:
+    """Every pointwise correction d F = d (g - (alpha x + beta)) is at most
+    POINTWISE_TOL (1 + max |s|) plus its rounding floor at its node,
+    POINTWISE_ULPS eps |d| (|g| + |alpha x| + |beta|).  Where psi is the
+    cancellation of two large numbers, s there is known only to that floor,
+    and d F cannot settle below it.  The floor is added only when the
+    common bound alone fails."""
+    mag = np.abs(dF)
+    bound = POINTWISE_TOL * (1.0 + np.abs(s).max())
+    if mag.max() <= bound:
+        return True
+    floor = (POINTWISE_ULPS * EPS) * np.abs(d) * (np.abs(g) + np.abs(alpha_x) + abs(beta))
+    return bool((mag <= bound + floor).all())
+
+
 def _check_nonvanishing(hr: np.ndarray):
     """Newton solves Re h f'(s) = psi for s at each node, dividing by
-    hr = Re h(phi): it must keep one sign."""
-    if np.abs(hr).min() <= 1e-12 * max(np.abs(hr).max(), 1.0):
+    hr = Re h(phi): it must keep one sign.  min |hr| and max |hr| are read
+    from min hr and max hr, unless the sign changes."""
+    lo, hi = hr.min(), hr.max()
+    changes_sign = hi > 0 > lo
+    if changes_sign:
+        mag = np.abs(hr)
+        small, big = mag.min(), mag.max()
+    else:
+        small, big = sorted((abs(lo), abs(hi)))
+    if small <= 1e-12 * max(big, 1.0):
         raise SingularPotential("Re h(phi) vanishes on the momentum interval")
-    if hr.max() > 0 > hr.min():
+    if changes_sign:
         raise SingularPotential("Re h(phi) changes sign on the momentum interval")
 
 
@@ -312,7 +341,9 @@ def solve_critical(
             raise DomainError(exc.tag, exc.value,
                               where=f"f' = {fprime.render()} at the start s0 = {float(s0)!r}") from exc
         init = geom.affine_projector.coefficients(fprime0 * hr)
-    ab, s_final, iters, trace = _newton(shooter, domain, fprime, hr, init, np.full(x.shape, s0))
+    s_start = np.empty(x.shape)
+    s_start.fill(s0)
+    ab, s_final, iters, trace = _newton(shooter, domain, fprime, hr, init, s_start)
 
     profile = shooter.profile(s_final, trace)
     if profile.violations:

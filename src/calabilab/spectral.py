@@ -1,20 +1,21 @@
 """Spectral-calculus kernel on Chebyshev-Gauss-Lobatto grids.
 
-Every Chebyshev transform goes through one FFT DCT-I, np.fft.hfft, which
-pads and evenly extends its input itself (Chebfun's vals2coeffs /
-coeffs2vals): values to coefficients, coefficients to values, and the
-Clenshaw-Curtis weights from the moments of T_k (Waldvogel, BIT 46, 2006),
-all in O(N log N).  The grid's tables replace every copy around it: no
-node is reversed and no buffer padded.  values_to_coefficients divides by
-one per-grid divisor, (-1)^k (n - 1) doubled at both ends;
-coefficients_to_values scales by one per-grid factor, (-1)^k halved inside
-the ends, and returns the transform's output, which is contiguous, so sums
-over it run in numpy's pairwise order.  Calculus and the endpoint slopes
-run in coefficient space with trailing-coefficient chopping, the accurate
-route for repeated differentiation.  Derivative and antiderivative
-coefficients are O(L) array recurrences on the L kept coefficients (Mason &
-Handscomb, Chebyshev Polynomials, 2003): one routine,
-derivative_coefficients, differentiates for this module and for geometry.
+Every Chebyshev transform goes through one FFT DCT-I, an unscaled
+np.fft.irfft, which pads and evenly extends its input itself (Chebfun's
+vals2coeffs / coeffs2vals): values to coefficients, coefficients to
+values, and the Clenshaw-Curtis weights from the moments of T_k
+(Waldvogel, BIT 46, 2006), all in O(N log N).  The grid's tables
+replace every copy around it: no node is reversed and no buffer padded.
+values_to_coefficients divides by one per-grid divisor, (-1)^k (n - 1)
+doubled at both ends; coefficients_to_values scales by one per-grid
+factor, (-1)^k halved inside the ends, and returns the transform's output,
+which is contiguous, so sums over it run in numpy's pairwise order.
+Calculus and the endpoint slopes run in coefficient space with
+trailing-coefficient chopping, the accurate route for repeated
+differentiation.  Derivative and antiderivative coefficients are O(L)
+array recurrences on the L kept coefficients (Mason & Handscomb,
+Chebyshev Polynomials, 2003): one routine, derivative_coefficients,
+differentiates for this module and for geometry.
 The scale-free Euler operator E_a = y d/dy + a, y = x - lo, and its inverse
 (euler_coefficients, solve_euler) carry every weight y^k: nothing divides
 by x - lo.  Differentiation has this one route: the explicit operator of
@@ -24,10 +25,14 @@ Newton step solve their 2x2 systems by PivotedLU2, partial-pivot
 elimination on Python floats, as a LAPACK call costs several times the
 arithmetic.  A SampledFunction is differentiated by its grid and never
 evaluated between the nodes, so nothing here needs numpy.polynomial.
+The hot path is a few dozen small array steps per call, so it calls
+numpy's array methods (.nonzero(), .any(), .real, the dtype) rather than
+the Python-level wrappers around them, and copies nothing it only reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,13 +53,15 @@ def _cgl_nodes(n: int):
 def _dct1(v: np.ndarray, n: int) -> np.ndarray:
     """Unnormalised DCT-I of length n = m + 1, v_0 + (-1)^k v_m +
     2 sum_{0<j<m} v_j cos(pi j k / m) for k = 0..m, of v (at most n
-    entries, zero-padded to n).  np.fft.hfft of the half spectrum v is this
-    sum: it pads v and extends it evenly itself, so no extension or buffer
-    is built here.  Complex v goes through the same call as two real rows."""
-    if np.iscomplexobj(v):
-        y = np.fft.hfft(np.stack([v.real, v.imag]), 2 * (n - 1))
+    entries, zero-padded to n).  The unscaled (norm="forward") inverse real
+    FFT of the half spectrum v is this sum: it pads v and extends it evenly
+    itself, so no extension or buffer is built here; np.fft.hfft is the
+    same call on a conjugated copy of v.  Complex v goes through the same
+    call as two stacked real rows."""
+    if v.dtype.kind == "c":
+        y = np.fft.irfft(np.array([v.real, v.imag]), 2 * (n - 1), norm="forward")
         return y[0, :n] + 1j * y[1, :n]
-    return np.fft.hfft(v, 2 * (n - 1))[:n]
+    return np.fft.irfft(v, 2 * (n - 1), norm="forward")[:n]
 
 
 def _clenshaw_curtis(n: int):
@@ -71,7 +78,8 @@ def _clenshaw_curtis(n: int):
 
 
 def chop_coefficients(c: np.ndarray) -> np.ndarray:
-    """Drop the trailing run of coefficients below CHOP_REL * max|c|.
+    """Drop the trailing run of coefficients below CHOP_REL * max|c|: a
+    leading slice of c, not a copy (no caller writes into it).
 
     High-order coefficients of smooth sampled data sit on a roundoff
     plateau; differentiating them amplifies the noise by O(N^3), so they
@@ -80,21 +88,21 @@ def chop_coefficients(c: np.ndarray) -> np.ndarray:
     mag = np.abs(c)
     top = mag.max() if c.size else 0.0
     if top == 0.0:
-        return c[:1].copy()
-    keep = np.nonzero(mag > CHOP_REL * top)[0]
-    return c[: keep[-1] + 1].copy()
+        return c[:1]
+    keep = (mag > CHOP_REL * top).nonzero()[0]
+    return c[: keep[-1] + 1]
 
 
 def derivative_coefficients(coeffs, order: int = 1) -> np.ndarray:
     """Chebyshev coefficients of the order-th t-derivative of sum_k c_k T_k
-    (real or complex), order >= 0.  Each order takes
+    (real or complex floats), order >= 0.  Each order takes
     d_j = (2 - [j = 0]) sum_{k > j, k - j odd} k c_k, a reverse cumulative
-    sum along each parity strand; a series of degree below order gives [0]."""
-    c = np.asarray(coeffs)
-    d = np.array(c, dtype=np.result_type(c, float), ndmin=1)
+    sum along each parity strand; a series of degree below order gives [0]
+    at once.  The input is read, never copied or written."""
+    d = np.asarray(coeffs)
+    if order and d.size <= order:
+        return np.zeros(1, dtype=d.dtype)
     for _ in range(order):
-        if d.size < 2:
-            return np.zeros(1, dtype=d.dtype)
         kc = np.arange(1, d.size) * d[1:]  # kc[j] = (j + 1) c_(j+1)
         d = np.empty_like(kc)
         d[::2] = kc[::2][::-1].cumsum()[::-1]
@@ -274,7 +282,7 @@ class AffineProjector:
 
     def __init__(self, weight: np.ndarray, grid: SpectralGrid):
         w = np.asarray(weight, dtype=float)
-        if np.any(w < -1e-13):
+        if (w < -1e-13).any():
             raise DegenerateWeight("weight must be nonnegative")
         qw = grid.quad_weights * w
         x = grid.x
@@ -299,7 +307,7 @@ class AffineProjector:
         projected componentwise (same Gram matrix for both parts)."""
         alpha, beta = self.coefficients(psi)
         resid = psi - (alpha * self.x + beta)
-        residual_norm = float(np.sqrt(max(self.qw @ np.abs(resid) ** 2, 0.0).real))
-        if not np.iscomplexobj(psi):
+        residual_norm = math.sqrt(max(float(self.qw @ np.abs(resid) ** 2), 0.0))
+        if psi.dtype.kind != "c":
             alpha, beta = float(alpha.real), float(beta.real)
         return alpha, beta, residual_norm

@@ -107,7 +107,7 @@ def transport(
     if phi is None:
         phi = normalize_potential(geom)
     denom = 1.0 - KAPPA_THETA * t * profile.theta.values * path.u2
-    if np.any(denom[1:-1] <= 0.0):
+    if (denom[1:-1] <= 0.0).any():
         raise PathExitsClass(t)
     theta_t = profile.theta.values / denom
     return MetricProfile(geom, SampledFunction(grid, theta_t)), phi

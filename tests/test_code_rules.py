@@ -28,6 +28,13 @@ FFT = "fft"
 NUMPY = {"np", "numpy"}
 DCT1 = "_dct1"
 SPECTRAL = SRC / "spectral.py"
+# numpy functions that are Python-level wrappers around an array method or a
+# dtype test, each a microsecond or more per call on the hot path: the
+# library calls .any(), .all(), .nonzero(), .real, reshape(-1) and
+# dtype.kind instead, and irfft in place of hfft, which conjugates a copy
+# of its input and then calls irfft
+NUMPY_WRAPPERS = {"iscomplexobj", "any", "all", "nonzero", "flatnonzero", "real", "atleast_1d"}
+FFT_WRAPPERS = {"hfft"}
 
 
 def _blanket_handlers(tree: ast.AST):
@@ -113,6 +120,24 @@ def _fft_uses(tree: ast.AST, func: str = "<module>"):
                 yield node.lineno, f"from {node.module} import in {func}"
         inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
         yield from _fft_uses(node, inner)
+
+
+def _numpy_wrapper_uses(tree: ast.AST):
+    """Each reference to a name in NUMPY_WRAPPERS on np/numpy, or in
+    FFT_WRAPPERS on np.fft/numpy.fft, and each import of one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if node.attr in NUMPY_WRAPPERS and getattr(owner, "id", None) in NUMPY:
+                yield node.lineno, f"{owner.id}.{node.attr}"
+            elif (node.attr in FFT_WRAPPERS and isinstance(owner, ast.Attribute) and owner.attr == FFT
+                  and getattr(owner.value, "id", None) in NUMPY):
+                yield node.lineno, f"{owner.value.id}.fft.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.fft"):
+            banned = NUMPY_WRAPPERS if node.module == "numpy" else FFT_WRAPPERS
+            for alias in node.names:
+                if alias.name in banned:
+                    yield node.lineno, f"from {node.module} import {alias.name}"
 
 
 def _library_findings(rule):
@@ -259,3 +284,33 @@ def test_fft_only_in_dct1():
     findings = _library_findings(_fft_uses)
     assert findings, "spectral._dct1 calls np.fft"
     assert all(f.startswith(f"{SPECTRAL.name}:") and f.endswith(f"in {DCT1}") for f in findings), findings
+
+
+def test_rule_detects_numpy_wrapper_uses():
+    code = (
+        "import numpy as np\n"
+        "if np.iscomplexobj(v) or np.any(v < 0):\n    pass\n"
+        "keep = np.nonzero(mag > tol)[0]\n"
+        "bad = numpy.flatnonzero(~ok) + np.all(ok)\n"
+        "zr = np.real(np.atleast_1d(z))\n"
+        "y = np.fft.hfft(v, 2 * m)\n"
+        "from numpy import any, abs\n"
+        "from numpy.fft import hfft, irfft\n"
+        "y = np.fft.irfft(v, 2 * m, norm='forward')\n"
+        "ok = (v < 0).any() or v.nonzero()[0].size or v.real.all() or np.abs(v).max()\n"
+        "w = scipy.fft.hfft(v) + other.any(v)\n"
+    )
+    found = sorted(_numpy_wrapper_uses(ast.parse(code)))
+    assert found == [
+        (2, "np.any"), (2, "np.iscomplexobj"),
+        (4, "np.nonzero"),
+        (5, "np.all"), (5, "numpy.flatnonzero"),
+        (6, "np.atleast_1d"), (6, "np.real"),
+        (7, "np.fft.hfft"),
+        (8, "from numpy import any"),
+        (9, "from numpy.fft import hfft"),
+    ]
+
+
+def test_no_numpy_wrappers_in_library():
+    assert _library_findings(_numpy_wrapper_uses) == []

@@ -145,6 +145,20 @@ def test_round_profile_is_one_read_only_object_per_geometry(geometries):
         assert base.s is round_profile(geom).s, spec
 
 
+def test_cached_chopped_coefficients_are_read_only(geometries):
+    # chop_coefficients returns a slice, not a copy, so every cache of its
+    # result is read-only: theta_coeffs chopped from the values (round and
+    # random profiles) and those a solved profile keeps (with_coefficients)
+    calabi, one = parse_function("scaled:0.5:pow:2"), parse_function("const:1")
+    for spec, geom in geometries.items():
+        solved = solve_critical(geom, calabi, one, normalize_potential(geom)).profile
+        for profile in (round_profile(geom), random_admissible_profile(geom, 3, 0.1), solved):
+            coeffs = profile.theta_coeffs
+            assert not coeffs.flags.writeable, spec
+            with pytest.raises(ValueError):
+                coeffs[0] = 0.5
+
+
 def test_random_profile_is_round_plus_bump_times_splitmix_series(geometries):
     # round_profile's cached Theta is read, not changed: theta0 + B q
     for spec, geom in geometries.items():

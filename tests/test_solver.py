@@ -455,15 +455,18 @@ def test_calabi_start_is_the_constant_potential(geometries):
 def test_unsettled_pointwise_correction_is_a_named_error(cp1):
     # f = log, h = exp, phi = 5x + 0.1: the mismatch converges, but psi at
     # x = -1 is 2.6e-7, the difference of two numbers near 8.2, so
-    # s = Re h / psi = 2.8e4 there is known to a few parts in 1e9 and the
-    # correction d F never settles; that is a ConvergenceError naming the
-    # node, not a RuntimeWarning or a wrong answer
+    # s = Re h / psi = 2.8e4 there is known to a few parts in 1e9.  The
+    # correction d F settles to its rounding floor there, so Newton stops
+    # well before MAX_NEWTON_ITER, and the s it stops at is not resolved on
+    # the grid: a ConvergenceError naming that, not a RuntimeWarning, a
+    # wrong answer or 50 iterations of stagnation
     phi = HolomorphyPotential(cp1, 5.0, 0.1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError, match=r"stagnated after 50 iterations.*node x=-1\.0") as exc:
+        with pytest.raises(ConvergenceError, match=r"scalar curvature not resolved: kept 129 of 129") as exc:
             solve_critical(cp1, parse_function("log"), parse_function("exp"), phi)
     assert exc.value.trace and exc.value.trace[-1][1] < solver.NEWTON_TOL
+    assert len(exc.value.trace) < solver.MAX_NEWTON_ITER
 
 
 @pytest.mark.parametrize("geometry, f, h, fault", [

@@ -6,6 +6,7 @@ from calabilab.errors import DegenerateWeight
 from calabilab.spectral import (
     PivotedLU2,
     SpectralGrid,
+    _dct1,
     chop_coefficients,
     derivative_coefficients,
     euler_coefficients,
@@ -107,6 +108,26 @@ def test_coefficients_to_values_matches_dense_cosine_sums(n, complex_):
 
 
 @pytest.mark.parametrize("n", [8, 9, 129, 1025])
+def test_dct1_is_hfft_bit_for_bit(n):
+    # the unscaled irfft is what np.fft.hfft computes, without its
+    # conjugated copy of the input
+    rng = np.random.default_rng(n)
+    for size in (1, n // 2, n):
+        v = rng.standard_normal(size)
+        assert _dct1(v, n).tobytes() == np.fft.hfft(v, 2 * (n - 1))[:n].tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 9, 129, 1025])
+def test_complex_dct1_is_the_dct1_of_each_part_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for size in (1, n // 2, n):
+        v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        got = _dct1(v, n)
+        expect = _dct1(v.real, n) + 1j * _dct1(v.imag, n)
+        assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 9, 129, 1025])
 def test_endpoint_slopes_of_a_series_one_longer_than_the_grid(n):
     # a profile built in coefficient space carries up to n + 1 coefficients
     grid = SpectralGrid(n, 0.0, 2.0)
@@ -171,6 +192,18 @@ def test_derivative_coefficients_match_chebder(order, size, complex_):
     assert got.shape == expect.shape and got.dtype == expect.dtype
     scale = max(np.abs(expect).max(), 1.0)
     assert np.abs(got - expect).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_derivative_of_a_series_of_lower_degree_is_zero(dtype):
+    # degree size - 1 below order: [0] at once, in the input's dtype; the
+    # input is read-only, as cached coefficients are, so a write would raise
+    for order in (1, 2, 3):
+        for size in range(1, order + 1):
+            c = np.arange(1.0, size + 1.0).astype(dtype)
+            c.setflags(write=False)
+            got = derivative_coefficients(c, order)
+            assert got.dtype == c.dtype and got.tobytes() == np.zeros(1, dtype).tobytes(), (order, size)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
@@ -341,7 +374,8 @@ def test_affine_projection_accepts_tiny_weight_on_two_nodes():
 
 def test_chop_coefficients_drops_roundoff_plateau():
     c = np.array([1.0, 0.5, 1e-20, 1e-21, 0.0])
-    assert chop_coefficients(c).size == 2
+    kept = chop_coefficients(c)
+    assert kept.size == 2 and np.shares_memory(kept, c)  # a slice, not a copy
     assert chop_coefficients(np.zeros(5)).size == 1
 
 
