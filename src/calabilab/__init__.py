@@ -69,8 +69,6 @@ from .variation import (
     convergence_order,
     delta_S_analytic,
     delta_S_numeric,
-    delta_s,
-    first_order,
     transport,
 )
 

@@ -123,7 +123,6 @@ def _safe_t_max(profile, path, phi) -> float:
 def cmd_evaluate(cfg: RunConfig) -> int:
     geom, f, h, phi = _problem(cfg)
     profile = _profile(geom, cfg)
-    consts = class_constants(geom)
     s_val = eval_S(profile, f, h, phi)
     psi = el_potential(profile, f, h, phi)
     report = holomorphy_defect(profile, psi)
@@ -131,11 +130,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     dump_json(
         {
             "S": s_val,
-            "class_constants": {
-                "total_volume": consts.total_volume,
-                "total_scalar": consts.total_scalar,
-                "s0": consts.s0,
-            },
+            "class_constants": class_constants(geom)._asdict(),
             "futaki": futaki(profile, phi),
             "el_report": asdict(report),
             "f": f.render(),
@@ -155,15 +150,15 @@ def cmd_evaluate(cfg: RunConfig) -> int:
 def cmd_invariance(cfg: RunConfig) -> int:
     if cfg.samples < 0:
         raise ConfigError(f"samples must be nonnegative, got {cfg.samples}")
+    geom = _geometry(cfg)
+    h = parse_function(cfg.h_expr)
+    phi = normalize_potential(geom, cfg.target)
     out = _outdir(cfg)
     path_json = os.path.join(out, "invariance.json")
     if cfg.samples == 0:
         dump_json({"samples": 0, "results": {}}, path_json)
         print("invariance: empty report")
         return 0
-    geom = _geometry(cfg)
-    h = parse_function(cfg.h_expr)
-    phi = normalize_potential(geom, cfg.target)
     eq_vals, sphi_vals, fut_vals = [], [], []
     failures = []
     for i in range(cfg.samples):
@@ -260,16 +255,14 @@ def cmd_iterate(cfg: RunConfig) -> int:
 
 def cmd_variation_check(cfg: RunConfig) -> int:
     geom = _geometry(cfg)
-    profile = _profile(geom, cfg) if cfg.profile != "round" else random_admissible_profile(
-        geom, cfg.seed, cfg.amplitude
-    )
+    profile = _profile(geom, cfg)
     phi = normalize_potential(
         geom, 2.0 * class_constants(geom).total_volume  # shift c = 2 keeps h domains safe
     )
     fs = ["pow:2", "exp", "scaled:0.5:pow:2"]
     hs = ["const:1", "id", "pow:2"]
     x = geom.grid.x
-    # each direction's path is built once, so its u' and u'' are computed once
+    # each direction's path is built once, so its u'' is computed once
     paths = {
         "quadratic": var.DeformationPath(SampledFunction(geom.grid, x ** 2)),
         "cubic": var.DeformationPath(SampledFunction(geom.grid, x ** 3 + 0.5 * x ** 2)),

@@ -52,16 +52,6 @@ class ProfileGeometry:
     vol_const: ClassVar[float] = 2.0 * np.pi
 
     @property
-    def dim(self) -> int:
-        """Complex dimension m = k + 1."""
-        return self.k + 1
-
-    @property
-    def kind(self) -> str:
-        """The geometry's name: cp1 for k = 0, else cpm."""
-        return "cp1" if self.k == 0 else "cpm"
-
-    @property
     def x_lo(self) -> float:
         return self.grid.lo
 

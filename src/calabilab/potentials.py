@@ -35,13 +35,10 @@ class HolomorphyPotential:
     scale: float = 1.0
     shift: float = 0.0
 
+    @cached_property
     def values(self) -> np.ndarray:
         """phi at the grid's nodes, computed once per potential and
         read-only, as every reader shares it."""
-        return self._values
-
-    @cached_property
-    def _values(self) -> np.ndarray:
         v = self.scale * self.geometry.grid.x + self.shift
         v.setflags(write=False)
         return v
@@ -75,7 +72,7 @@ def normalize_potential(geom: ProfileGeometry, target: float | None = None) -> H
 def _phi_values(profile: MetricProfile, phi: HolomorphyPotential) -> np.ndarray:
     if phi.geometry.grid is not profile.geometry.grid:
         raise ValueError("potential and profile live on different grids")
-    return phi.values()
+    return phi.values
 
 
 def eval_S(

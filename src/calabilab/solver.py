@@ -321,7 +321,7 @@ def solve_critical(
     """Find the metric whose EL potential f'(s) h(phi) is alpha x + beta."""
     shooter = _shooter(geom)
     x = geom.grid.x
-    hr = np.asarray(h(phi.values(), x)).real  # a complex h leaves Im h to the check below
+    hr = np.asarray(h(phi.values, x)).real  # a complex h leaves Im h to the check below
     s0 = class_constants(geom).s0
     domain, fprime, status = f, f.derivative(), STATUS_CONVERGED
     if fprime.constant_value() is not None:

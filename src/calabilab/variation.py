@@ -1,12 +1,14 @@
-"""Kahler-class deformations: first-order dictionary, finite transport in
-the symplectic-potential picture, and the variation of S.
+"""Kahler-class deformations: finite transport in the symplectic-potential
+picture, and the variation of S.
 
 A deformation direction is a real invariant function u(x).  Its
 first-order effect on the profile is dTheta = kappa_theta Theta^2 u'',
 which vanishes to second order at the endpoints so boundary data is
 preserved; the fixed-complex-point moment velocity is
-dphi = kappa_phi Theta u'.  Finite transport deforms the symplectic
-potential, G_t'' = 1/Theta_t with G_t = G_0 - kappa_theta t u, so
+dphi = kappa_phi Theta u', and the scalar curvature at fixed x moves by
+ds = -kappa_theta L u, with L = potentials.lichnerowicz.  Finite transport
+deforms the symplectic potential, G_t'' = 1/Theta_t with
+G_t = G_0 - kappa_theta t u, so
 
     Theta_t = Theta / (1 - kappa_theta * t * Theta * u''),
 
@@ -22,11 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .conventions import KAPPA_PHI, KAPPA_THETA
+from .conventions import KAPPA_THETA
 from .errors import PathExitsClass
 from .functions import FunctionDescriptor
 from .geometry import MetricProfile, require_admissible
@@ -39,57 +40,17 @@ ORDER_STEPS = (1e-2, 1e-3, 1e-4)  # the step schedule of convergence_order
 @dataclass(frozen=True)
 class DeformationPath:
     """A deformation direction u(x); its scale constants are the pinned
-    conventions KAPPA_THETA and KAPPA_PHI.  u' and u'' are computed once,
-    on first read, and cached on the instance."""
+    conventions KAPPA_THETA and KAPPA_PHI.  u'' is computed once, on first
+    read, and cached on the instance."""
 
     u: SampledFunction
 
     @cached_property
-    def u1(self) -> np.ndarray:
-        """u' at the nodes."""
-        return self._derivative(1)
-
-    @cached_property
     def u2(self) -> np.ndarray:
         """u'' at the nodes."""
-        return self._derivative(2)
-
-    def _derivative(self, order: int) -> np.ndarray:
-        d = self.u.grid.differentiate_values(self.u.values, order)
+        d = self.u.grid.differentiate_values(self.u.values, 2)
         d.setflags(write=False)  # shared by every reader of the cache
         return d
-
-
-class FirstOrder(NamedTuple):
-    d_theta: SampledFunction
-    d_phi_fixed_point: SampledFunction
-
-
-class DeltaScalar(NamedTuple):
-    fixed_x: SampledFunction
-    fixed_point: SampledFunction
-
-
-def first_order(profile: MetricProfile, path: DeformationPath) -> FirstOrder:
-    """First-order fields: dTheta, and dphi at a fixed complex point."""
-    require_admissible(profile)
-    grid = profile.geometry.grid
-    theta = profile.theta.values
-    d_theta = KAPPA_THETA * theta ** 2 * path.u2
-    d_phi = KAPPA_PHI * theta * path.u1
-    return FirstOrder(SampledFunction(grid, d_theta), SampledFunction(grid, d_phi))
-
-
-def delta_s(profile: MetricProfile, path: DeformationPath) -> DeltaScalar:
-    """First-order scalar-curvature variation, in both bookkeepings:
-    at fixed momentum x, ds = -(w dTheta)''/w; at a fixed complex point the
-    transport term dphi * s' is added."""
-    grid = profile.geometry.grid
-    fo = first_order(profile, path)
-    fixed_x = -profile.weighted_derivative(KAPPA_THETA * path.u2, 2)
-    s1 = grid.differentiate_values(profile.s.values, 1)
-    fixed_point = fixed_x + fo.d_phi_fixed_point.values * s1
-    return DeltaScalar(SampledFunction(grid, fixed_x), SampledFunction(grid, fixed_point))
 
 
 def transport(

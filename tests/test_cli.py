@@ -129,19 +129,33 @@ def test_variation_check_command(tmp_path):
     assert report["max_invariance_drift"] < 1e-8
 
 
+def test_variation_check_runs_on_the_profile_it_is_given(tmp_path):
+    # --profile means what it means in every command: round is the round
+    # profile, and it is also the default
+    reports = {}
+    for name, profile in (("bare", []), ("round", ["--profile", "round"]), ("random", ["--profile", "random:0:0.3"])):
+        out = tmp_path / name
+        assert main(["variation-check", "--nodes", "65", "--out", str(out)] + profile) == 0
+        reports[name] = (out / "variation.json").read_text()
+    assert reports["bare"] == reports["round"]
+    assert reports["round"] != reports["random"]
+    assert min(json.loads(reports["round"])["convergence_orders"].values()) >= 1.9
+
+
 def test_variation_check_builds_each_path_once(tmp_path, monkeypatch):
     # three directions: u'' is computed once for each, not once per (f, h)
-    orders = []
-    derivative = DeformationPath._derivative
+    built = []
+    u2 = DeformationPath.__dict__["u2"]  # the cached_property itself
+    derivative = u2.func
 
-    def counted(path, order):
-        orders.append(order)
-        return derivative(path, order)
+    def counted(path):
+        built.append(path)
+        return derivative(path)
 
-    monkeypatch.setattr(DeformationPath, "_derivative", counted)
+    monkeypatch.setattr(u2, "func", counted)
     out = tmp_path / "var"
     assert main(["variation-check", "--nodes", "33", "--profile", "random:2:0.1", "--out", str(out)]) == 0
-    assert orders.count(2) == 3
+    assert len(built) == 3
 
 
 def test_exit_code_2_on_bad_config(tmp_path, capsys):
@@ -182,6 +196,7 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
         ["invariance", "--config", str(nan_amp), "--samples", "2"],
         ["invariance", "--samples", "-3"],
         ["invariance", "--config", str(neg_samples)],
+        ["invariance", "--samples", "0", "--geometry", "bogus", "--h", "nonsense", "--nodes", "3"],
         ["evaluate", "--profile", "random:1:nan"],
         ["evaluate", "--profile", "random:1:inf"],
         ["evaluate", "--profile", "randomXYZ"],

@@ -35,6 +35,12 @@ SPECTRAL = SRC / "spectral.py"
 # of its input and then calls irfft
 NUMPY_WRAPPERS = {"iscomplexobj", "any", "all", "nonzero", "flatnonzero", "real", "atleast_1d"}
 FFT_WRAPPERS = {"hfft"}
+# every name the package exports has a reader other than the unit tests: a
+# library module, the benchmark (read, never changed, here) or the
+# acceptance gate; a name only unit tests call is a second route to keep
+INIT = SRC / "__init__.py"
+BENCH = SRC.parent.parent / "bench"
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def _blanket_handlers(tree: ast.AST):
@@ -138,6 +144,30 @@ def _numpy_wrapper_uses(tree: ast.AST):
             for alias in node.names:
                 if alias.name in banned:
                     yield node.lineno, f"from {node.module} import {alias.name}"
+
+
+def _references(tree: ast.AST, enclosing: tuple = ()):
+    """Each name read as a Name or an Attribute in tree, with the names of
+    the functions and classes it is read in."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, enclosing
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, enclosing
+        defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _references(node, enclosing + (node.name,) if defines else enclosing)
+
+
+def _exports_without_reader(init: ast.AST, readers):
+    """Each name imported into the package's __init__ (init) that no tree in
+    readers reads outside its own definition."""
+    read = {name for tree in readers for name, enclosing in _references(tree) if name not in enclosing}
+    for node in ast.walk(init):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                name = alias.asname or alias.name
+                if name not in read:
+                    yield node.lineno, name
 
 
 def _library_findings(rule):
@@ -314,3 +344,28 @@ def test_rule_detects_numpy_wrapper_uses():
 
 def test_no_numpy_wrappers_in_library():
     assert _library_findings(_numpy_wrapper_uses) == []
+
+
+def test_rule_detects_exports_without_reader():
+    init = (
+        "from .geometry import make_geometry, scalar_curvature\n"
+        "from .variation import (\n    delta_s,\n    transport as move,\n    first_order,\n    step,\n)\n"
+        "__all__ = [name for name in dir() if not name.startswith('_')]\n"
+    )
+    library = (
+        "def delta_s(profile, path):\n    return delta_s.cache or first_order(profile, path)\n"
+        "def first_order(profile, path):\n    return profile\n"
+        "class step:\n    def again(self):\n        return step()\n"
+        "from .geometry import scalar_curvature\n"
+    )
+    bench = "import calabilab as cl\ngeom = cl.make_geometry(129)\nmoved = cl.move(geom)\n"
+    readers = [ast.parse(library), ast.parse(bench)]
+    assert list(_exports_without_reader(ast.parse(init), readers)) == [
+        (1, "scalar_curvature"), (2, "delta_s"), (2, "step"),
+    ]
+
+
+def test_every_export_has_a_reader():
+    paths = [p for p in sorted(SRC.glob("*.py")) if p != INIT] + sorted(BENCH.glob("*.py")) + [ACCEPTANCE]
+    readers = [ast.parse(path.read_text(), filename=str(path)) for path in paths]
+    assert list(_exports_without_reader(ast.parse(INIT.read_text()), readers)) == []

@@ -31,13 +31,13 @@ EIGHT_PI = 8.0 * np.pi
 
 @pytest.mark.parametrize("n", [33, 129])
 def test_geometry_is_grid_and_k(n):
-    """A geometry is (grid, k); kind, dim, the slopes, C_vol, the interval,
-    w and A all follow from k."""
+    """A geometry is (grid, k); the slopes, C_vol, the interval, w and A
+    all follow from k, which is m - 1 for CP^m and 0 for CP^1."""
     cases = [(make_cp1_geometry(n), "cp1", 1, -1.0)]
     cases += [(make_cpm_geometry(m, n), "cpm", m, 0.0) for m in (2, 3, 4, 5)]
     for geom, kind, dim, x_lo in cases:
         assert tuple(f.name for f in dataclasses.fields(geom)) == ("grid", "k")
-        assert (geom.kind, geom.dim, geom.k) == (kind, dim, dim - 1)
+        assert (geom.k == 0, geom.k + 1) == (kind == "cp1", dim)
         assert (geom.slope_lo, geom.slope_hi, geom.vol_const) == (2.0, -2.0, 2.0 * np.pi)
         assert (geom.x_lo, geom.x_hi) == (x_lo, 1.0)
         k, y = geom.k, geom.grid.x - x_lo
@@ -133,7 +133,7 @@ def test_round_profile_is_one_read_only_object_per_geometry(geometries):
     for spec, geom in geometries.items():
         base = round_profile(geom)
         assert round_profile(geom) is base, spec
-        twin = make_cp1_geometry() if geom.k == 0 else make_cpm_geometry(geom.dim)
+        twin = make_cp1_geometry() if geom.k == 0 else make_cpm_geometry(geom.k + 1)
         assert round_profile(twin) is base, spec  # an equal geometry: same grid and k
         x = geom.grid.x
         expect = 1.0 - x * x if geom.k == 0 else 2.0 * x * (1.0 - x)
@@ -248,13 +248,13 @@ def test_large_n_oracles(n):
     of the transform stays below the chop threshold)."""
     f_id, h_one = parse_function("id"), parse_function("const:1")
     for geom in [make_cp1_geometry(n)] + [make_cpm_geometry(m, n) for m in (2, 3, 4)]:
-        m = geom.dim
+        m = geom.k + 1
         s0 = 2.0 if m == 1 else 2.0 * m * (m + 1)
         s = scalar_curvature(round_profile(geom)).values
-        assert np.abs(s - s0).max() <= 1e-10 * s0, geom.kind
+        assert np.abs(s - s0).max() <= 1e-10 * s0, geom.k
         total = FOUR_PI * (m + 1)
         S = eval_S(random_admissible_profile(geom, 1, 0.3), f_id, h_one, normalize_potential(geom))
-        assert abs(S - total) <= 1e-10 * total, geom.kind
+        assert abs(S - total) <= 1e-10 * total, geom.k
     cp1 = make_cp1_geometry(n)
     res = solve_critical(cp1, parse_function("exp"), parse_function("id"), HolomorphyPotential(cp1, 1.0, 2.0))
     assert res.el_report.is_critical

@@ -24,21 +24,21 @@ def test_normalize_potential_hits_target(cp1):
     grid = cp1.grid
     for target in (0.0, 1.0, 8.0 * np.pi):
         phi = normalize_potential(cp1, target)
-        total = cp1.vol_const * grid.integrate_values(phi.values() * cp1.weight.values)
+        total = cp1.vol_const * grid.integrate_values(phi.values * cp1.weight.values)
         assert abs(total - target) < 1e-10 * (1.0 + abs(target))
     assert normalize_potential(cp1).shift == 0.0
     geom2 = make_cpm_geometry(2)
     phi2 = normalize_potential(geom2, 3.0)
     total2 = geom2.vol_const * geom2.grid.integrate_values(
-        phi2.values() * geom2.weight.values
+        phi2.values * geom2.weight.values
     )
     assert abs(total2 - 3.0) < 1e-10
 
 
 def test_potential_values_are_computed_once_and_read_only(cp1):
     phi = HolomorphyPotential(cp1, 2.0, 0.5)
-    v = phi.values()
-    assert phi.values() is v
+    v = phi.values
+    assert phi.values is v
     assert not v.flags.writeable
     assert np.array_equal(v, 2.0 * cp1.grid.x + 0.5)
     with pytest.raises(ValueError):

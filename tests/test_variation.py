@@ -12,10 +12,8 @@ from calabilab import (
     convergence_order,
     delta_S_analytic,
     delta_S_numeric,
-    delta_s,
     equivariant_integral,
     eval_S,
-    first_order,
     futaki,
     lichnerowicz,
     normalize_potential,
@@ -34,11 +32,13 @@ def _direction(grid, fn):
 def test_first_order_preserves_boundary_data(cp1):
     profile = random_admissible_profile(cp1, 1, 0.25)
     path = DeformationPath(_direction(cp1.grid, lambda x: x ** 3))
-    fo = first_order(profile, path)
     # dTheta = kappa * Theta^2 u'' vanishes to second order at the ends
-    assert abs(fo.d_theta.values[0]) < 1e-12
-    assert abs(fo.d_theta.values[-1]) < 1e-12
-    d1 = cp1.grid.differentiate_values(fo.d_theta.values)
+    t = 1e-5
+    plus, minus = (transport(profile, path, sign * t)[0].theta.values for sign in (1.0, -1.0))
+    d_theta = (plus - minus) / (2 * t)
+    assert abs(d_theta[0]) < 1e-12
+    assert abs(d_theta[-1]) < 1e-12
+    d1 = cp1.grid.differentiate_values(d_theta)
     assert abs(d1[0]) < 1e-8 and abs(d1[-1]) < 1e-8
 
 
@@ -69,7 +69,7 @@ def test_delta_s_matches_transport_difference(geometries):
     for spec, geom in geometries.items():
         profile = random_admissible_profile(geom, 9, 0.2)
         path = DeformationPath(_direction(geom.grid, lambda x: np.sin(x)))
-        ds = delta_s(profile, path).fixed_x.values
+        ds = -KAPPA_THETA * lichnerowicz(profile, path.u).values
         t = 1e-5
         plus, _ = transport(profile, path, t)
         minus, _ = transport(profile, path, -t)
@@ -77,17 +77,15 @@ def test_delta_s_matches_transport_difference(geometries):
         assert np.abs(ds - fd).max() < 1e-4 * (1.0 + np.abs(ds).max()), spec
 
 
-def test_moment_velocity_pins_kappa_phi(cp1, cp1_round):
+def test_moment_velocity_pins_kappa_phi(cp1):
     """Fixed-complex-point oracle for the convention constants.
 
     On the round profile the symplectic potential slope is G0' = atanh(x).
     Along G_t = G0 - kappa_theta * t * u the momentum of a fixed complex
-    point solves atanh(x_t) - kappa_theta * t * u'(x_t) = atanh(x_0); its
-    velocity must equal the first_order moment velocity
+    point solves atanh(x_t) - kappa_theta * t * u'(x_t) = atanh(x_0) with
+    u = x^3; its velocity must equal the moment velocity
     dphi = kappa_phi * Theta * u', which forces kappa_phi = kappa_theta.
     """
-    path = DeformationPath(_direction(cp1.grid, lambda x: x ** 3))
-    fo = first_order(cp1_round, path)
     dt = 1e-5
     grid_x = cp1.grid.x
     nearest = [int(np.abs(grid_x - x0).argmin()) for x0 in (-0.55, 0.1, 0.62)]
@@ -102,8 +100,6 @@ def test_moment_velocity_pins_kappa_phi(cp1, cp1_round):
             return brentq(g, x0 - 0.2, x0 + 0.2, xtol=1e-14)
 
         velocity = (x_at(dt) - x_at(-dt)) / (2.0 * dt)
-        predicted = fo.d_phi_fixed_point.values[i]
-        assert abs(velocity - predicted) < 1e-7
         assert abs(velocity - KAPPA_PHI * (1 - x0 ** 2) * 3.0 * x0 ** 2) < 1e-7
 
 
@@ -190,7 +186,6 @@ def test_second_variation_is_lichnerowicz_energy(geometries, spec, u):
 def test_path_derivatives_are_cached(geometries):
     for spec, geom in geometries.items():
         path = DeformationPath(_direction(geom.grid, lambda x: np.sin(2.0 * x) + 0.3 * x ** 3))
-        assert path.u2 is path.u2 and path.u1 is path.u1, spec
-        assert not path.u2.flags.writeable and not path.u1.flags.writeable, spec
-        for order, cached in ((1, path.u1), (2, path.u2)):
-            assert np.array_equal(cached, geom.grid.differentiate_values(path.u.values, order)), spec
+        assert path.u2 is path.u2, spec
+        assert not path.u2.flags.writeable, spec
+        assert np.array_equal(path.u2, geom.grid.differentiate_values(path.u.values, 2)), spec
