@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 numerical or I/O failure, 2 usage/parse error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict, fields
 
@@ -19,14 +18,14 @@ import numpy as np
 from . import variation as var
 from .config import RunConfig, finite_float, load_config
 from .conventions import KAPPA_PHI, KAPPA_THETA
-from .errors import CalabiLabError, ConfigError, PathExitsClass
+from .errors import AdmissibilityError, CalabiLabError, ConfigError, PathExitsClass
 from .functions import constant, identity, parse_function
 from .geometry import (
     DEFAULT_NODES,
-    class_constants,
     make_cp1_geometry,
     make_cpm_geometry,
     random_admissible_profile,
+    random_chebyshev,
     round_profile,
 )
 from .potentials import (
@@ -37,10 +36,9 @@ from .potentials import (
     holomorphy_defect,
     normalize_potential,
 )
-from .rng import SplitMix64
-from .serialize import dump_json, fmt, profile_from_csv, profile_to_csv, sampled_to_csv
+from .serialize import fmt, profile_from_csv, profile_to_csv, rows_to_csv, sampled_to_csv, write_outputs
 from .solver import iterate, solve_critical
-from .spectral import MIN_NODES, SampledFunction
+from .spectral import SampledFunction
 
 DIRECTION_DEGREE = 4
 DIRECTION_SCALE = 0.2
@@ -48,8 +46,6 @@ T_MAX = 0.25
 
 
 def _geometry(cfg: RunConfig):
-    if cfg.nodes < MIN_NODES:
-        raise ConfigError(f"node count must be at least {MIN_NODES}, got {cfg.nodes}")
     spec = cfg.geometry.strip().lower()
     if spec == "cp1":
         return make_cp1_geometry(cfg.nodes)
@@ -58,8 +54,6 @@ def _geometry(cfg: RunConfig):
             m = int(spec.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad geometry spec {cfg.geometry!r}") from exc
-        if m < 2:
-            raise ConfigError(f"bad geometry spec {cfg.geometry!r} (m must be at least 2)")
         return make_cpm_geometry(m, cfg.nodes)
     raise ConfigError(f"unknown geometry {cfg.geometry!r} (use cp1 or cpm:<m>)")
 
@@ -83,8 +77,6 @@ def _profile(geom, cfg: RunConfig):
             amp = finite_float(parts[2]) if len(parts) > 2 else cfg.amplitude
         except ValueError as exc:
             raise ConfigError(f"bad profile spec {cfg.profile!r}") from exc
-        if amp < 0:
-            raise ConfigError(f"bad profile spec {cfg.profile!r} (amplitude must be nonnegative)")
         return random_admissible_profile(geom, seed, amp)
     if spec.startswith("file:"):
         with open(spec[5:]) as fh:
@@ -92,17 +84,10 @@ def _profile(geom, cfg: RunConfig):
     raise ConfigError(f"unknown profile spec {cfg.profile!r}")
 
 
-def _outdir(cfg: RunConfig) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
-    return cfg.out
-
-
 def _random_direction(geom, seed: int) -> SampledFunction:
     """A degree-DIRECTION_DEGREE Chebyshev polynomial with coefficients
     drawn uniformly from [-DIRECTION_SCALE, DIRECTION_SCALE]."""
-    rng = SplitMix64(seed)
-    coeffs = np.array([rng.uniform(-DIRECTION_SCALE, DIRECTION_SCALE) for _ in range(DIRECTION_DEGREE + 1)])
-    return SampledFunction(geom.grid, geom.grid.coefficients_to_values(coeffs))
+    return SampledFunction(geom.grid, random_chebyshev(geom, seed, DIRECTION_DEGREE, DIRECTION_SCALE))
 
 
 def _safe_t_max(profile, path, phi) -> float:
@@ -126,23 +111,19 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     s_val = eval_S(profile, f, h, phi)
     psi = el_potential(profile, f, h, phi)
     report = holomorphy_defect(profile, psi)
-    out = _outdir(cfg)
-    dump_json(
-        {
+    write_outputs(cfg.out, {
+        "report.json": {
             "S": s_val,
-            "class_constants": class_constants(geom)._asdict(),
+            "class_constants": geom.constants._asdict(),
             "futaki": futaki(profile, phi),
             "el_report": asdict(report),
             "f": f.render(),
             "h": h.render(),
             "phi_shift": phi.shift,
         },
-        os.path.join(out, "report.json"),
-    )
-    with open(os.path.join(out, "psi.csv"), "w") as fh:
-        fh.write(sampled_to_csv(psi, "psi"))
-    with open(os.path.join(out, "s.csv"), "w") as fh:
-        fh.write(sampled_to_csv(profile.s, "s"))
+        "psi.csv": sampled_to_csv(psi, "psi"),
+        "s.csv": sampled_to_csv(profile.s, "s"),
+    })
     print(f"evaluate: S = {s_val}, is_critical = {report.is_critical}")
     return 0
 
@@ -153,10 +134,8 @@ def cmd_invariance(cfg: RunConfig) -> int:
     geom = _geometry(cfg)
     h = parse_function(cfg.h_expr)
     phi = normalize_potential(geom, cfg.target)
-    out = _outdir(cfg)
-    path_json = os.path.join(out, "invariance.json")
     if cfg.samples == 0:
-        dump_json({"samples": 0, "results": {}}, path_json)
+        write_outputs(cfg.out, {"invariance.json": {"samples": 0, "results": {}}})
         print("invariance: empty report")
         return 0
     eq_vals, sphi_vals, fut_vals = [], [], []
@@ -164,7 +143,7 @@ def cmd_invariance(cfg: RunConfig) -> int:
     for i in range(cfg.samples):
         try:
             profile = random_admissible_profile(geom, cfg.seed + i, cfg.amplitude)
-        except CalabiLabError as exc:
+        except AdmissibilityError as exc:
             failures.append({"sample": i, "error": str(exc)})
             continue
         eq_vals.append(equivariant_integral(profile, h, phi))
@@ -174,8 +153,7 @@ def cmd_invariance(cfg: RunConfig) -> int:
     base = round_profile(geom)
     eq_path, sphi_path, fut_path = [], [], []
     for k in range(3):
-        u = _random_direction(geom, cfg.seed + 1000 + k)
-        dpath = var.DeformationPath(u)
+        dpath = var.DeformationPath(_random_direction(geom, cfg.seed + 1000 + k))
         t_max = _safe_t_max(base, dpath, phi)
         for t in np.linspace(-t_max, t_max, 11):
             moved, phi_t = var.transport(base, dpath, float(t), phi)
@@ -200,7 +178,7 @@ def cmd_invariance(cfg: RunConfig) -> int:
         },
         "failures": failures,
     }
-    dump_json(report, path_json)
+    write_outputs(cfg.out, {"invariance.json": report})
     print(f"invariance: max spreads {report['results']}")
     return 0
 
@@ -208,11 +186,9 @@ def cmd_invariance(cfg: RunConfig) -> int:
 def cmd_solve(cfg: RunConfig) -> int:
     geom, f, h, phi = _problem(cfg)
     result = solve_critical(geom, f, h, phi)
-    out = _outdir(cfg)
-    with open(os.path.join(out, "solution.csv"), "w") as fh:
-        fh.write(profile_to_csv(result.profile))
-    dump_json(
-        {
+    write_outputs(cfg.out, {
+        "solution.csv": profile_to_csv(result.profile),
+        "solve.json": {
             "alpha": result.alpha,
             "beta": result.beta,
             "iterations": result.iterations,
@@ -220,8 +196,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             "status": result.status,
             "el_report": asdict(result.el_report),
         },
-        os.path.join(out, "solve.json"),
-    )
+    })
     print(
         f"solve: status={result.status} (alpha, beta)=({fmt(result.alpha)}, {fmt(result.beta)})"
     )
@@ -231,9 +206,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_iterate(cfg: RunConfig) -> int:
     geom, f, h, phi = _problem(cfg)
     trace = iterate(geom, f, h, phi, cfg.max_steps)
-    out = _outdir(cfg)
-    dump_json(
-        {
+    write_outputs(cfg.out, {
+        "iterate.json": {
             "degenerate_direction": trace.degenerate_direction,
             "final_status": trace.final_status,
             "steps": [
@@ -247,8 +221,7 @@ def cmd_iterate(cfg: RunConfig) -> int:
                 for s in trace.steps
             ],
         },
-        os.path.join(out, "iterate.json"),
-    )
+    })
     print(f"iterate: {len(trace.steps)} step(s), final status {trace.final_status}")
     return 1 if trace.final_status == "failed" else 0
 
@@ -256,9 +229,7 @@ def cmd_iterate(cfg: RunConfig) -> int:
 def cmd_variation_check(cfg: RunConfig) -> int:
     geom = _geometry(cfg)
     profile = _profile(geom, cfg)
-    phi = normalize_potential(
-        geom, 2.0 * class_constants(geom).total_volume  # shift c = 2 keeps h domains safe
-    )
+    phi = normalize_potential(geom, 2.0 * geom.constants.total_volume)  # shift c = 2 keeps h domains safe
     fs = ["pow:2", "exp", "scaled:0.5:pow:2"]
     hs = ["const:1", "id", "pow:2"]
     x = geom.grid.x
@@ -290,8 +261,7 @@ def cmd_variation_check(cfg: RunConfig) -> int:
         "convergence_orders": orders,
         "max_invariance_drift": drift,
     }
-    out = _outdir(cfg)
-    dump_json(report, os.path.join(out, "variation.json"))
+    write_outputs(cfg.out, {"variation.json": report})
     worst = min(orders.values())
     print(f"variation-check: min order {worst:.3f}, max drift {drift:.3e}")
     return 0
@@ -315,23 +285,10 @@ def cmd_sweep(cfg: RunConfig, f_list: str, h_list: str, alpha_threshold: float) 
                 rows.append((fe, he, "", "", "", "", f"error:{type(exc).__name__}", ""))
                 continue
             flagged = abs(res.alpha) > alpha_threshold and h.constant_value() is None
-            rows.append(
-                (
-                    fe,
-                    he,
-                    fmt(res.alpha),
-                    fmt(res.beta),
-                    fmt(res.el_report.defect_affine),
-                    fmt(res.el_report.defect_operator),
-                    res.status,
-                    "yes" if flagged else "no",
-                )
-            )
-    out = _outdir(cfg)
-    with open(os.path.join(out, "sweep.csv"), "w") as fh:
-        fh.write("f,h,alpha,beta,defect_affine,defect_operator,status,flagged\n")
-        for row in rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
+            numbers = (res.alpha, res.beta, res.el_report.defect_affine, res.el_report.defect_operator)
+            rows.append((fe, he, *map(fmt, numbers), res.status, "yes" if flagged else "no"))
+    header = ("f", "h", "alpha", "beta", "defect_affine", "defect_operator", "status", "flagged")
+    write_outputs(cfg.out, {"sweep.csv": rows_to_csv(header, rows)})
     print(f"sweep: {len(rows)} grid point(s) written")
     return 0
 

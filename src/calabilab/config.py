@@ -1,7 +1,8 @@
-"""Flat dotted-key run configuration: parse and validate.
+"""Flat dotted-key run configuration: parse and type-check.
 
 Format: one "key=value" per line; '#' starts a comment; unknown keys are
 rejected.  Command-line flags override file values (cli._config_from_args).
+The library checks each value's range where it uses it.
 """
 
 from __future__ import annotations
@@ -70,8 +71,6 @@ def parse_config(text: str) -> RunConfig:
             cast = caster(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
-        if key == "amplitude" and cast < 0:
-            raise ConfigError(f"line {lineno}: amplitude must be nonnegative, got {value!r}")
         setattr(cfg, name, cast)
     return cfg
 

@@ -11,11 +11,10 @@ build_manifest (and the test suite) verify the pinned pair.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .geometry import DEFAULT_NODES, make_cpm_geometry, round_profile, scalar_curvature
+from .geometry import DEFAULT_NODES, make_cpm_geometry, round_profile
+from .serialize import dump_json
 
 KAPPA_THETA = 0.5
 KAPPA_PHI = 0.5
@@ -58,7 +57,7 @@ def build_manifest() -> dict:
     }
     for m in (2, 3, 4):
         a, c = pin_cpm_base_coefficient(m)
-        s = scalar_curvature(round_profile(make_cpm_geometry(m, DEFAULT_NODES))).values
+        s = round_profile(make_cpm_geometry(m, DEFAULT_NODES)).s.values
         manifest["cpm"][str(m)] = {
             "base_coefficient": a,
             "scalar_constant": c,
@@ -70,7 +69,5 @@ def build_manifest() -> dict:
 
 def write_manifest(path) -> dict:
     manifest = build_manifest()
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    dump_json(manifest, path)
     return manifest

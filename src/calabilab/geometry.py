@@ -21,7 +21,7 @@ from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .errors import AdmissibilityError
+from .errors import AdmissibilityError, ConfigError
 from .rng import SplitMix64
 from .spectral import (
     AffineProjector,
@@ -210,7 +210,7 @@ def make_cpm_geometry(m: int, nodes: int = DEFAULT_NODES) -> ProfileGeometry:
     and A = 2m(m-1) x^(m-2), the coefficient that the Fubini-Study constancy
     oracle (conventions.pin_cpm_base_coefficient) recovers."""
     if m < 2:
-        raise ValueError("m must be at least 2")
+        raise ConfigError(f"CP^m needs m at least 2, got m = {m}")
     return ProfileGeometry(grid=get_grid(nodes, 0.0, 1.0), k=m - 1)
 
 
@@ -232,15 +232,14 @@ def require_admissible(profile: MetricProfile) -> None:
 
 
 def scalar_curvature(profile: MetricProfile) -> SampledFunction:
-    """Pointwise scalar curvature s = (A - (w Theta)'') / w (cached on the
-    profile, computed without dividing by w); raises AdmissibilityError for
-    an inadmissible profile."""
+    """MetricProfile.s, which the library reads directly; only the benchmark
+    (bench/inprocess.py) and acceptance criterion 8 call this name."""
     return profile.s
 
 
 def class_constants(geom: ProfileGeometry) -> ClassConstants:
-    """Volume, total scalar curvature and its average for the class
-    (ProfileGeometry.constants, computed once per geometry)."""
+    """ProfileGeometry.constants, which the library reads directly; only the
+    benchmark (bench/inprocess.py) calls this name."""
     return geom.constants
 
 
@@ -248,6 +247,14 @@ def bump_factor(geom: ProfileGeometry) -> np.ndarray:
     """B(x) = (x - x_lo)^2 (x_hi - x)^2, the boundary-preserving envelope."""
     x = geom.grid.x
     return (x - geom.x_lo) ** 2 * (geom.x_hi - x) ** 2
+
+
+def random_chebyshev(geom: ProfileGeometry, seed: int, degree: int, scale: float) -> np.ndarray:
+    """Grid values of the degree-`degree` Chebyshev series whose coefficients
+    splitmix64(seed) draws uniformly from [-scale, scale], lowest first."""
+    rng = SplitMix64(seed)
+    coeffs = np.array([rng.uniform(-scale, scale) for _ in range(degree + 1)])
+    return geom.grid.coefficients_to_values(coeffs)
 
 
 def random_admissible_profile(geom: ProfileGeometry, seed: int, amplitude: float) -> MetricProfile:
@@ -258,14 +265,12 @@ def random_admissible_profile(geom: ProfileGeometry, seed: int, amplitude: float
     fails; deterministic in the seed.
     """
     if amplitude < 0:
-        raise ValueError("amplitude must be nonnegative")
+        raise ConfigError(f"amplitude must be nonnegative, got {amplitude!r}")
     base = round_profile(geom)
     if amplitude == 0:
         return base
-    rng = SplitMix64(seed)
-    coeffs = np.array([rng.uniform(-amplitude, amplitude) for _ in range(7)])
     grid = geom.grid
-    q = grid.coefficients_to_values(coeffs)
+    q = random_chebyshev(geom, seed, 6, amplitude)
     b = bump_factor(geom)
     theta0 = base.theta.values
     for _ in range(MAX_HALVINGS + 1):

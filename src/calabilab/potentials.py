@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .functions import FunctionDescriptor
-from .geometry import MetricProfile, ProfileGeometry, class_constants, require_admissible
+from .geometry import MetricProfile, ProfileGeometry, require_admissible
 from .spectral import SampledFunction
 
 AFFINE_TOL = 1e-8
@@ -158,7 +158,7 @@ def futaki(profile: MetricProfile, phi: HolomorphyPotential) -> float:
     """C_vol * int (s - s0) phi w dx, the class obstruction for the field."""
     geom = profile.geometry
     grid = geom.grid
-    s0 = class_constants(geom).s0
+    s0 = geom.constants.s0
     integrand = (profile.s.values - s0) * _phi_values(profile, phi) * geom.weight.values
     return float(geom.vol_const * grid.integrate_values(integrand))
 

@@ -59,7 +59,7 @@ from .errors import (
     SingularPotential,
 )
 from .functions import FunctionDescriptor, identity
-from .geometry import MetricProfile, ProfileGeometry, class_constants
+from .geometry import MetricProfile, ProfileGeometry
 from .potentials import ELReport, HolomorphyPotential, el_potential, holomorphy_defect
 from .spectral import PivotedLU2, chop_coefficients, solve_euler
 
@@ -322,7 +322,7 @@ def solve_critical(
     shooter = _shooter(geom)
     x = geom.grid.x
     hr = np.asarray(h(phi.values, x)).real  # a complex h leaves Im h to the check below
-    s0 = class_constants(geom).s0
+    s0 = geom.constants.s0
     domain, fprime, status = f, f.derivative(), STATUS_CONVERGED
     if fprime.constant_value() is not None:
         # psi = f' h(phi) does not depend on the metric, so every metric is

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateWeight
+from .errors import ConfigError, DegenerateWeight
 
 CHOP_REL = 1e-14
 DEGENERATE_REL = 1e-12  # Gram determinant over g00 g11 at or below this: degenerate weight
@@ -140,7 +140,7 @@ class SpectralGrid:
 
     def __init__(self, n: int, lo: float, hi: float):
         if n < MIN_NODES:
-            raise ValueError(f"node count must be at least {MIN_NODES}")
+            raise ConfigError(f"node count must be at least {MIN_NODES}, got {n}")
         if not lo < hi:
             raise ValueError("need lo < hi")
         self.n = n

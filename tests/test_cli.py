@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -116,6 +118,19 @@ def test_sweep_records_errors_in_rows(tmp_path):
     assert abs(float(id_row[2])) < 1e-12 and abs(float(id_row[3]) - 2.0) < 1e-12
 
 
+def test_sweep_csv_quotes_cells_with_commas(tmp_path):
+    # a sum expression and the parse error that quotes one both hold commas
+    out = tmp_path / "sweep_sum"
+    args = ["sweep", "--f-list", "sum:exp,pow:2;bogus:1,2;exp", "--h-list", "const:1", "--out", str(out)]
+    assert main(args) == 0
+    text = (out / "sweep.csv").read_text()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert [len(row) for row in rows] == [8, 8, 8, 8]
+    assert [row[0] for row in rows[1:]] == ["sum:exp,pow:2", "bogus:1,2", "exp"]
+    assert rows[2][6] == "parse_error:unknown function expression 'bogus' in 'bogus:1,2'"
+    assert text.splitlines()[3] == ",".join(rows[3])  # a cell without a comma is not quoted
+
+
 def test_variation_check_command(tmp_path):
     out = tmp_path / "var"
     code = main(
@@ -173,6 +188,11 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
         path = tmp_path / f"{value}.csv"
         path.write_text("\n".join(rows[:5] + [rows[5].split(",")[0] + "," + value] + rows[6:]) + "\n")
         nonfinite_csvs.append(path)
+    # a third column in the header, or a third cell in every row
+    junk_header = tmp_path / "junk_header.csv"
+    junk_header.write_text("\n".join(["x,theta,junk"] + [row + ",0" for row in rows[1:]]) + "\n")
+    junk_rows = tmp_path / "junk_rows.csv"
+    junk_rows.write_text("\n".join(rows[:1] + [row + ",0" for row in rows[1:]]) + "\n")
     neg_amp = tmp_path / "neg.cfg"
     neg_amp.write_text("amplitude=-1\n")
     inf_target = tmp_path / "inf.cfg"
@@ -190,6 +210,8 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
         ["evaluate", "--profile", f"file:{bad_csv}"],
         ["evaluate", "--profile", f"file:{nonfinite_csvs[0]}"],
         ["evaluate", "--profile", f"file:{nonfinite_csvs[1]}"],
+        ["evaluate", "--profile", f"file:{junk_header}"],
+        ["evaluate", "--profile", f"file:{junk_rows}"],
         ["iterate", "--max-steps", "0"],
         ["invariance", "--config", str(neg_amp), "--samples", "2"],
         ["invariance", "--h", "id", "--config", str(inf_target), "--samples", "2"],
@@ -217,6 +239,30 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
         assert "error: argument" in capsys.readouterr().err, args
     assert not (tmp_path / "w").exists()
     capsys.readouterr()
+
+
+def test_library_checks_name_the_bad_value(tmp_path, capsys):
+    # the grid, the CP^m geometry and the random profile each check their
+    # own parameter; the message names the value the command line gave
+    for args, value in (
+        (["--nodes", "4"], "got 4"),
+        (["--geometry", "cpm:1"], "got m = 1"),
+        (["--profile", "random:1:-1"], "got -1.0"),
+    ):
+        assert main(["evaluate", *args, "--out", str(tmp_path / "w")]) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and value in err, (args, err)
+    assert not (tmp_path / "w").exists()
+
+
+def test_failed_command_makes_no_out_directory(tmp_path, capsys):
+    # log(phi) is undefined where phi < 0: the command fails before any
+    # output exists, so nothing is written
+    out = tmp_path / "inv"
+    args = ["invariance", "--h", "log", "--target", "-100", "--samples", "2", "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not out.exists()
 
 
 def test_exit_code_1_on_numerical_failure(tmp_path, capsys):

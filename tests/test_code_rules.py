@@ -38,6 +38,13 @@ FFT_WRAPPERS = {"hfft"}
 # every name the package exports has a reader other than the unit tests: a
 # library module, the benchmark (read, never changed, here) or the
 # acceptance gate; a name only unit tests call is a second route to keep
+# every file the package writes goes through serialize.write_outputs (a
+# command's outputs) or serialize.dump_json, so only serialize.py opens a
+# file for writing, makes a directory or calls json.dump
+SERIALIZE = SRC / "serialize.py"
+WRITE_MODE = set("wax+")
+MAKE_DIRS = {"makedirs", "mkdir"}
+WRITE_METHODS = {"write_text", "write_bytes"}
 INIT = SRC / "__init__.py"
 BENCH = SRC.parent.parent / "bench"
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
@@ -168,6 +175,46 @@ def _exports_without_reader(init: ast.AST, readers):
                 name = alias.asname or alias.name
                 if name not in read:
                     yield node.lineno, name
+
+
+def _open_mode(call: ast.Call):
+    """The mode argument of an open call, or None when it has none: the
+    second argument of open(file, mode) and io.open, the first of
+    path.open(mode)."""
+    for kw in call.keywords:
+        if kw.arg == "mode":
+            return kw.value
+    fn = call.func
+    plain = isinstance(fn, ast.Name) or getattr(fn.value, "id", None) in ("io", "builtins")
+    index = 1 if plain else 0
+    return call.args[index] if len(call.args) > index else None
+
+
+def _file_writes(tree: ast.AST):
+    """Each call that opens a file for writing (or with a mode it cannot
+    read), writes a path's text or bytes, makes a directory or calls
+    json.dump, and each import of makedirs, mkdir or json.dump."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("os", "json"):
+            for alias in node.names:
+                if alias.name in MAKE_DIRS or (node.module, alias.name) == ("json", "dump"):
+                    yield node.lineno, f"from {node.module} import {alias.name}"
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+        if name == "open":
+            mode = _open_mode(node)
+            if mode is None:
+                continue
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+                yield node.lineno, "open with a computed mode"
+            elif WRITE_MODE & set(mode.value):
+                yield node.lineno, f"open for {mode.value!r}"
+        elif name in MAKE_DIRS or name in WRITE_METHODS:
+            yield node.lineno, name
+        elif name == "dump" and getattr(fn.value, "id", None) == "json":
+            yield node.lineno, "json.dump"
 
 
 def _library_findings(rule):
@@ -369,3 +416,40 @@ def test_every_export_has_a_reader():
     paths = [p for p in sorted(SRC.glob("*.py")) if p != INIT] + sorted(BENCH.glob("*.py")) + [ACCEPTANCE]
     readers = [ast.parse(path.read_text(), filename=str(path)) for path in paths]
     assert list(_exports_without_reader(ast.parse(INIT.read_text()), readers)) == []
+
+
+def test_rule_detects_file_writes():
+    code = (
+        "import json, os\n"
+        "with open(path) as fh:\n    text = fh.read()\n"
+        "with open(os.path.join(out, 'a.csv'), 'w') as fh:\n    fh.write(text)\n"
+        "fh = io.open(path, mode='ab')\n"
+        "fh = open(path, 'r')\n"
+        "os.makedirs(out, exist_ok=True)\n"
+        "Path(out).mkdir()\n"
+        "json.dump(report, fh, indent=2)\n"
+        "text = json.dumps(report)\n"
+        "Path(out, 'x').write_text(text)\n"
+        "fh = Path(out).open('r+')\n"
+        "fh = open(path, mode)\n"
+        "from os import makedirs\n"
+        "from json import dump, loads\n"
+    )
+    assert sorted(_file_writes(ast.parse(code))) == [
+        (4, "open for 'w'"),
+        (6, "open for 'ab'"),
+        (8, "makedirs"),
+        (9, "mkdir"),
+        (10, "json.dump"),
+        (12, "write_text"),
+        (13, "open for 'r+'"),
+        (14, "open with a computed mode"),
+        (15, "from os import makedirs"),
+        (16, "from json import dump"),
+    ]
+
+
+def test_only_serialize_writes_files():
+    findings = _library_findings(_file_writes)
+    assert findings, "serialize.py writes the outputs"
+    assert all(f.startswith(f"{SERIALIZE.name}:") for f in findings), findings

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from calabilab import (
     profile_to_csv,
     random_admissible_profile,
 )
-from calabilab.serialize import jsonable
+from calabilab.serialize import dump_json
 
 
 def test_parse_config_roundtrip():
@@ -60,14 +62,22 @@ def test_profile_csv_rejects_wrong_grid():
         profile_from_csv(geom, "a,b\n1,2\n")
 
 
-def test_jsonable_handles_numpy_and_complex():
-    out = jsonable(
+def test_dump_json_writes_numpy_and_complex(tmp_path):
+    path = tmp_path / "out.json"
+    dump_json(
         {
             "a": np.float64(1.5),
             "b": np.array([1, 2]),
             "c": 2.0 + 3.0j,
             "d": 4.0 + 0.0j,
             "e": np.bool_(True),
-        }
+            "f": [np.int64(3), np.complex128(0.5 - 1j), np.float32(0.25)],
+        },
+        path,
     )
-    assert out == {"a": 1.5, "b": [1, 2], "c": {"real": 2.0, "imag": 3.0}, "d": 4.0, "e": True}
+    text = path.read_text()
+    assert json.loads(text) == {
+        "a": 1.5, "b": [1, 2], "c": {"real": 2.0, "imag": 3.0}, "d": 4.0, "e": True,
+        "f": [3, {"real": 0.5, "imag": -1.0}, 0.25],
+    }
+    assert text.startswith('{\n  "a": 1.5,\n') and text.endswith("}\n")  # sorted, indent 2

@@ -5,10 +5,10 @@ import pytest
 
 from calabilab import (
     AdmissibilityError,
+    ConfigError,
     HolomorphyPotential,
     MetricProfile,
     SampledFunction,
-    class_constants,
     el_potential,
     eval_S,
     futaki,
@@ -18,7 +18,6 @@ from calabilab import (
     parse_function,
     random_admissible_profile,
     round_profile,
-    scalar_curvature,
     solve_critical,
 )
 from calabilab.conventions import pin_cpm_base_coefficient
@@ -46,14 +45,14 @@ def test_geometry_is_grid_and_k(n):
 
 
 def test_cp1_class_constants(cp1):
-    consts = class_constants(cp1)
+    consts = cp1.constants
     assert abs(consts.total_volume - FOUR_PI) < 1e-10
     assert abs(consts.total_scalar - EIGHT_PI) < 1e-10
     assert abs(consts.s0 - 2.0) < 1e-12
 
 
 def test_round_cp1_scalar_curvature_constant(cp1, cp1_round):
-    s = scalar_curvature(cp1_round).values
+    s = cp1_round.s.values
     assert abs(s.mean() - 2.0) < 1e-12
     assert s.std() < 1e-10
 
@@ -61,7 +60,7 @@ def test_round_cp1_scalar_curvature_constant(cp1, cp1_round):
 def test_total_scalar_matches_quadrature_over_random_profiles(cp1):
     for seed in range(20):
         profile = random_admissible_profile(cp1, seed, 0.3)
-        s = scalar_curvature(profile).values
+        s = profile.s.values
         total = cp1.vol_const * cp1.grid.integrate_values(s * cp1.weight.values)
         assert abs(total - EIGHT_PI) < 1e-9 * EIGHT_PI
 
@@ -75,11 +74,11 @@ def test_scalar_curvature_linear_in_theta(cp1):
         cp1,
         SampledFunction(grid, p1.theta.values + p2.theta.values - base.theta.values),
     )
-    s_combo = scalar_curvature(combo).values
+    s_combo = combo.s.values
     s_lin = (
-        scalar_curvature(p1).values
-        + scalar_curvature(p2).values
-        - scalar_curvature(base).values
+        p1.s.values
+        + p2.s.values
+        - base.s.values
     )
     assert np.abs(s_combo - s_lin).max() < 1e-10 * max(np.abs(s_lin).max(), 1.0)
 
@@ -106,7 +105,7 @@ def test_scalar_curvature_requires_admissible(cp1):
     # a failed evaluation is not cached: every read raises again
     for _ in range(3):
         with pytest.raises(AdmissibilityError):
-            scalar_curvature(bad)
+            bad.s
         with pytest.raises(AdmissibilityError):
             eval_S(bad, parse_function("id"), parse_function("id"), normalize_potential(cp1))
     assert bad.violations != ()
@@ -115,10 +114,10 @@ def test_scalar_curvature_requires_admissible(cp1):
 @pytest.mark.parametrize("make", [make_cp1_geometry, lambda: make_cpm_geometry(3)], ids=["cp1", "cpm3"])
 def test_scalar_curvature_is_cached_per_profile(make):
     geom = make()
-    phi = normalize_potential(geom, 2.0 * class_constants(geom).total_volume)
+    phi = normalize_potential(geom, 2.0 * geom.constants.total_volume)
     f, h = parse_function("exp"), parse_function("pow:2")
     reused = random_admissible_profile(geom, 5, 0.2)
-    assert scalar_curvature(reused) is scalar_curvature(reused)
+    assert reused.s is reused.s
     assert not reused.s.values.flags.writeable
     for _ in range(2):
         fresh = random_admissible_profile(geom, 5, 0.2)
@@ -192,7 +191,7 @@ def test_scalar_curvature_against_polynomial_oracle(cp1):
     poly = np.polynomial.polynomial.Polynomial([1.0, eps, -1.0, -2.0 * eps, 0.0, eps])
     s_exact = -poly.deriv(2)(x)
     profile = MetricProfile(cp1, SampledFunction(grid, theta))
-    assert np.abs(scalar_curvature(profile).values - s_exact).max() < 1e-11
+    assert np.abs(profile.s.values - s_exact).max() < 1e-11
 
 
 def _polynomial_profile(geom):
@@ -232,7 +231,7 @@ def test_weighted_derivative_against_polynomial_oracle(geometries, spec, j):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_cpm_fubini_study_constant_scalar(m):
     geom = make_cpm_geometry(m)
-    s = scalar_curvature(round_profile(geom)).values
+    s = round_profile(geom).s.values
     assert s.std() < 1e-8
     assert abs(s.mean() - 2.0 * m * (m + 1)) < 1e-8
     # the base-term coefficient the family derives is the one the
@@ -250,7 +249,7 @@ def test_large_n_oracles(n):
     for geom in [make_cp1_geometry(n)] + [make_cpm_geometry(m, n) for m in (2, 3, 4)]:
         m = geom.k + 1
         s0 = 2.0 if m == 1 else 2.0 * m * (m + 1)
-        s = scalar_curvature(round_profile(geom)).values
+        s = round_profile(geom).s.values
         assert np.abs(s - s0).max() <= 1e-10 * s0, geom.k
         total = FOUR_PI * (m + 1)
         S = eval_S(random_admissible_profile(geom, 1, 0.3), f_id, h_one, normalize_potential(geom))
@@ -272,14 +271,23 @@ def test_large_n_oracles(n):
 
 def test_cpm_random_profiles_keep_class_total(cp1):
     geom = make_cpm_geometry(2)
-    consts = class_constants(geom)
+    consts = geom.constants
     for seed in (1, 2, 3):
         profile = random_admissible_profile(geom, seed, 0.2)
-        s = scalar_curvature(profile).values
+        s = profile.s.values
         total = geom.vol_const * geom.grid.integrate_values(s * geom.weight.values)
         assert abs(total - consts.total_scalar) < 1e-8 * abs(consts.total_scalar)
 
 
 def test_cpm_requires_m_at_least_two():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="got m = 1"):
         make_cpm_geometry(1)
+
+
+def test_bad_parameters_are_config_errors_where_they_are_used(cp1):
+    # the library checks each outside parameter once; the CLI maps the
+    # ConfigError to exit 2
+    with pytest.raises(ConfigError, match="at least 8, got 4"):
+        make_cp1_geometry(4)
+    with pytest.raises(ConfigError, match="got -0.5"):
+        random_admissible_profile(cp1, 1, -0.5)

@@ -21,7 +21,6 @@ from calabilab import (
     delta_S_analytic,
     holomorphy_defect,
     el_potential,
-    class_constants,
     fsum,
     identity,
     iterate,
@@ -131,7 +130,7 @@ def test_constant_fprime_accepts_h_with_zeros(make):
     # never divides by h, so phi = x crossing zero is no obstruction
     geom = make()
     res = solve_critical(geom, parse_function("id"), parse_function("id"), normalize_potential(geom))
-    s0 = class_constants(geom).s0
+    s0 = geom.constants.s0
     assert res.status == "every_metric_critical"
     assert abs(res.alpha) < 1e-12 and abs(res.beta - s0) < 1e-12 * s0
 
@@ -386,7 +385,7 @@ def _newton_on_scaled_s(shooter, c):
     (0, s0 / c) on the round profile, from s = c (alpha x + beta) at
     (alpha, beta) = (0.5 / c, s0 / c)."""
     x = shooter.grid.x
-    s0 = class_constants(shooter.geom).s0
+    s0 = shooter.geom.constants.s0
     return solver._newton(shooter, identity(), scaled(1.0 / c, identity()), np.ones(x.shape),
                           (0.5 / c, s0 / c), 0.5 * x + s0)
 
@@ -404,7 +403,7 @@ def test_zero_jacobian_is_rank_deficient(cp1):
 @pytest.mark.parametrize("make", [make_cp1_geometry, lambda: make_cpm_geometry(3)])
 def test_scaled_jacobian_is_not_refused(make, c):
     geom = make()
-    s0 = class_constants(geom).s0
+    s0 = geom.constants.s0
     ab, s, _, _ = _newton_on_scaled_s(solver._Shooter(geom), c)
     assert abs(ab[0]) * c < 1e-9 and abs(ab[1] * c - s0) < 1e-9 * s0
     assert np.abs(s - s0).max() < 1e-9 * s0
@@ -429,7 +428,7 @@ def test_projected_start_shortens_non_affine_solves(geometries, h):
     for spec, geom in geometries.items():
         phi = HolomorphyPotential(geom, 1.0, 2.0)
         res = solve_critical(geom, f, hd, phi)
-        plain = solve_critical(geom, f, hd, phi, init=(0.0, float(np.exp(class_constants(geom).s0))))
+        plain = solve_critical(geom, f, hd, phi, init=(0.0, float(np.exp(geom.constants.s0))))
         assert len(res.residual_trace) <= len(plain.residual_trace), spec  # from (0, f'(s0))
         assert res.el_report.is_critical and res.profile.violations == (), spec
 
@@ -446,7 +445,7 @@ def test_projected_start_solves_problems_the_old_start_refused(h, scale, shift):
 def test_calabi_start_is_the_constant_potential(geometries):
     # h = const: the projection of the constant f'(s0) is (0, s0) to roundoff
     for spec, geom in geometries.items():
-        s0 = class_constants(geom).s0
+        s0 = geom.constants.s0
         hr = np.ones(geom.grid.n)
         alpha, beta = geom.affine_projector.coefficients(s0 * hr)
         assert abs(alpha) < 1e-13 * s0 and abs(beta - s0) < 1e-14 * s0, spec
@@ -497,7 +496,7 @@ def test_geometry_forms_are_built_once(geometries):
     for spec, geom in geometries.items():
         assert solver._shooter(geom) is solver._shooter(geom), spec
         assert geom.affine_projector is geom.affine_projector, spec
-        assert class_constants(geom) is class_constants(geom), spec
+        assert geom.constants is geom.constants, spec
         # the cached projector answers exactly as a fresh projection does
         psi = np.exp(geom.grid.x)
         assert geom.affine_projector.project(psi) == AffineProjector(geom.weight.values, geom.grid).project(psi)
@@ -595,7 +594,7 @@ def _manufactured_problem(geom, rng, p, sign):
     taken (none is at the seeds used)."""
     P = np.polynomial.Polynomial
     lo, hi, k = geom.x_lo, geom.x_hi, geom.k
-    s0 = class_constants(geom).s0
+    s0 = geom.constants.s0
     y_of_x, x_of_y = P([-lo, 1.0]), P([lo, 1.0])
     while True:
         q = P(rng.uniform(-0.1, 0.1, 3))
@@ -643,7 +642,7 @@ def test_newton_step_across_a_pole_of_fprime_is_halved(p, seed):
     geom = make_cp1_geometry(129)
     rng = np.random.default_rng([1, 129, p, 0, seed])
     f, h, theta, (beta_star, alpha_star) = _manufactured_problem(geom, rng, p, -1)
-    x, s = geom.grid.x, np.full(geom.grid.n, class_constants(geom).s0)
+    x, s = geom.grid.x, np.full(geom.grid.n, geom.constants.s0)
     hr = h(x).real
     fprime, sh = f.derivative(), solver._shooter(geom)
     alpha, beta = geom.affine_projector.coefficients(fprime(s[:1])[0] * hr)
