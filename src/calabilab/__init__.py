@@ -11,6 +11,7 @@ from .errors import (
     ConvergenceError,
     DegenerateWeight,
     DomainError,
+    NonFiniteError,
     PathExitsClass,
     RangeError,
     SingularPotential,
@@ -26,7 +27,6 @@ from .functions import (
     log_guarded,
     parse_function,
     power,
-    render_function,
     scaled,
 )
 from .geometry import (

@@ -192,7 +192,6 @@ def cmd_solve(cfg: RunConfig) -> int:
             "alpha": result.alpha,
             "beta": result.beta,
             "iterations": result.iterations,
-            "converged": result.converged,
             "status": result.status,
             "el_report": asdict(result.el_report),
         },
@@ -312,8 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Desk-scale laboratory for scalar-curvature functionals on "
             "circle-symmetric Kahler profiles.  CSV columns: profiles are "
-            "(x,theta); psi/s exports are (x,value[,value_im]); sweep rows "
-            "are (f,h,alpha,beta,defect_affine,defect_operator,status,flagged)."
+            "(x,theta); psi.csv is (x,psi), or (x,psi_re,psi_im) for complex "
+            "psi; s.csv is (x,s); sweep rows are "
+            "(f,h,alpha,beta,defect_affine,defect_operator,status,flagged)."
         ),
     )
     sub = ap.add_subparsers(dest="command", required=True)

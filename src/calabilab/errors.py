@@ -64,5 +64,10 @@ class PathExitsClass(CalabiLabError):
         super().__init__(f"transport leaves the admissible cone near t={t_max!r}")
 
 
+class NonFiniteError(CalabiLabError, ValueError):
+    """A computed value overflowed to inf or nan; the message names the
+    quantity.  Also a ValueError, as a non-finite sample is a bad value."""
+
+
 class ConfigError(CalabiLabError):
     """Bad run configuration or expression syntax (CLI exit code 2)."""

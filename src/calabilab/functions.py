@@ -65,10 +65,11 @@ class FunctionDescriptor:
         return _TAGS[self.tag].constant_value(self)
 
     def render(self) -> str:
-        return render_function(self)
-
-    def __str__(self):
-        return self.render()
+        """The text form, which parse_function reads back to this descriptor."""
+        parts = [_TAGS[self.tag].heads[0], *map(_render_scalar, self.params)]
+        if self.inner:
+            parts.append(",".join(g.render() for g in self.inner))
+        return ":".join(parts)
 
 
 # -- constructors -----------------------------------------------------------
@@ -300,10 +301,3 @@ def _parse_at(spec: str, pos: int) -> tuple[FunctionDescriptor, int]:
             operand, pos = _parse_at(spec, pos + 1)
             operands.append(operand)
     return entry.make(*params, *operands), pos
-
-
-def render_function(desc: FunctionDescriptor) -> str:
-    parts = [_TAGS[desc.tag].heads[0], *map(_render_scalar, desc.params)]
-    if desc.inner:
-        parts.append(",".join(map(render_function, desc.inner)))
-    return ":".join(parts)

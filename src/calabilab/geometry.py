@@ -51,23 +51,15 @@ class ProfileGeometry:
     slope_hi: ClassVar[float] = -2.0
     vol_const: ClassVar[float] = 2.0 * np.pi
 
-    @property
-    def x_lo(self) -> float:
-        return self.grid.lo
-
-    @property
-    def x_hi(self) -> float:
-        return self.grid.hi
-
     @cached_property
     def weight(self) -> SampledFunction:
         """w = (x - x_lo)^k."""
-        return SampledFunction(self.grid, (self.grid.x - self.x_lo) ** self.k)
+        return SampledFunction(self.grid, (self.grid.x - self.grid.lo) ** self.k)
 
     @cached_property
     def base_term(self) -> SampledFunction:
         """A = k (k + 1) slope_lo (x - x_lo)^(k - 1), zero when k = 0."""
-        k, y = self.k, self.grid.x - self.x_lo
+        k, y = self.k, self.grid.x - self.grid.lo
         return SampledFunction(self.grid, k * (k + 1) * self.slope_lo * y ** max(k - 1, 0))
 
     @cached_property
@@ -143,14 +135,14 @@ class MetricProfile:
         th = self.theta.values
         out = []
         if abs(th[0]) > BOUNDARY_TOL:
-            out.append(Violation("endpoint value", geom.x_lo, abs(th[0])))
+            out.append(Violation("endpoint value", grid.lo, abs(th[0])))
         if abs(th[-1]) > BOUNDARY_TOL:
-            out.append(Violation("endpoint value", geom.x_hi, abs(th[-1])))
+            out.append(Violation("endpoint value", grid.hi, abs(th[-1])))
         dlo, dhi = (float(d) for d in grid.endpoint_slopes(self.theta_coeffs))
         if abs(dlo - geom.slope_lo) > BOUNDARY_TOL:
-            out.append(Violation("boundary slope", geom.x_lo, abs(dlo - geom.slope_lo)))
+            out.append(Violation("boundary slope", grid.lo, abs(dlo - geom.slope_lo)))
         if abs(dhi - geom.slope_hi) > BOUNDARY_TOL:
-            out.append(Violation("boundary slope", geom.x_hi, abs(dhi - geom.slope_hi)))
+            out.append(Violation("boundary slope", grid.hi, abs(dhi - geom.slope_hi)))
         interior = th[1:-1]
         if (interior <= 0).any():
             i = int(interior.argmin()) + 1
@@ -245,8 +237,8 @@ def class_constants(geom: ProfileGeometry) -> ClassConstants:
 
 def bump_factor(geom: ProfileGeometry) -> np.ndarray:
     """B(x) = (x - x_lo)^2 (x_hi - x)^2, the boundary-preserving envelope."""
-    x = geom.grid.x
-    return (x - geom.x_lo) ** 2 * (geom.x_hi - x) ** 2
+    grid = geom.grid
+    return (grid.x - grid.lo) ** 2 * (grid.hi - grid.x) ** 2
 
 
 def random_chebyshev(geom: ProfileGeometry, seed: int, degree: int, scale: float) -> np.ndarray:
@@ -262,7 +254,8 @@ def random_admissible_profile(geom: ProfileGeometry, seed: int, amplitude: float
     polynomial with coefficients drawn from splitmix64(seed).
 
     The amplitude is halved up to MAX_HALVINGS times if interior positivity
-    fails; deterministic in the seed.
+    fails; deterministic in the seed.  An amplitude whose draw overflows on
+    the grid is a ConfigError.
     """
     if amplitude < 0:
         raise ConfigError(f"amplitude must be nonnegative, got {amplitude!r}")
@@ -270,7 +263,10 @@ def random_admissible_profile(geom: ProfileGeometry, seed: int, amplitude: float
     if amplitude == 0:
         return base
     grid = geom.grid
-    q = random_chebyshev(geom, seed, 6, amplitude)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = random_chebyshev(geom, seed, 6, amplitude)
+    if not np.isfinite(q).all():
+        raise ConfigError(f"amplitude {amplitude!r} overflows: the random draw is not finite on the grid")
     b = bump_factor(geom)
     theta0 = base.theta.values
     for _ in range(MAX_HALVINGS + 1):

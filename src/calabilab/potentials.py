@@ -16,11 +16,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .functions import FunctionDescriptor
+from .errors import NonFiniteError
+from .functions import FunctionDescriptor, constant
 from .geometry import MetricProfile, ProfileGeometry, require_admissible
 from .spectral import SampledFunction
 
 AFFINE_TOL = 1e-8
+_ONE = constant(1.0)  # the f of the equivariant integrals
 
 
 @dataclass(frozen=True)
@@ -32,8 +34,8 @@ class HolomorphyPotential:
     """
 
     geometry: ProfileGeometry
-    scale: float = 1.0
-    shift: float = 0.0
+    scale: float
+    shift: float
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -81,12 +83,16 @@ def eval_S(
     h: FunctionDescriptor,
     phi: HolomorphyPotential,
 ) -> complex:
-    """The functional C_vol * int f(s(x)) h(phi(x)) w(x) dx."""
+    """The functional C_vol * int f(s(x)) h(phi(x)) w(x) dx; a value that
+    overflows is a NonFiniteError."""
     geom = profile.geometry
     grid = geom.grid
     fv = f(profile.s.values, grid.x)
     hv = h(_phi_values(profile, phi), grid.x)
-    return complex(geom.vol_const * grid.integrate_values(fv * hv * geom.weight.values))
+    value = complex(geom.vol_const * grid.integrate_values(fv * hv * geom.weight.values))
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise NonFiniteError(f"non-finite S = C_vol int f(s) h(phi) w dx: {value!r}")
+    return value
 
 
 def el_potential(
@@ -137,12 +143,16 @@ def quadratic_form_matrix(profile: MetricProfile) -> np.ndarray:
 def holomorphy_defect(profile: MetricProfile, psi: SampledFunction) -> ELReport:
     """Affine projection of psi against the class weight plus the
     quadratic-form residual; is_critical when the affine defect is at most
-    AFFINE_TOL * (1 + sup|psi|)."""
+    AFFINE_TOL * (1 + sup|psi|).  A defect whose square overflows is a
+    NonFiniteError."""
     require_admissible(profile)
     geom = profile.geometry
     alpha, beta, res = geom.affine_projector.project(psi.values)
     defect_affine = math.sqrt(geom.vol_const) * res
     defect_operator = math.sqrt(quadratic_form(profile, psi))
+    if not (math.isfinite(defect_affine) and math.isfinite(defect_operator)):
+        raise NonFiniteError(
+            f"non-finite EL defects: defect_affine {defect_affine!r}, defect_operator {defect_operator!r}")
     tol_affine = AFFINE_TOL * (1.0 + float(np.abs(psi.values).max()))
     return ELReport(
         alpha=alpha,
@@ -166,9 +176,5 @@ def futaki(profile: MetricProfile, phi: HolomorphyPotential) -> float:
 def equivariant_integral(
     profile: MetricProfile, h: FunctionDescriptor, phi: HolomorphyPotential
 ) -> complex:
-    """C_vol * int h(phi) w dx (the f = constant(1) slice of S)."""
-    require_admissible(profile)
-    geom = profile.geometry
-    grid = geom.grid
-    hv = h(_phi_values(profile, phi), grid.x)
-    return complex(geom.vol_const * grid.integrate_values(hv * geom.weight.values))
+    """C_vol * int h(phi) w dx, the f = constant(1) slice of S."""
+    return eval_S(profile, _ONE, h, phi)

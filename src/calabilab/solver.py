@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -87,8 +87,7 @@ class CriticalSolveResult:
     el_report: ELReport
     iterations: int
     status: str
-    residual_trace: tuple = ()
-    converged: ClassVar[bool] = True  # only a critical metric is returned
+    residual_trace: tuple
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,7 @@ class IterationStep:
     alpha: float | None
     beta: float | None
     status: str  # continued | converged | zero_field | failed
-    profile_summary: dict = field(default_factory=dict)
+    profile_summary: dict
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ class IterationTrace:
 
     @property
     def final_status(self) -> str:
-        return self.steps[-1].status if self.steps else "empty"
+        return self.steps[-1].status  # iterate makes at least one step
 
 
 class _Shooter:

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateWeight
+from .errors import ConfigError, DegenerateWeight, NonFiniteError
 
 CHOP_REL = 1e-14
 DEGENERATE_REL = 1e-12  # Gram determinant over g00 g11 at or below this: degenerate weight
@@ -78,15 +78,15 @@ def _clenshaw_curtis(n: int):
 
 
 def chop_coefficients(c: np.ndarray) -> np.ndarray:
-    """Drop the trailing run of coefficients below CHOP_REL * max|c|: a
-    leading slice of c, not a copy (no caller writes into it).
+    """Drop the trailing run of coefficients below CHOP_REL * max|c| (c has
+    at least one): a leading slice of c, not a copy (no caller writes into it).
 
     High-order coefficients of smooth sampled data sit on a roundoff
     plateau; differentiating them amplifies the noise by O(N^3), so they
     are removed before coefficient-space calculus.
     """
     mag = np.abs(c)
-    top = mag.max() if c.size else 0.0
+    top = mag.max()
     if top == 0.0:
         return c[:1]
     keep = (mag > CHOP_REL * top).nonzero()[0]
@@ -243,7 +243,7 @@ class SampledFunction:
         if v.shape != (self.grid.n,):
             raise ValueError("value count does not match the grid")
         if not np.isfinite(v).all():  # complex: both parts
-            raise ValueError("non-finite sample values")
+            raise NonFiniteError("non-finite sample values")
         object.__setattr__(self, "values", v)
 
 

@@ -31,7 +31,7 @@ from .conventions import KAPPA_THETA
 from .errors import PathExitsClass
 from .functions import FunctionDescriptor
 from .geometry import MetricProfile, require_admissible
-from .potentials import HolomorphyPotential, el_potential, eval_S, normalize_potential
+from .potentials import HolomorphyPotential, el_potential, eval_S
 from .spectral import SampledFunction
 
 ORDER_STEPS = (1e-2, 1e-3, 1e-4)  # the step schedule of convergence_order
@@ -57,7 +57,7 @@ def transport(
     profile: MetricProfile,
     path: DeformationPath,
     t: float,
-    phi: HolomorphyPotential | None = None,
+    phi: HolomorphyPotential,
 ) -> tuple[MetricProfile, HolomorphyPotential]:
     """Finite transport along u.  Returns the deformed profile and the
     transported potential; in the momentum representation the normalization
@@ -65,8 +65,6 @@ def transport(
     require_admissible(profile)
     geom = profile.geometry
     grid = geom.grid
-    if phi is None:
-        phi = normalize_potential(geom)
     denom = 1.0 - KAPPA_THETA * t * profile.theta.values * path.u2
     if (denom[1:-1] <= 0.0).any():
         raise PathExitsClass(t)
@@ -98,7 +96,7 @@ def delta_S_numeric(
     h: FunctionDescriptor,
     phi: HolomorphyPotential,
     path: DeformationPath,
-    step: float = 1e-3,
+    step: float,
 ) -> complex:
     """Central finite difference of S along the finite transport."""
     plus, phi_p = transport(profile, path, step, phi)

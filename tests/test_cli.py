@@ -2,12 +2,16 @@ import csv
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from calabilab import DeformationPath, make_cp1_geometry, profile_to_csv, round_profile
-from calabilab.cli import main
+from calabilab.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 EIGHT_PI = 8.0 * math.pi
 
@@ -248,11 +252,71 @@ def test_library_checks_name_the_bad_value(tmp_path, capsys):
         (["--nodes", "4"], "got 4"),
         (["--geometry", "cpm:1"], "got m = 1"),
         (["--profile", "random:1:-1"], "got -1.0"),
+        # a draw that overflows on the grid: no numpy warning, only the error
+        (["--profile", "random:1:1e308"], "amplitude 1e+308 overflows"),
     ):
         assert main(["evaluate", *args, "--out", str(tmp_path / "w")]) == 2, args
         err = capsys.readouterr().err
         assert err.startswith("error: ") and value in err, (args, err)
+        assert err.count("\n") == 1, err
     assert not (tmp_path / "w").exists()
+
+
+def test_non_finite_results_are_named_failures(tmp_path, capsys):
+    # x^-400 overflows next to x = 0, so S is infinite; with phi = x + 398,
+    # psi = e^s e^phi is finite near 1e173 but the squares in its EL defects
+    # overflow.  numpy warns where the overflow happens, and the command
+    # names the quantity it spoils, exits 1 and writes nothing
+    for args, quantity in (
+        (["--h", "pow:-400"], "non-finite S = "),
+        (["--f", "exp", "--h", "exp", "--target", "5000"], "non-finite EL defects: defect_affine inf"),
+    ):
+        out = tmp_path / "nf"
+        with pytest.warns(RuntimeWarning):
+            assert main(["evaluate", *args, "--out", str(out)]) == 1, args
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: " + quantity), (args, err)
+        assert not out.exists(), args
+
+
+def test_help_names_the_csv_headers_the_commands_write(tmp_path):
+    description = build_parser().description
+    for h in ("pow:2", "sum:pow:2,const:0.5j"):
+        out = tmp_path / h.replace(":", "_")
+        assert main(["evaluate", "--f", "exp", "--h", h, "--out", str(out)]) == 0
+        for name in ("psi.csv", "s.csv"):
+            header = (out / name).read_text().splitlines()[0]
+            assert f"({header})" in description, (name, header)
+
+
+def _readme_commands():
+    """The calabilab command lines of the README, as argument lists."""
+    return [shlex.split(line)[1:] for line in README.read_text().splitlines() if line.startswith("calabilab ")]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in an --out JSON file")
+
+
+def test_every_out_json_is_strict(tmp_path):
+    # the README commands and criterion 10's set: every JSON file they write
+    # parses with NaN and Infinity refused
+    runs = _readme_commands()
+    assert len(runs) == 6 and all("--out" in args for args in runs)
+    runs += [
+        ["evaluate", "--f", "exp", "--h", "pow:2", "--profile", "random:9:0.25", "--target", "2.0", "--out", "x"],
+        ["invariance", "--h", "pow:2", "--samples", "10", "--seed", "9", "--out", "x"],
+        ["solve", "--f", "exp", "--h", "id", "--target", str(EIGHT_PI), "--out", "x"],
+    ]
+    written = 0
+    for i, args in enumerate(runs):
+        out = tmp_path / str(i)
+        args[args.index("--out") + 1] = str(out)
+        assert main(args) == 0, args
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
+            written += 1
+    assert written == sum(args[0] != "sweep" for args in runs)  # sweep writes a CSV only
 
 
 def test_failed_command_makes_no_out_directory(tmp_path, capsys):

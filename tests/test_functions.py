@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from calabilab import functions, parse_function, render_function
+from calabilab import functions, parse_function
 from calabilab.errors import ConfigError, DomainError
 from calabilab.functions import (
     _TAGS,
@@ -38,8 +38,8 @@ CATALOG = [
 @pytest.mark.parametrize("spec", CATALOG)
 def test_parse_render_roundtrip(spec):
     desc = parse_function(spec)
-    assert render_function(desc) == spec  # every CATALOG spec is canonical
-    again = parse_function(render_function(desc))
+    assert desc.render() == spec  # every CATALOG spec is canonical
+    again = parse_function(desc.render())
     z = np.array([0.7, 1.3, 2.9])
     assert np.allclose(desc(z), again(z))
 
@@ -69,7 +69,7 @@ def test_random_descriptor_trees_roundtrip():
     left_nested = 0
     for _ in range(500):
         desc = _random_descriptor(rng, 4)
-        text = render_function(desc)
+        text = desc.render()
         assert parse_function(text) == desc, text
         left_nested += text.count("sum:sum:")
     assert left_nested  # the trees include sums whose first operand is a sum

@@ -38,7 +38,7 @@ def test_geometry_is_grid_and_k(n):
         assert tuple(f.name for f in dataclasses.fields(geom)) == ("grid", "k")
         assert (geom.k == 0, geom.k + 1) == (kind == "cp1", dim)
         assert (geom.slope_lo, geom.slope_hi, geom.vol_const) == (2.0, -2.0, 2.0 * np.pi)
-        assert (geom.x_lo, geom.x_hi) == (x_lo, 1.0)
+        assert (geom.grid.lo, geom.grid.hi) == (x_lo, 1.0)
         k, y = geom.k, geom.grid.x - x_lo
         assert np.array_equal(geom.weight.values, y ** k)
         assert np.array_equal(geom.base_term.values, k * (k + 1) * 2.0 * y ** max(k - 1, 0))

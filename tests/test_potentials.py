@@ -3,6 +3,7 @@ import pytest
 
 from calabilab import (
     HolomorphyPotential,
+    NonFiniteError,
     SampledFunction,
     el_potential,
     equivariant_integral,
@@ -179,3 +180,36 @@ def test_equivariant_integral_examples(cp1, cp1_round, cp1_phi):
     assert abs(val - 4.0 * np.pi / 3.0) < 1e-10
     one = equivariant_integral(cp1_round, parse_function("const:1"), cp1_phi)
     assert abs(one - 4.0 * np.pi) < 1e-10
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_equivariant_integral_on_cpm_reads_the_weight(m):
+    # w = x^(m-1) on [0, 1] and phi = x + c: C_vol int (x + c)^2 x^(m-1) dx
+    # = 2 pi (1/(m+2) + 2c/(m+1) + c^2/m), on the round profile and on a
+    # random one, as the integral does not read Theta
+    geom = make_cpm_geometry(m)
+    c = 0.75
+    phi = HolomorphyPotential(geom, 1.0, c)
+    exact = 2.0 * np.pi * (1.0 / (m + 2) + 2.0 * c / (m + 1) + c * c / m)
+    for profile in (round_profile(geom), random_admissible_profile(geom, 4, 0.2)):
+        val = equivariant_integral(profile, parse_function("pow:2"), phi)
+        assert abs(val - exact) < 1e-13 * exact, m
+
+
+def test_overflowing_values_are_named_failures(cp1, cp1_round, cp1_phi):
+    # x^-400 overflows at the node next to x = 0, so S is infinite; e^phi
+    # with phi = x + 400 is finite near 1e174, but the squares in the EL
+    # defects overflow
+    with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError, match=r"non-finite S = .*inf"):
+        eval_S(cp1_round, parse_function("id"), parse_function("pow:-400"), cp1_phi)
+    phi = HolomorphyPotential(cp1, 1.0, 400.0)
+    psi = el_potential(cp1_round, parse_function("exp"), parse_function("exp"), phi)
+    with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError, match="non-finite EL defects: defect_affine inf"):
+        holomorphy_defect(cp1_round, psi)
+    # 1e153 x^6: the affine residual squares to 1e305, but psi'' = 3e154 x^4
+    # does not square, so defect_operator alone is not finite
+    psi = SampledFunction(cp1.grid, 1e153 * cp1.grid.x ** 6)
+    with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError, match=r"defect_affine 8\.\d+e\+152, defect_operator"):
+        holomorphy_defect(cp1_round, psi)
+    with pytest.raises(NonFiniteError, match="non-finite sample values"):
+        SampledFunction(cp1.grid, np.full(cp1.grid.n, np.inf))

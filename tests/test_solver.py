@@ -18,6 +18,7 @@ from calabilab import (
     RangeError,
     SampledFunction,
     SingularPotential,
+    composed_with_affine,
     delta_S_analytic,
     holomorphy_defect,
     el_potential,
@@ -107,6 +108,16 @@ def test_singular_potential_rejected(cp1):
     phi = normalize_potential(cp1)  # phi = x crosses zero
     with pytest.raises(SingularPotential):
         solve_critical(cp1, parse_function("exp"), parse_function("id"), phi)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e3, 1e6])
+def test_singular_potential_test_is_invariant_under_scaling_h(cp1, c):
+    # the critical metric of (f, c h) is that of (f, h), with (alpha, beta)
+    # scaled by c, so whether Re h vanishes cannot depend on c >= 1: with
+    # phi = x + 1, h = c (phi + 1e-13) is 1e-13 of its largest value at x = -1
+    phi = HolomorphyPotential(cp1, 1.0, 1.0)
+    with pytest.raises(SingularPotential, match="vanishes"):
+        solve_critical(cp1, parse_function("exp"), parse_function(f"affine:{c!r}:{c * 1e-13!r}"), phi)
 
 
 def test_vanishing_real_part_of_h_is_singular(cp1):
@@ -215,6 +226,25 @@ def test_solve_exact_init_stops_immediately(cp1, cp1_phi, cp1_round):
         assert np.abs(res.profile.theta.values - cp1_round.theta.values).max() < 1e-10
 
 
+def test_final_newton_step_corrects_a_start_within_tolerance(cp1, cp1_round):
+    # e^s with h = id and phi = x + 2: the round metric is critical with
+    # (alpha, beta) = e^2 (1, 2).  A start 2e-12 off satisfies the stop test
+    # at once (the pointwise corrections are below POINTWISE_TOL), so the
+    # solve returns after one step, and that step removes the offset
+    phi = HolomorphyPotential(cp1, 1.0, 2.0)
+    res = solve_critical(cp1, parse_function("exp"), parse_function("id"), phi, init=(E2 + 2e-12, 2.0 * E2 + 2e-12))
+    assert res.iterations == 0
+    assert abs(res.alpha - E2) <= 1e-13 * E2 and abs(res.beta - 2.0 * E2) <= 1e-13 * E2
+    assert np.abs(res.profile.theta.values - cp1_round.theta.values).max() <= 1e-14
+    # the same for s: Newton from the exact pair and s = 2 + 2e-13 cos 3x
+    # stops at once and returns the round s = 2
+    x = cp1.grid.x
+    f = parse_function("exp")
+    _, s, it, _ = solver._newton(solver._shooter(cp1), f, f.derivative(), x + 2.0, (E2, 2.0 * E2),
+                                 2.0 + 2e-13 * np.cos(3.0 * x))
+    assert it == 0 and np.abs(s - 2.0).max() <= 2e-14
+
+
 def test_solve_nonlinear_from_random_profile_init(cp1):
     phi = HolomorphyPotential(cp1, 1.0, 2.0)
     f, h = parse_function("exp"), parse_function("id")
@@ -297,6 +327,33 @@ def test_iterate_exponential_runs_deterministic_steps(cp1):
     assert len(t1.steps) >= 2
     assert all(s.status in ("continued", "converged") for s in t1.steps)
     assert [(s.alpha, s.beta) for s in t1.steps] == [(s.alpha, s.beta) for s in t2.steps]
+
+
+def test_iterate_settles_on_the_round_metric(cp1):
+    # f = e^(s - 2), so f'(s0) = 1 on cp1, and h = id with phi = x + 2: the
+    # round metric is critical with psi = f'(s0) (x + 2), so the next field
+    # is phi again and the second step repeats the first
+    phi = normalize_potential(cp1, 8.0 * np.pi)
+    trace = iterate(cp1, parse_function("compaff:1:-2:exp"), parse_function("id"), phi, 8)
+    assert [s.status for s in trace.steps] == ["continued", "converged"]
+    for s in trace.steps:
+        assert abs(s.alpha - 1.0) < 1e-12 and abs(s.beta - 2.0) < 1e-12
+    # h = id + 1: psi = phi + 1, so alpha stays 1 while beta grows by 1 a
+    # step, and a field settles only when both coefficients do
+    trace = iterate(cp1, parse_function("compaff:1:-2:exp"), parse_function("affine:1:1"), phi, 3)
+    assert [s.status for s in trace.steps] == ["continued"] * 3
+    for i, s in enumerate(trace.steps):
+        assert abs(s.alpha - 1.0) < 1e-12 and abs(s.beta - (3.0 + i)) < 1e-12
+
+
+def test_iterate_makes_max_steps_steps(cp1):
+    # e^s with h = id moves alpha by a factor e^2 each step, so it never settles
+    phi = HolomorphyPotential(cp1, 1.0, 2.0)
+    for max_steps in (1, 3):
+        trace = iterate(cp1, parse_function("exp"), parse_function("id"), phi, max_steps)
+        assert [s.status for s in trace.steps] == ["continued"] * max_steps
+        assert trace.final_status == "continued"
+    assert abs(trace.steps[0].alpha - E2) < 1e-12 * E2 and abs(trace.steps[0].beta - 2.0 * E2) < 1e-12 * E2
 
 
 def test_iterate_records_failure_step(cp1):
@@ -488,7 +545,7 @@ def test_vanishing_second_derivative_is_a_named_error(cp1):
     f = parse_function("pow:3")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConvergenceError, match="not finite at node"):
+        with pytest.raises(ConvergenceError, match=r"not finite at node x=-1\.0$"):
             solver._newton(solver._shooter(cp1), f, f.derivative(), np.ones(x.shape), (0.0, 0.0), np.zeros(x.shape))
 
 
@@ -593,7 +650,7 @@ def _manufactured_problem(geom, rng, p, sign):
     positive on [x_lo, x_hi] is not a problem for this f; the next draw is
     taken (none is at the seeds used)."""
     P = np.polynomial.Polynomial
-    lo, hi, k = geom.x_lo, geom.x_hi, geom.k
+    lo, hi, k = geom.grid.lo, geom.grid.hi, geom.k
     s0 = geom.constants.s0
     y_of_x, x_of_y = P([-lo, 1.0]), P([lo, 1.0])
     while True:
@@ -632,13 +689,56 @@ def test_manufactured_critical_metrics(geometry, n, p, sign):
     assert np.abs(res.profile.theta.values - theta).max() <= 1e-12
 
 
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("geometry", ["cp1", "cpm:3"])
+def test_manufactured_solve_is_invariant_under_scaling_h(geometries, geometry, c):
+    # f' = 1/s and c h: the critical metric is Theta* again, with pair
+    # c (alpha*, beta*).  Newton's pointwise stop reads d F, which is in
+    # units of s and does not scale, against a rounding floor eps |d| (|g| +
+    # |alpha x| + |beta|), which does not scale either; a floor that grew
+    # as c or 1/c would stop Newton early at one end or the other
+    geom = geometries[geometry]
+    rng = np.random.default_rng([1, 129, 1, 2])
+    f, h, theta, (beta_star, alpha_star) = _manufactured_problem(geom, rng, 1, 1)
+    res = solve_critical(geom, f, scaled(c, h), normalize_potential(geom))
+    scale = c * (abs(alpha_star) + abs(beta_star))
+    assert abs(res.alpha - c * alpha_star) <= 1e-12 * scale and abs(res.beta - c * beta_star) <= 1e-12 * scale
+    assert np.abs(res.profile.theta.values - theta).max() <= 1e-12
+
+
+def test_newton_step_through_a_zero_of_fprime_is_not_halved():
+    # f' = s is monotone through its zero, so a step on which f' changes
+    # sign with its monotonicity stays on the branch.  Theta* = (1 - x^2) +
+    # (1 - x^2)^2 (0.3 + 0.1 x) has s* = c (x - x0)(x - x1)(x - x2) with
+    # only x0 in (-1, 1), so s* < 0 on (x0, 1]; with psi* = c (x - x0) and
+    # h = psi* / s* = 1 / ((t - x1)(t - x2)) in partial fractions, Theta* is
+    # critical, and Newton, linear in s here, reaches it in one full step
+    P = np.polynomial.Polynomial
+    one = P([1.0, 0.0, -1.0])
+    theta_star = one + one ** 2 * P([0.3, 0.1])
+    s_star = -theta_star.deriv(2)
+    c = s_star.coef[-1]
+    x0, x1, x2 = sorted(s_star.roots().real, reverse=True)
+    assert -1.0 < x0 < 1.0 and x1 < -1.0 and x2 < -1.0
+    h = fsum(scaled(1.0 / (x1 - x2), composed_with_affine(power(-1), 1.0, -x1)),
+             scaled(-1.0 / (x1 - x2), composed_with_affine(power(-1), 1.0, -x2)))
+    geom = make_cp1_geometry(129)
+    res = solve_critical(geom, parse_function("scaled:0.5:pow:2"), h, normalize_potential(geom))
+    assert res.iterations == 1
+    assert abs(res.alpha - c) <= 1e-14 * abs(c) and abs(res.beta + c * x0) <= 1e-14 * abs(c)
+    assert np.abs(res.profile.theta.values - theta_star(geom.grid.x)).max() <= 1e-14
+    assert res.profile.s.values.min() < -1.0
+
+
 @pytest.mark.parametrize("p, seed", [(2, 3), (3, 2)], ids=["s^-2", "s^-3"])
 def test_newton_step_across_a_pole_of_fprime_is_halved(p, seed):
     # f' = s^-p has a pole at 0.  For p = 2, f'' = -2 s^-3 changes sign
     # there; for p = 3, f'' = -3 s^-4 keeps its sign, and f' changing sign
     # against its monotonicity marks the crossing.  On these draws the
     # first full Newton step takes s below 0 at some nodes, onto another
-    # branch of f'; the step is halved instead, and the solve finds Theta*
+    # branch of f'; the step is halved instead, and the solve finds Theta*.
+    # The branch test reads signs only, so it decides the same for c h,
+    # whose answer is Theta* with pair c (alpha*, beta*)
     geom = make_cp1_geometry(129)
     rng = np.random.default_rng([1, 129, p, 0, seed])
     f, h, theta, (beta_star, alpha_star) = _manufactured_problem(geom, rng, p, -1)
@@ -650,8 +750,9 @@ def test_newton_step_across_a_pole_of_fprime_is_halved(p, seed):
     d_f = d * (hr * fprime(s) - (alpha * x + beta))
     da, db = np.linalg.solve(sh.jacobian(d), sh.mismatch(s - d_f))
     assert (s - d * (da * x + db) - d_f).min() < 0  # the full step crosses the pole
-    res = solve_critical(geom, f, h, normalize_potential(geom))
-    scale = abs(alpha_star) + abs(beta_star)
-    assert abs(res.alpha - alpha_star) <= 1e-12 * scale and abs(res.beta - beta_star) <= 1e-12 * scale
-    assert np.abs(res.profile.theta.values - theta).max() <= 1e-12
-    assert res.profile.s.values.min() > 0
+    for c in (1.0, 1e-8):
+        res = solve_critical(geom, f, scaled(c, h), normalize_potential(geom))
+        scale = c * (abs(alpha_star) + abs(beta_star))
+        assert abs(res.alpha - c * alpha_star) <= 1e-12 * scale and abs(res.beta - c * beta_star) <= 1e-12 * scale
+        assert np.abs(res.profile.theta.values - theta).max() <= 1e-12
+        assert res.profile.s.values.min() > 0

@@ -28,12 +28,12 @@ def _direction(grid, fn):
     return SampledFunction(grid, fn(grid.x))
 
 
-def test_first_order_preserves_boundary_data(cp1):
+def test_first_order_preserves_boundary_data(cp1, cp1_phi):
     profile = random_admissible_profile(cp1, 1, 0.25)
     path = DeformationPath(_direction(cp1.grid, lambda x: x ** 3))
     # dTheta = kappa * Theta^2 u'' vanishes to second order at the ends
     t = 1e-5
-    plus, minus = (transport(profile, path, sign * t)[0].theta.values for sign in (1.0, -1.0))
+    plus, minus = (transport(profile, path, sign * t, cp1_phi)[0].theta.values for sign in (1.0, -1.0))
     d_theta = (plus - minus) / (2 * t)
     assert abs(d_theta[0]) < 1e-12
     assert abs(d_theta[-1]) < 1e-12
@@ -41,37 +41,37 @@ def test_first_order_preserves_boundary_data(cp1):
     assert abs(d1[0]) < 1e-8 and abs(d1[-1]) < 1e-8
 
 
-def test_transport_identity_at_zero(cp1, cp1_round):
+def test_transport_identity_at_zero(cp1, cp1_round, cp1_phi):
     path = DeformationPath(_direction(cp1.grid, lambda x: x ** 2))
-    moved, _ = transport(cp1_round, path, 0.0)
+    moved, _ = transport(cp1_round, path, 0.0, cp1_phi)
     assert np.array_equal(moved.theta.values, cp1_round.theta.values)
 
 
-def test_transport_round_closed_form(cp1, cp1_round):
+def test_transport_round_closed_form(cp1, cp1_round, cp1_phi):
     # u = x^2: u'' = 2, so Theta_t = Theta / (1 - 2 kappa t Theta)
     path = DeformationPath(_direction(cp1.grid, lambda x: x ** 2))
     t = 0.1
-    moved, _ = transport(cp1_round, path, t)
+    moved, _ = transport(cp1_round, path, t, cp1_phi)
     theta = cp1_round.theta.values
     expect = theta / (1.0 - 2.0 * KAPPA_THETA * t * theta)
     assert np.abs(moved.theta.values - expect).max() < 1e-10
     assert moved.violations == ()
 
 
-def test_transport_exits_class(cp1, cp1_round):
+def test_transport_exits_class(cp1, cp1_round, cp1_phi):
     path = DeformationPath(_direction(cp1.grid, lambda x: x ** 2))
     with pytest.raises(PathExitsClass):
-        transport(cp1_round, path, 1.0 / KAPPA_THETA)
+        transport(cp1_round, path, 1.0 / KAPPA_THETA, cp1_phi)
 
 
 def test_delta_s_matches_transport_difference(geometries):
     for spec, geom in geometries.items():
         profile = random_admissible_profile(geom, 9, 0.2)
-        path = DeformationPath(_direction(geom.grid, lambda x: np.sin(x)))
+        path, phi = DeformationPath(_direction(geom.grid, lambda x: np.sin(x))), normalize_potential(geom)
         ds = -KAPPA_THETA * lichnerowicz(profile, path.u).values
         t = 1e-5
-        plus, _ = transport(profile, path, t)
-        minus, _ = transport(profile, path, -t)
+        plus, _ = transport(profile, path, t, phi)
+        minus, _ = transport(profile, path, -t, phi)
         fd = (plus.s.values - minus.s.values) / (2 * t)
         assert np.abs(ds - fd).max() < 1e-4 * (1.0 + np.abs(ds).max()), spec
 
