@@ -45,8 +45,8 @@ def pin_cpm_base_coefficient(m: int) -> tuple[float, float]:
 
 def build_manifest() -> dict:
     """Recompute all pinned constants and return the conventions manifest.
-    The observed Fubini-Study scalar curvature of CP^m is recorded from the
-    computation (its mean and spread) rather than asserted."""
+    The observed Fubini-Study scalar curvature of CP^m, m = 2, 3, 4, is
+    recorded from the computation (its mean and spread) rather than asserted."""
     manifest = {
         "kappa_theta": KAPPA_THETA,
         "kappa_phi": KAPPA_PHI,

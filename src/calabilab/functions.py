@@ -16,6 +16,7 @@ rendered descriptor reads back.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -88,10 +89,7 @@ def affine(a, b) -> FunctionDescriptor:
 def power(p) -> FunctionDescriptor:
     if isinstance(p, complex):
         raise ConfigError(f"pow takes a real exponent, got {p!r}")
-    p = float(p)
-    if p == int(p):
-        p = int(p)
-    return FunctionDescriptor("power", (p,))
+    return FunctionDescriptor("power", (float(p),))
 
 
 def exponential() -> FunctionDescriptor:
@@ -227,18 +225,18 @@ def _derivative(d: FunctionDescriptor) -> FunctionDescriptor:
 
 # -- expression grammar -------------------------------------------------------
 def _parse_scalar(text: str):
+    """A finite real or complex literal: nan, inf or either part of a
+    complex literal not finite is a ConfigError, as --target refuses them."""
     try:
-        return float(text)
-    except ValueError:
-        pass
-    try:
-        return _scalar(complex(text))
+        value = complex(text)
     except ValueError as exc:
         raise ConfigError(f"bad numeric literal {text!r}") from exc
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ConfigError(f"numeric literal {text!r} is not finite")
+    return _scalar(value)
 
 
 def _render_scalar(c) -> str:
-    c = complex(c)
     if c.imag == 0.0:
         return format(c.real, ".17g")
     return repr(c).strip("()")
@@ -282,8 +280,6 @@ def _parse_at(spec: str, pos: int) -> tuple[FunctionDescriptor, int]:
     """The expression that starts at pos, read to its arity, and the index
     after it."""
     head, pos = _field(spec, pos)
-    if not head:
-        raise ConfigError(f"empty function expression in {spec!r}")
     entry = _TAG_BY_HEAD.get(head.lower())
     if entry is None:
         raise ConfigError(f"unknown function expression {head!r} in {spec!r}")

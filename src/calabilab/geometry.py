@@ -143,10 +143,8 @@ class MetricProfile:
             out.append(Violation("boundary slope", grid.lo, abs(dlo - geom.slope_lo)))
         if abs(dhi - geom.slope_hi) > BOUNDARY_TOL:
             out.append(Violation("boundary slope", grid.hi, abs(dhi - geom.slope_hi)))
-        interior = th[1:-1]
-        if (interior <= 0).any():
-            i = int(interior.argmin()) + 1
-            out.append(Violation("interior positivity", float(grid.x[i]), abs(min(interior.min(), 0.0))))
+        if (th[1:-1] <= 0).any():
+            out.append(_interior_minimum(grid, th))
         return tuple(out)
 
     @cached_property
@@ -184,6 +182,13 @@ class Violation(NamedTuple):
 
     def __str__(self):
         return f"{self.invariant} at x={self.location:.6g} (|{self.magnitude:.3e}|)"
+
+
+def _interior_minimum(grid: SpectralGrid, theta: np.ndarray) -> Violation:
+    """The interior positivity violation of theta, at its smallest interior
+    value, for a theta that is not positive inside."""
+    i = int(theta[1:-1].argmin()) + 1
+    return Violation("interior positivity", float(grid.x[i]), abs(float(theta[i])))
 
 
 class ClassConstants(NamedTuple):
@@ -274,6 +279,4 @@ def random_admissible_profile(geom: ProfileGeometry, seed: int, amplitude: float
         if (theta[1:-1] > 0).all():
             return MetricProfile(geom, SampledFunction(grid, theta))
         q = q / 2.0
-    raise AdmissibilityError(
-        [Violation("interior positivity", float(grid.x[1 + int(np.argmin(theta[1:-1]))]), float(-theta[1:-1].min()))]
-    )
+    raise AdmissibilityError([_interior_minimum(grid, theta)])

@@ -149,8 +149,7 @@ class SpectralGrid:
         self.span = self.hi - self.lo
         self.t = _cgl_nodes(n)
         self.x = self.lo + self.span * (self.t + 1.0) / 2.0
-        # pin the endpoints exactly
-        self.x[0] = self.lo
+        # x[0] is lo exactly, as t[0] = -1; lo + (hi - lo) may miss hi
         self.x[-1] = self.hi
         self.quad_weights = _clenshaw_curtis(n) * (self.span / 2.0)
         # The DCT-I runs over the nodes in descending t, where T_k(t_j) =
@@ -216,9 +215,6 @@ class SpectralGrid:
 
     def integrate_values(self, values: np.ndarray):
         return self.quad_weights @ np.asarray(values)
-
-    def __repr__(self):
-        return f"SpectralGrid(n={self.n}, lo={self.lo}, hi={self.hi})"
 
 
 _GRID_CACHE: dict = {}
@@ -308,6 +304,4 @@ class AffineProjector:
         alpha, beta = self.coefficients(psi)
         resid = psi - (alpha * self.x + beta)
         residual_norm = math.sqrt(max(float(self.qw @ np.abs(resid) ** 2), 0.0))
-        if psi.dtype.kind != "c":
-            alpha, beta = float(alpha.real), float(beta.real)
         return alpha, beta, residual_norm

@@ -1,7 +1,11 @@
 """Source-level rules on the library code, checked by parsing it."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
+
+import calabilab
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "calabilab"
 BLANKET = {"Exception", "BaseException"}
@@ -48,6 +52,13 @@ WRITE_METHODS = {"write_text", "write_bytes"}
 INIT = SRC / "__init__.py"
 BENCH = SRC.parent.parent / "bench"
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
+# a dotted name in the README whose head is a package module or an exported
+# class names something the package has: a deletion that leaves the README
+# naming what it deleted fails here.  A name ending in a file extension
+# (variation.json, cli.py) is a file, not an attribute
+README = SRC.parent.parent / "README.md"
+DOTTED = re.compile(r"\b[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+FILE_EXTENSIONS = {"py", "json", "csv", "md", "toml", "cfg"}
 
 
 def _blanket_handlers(tree: ast.AST):
@@ -453,3 +464,45 @@ def test_only_serialize_writes_files():
     findings = _library_findings(_file_writes)
     assert findings, "serialize.py writes the outputs"
     assert all(f.startswith(f"{SERIALIZE.name}:") for f in findings), findings
+
+
+def _has(owner, attr: str) -> bool:
+    """owner has attr, a dataclass field without a default included."""
+    return hasattr(owner, attr) or attr in getattr(owner, "__dataclass_fields__", {})
+
+
+def _unresolved_names(text: str, heads: dict):
+    """Each dotted name in text whose head is in heads (name -> module or
+    class) and whose tail does not resolve on it, attribute by attribute."""
+    for match in DOTTED.finditer(text):
+        head, *tail = match.group().split(".")
+        if head not in heads or tail[-1] in FILE_EXTENSIONS:
+            continue
+        owner = heads[head]
+        for attr in tail:
+            if not _has(owner, attr):
+                yield match.group()
+                break
+            owner = getattr(owner, attr, None)
+
+
+def _package_heads() -> dict:
+    modules = {p.stem: importlib.import_module(f"calabilab.{p.stem}") for p in SRC.glob("*.py") if p != INIT}
+    classes = {name: obj for name, obj in vars(calabilab).items() if isinstance(obj, type)}
+    return {**modules, **classes}
+
+
+def test_rule_detects_stale_readme_names():
+    text = (
+        "`serialize.write_outputs` and `geometry.scalar_curvature_v2`; "
+        "`MetricProfile.s`, `ProfileGeometry.grid` and `MetricProfile.x_lo`; "
+        "`AffineProjector.project.real`; `variation.json` and `cli.py` are files; "
+        "`grid.lo` and `np.fft.irfft` are not the package's"
+    )
+    assert list(_unresolved_names(text, _package_heads())) == [
+        "geometry.scalar_curvature_v2", "MetricProfile.x_lo", "AffineProjector.project.real",
+    ]
+
+
+def test_readme_names_resolve():
+    assert list(_unresolved_names(README.read_text(), _package_heads())) == []

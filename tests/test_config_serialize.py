@@ -23,10 +23,12 @@ def test_parse_config_roundtrip():
         "grid.nodes=65\n"
         "seed=7\n"
         "normalization.target=3.5\n"
+        "  h  =  pow:2  # spaces around the key, the '=' and the value\n"
     )
     cfg = parse_config(text)
     assert cfg.geometry == "cpm:2"
     assert cfg.f_expr == "exp"
+    assert cfg.h_expr == "pow:2"
     assert cfg.nodes == 65
     assert cfg.seed == 7
     assert cfg.target == 3.5
@@ -38,10 +40,16 @@ def test_parse_config_rejects_unknown_key():
 
 
 def test_parse_config_rejects_bad_value():
-    with pytest.raises(ConfigError):
-        parse_config("grid.nodes=not_a_number\n")
-    with pytest.raises(ConfigError):
-        parse_config("just some text\n")
+    # each message names the line, counted from 1 with comments and blank lines
+    for text, message in (
+        ("grid.nodes=not_a_number\n", "line 1: bad value for grid.nodes: 'not_a_number'"),
+        ("just some text\n", "line 1: expected key=value, got 'just some text'"),
+        ("# comment\n\ngeometry\n", "line 3: expected key=value, got 'geometry'"),
+        ("seed=1\nbogus=1\n", "line 2: unknown key 'bogus'"),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(text)
+        assert str(exc.value) == message
 
 
 def test_profile_csv_roundtrip_bit_exact():
@@ -60,6 +68,15 @@ def test_profile_csv_rejects_wrong_grid():
         profile_from_csv(geom, text)
     with pytest.raises(ConfigError):
         profile_from_csv(geom, "a,b\n1,2\n")
+    # the right header for another column, and the right node count at other nodes
+    rows = profile_to_csv(random_admissible_profile(geom, 4, 0.3)).splitlines()
+    with pytest.raises(ConfigError, match="header x,theta"):
+        profile_from_csv(geom, "\n".join(["x,psi", *rows[1:]]))
+    shifted = [f"{float(x) / 2!r},{theta}" for x, theta in (row.split(",") for row in rows[1:])]
+    with pytest.raises(ConfigError, match="nodes do not match"):
+        profile_from_csv(geom, "\n".join([rows[0], *shifted]))
+    with pytest.raises(ConfigError, match="row 'abc,1' is not two numbers"):
+        profile_from_csv(geom, "\n".join([*rows[:5], "abc,1", *rows[6:]]))
 
 
 def test_dump_json_writes_numpy_and_complex(tmp_path):
@@ -81,3 +98,6 @@ def test_dump_json_writes_numpy_and_complex(tmp_path):
         "f": [3, {"real": 0.5, "imag": -1.0}, 0.25],
     }
     assert text.startswith('{\n  "a": 1.5,\n') and text.endswith("}\n")  # sorted, indent 2
+    # anything else is refused as json.dump refuses it, with a TypeError
+    with pytest.raises(TypeError, match="cannot write set as JSON"):
+        dump_json({"a": {1, 2}}, tmp_path / "bad.json")

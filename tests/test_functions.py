@@ -109,6 +109,12 @@ def test_domain_errors_carry_location():
         power(0.5)(z)
     with pytest.raises(DomainError):
         power(-1)(np.array([0.0]))
+    # log is undefined at 0, and the first of several offending nodes is named
+    with pytest.raises(DomainError):
+        log_guarded()(np.array([0.0]))
+    with pytest.raises(DomainError) as exc:
+        power(-1)(np.array([1.0, 0.0, 0.0]), np.array([0.1, 0.2, 0.3]))
+    assert exc.value.node == 0.2
 
 
 def test_constant_value_detection():
@@ -118,6 +124,11 @@ def test_constant_value_detection():
     assert scaled(2.0, constant(3.0)).constant_value() == 6.0
     assert fsum(constant(1.0), constant(2.0)).constant_value() == 3.0
     assert power(0).constant_value() == 1.0
+    assert power(0).derivative().constant_value() == 0.0  # d/dz z^0 = 0, also at z = 0
+    assert composed_with_affine(exponential(), 0.0, 2.0).constant_value() == np.exp(2.0)  # exp(0 z + 2)
+    assert composed_with_affine(exponential(), 2.0, 0.0).constant_value() is None
+    # a real parameter given as an int is stored as a float, and so are its values
+    assert type(constant(1).constant_value()) is float and constant(1)(np.zeros(2)).dtype == float
     assert identity().constant_value() is None
     assert exponential().constant_value() is None
     # f = id has constant derivative; f = s^2/2 does not
@@ -161,6 +172,12 @@ def test_second_derivative_chains():
         "", "nope", "pow", "affine:1", "scaled:2", "compaff:1:2", "sum:id", "const:xyz",
         # trailing text after a complete expression
         "id:junk", "exp:1", "log:2", "const:1:2", "affine:1:2:3",
+        # a comma where a colon belongs, and a colon where a comma belongs
+        "scaled:2,exp", "sum:exp:id", "pow,2",
+        # pow takes a real exponent
+        "pow:1j",
+        # literals that are not finite, either part of a complex one included
+        "pow:inf", "pow:nan", "const:nan", "scaled:inf:exp", "affine:nan:1", "const:1+nanj", "const:infj",
     ],
 )
 def test_bad_expressions_raise_config_error(bad):
@@ -168,6 +185,19 @@ def test_bad_expressions_raise_config_error(bad):
     for _ in range(2):
         with pytest.raises(ConfigError):
             parse_function(bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (":exp", "unknown function expression '' in ':exp'"),
+    ("sum:exp:id", "sum takes 0 parameter(s) and 2 operand(s), got 'sum:exp:id'"),
+    ("scaled:2,exp", "scaled takes 1 parameter(s) and 1 operand(s), got 'scaled:2,exp'"),
+    ("exp:1", "trailing text ':1' in 'exp:1'"),
+    ("const:x", "bad numeric literal 'x'"),
+])
+def test_bad_expression_messages(bad, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_function(bad)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("spec", CATALOG)

@@ -6,12 +6,15 @@ import pytest
 from calabilab import (
     AdmissibilityError,
     ConfigError,
+    DeformationPath,
     HolomorphyPotential,
     MetricProfile,
+    ProfileGeometry,
     SampledFunction,
     el_potential,
     eval_S,
     futaki,
+    get_grid,
     make_cp1_geometry,
     make_cpm_geometry,
     normalize_potential,
@@ -19,8 +22,9 @@ from calabilab import (
     random_admissible_profile,
     round_profile,
     solve_critical,
+    transport,
 )
-from calabilab.conventions import pin_cpm_base_coefficient
+from calabilab.conventions import build_manifest, pin_cpm_base_coefficient
 from calabilab.geometry import bump_factor
 from calabilab.rng import SplitMix64
 
@@ -42,6 +46,11 @@ def test_geometry_is_grid_and_k(n):
         k, y = geom.k, geom.grid.x - x_lo
         assert np.array_equal(geom.weight.values, y ** k)
         assert np.array_equal(geom.base_term.values, k * (k + 1) * 2.0 * y ** max(k - 1, 0))
+    # w and A are powers of the distance to the left end, wherever it is
+    geom = ProfileGeometry(get_grid(n, 2.0, 5.0), 2)
+    y = geom.grid.x - 2.0
+    assert np.array_equal(geom.weight.values, y ** 2)
+    assert np.array_equal(geom.base_term.values, 12.0 * y)
 
 
 def test_cp1_class_constants(cp1):
@@ -98,6 +107,30 @@ def test_validate_flags_each_invariant(cp1):
     negative = MetricProfile(cp1, SampledFunction(grid, -good.theta.values))
     names = {v.invariant for v in negative.violations}
     assert "interior positivity" in names
+    # a shift or a tilt moves both ends at once; each cubic below moves one
+    # end's value or slope by 1e-3 and keeps the other three boundary data,
+    # so each of the four checks is seen alone
+    x, e = grid.x, 1e-3
+    for bump, invariant, location in (
+        (e * (1 - x) ** 2 * (2 + x) / 4, "endpoint value", -1.0),
+        (e * (1 + x) ** 2 * (2 - x) / 4, "endpoint value", 1.0),
+        (e * (x + 1) * (1 - x) ** 2 / 4, "boundary slope", -1.0),
+        (e * (x - 1) * (1 + x) ** 2 / 4, "boundary slope", 1.0),
+    ):
+        (v,) = MetricProfile(cp1, SampledFunction(grid, good.theta.values + bump)).violations
+        assert (v.invariant, v.location) == (invariant, location)
+        assert v.magnitude == pytest.approx(e, rel=1e-9)
+    # the interior check reports the node of the minimum and its depth, next
+    # to either end too; a zero inside is a violation of depth 0
+    n = grid.n
+    for dips, node, depth in (({40: -0.5, 90: -0.2}, 40, 0.5), ({40: 0.0}, 40, 0.0),
+                              ({1: -0.1}, 1, 0.1), ({n - 2: -0.1}, n - 2, 0.1)):
+        theta = good.theta.values.copy()
+        for i, value in dips.items():
+            theta[i] = value
+        (v,) = [v for v in MetricProfile(cp1, SampledFunction(grid, theta)).violations
+                if v.invariant == "interior positivity"]
+        assert (v.location, v.magnitude) == (grid.x[node], depth)
 
 
 def test_scalar_curvature_requires_admissible(cp1):
@@ -108,7 +141,18 @@ def test_scalar_curvature_requires_admissible(cp1):
             bad.s
         with pytest.raises(AdmissibilityError):
             eval_S(bad, parse_function("id"), parse_function("id"), normalize_potential(cp1))
+        with pytest.raises(AdmissibilityError):  # transport starts from an admissible profile only
+            transport(bad, DeformationPath(SampledFunction(cp1.grid, cp1.grid.x ** 2)), 0.0, normalize_potential(cp1))
     assert bad.violations != ()
+
+
+def test_profile_is_a_real_theta_on_its_geometry_grid(cp1):
+    theta = round_profile(cp1).theta.values
+    other = make_cp1_geometry(65)
+    with pytest.raises(ValueError, match="different grids"):
+        MetricProfile(other, SampledFunction(cp1.grid, theta))
+    with pytest.raises(ValueError, match="theta must be real"):
+        MetricProfile(cp1, SampledFunction(cp1.grid, theta + 0j))
 
 
 @pytest.mark.parametrize("make", [make_cp1_geometry, lambda: make_cpm_geometry(3)], ids=["cp1", "cpm3"])
@@ -179,6 +223,16 @@ def test_random_profile_reproducible_and_admissible(cp1):
     assert not np.array_equal(a.theta.values, c.theta.values)
     assert a.violations == ()
     assert random_admissible_profile(cp1, 7, 5.0).violations == ()  # amplitude halved
+    # amplitudes 2 and 5 are halved 2 and 4 times for seed 7: the profile is
+    # the one drawn at the halved amplitude (halving the draw is exact), and
+    # the draw halved once less is not positive inside
+    theta0, bump = round_profile(cp1).theta.values, bump_factor(cp1)
+    for amp, halvings in ((2.0, 2), (5.0, 4)):
+        got = random_admissible_profile(cp1, 7, amp).theta.values
+        assert np.array_equal(got, random_admissible_profile(cp1, 7, amp / 2 ** halvings).theta.values), amp
+        rng, scale = SplitMix64(7), amp / 2 ** (halvings - 1)
+        q = cp1.grid.coefficients_to_values(np.array([rng.uniform(-scale, scale) for _ in range(7)]))
+        assert ((theta0 + bump * q)[1:-1] <= 0).any(), amp
 
 
 def test_scalar_curvature_against_polynomial_oracle(cp1):
@@ -238,6 +292,17 @@ def test_cpm_fubini_study_constant_scalar(m):
     # Fubini-Study constancy oracle pins
     k = geom.k
     assert abs(pin_cpm_base_coefficient(m)[0] - k * (k + 1) * geom.slope_lo) < 1e-10
+
+
+def test_manifest_records_the_fubini_study_closed_forms_of_cp2_to_cp4():
+    # A = 2m(m - 1) x^(m - 2) and s = 2m(m + 1) for the Fubini-Study metric of CP^m
+    cpm = build_manifest()["cpm"]
+    assert sorted(cpm) == ["2", "3", "4"]
+    for key, entry in cpm.items():
+        m = int(key)
+        assert abs(entry["base_coefficient"] - 2 * m * (m - 1)) < 1e-12 * m ** 3, m
+        assert abs(entry["scalar_constant"] - 2 * m * (m + 1)) < 1e-12 * m ** 3, m
+        assert abs(entry["scalar_constant_observed"] - 2 * m * (m + 1)) < 1e-8 and entry["scalar_std"] < 1e-8, m
 
 
 @pytest.mark.parametrize("n", [33, 65, 129, 257, 513, 1025, 2049])

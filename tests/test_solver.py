@@ -525,6 +525,20 @@ def test_unsettled_pointwise_correction_is_a_named_error(cp1):
     assert len(exc.value.trace) < solver.MAX_NEWTON_ITER
 
 
+def test_newton_that_cannot_settle_stagnates_at_a_named_node(cp1):
+    # f = exp, h = pow:2, phi = 5x + 0.1: h(phi) vanishes at x = -0.02
+    # without changing sign, so the solve is not refused, but psi = e^s h(phi)
+    # must follow alpha x + beta through that near-zero.  No iterate settles
+    # within MAX_NEWTON_ITER, and the error names the node next to x = -0.02
+    phi = HolomorphyPotential(cp1, 5.0, 0.1)
+    with pytest.raises(ConvergenceError) as exc:
+        solve_critical(cp1, parse_function("exp"), parse_function("pow:2"), phi)
+    assert str(exc.value) == (
+        f"Newton stagnated after {solver.MAX_NEWTON_ITER} iterations; the largest pointwise "
+        "correction is at node x=-0.024541228522912295")
+    assert len(exc.value.trace) == solver.MAX_NEWTON_ITER
+
+
 @pytest.mark.parametrize("geometry, f, h, fault", [
     ("cpm:3", "log", "exp", r"leaves the branch of f' through the start at node x=0\.0"),
     ("cp1", "exp", "pow:3", r"makes Re h f'\(s\) overflow at node x=-1\.0"),

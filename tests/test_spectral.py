@@ -4,6 +4,7 @@ import pytest
 from calabilab import AffineProjector, SampledFunction, get_grid
 from calabilab.errors import DegenerateWeight
 from calabilab.spectral import (
+    DEGENERATE_REL,
     PivotedLU2,
     SpectralGrid,
     _dct1,
@@ -46,6 +47,18 @@ def test_quadrature_of_one_is_interval_length():
         assert abs(grid.integrate_values(np.ones(grid.n)) - (hi - lo)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [8, 9, 33, 129])
+def test_grid_ends_are_lo_and_hi_exactly(n):
+    # lo + (hi - lo) is 0.8999999999999999 for (-0.3, 0.9): the last node is
+    # set to hi, not computed
+    grid = SpectralGrid(n, -0.3, 0.9)
+    assert (grid.x[0], grid.x[-1]) == (-0.3, 0.9)
+    assert np.all(np.diff(grid.x) > 0)
+    for lo, hi in ((1.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="need lo < hi"):
+            SpectralGrid(n, lo, hi)
+
+
 @pytest.mark.parametrize("n", [8, 9, 33, 1025])
 def test_transform_round_trip(n):
     grid = get_grid(n, -1.0, 1.0)
@@ -57,9 +70,10 @@ def test_transform_round_trip(n):
 
 
 @pytest.mark.parametrize("n", [8, 9, 33, 129])
-@pytest.mark.parametrize("extra", [-3, 0, 1])
+@pytest.mark.parametrize("extra", [-3, 0, 1, 300])
 def test_coefficients_to_values_matches_chebval(n, extra):
-    # n + 1 coefficients alias T_n onto T_(n-2) at the nodes
+    # n + 1 coefficients alias T_n onto T_(n-2) at the nodes; n + 300 of them
+    # are more than 2 (n - 1), so some fold more than once
     grid = get_grid(n, -1.0, 1.0)
     rng = np.random.default_rng(100 * n + extra)
     real = rng.standard_normal(n + extra)
@@ -307,6 +321,10 @@ def test_pivoted_lu2_pivots_on_the_larger_entry():
     # no pivoting would divide by the 1e-20 entry and lose b's solution
     u, v = PivotedLU2(1e-20, 1.0, 1.0, 1.0).solve(1.0, 2.0)
     assert abs(u - 1.0) <= EPS and abs(v - 1.0) <= EPS
+    # on a tie the first row stays the pivot, as LAPACK's getrf (idamax takes
+    # the first largest entry) keeps it
+    assert not PivotedLU2(-1.0, 2.0, 1.0, 3.0).swap
+    assert PivotedLU2(1.0, 2.0, -1.5, 3.0).swap
 
 
 @pytest.mark.parametrize("lo, k", [(-1.0, 0), (0.0, 1), (0.0, 2), (0.0, 3)])
@@ -348,6 +366,13 @@ def test_affine_projection_rejects_degenerate_weight():
     grid = get_grid(129, -1.0, 1.0)
     with pytest.raises(DegenerateWeight):
         AffineProjector(np.zeros(grid.n), grid).project(grid.x)
+    # a weight below zero at one node is not a measure; -1e-14 is rounding
+    w = np.ones(grid.n)
+    w[7] = -1e-3
+    with pytest.raises(DegenerateWeight, match="nonnegative"):
+        AffineProjector(w, grid)
+    w[7] = -1e-14
+    AffineProjector(w, grid)
 
 
 @pytest.mark.parametrize("node", [0, 5, 64, 128])
@@ -358,6 +383,26 @@ def test_affine_projection_rejects_weight_on_one_node(node):
     w[node] = 1.0
     with pytest.raises(DegenerateWeight):
         AffineProjector(w, grid).project(grid.x ** 2)
+
+
+@pytest.mark.parametrize("lo, nodes", [(100.0, [0, 1]), (100.0, [0, 2]), (1000.0, [0, 5]), (-1.0, [0, 1])])
+def test_affine_projection_degeneracy_is_relative_to_the_second_moment(lo, nodes):
+    # a weight on two nodes a, b with mass fractions p, 1 - p has unit-mass
+    # moments m2 = p a^2 + (1 - p) b^2 and Gram determinant p (1 - p) (a - b)^2;
+    # it is degenerate when that is at most DEGENERATE_REL m2, so two nodes
+    # 1e-4 apart are degenerate at x = 100 and not at x = -1
+    grid = get_grid(129, lo, lo + 1.0)
+    w = np.zeros(grid.n)
+    w[nodes] = 1.0
+    (a, b), (qa, qb) = grid.x[nodes], grid.quad_weights[nodes]
+    p = qa / (qa + qb)
+    ratio = p * (1 - p) * (a - b) ** 2 / (p * a * a + (1 - p) * b * b)
+    assert not 2 / 3 < ratio / DEGENERATE_REL < 1.5  # away from the threshold
+    if ratio <= DEGENERATE_REL:
+        with pytest.raises(DegenerateWeight, match="degenerate normal equations"):
+            AffineProjector(w, grid)
+    else:
+        AffineProjector(w, grid)
 
 
 def test_affine_projection_accepts_tiny_weight_on_two_nodes():
@@ -381,6 +426,7 @@ def test_chop_coefficients_drops_roundoff_plateau():
 
 def test_sampled_function_rejects_bad_values():
     grid = get_grid(33, -1.0, 1.0)
+    assert isinstance(SampledFunction(grid, [0.5] * grid.n).values, np.ndarray)  # a list becomes an array
     with pytest.raises(ValueError):
         SampledFunction(grid, np.ones(5))
     bad = np.ones(grid.n)
