@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -27,6 +26,7 @@ from .spectral import (
     AffineProjector,
     SampledFunction,
     SpectralGrid,
+    cached_field,
     chop_coefficients,
     derivative_coefficients,
     euler_coefficients,
@@ -51,23 +51,23 @@ class ProfileGeometry:
     slope_hi: ClassVar[float] = -2.0
     vol_const: ClassVar[float] = 2.0 * np.pi
 
-    @cached_property
+    @cached_field
     def weight(self) -> SampledFunction:
         """w = (x - x_lo)^k."""
         return SampledFunction(self.grid, (self.grid.x - self.grid.lo) ** self.k)
 
-    @cached_property
+    @cached_field
     def base_term(self) -> SampledFunction:
         """A = k (k + 1) slope_lo (x - x_lo)^(k - 1), zero when k = 0."""
         k, y = self.k, self.grid.x - self.grid.lo
         return SampledFunction(self.grid, k * (k + 1) * self.slope_lo * y ** max(k - 1, 0))
 
-    @cached_property
+    @cached_field
     def affine_projector(self) -> AffineProjector:
         """The weighted affine projection against w, built once per geometry."""
         return AffineProjector(self.weight.values, self.grid)
 
-    @cached_property
+    @cached_field
     def constants(self) -> ClassConstants:
         """Volume, total scalar curvature and its average for the class.
 
@@ -107,17 +107,17 @@ class MetricProfile:
         from the values."""
         profile = cls(geometry, SampledFunction(geometry.grid, theta))
         coeffs.setflags(write=False)
-        profile.__dict__["theta_coeffs"] = coeffs  # the cached_property's slot
+        profile.__dict__["theta_coeffs"] = coeffs  # the cached_field's slot
         return profile
 
-    @cached_property
+    @cached_field
     def theta_coeffs(self) -> np.ndarray:
         """Chopped Chebyshev coefficients of Theta, read by violations and s."""
         c = chop_coefficients(self.geometry.grid.values_to_coefficients(self.theta.values))
         c.setflags(write=False)
         return c
 
-    @cached_property
+    @cached_field
     def r_coeffs(self) -> np.ndarray:
         """Coefficients of R = Theta / (x - x_lo) = E_1^-1 Theta': Theta' drops
         the value Theta(x_lo), so nothing is divided."""
@@ -126,7 +126,7 @@ class MetricProfile:
         r.setflags(write=False)
         return r
 
-    @cached_property
+    @cached_field
     def violations(self) -> tuple:
         """The violated MetricProfile invariants, within BOUNDARY_TOL: data,
         not errors (require_admissible raises them)."""
@@ -147,7 +147,7 @@ class MetricProfile:
             out.append(_interior_minimum(grid, th))
         return tuple(out)
 
-    @cached_property
+    @cached_field
     def s(self) -> SampledFunction:
         """Pointwise scalar curvature of an admissible profile in Chebyshev
         coefficient space.  Theta = slope_lo y - y^2 M gives Theta'' =

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import NonFiniteError
 from .functions import FunctionDescriptor, constant
 from .geometry import MetricProfile, ProfileGeometry, require_admissible
-from .spectral import SampledFunction
+from .spectral import SampledFunction, cached_field
 
 AFFINE_TOL = 1e-8
 _ONE = constant(1.0)  # the f of the equivariant integrals
@@ -37,7 +36,7 @@ class HolomorphyPotential:
     scale: float
     shift: float
 
-    @cached_property
+    @cached_field
     def values(self) -> np.ndarray:
         """phi at the grid's nodes, computed once per potential and
         read-only, as every reader shares it."""

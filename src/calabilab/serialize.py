@@ -27,7 +27,7 @@ def fmt(x: float) -> str:
 
 
 def _json_default(obj):
-    """json.dump's hook for the values it cannot write: numpy scalars and
+    """json.dumps's hook for the values it cannot write: numpy scalars and
     arrays, and complex numbers (their real part when the imaginary part is
     zero).  numpy's float64 is a float, which json writes itself."""
     if isinstance(obj, (complex, np.complexfloating)):
@@ -38,24 +38,28 @@ def _json_default(obj):
     raise TypeError(f"cannot write {type(obj).__name__} as JSON")
 
 
+def _json_text(obj) -> str:
+    """obj as sorted JSON, indented by 2, with a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"
+
+
 def dump_json(obj, path) -> None:
+    text = _json_text(obj)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text)
 
 
 def write_outputs(out, files: dict) -> None:
     """Make the directory out and write each of files into it: a dict as
-    sorted JSON (dump_json), a str as it is.  A command calls this once,
-    after its numbers exist, so a failed command leaves no directory."""
+    sorted JSON (dump_json's text), a str as it is.  A command calls this
+    once, after its numbers exist, and every text is rendered before the
+    directory is made, so a failed command or a value JSON refuses leaves
+    no directory and no partial file."""
+    texts = {name: content if isinstance(content, str) else _json_text(content) for name, content in files.items()}
     os.makedirs(out, exist_ok=True)
-    for name, content in files.items():
-        path = os.path.join(out, name)
-        if isinstance(content, str):
-            with open(path, "w") as fh:
-                fh.write(content)
-        else:
-            dump_json(content, path)
+    for name, text in texts.items():
+        with open(os.path.join(out, name), "w") as fh:
+            fh.write(text)
 
 
 def _csv_cell(cell) -> str:

@@ -15,7 +15,11 @@ trailing-coefficient chopping, the accurate route for repeated
 differentiation.  Derivative and antiderivative coefficients are O(L)
 array recurrences on the L kept coefficients (Mason & Handscomb,
 Chebyshev Polynomials, 2003): one routine, derivative_coefficients,
-differentiates for this module and for geometry.
+differentiates for this module and for geometry.  It and
+euler_coefficients sum the doubled terms 2 k c_k straight into place and
+halve the one entry not doubled, which is exact.  The chop keeps
+.nonzero() (a reversed argmax measured slower) and refuses a NaN or
+infinite coefficient.
 The scale-free Euler operator E_a = y d/dy + a, y = x - lo, and its inverse
 (euler_coefficients, solve_euler) carry every weight y^k: nothing divides
 by x - lo.  Differentiation has this one route: the explicit operator of
@@ -28,6 +32,8 @@ evaluated between the nodes, so nothing here needs numpy.polynomial.
 The hot path is a few dozen small array steps per call, so it calls
 numpy's array methods (.nonzero(), .any(), .real, the dtype) rather than
 the Python-level wrappers around them, and copies nothing it only reads.
+Derived fields are cached by cached_field, without the lock that Python
+3.11's functools.cached_property takes on each first read.
 """
 
 from __future__ import annotations
@@ -80,6 +86,7 @@ def _clenshaw_curtis(n: int):
 def chop_coefficients(c: np.ndarray) -> np.ndarray:
     """Drop the trailing run of coefficients below CHOP_REL * max|c| (c has
     at least one): a leading slice of c, not a copy (no caller writes into it).
+    A series with a NaN or infinite coefficient is a NonFiniteError.
 
     High-order coefficients of smooth sampled data sit on a roundoff
     plateau; differentiating them amplifies the noise by O(N^3), so they
@@ -87,6 +94,8 @@ def chop_coefficients(c: np.ndarray) -> np.ndarray:
     """
     mag = np.abs(c)
     top = mag.max()
+    if not math.isfinite(top):  # NaN or inf: no threshold is meaningful
+        raise NonFiniteError("non-finite Chebyshev coefficients")
     if top == 0.0:
         return c[:1]
     keep = (mag > CHOP_REL * top).nonzero()[0]
@@ -96,30 +105,34 @@ def chop_coefficients(c: np.ndarray) -> np.ndarray:
 def derivative_coefficients(coeffs, order: int = 1) -> np.ndarray:
     """Chebyshev coefficients of the order-th t-derivative of sum_k c_k T_k
     (real or complex floats), order >= 0.  Each order takes
-    d_j = (2 - [j = 0]) sum_{k > j, k - j odd} k c_k, a reverse cumulative
-    sum along each parity strand; a series of degree below order gives [0]
-    at once.  The input is read, never copied or written."""
+    d_j = (2 - [j = 0]) sum_{k > j, k - j odd} k c_k: the terms 2 k c_k
+    summed from the top of each parity strand into its slots, then d_0
+    halved; a series of degree below order gives [0] at once.  The input
+    is read, never copied or written."""
     d = np.asarray(coeffs)
     if order and d.size <= order:
         return np.zeros(1, dtype=d.dtype)
     for _ in range(order):
-        kc = np.arange(1, d.size) * d[1:]  # kc[j] = (j + 1) c_(j+1)
+        kc = np.arange(2.0, 2.0 * d.size, 2.0) * d[1:]  # kc[j] = 2 (j + 1) c_(j+1)
         d = np.empty_like(kc)
-        d[::2] = kc[::2][::-1].cumsum()[::-1]
-        d[1::2] = kc[1::2][::-1].cumsum()[::-1]
-        d[1:] *= 2.0
+        top = kc.size - 1
+        np.add.accumulate(kc[top::-2], out=d[top::-2])
+        if top:
+            np.add.accumulate(kc[top - 1::-2], out=d[top - 1::-2])
+        d[0] *= 0.5
     return d
 
 
 def euler_coefficients(coeffs, a: float) -> np.ndarray:
     """Chebyshev coefficients of (y d/dy + a) sum_n c_n T_n, y = x - lo (real
     or complex): y d/dy = (t + 1) d/dt and (t + 1) T_n' = n T_n +
-    2n sum'_{j<n} T_j (the j = 0 term halved), one reverse cumulative sum."""
+    2n sum'_{j<n} T_j (the j = 0 term halved), one reverse cumulative sum
+    of the terms 2 n c_n, its j = 0 entry then halved."""
     c = np.asarray(coeffs)
-    n = np.arange(c.size)
-    tail = np.zeros(c.size, dtype=np.result_type(c, float))  # sum over n > j of n c_n
-    tail[:-1] = (n * c)[:0:-1].cumsum()[::-1]
-    tail[1:] *= 2.0
+    n = np.arange(float(c.size))
+    tail = np.zeros(c.size, dtype=np.result_type(c, float))  # (2 - [j = 0]) sum over n > j of n c_n
+    np.add.accumulate(2.0 * n[:0:-1] * c[:0:-1], out=tail[-2::-1])
+    tail[0] *= 0.5
     return (n + a) * c + tail
 
 
@@ -225,6 +238,24 @@ def get_grid(n: int, lo: float, hi: float) -> SpectralGrid:
     if key not in _GRID_CACHE:
         _GRID_CACHE[key] = SpectralGrid(*key)
     return _GRID_CACHE[key]
+
+
+class cached_field:
+    """functools.cached_property without its lock: func's value, on first
+    read, goes into the instance's __dict__ (frozen dataclasses included),
+    which later reads find before this non-data descriptor, as they find a
+    slot preset there."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ transport at the fixed steps ORDER_STEPS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from .errors import PathExitsClass
 from .functions import FunctionDescriptor
 from .geometry import MetricProfile, require_admissible
 from .potentials import HolomorphyPotential, el_potential, eval_S
-from .spectral import SampledFunction
+from .spectral import SampledFunction, cached_field
 
 ORDER_STEPS = (1e-2, 1e-3, 1e-4)  # the step schedule of convergence_order
 
@@ -45,7 +44,7 @@ class DeformationPath:
 
     u: SampledFunction
 
-    @cached_property
+    @cached_field
     def u2(self) -> np.ndarray:
         """u'' at the nodes."""
         d = self.u.grid.differentiate_values(self.u.values, 2)

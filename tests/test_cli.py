@@ -241,7 +241,7 @@ def test_variation_check_runs_on_the_profile_it_is_given(tmp_path):
 def test_variation_check_builds_each_path_once(tmp_path, monkeypatch):
     # three directions: u'' is computed once for each, not once per (f, h)
     built = []
-    u2 = DeformationPath.__dict__["u2"]  # the cached_property itself
+    u2 = DeformationPath.__dict__["u2"]  # the cached_field descriptor, which calls its .func
     derivative = u2.func
 
     def counted(path):
@@ -441,6 +441,22 @@ def test_failed_command_makes_no_out_directory(tmp_path, capsys):
     args = ["evaluate", "--h", "log", "--target", "-100", "--out", str(out)]
     assert main(args) == 1
     assert capsys.readouterr().err.startswith("numerical failure: ")
+    assert not out.exists()
+
+
+def test_profile_whose_coefficients_overflow_is_a_named_failure(tmp_path, capsys):
+    # every theta is finite, but 1.7e308 at ten interior nodes overflows the
+    # transform: the non-finite coefficients are a NonFiniteError, exit 1
+    # with one line and no output, not an IndexError traceback from the chop
+    rows = profile_to_csv(round_profile(make_cp1_geometry())).splitlines()
+    huge = [row.split(",")[0] + ",1.7e308" for row in rows[11:21]]
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join(rows[:11] + huge + rows[21:]) + "\n")
+    out = tmp_path / "eval"
+    capsys.readouterr()
+    assert main(["evaluate", "--profile", f"file:{path}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "numerical failure: non-finite Chebyshev coefficients\n", err
     assert not out.exists()
 
 

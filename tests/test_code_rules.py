@@ -50,6 +50,10 @@ WRITE_MODE = set("wax+")
 MAKE_DIRS = {"makedirs", "mkdir"}
 WRITE_METHODS = {"write_text", "write_bytes"}
 INIT = SRC / "__init__.py"
+# a cached field of a value is spectral.cached_field, one lock-free
+# descriptor: functools.cached_property takes a lock on each first read in
+# Python 3.11 and would be a second caching route
+CACHED_PROPERTY = "cached_property"
 BENCH = SRC.parent.parent / "bench"
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 # a dotted name in the README whose head is a package module or an exported
@@ -226,6 +230,18 @@ def _file_writes(tree: ast.AST):
             yield node.lineno, name
         elif name == "dump" and getattr(fn.value, "id", None) == "json":
             yield node.lineno, "json.dump"
+
+
+def _cached_property_uses(tree: ast.AST):
+    """Each reference to functools.cached_property (under any module alias)
+    and each import of it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == CACHED_PROPERTY:
+            yield node.lineno, ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            for alias in node.names:
+                if alias.name == CACHED_PROPERTY:
+                    yield node.lineno, f"from functools import {CACHED_PROPERTY}"
 
 
 def _library_findings(rule):
@@ -464,6 +480,29 @@ def test_only_serialize_writes_files():
     findings = _library_findings(_file_writes)
     assert findings, "serialize.py writes the outputs"
     assert all(f.startswith(f"{SERIALIZE.name}:") for f in findings), findings
+
+
+def test_rule_detects_cached_property_uses():
+    code = (
+        "import functools\n"
+        "from functools import cached_property\n"
+        "from functools import cache, cached_property as cp\n"
+        "class A:\n"
+        "    @functools.cached_property\n    def x(self):\n        return 1\n"
+        "    @cached_field\n    def y(self):\n        return 2\n"
+        "    z = ft.cached_property(lambda self: 3)\n"
+        "    @functools.cache\n    def w(self):\n        return 4\n"
+    )
+    assert list(_cached_property_uses(ast.parse(code))) == [
+        (2, "from functools import cached_property"),
+        (3, "from functools import cached_property"),
+        (5, "functools.cached_property"),
+        (11, "ft.cached_property"),
+    ]
+
+
+def test_no_cached_property_in_library():
+    assert _library_findings(_cached_property_uses) == []
 
 
 def _has(owner, attr: str) -> bool:

@@ -11,7 +11,7 @@ from calabilab import (
     profile_to_csv,
     random_admissible_profile,
 )
-from calabilab.serialize import dump_json
+from calabilab.serialize import dump_json, write_outputs
 
 
 def test_parse_config_roundtrip():
@@ -101,3 +101,12 @@ def test_dump_json_writes_numpy_and_complex(tmp_path):
     # anything else is refused as json.dump refuses it, with a TypeError
     with pytest.raises(TypeError, match="cannot write set as JSON"):
         dump_json({"a": {1, 2}}, tmp_path / "bad.json")
+    assert not (tmp_path / "bad.json").exists()
+    # write_outputs renders every file before it writes any: a refused value
+    # in the second file leaves no directory and no first file
+    out = tmp_path / "out"
+    with pytest.raises(TypeError, match="cannot write set as JSON"):
+        write_outputs(out, {"a.json": {"a": np.float64(1.5)}, "b.json": {"b": {1, 2}}})
+    assert not out.exists()
+    write_outputs(out, {"a.json": {"a": np.float64(1.5)}, "b.csv": "x,theta\n"})
+    assert (out / "a.json").read_text() == '{\n  "a": 1.5\n}\n' and (out / "b.csv").read_text() == "x,theta\n"

@@ -1,13 +1,17 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from calabilab import AffineProjector, SampledFunction, get_grid
-from calabilab.errors import DegenerateWeight
+from calabilab.errors import DegenerateWeight, NonFiniteError
 from calabilab.spectral import (
+    CHOP_REL,
     DEGENERATE_REL,
     PivotedLU2,
     SpectralGrid,
     _dct1,
+    cached_field,
     chop_coefficients,
     derivative_coefficients,
     euler_coefficients,
@@ -433,3 +437,136 @@ def test_sampled_function_rejects_bad_values():
     bad[3] = np.nan
     with pytest.raises(ValueError):
         SampledFunction(grid, bad)
+
+
+# Reference bodies: the recurrences that sum k c_k and double afterwards,
+# and the chop by .nonzero().  The library sums the doubled terms, and as
+# scaling by 2 is exact it must match these bit for bit.
+def _derivative_coefficients_reference(coeffs, order=1):
+    d = np.asarray(coeffs)
+    if order and d.size <= order:
+        return np.zeros(1, dtype=d.dtype)
+    for _ in range(order):
+        kc = np.arange(1, d.size) * d[1:]
+        d = np.empty_like(kc)
+        d[::2] = kc[::2][::-1].cumsum()[::-1]
+        d[1::2] = kc[1::2][::-1].cumsum()[::-1]
+        d[1:] *= 2.0
+    return d
+
+
+def _euler_coefficients_reference(coeffs, a):
+    c = np.asarray(coeffs)
+    n = np.arange(c.size)
+    tail = np.zeros(c.size, dtype=np.result_type(c, float))
+    tail[:-1] = (n * c)[:0:-1].cumsum()[::-1]
+    tail[1:] *= 2.0
+    return (n + a) * c + tail
+
+
+def _chop_coefficients_reference(c):
+    mag = np.abs(c)
+    top = mag.max()
+    if top == 0.0:
+        return c[:1]
+    keep = (mag > CHOP_REL * top).nonzero()[0]
+    return c[: keep[-1] + 1]
+
+
+def _assert_same_bits(got, ref, case):
+    assert got.shape == ref.shape and got.dtype == ref.dtype, case
+    assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes(), case  # -0.0 included
+
+
+def _wide_series(rng, size, complex_):
+    """Coefficients whose magnitudes span 60 decades, so that every sum
+    rounds."""
+    c = rng.standard_normal(size) * 10.0 ** rng.uniform(-30.0, 30.0, size)
+    if complex_:
+        c = c + 1j * rng.standard_normal(size) * 10.0 ** rng.uniform(-30.0, 30.0, size)
+    return c
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_derivative_and_euler_coefficients_match_the_reference_bit_for_bit(complex_):
+    rng = np.random.default_rng(23 + complex_)
+    for size in range(1, 1027):
+        c = _wide_series(rng, size, complex_)
+        c.setflags(write=False)
+        for order in range(4):
+            _assert_same_bits(derivative_coefficients(c, order), _derivative_coefficients_reference(c, order),
+                              (size, order))
+        for a in np.arange(1, 11) / 2.0:  # 0.5, 1, ..., 5
+            _assert_same_bits(euler_coefficients(c, a), _euler_coefficients_reference(c, a), (size, a))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_chop_coefficients_matches_the_reference_as_a_view(complex_):
+    rng = np.random.default_rng(7 + complex_)
+    dtype = complex if complex_ else float
+    cases = [np.zeros(5), np.zeros(1), np.array([0.0, 0.0, 3.0]), np.array([2.5]), np.array([1.0, 0.5, 1e-20, 1e-21, 0.0])]
+    cases = [c.astype(dtype) for c in cases]
+    for size in range(1, 1027):
+        # a decaying series whose tail sits on a roundoff plateau
+        decay = np.exp(-np.arange(size) / 4.0)
+        parts = [rng.standard_normal(size) * decay + 1e-17 * rng.standard_normal(size) for _ in range(1 + complex_)]
+        cases.append(parts[0] + 1j * parts[1] if complex_ else parts[0])
+    for c in cases:
+        got = chop_coefficients(c)
+        _assert_same_bits(got, _chop_coefficients_reference(c), c.size)
+        assert got.base is c  # a leading slice of its input, not a copy
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(np.inf, 0.0)])
+@pytest.mark.parametrize("where", [0, 3])
+def test_chop_coefficients_refuses_a_non_finite_series(bad, where):
+    c = np.array([1.0, 0.5, 1e-20, 0.25, 0.0], dtype=complex if isinstance(bad, complex) else float)
+    c[where] = bad
+    with pytest.raises(NonFiniteError):
+        chop_coefficients(c)
+
+
+class _Counted:
+    def __init__(self):
+        self.calls = 0
+
+    @cached_field
+    def square(self):
+        """The square of the call count."""
+        self.calls += 1
+        return self.calls ** 2
+
+
+@dataclass(frozen=True)
+class _Frozen:
+    x: float
+
+    @cached_field
+    def doubled(self):
+        return [2.0 * self.x]  # a fresh object per computation
+
+
+def test_cached_field_computes_once_per_instance_into_its_dict():
+    a, b = _Counted(), _Counted()
+    assert (a.square, a.square, b.square, a.square) == (1, 1, 1, 1)
+    assert a.calls == b.calls == 1
+    assert a.__dict__["square"] == 1 and "square" in b.__dict__
+
+
+def test_cached_field_on_the_class_is_the_descriptor():
+    field_ = _Counted.square
+    assert isinstance(field_, cached_field) and field_ is _Counted.__dict__["square"]
+    assert field_.func.__name__ == "square" and field_.__doc__ == "The square of the call count."
+
+
+def test_cached_field_works_on_frozen_dataclasses():
+    f = _Frozen(1.5)
+    first = f.doubled
+    assert first == [3.0] and f.doubled is first and f.__dict__["doubled"] is first
+    assert f == _Frozen(1.5) and hash(f) == hash(_Frozen(1.5))  # the cache is not a field
+
+
+def test_cached_field_reads_a_preset_slot():
+    a = _Counted()
+    a.__dict__["square"] = -4
+    assert a.square == -4 and a.calls == 0
