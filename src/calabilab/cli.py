@@ -16,11 +16,10 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import variation as var
-from .config import RunConfig, finite_float, load_config
+from .config import OPTIONS, RunConfig, finite_float, load_config
 from .errors import AdmissibilityError, CalabiLabError, ConfigError, PathExitsClass
-from .functions import constant, identity, parse_function
+from .functions import constant, parse_function
 from .geometry import (
-    DEFAULT_NODES,
     make_cp1_geometry,
     make_cpm_geometry,
     random_admissible_profile,
@@ -41,6 +40,8 @@ from .spectral import SampledFunction
 DIRECTION_DEGREE = 4
 DIRECTION_SCALE = 0.2
 T_MAX = 0.25
+# sweep flags a row whose |alpha| is above this and whose h is not constant
+ALPHA_THRESHOLD = 1e-8
 
 
 def _geometry(cfg: RunConfig):
@@ -135,10 +136,11 @@ def cmd_invariance(cfg: RunConfig) -> int:
         write_outputs(cfg.out, {"invariance.json": {"samples": 0, "results": {}}})
         print("invariance: empty report")
         return 0
-    # the equivariant integrals C_vol int h(phi) w dx are not sampled: every
-    # profile of the class shares the measure w dx, so they read the same on
-    # every profile and every path
-    sphi_vals, fut_vals = [], []
+    # neither the equivariant integrals C_vol int h(phi) w dx nor S at
+    # f = h = id is sampled: every profile of the class shares the measure
+    # w dx, and S(id, id) = Futaki + s0 * target, so each would repeat a
+    # spread reported here
+    fut_vals = []
     failures = []
     for i in range(cfg.samples):
         try:
@@ -146,30 +148,22 @@ def cmd_invariance(cfg: RunConfig) -> int:
         except AdmissibilityError as exc:
             failures.append({"sample": i, "error": str(exc)})
             continue
-        sphi_vals.append(eval_S(profile, identity(), identity(), phi))
         fut_vals.append(futaki(profile, phi))
     # transport paths from the round profile
     base = round_profile(geom)
-    sphi_path, fut_path = [], []
+    fut_path = []
     for k in range(3):
         dpath = var.DeformationPath(_random_direction(geom, cfg.seed + 1000 + k))
         t_max = _safe_t_max(base, dpath, phi)
         for t in np.linspace(-t_max, t_max, 11):
             moved, phi_t = var.transport(base, dpath, float(t), phi)
-            sphi_path.append(eval_S(moved, identity(), identity(), phi_t))
             fut_path.append(futaki(moved, phi_t))
-
-    def spread(vals):
-        arr = np.array(vals)
-        return float(np.abs(arr - arr.mean()).max()) if arr.size else 0.0
-
+    fut_path = np.array(fut_path)
     report = {
         "samples": cfg.samples,
         "results": {
-            "s_phi_spread": spread(sphi_vals),
             "futaki_max": float(np.abs(fut_vals).max()) if fut_vals else 0.0,
-            "s_phi_path_spread": spread(sphi_path),
-            "futaki_path_spread": spread(fut_path),
+            "futaki_path_spread": float(np.abs(fut_path - fut_path.mean()).max()),
         },
         "failures": failures,
     }
@@ -255,12 +249,12 @@ def cmd_variation_check(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, f_list: str, h_list: str, alpha_threshold: float) -> int:
+def cmd_sweep(cfg: RunConfig) -> int:
     geom = _geometry(cfg)
     phi = normalize_potential(geom, cfg.target)
     rows = []
-    for fe in [s.strip() for s in f_list.split(";") if s.strip()]:
-        for he in [s.strip() for s in h_list.split(";") if s.strip()]:
+    for fe in [s.strip() for s in cfg.f_list.split(";") if s.strip()]:
+        for he in [s.strip() for s in cfg.h_list.split(";") if s.strip()]:
             try:
                 f = parse_function(fe)
                 h = parse_function(he)
@@ -272,7 +266,7 @@ def cmd_sweep(cfg: RunConfig, f_list: str, h_list: str, alpha_threshold: float) 
             except CalabiLabError as exc:
                 rows.append((fe, he, "", "", "", "", f"error:{type(exc).__name__}", ""))
                 continue
-            flagged = abs(res.alpha) > alpha_threshold and h.constant_value() is None
+            flagged = abs(res.alpha) > ALPHA_THRESHOLD and h.constant_value() is None
             numbers = (res.alpha, res.beta, res.el_report.defect_affine, res.el_report.defect_operator)
             rows.append((fe, he, *map(fmt, numbers), res.status, "yes" if flagged else "no"))
     header = ("f", "h", "alpha", "beta", "defect_affine", "defect_operator", "status", "flagged")
@@ -282,16 +276,17 @@ def cmd_sweep(cfg: RunConfig, f_list: str, h_list: str, alpha_threshold: float) 
 
 
 # -- argument plumbing --------------------------------------------------------
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="run-config file (flat dotted keys)")
-    p.add_argument("--geometry", help="cp1 | cpm:<m>")
-    p.add_argument("--profile", help="round | random[:seed[:amplitude]] | file:<path>")
-    p.add_argument("--f", dest="f_expr", help="f expression, e.g. exp, pow:2, scaled:0.5:pow:2")
-    p.add_argument("--h", dest="h_expr", help="h expression, e.g. const:1, id, pow:2")
-    p.add_argument("--target", type=finite_float, help="normalization target for phi")
-    p.add_argument("--nodes", type=int, help=f"collocation nodes (default {DEFAULT_NODES})")
-    p.add_argument("--seed", type=int, help="seed for the splitmix64 generator")
-    p.add_argument("--out", help="output directory")
+# command -> (function, the RunConfig fields it reads that a flag sets);
+# --config is every command's flag.  invariance reads no h: its --h stays
+# only while the benchmark's cli-cold commands pass it (ROADMAP item 5)
+COMMANDS = {
+    "evaluate": (cmd_evaluate, ("geometry", "profile", "f_expr", "h_expr", "target", "nodes", "seed", "out")),
+    "invariance": (cmd_invariance, ("geometry", "h_expr", "target", "nodes", "seed", "samples", "out")),
+    "solve": (cmd_solve, ("geometry", "f_expr", "h_expr", "target", "nodes", "out")),
+    "iterate": (cmd_iterate, ("geometry", "f_expr", "h_expr", "target", "nodes", "max_steps", "out")),
+    "variation-check": (cmd_variation_check, ("geometry", "profile", "nodes", "seed", "out")),
+    "sweep": (cmd_sweep, ("geometry", "target", "nodes", "f_list", "h_list", "out")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,19 +299,16 @@ def build_parser() -> argparse.ArgumentParser:
             "psi; s.csv is (x,s); sweep rows are "
             "(f,h,alpha,beta,defect_affine,defect_operator,status,flagged)."
         ),
+        allow_abbrev=False,
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("evaluate", "invariance", "solve", "iterate", "variation-check", "sweep"):
-        p = sub.add_parser(name)
-        _add_common(p)
-        if name == "invariance":
-            p.add_argument("--samples", type=int, help="number of random profiles")
-        if name == "iterate":
-            p.add_argument("--max-steps", type=int, dest="max_steps")
-        if name == "sweep":
-            p.add_argument("--f-list", default="id;pow:2;exp", help="semicolon-separated f grid")
-            p.add_argument("--h-list", default="const:1;id", help="semicolon-separated h grid")
-            p.add_argument("--alpha-threshold", type=finite_float, default=1e-8)
+    for name, (_, names) in COMMANDS.items():
+        # no abbreviations: each flag has one spelling
+        p = sub.add_parser(name, allow_abbrev=False)
+        p.add_argument("--config", help="run-config file (flat dotted keys)")
+        for field in names:
+            opt = OPTIONS[field]
+            p.add_argument(opt.flag, dest=field, type=opt.type, help=opt.help)
     return ap
 
 
@@ -329,21 +321,12 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        commands = {
-            "evaluate": cmd_evaluate,
-            "invariance": cmd_invariance,
-            "solve": cmd_solve,
-            "iterate": cmd_iterate,
-            "variation-check": cmd_variation_check,
-            "sweep": lambda cfg: cmd_sweep(cfg, args.f_list, args.h_list, args.alpha_threshold),
-        }
         # a command reports a non-finite result as a named error, so numpy's
         # floating-point warnings are off for the run: stderr is that line
         with np.errstate(all="ignore"):
-            return commands[args.command](_config_from_args(args))
+            return COMMANDS[args.command][0](_config_from_args(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -30,6 +31,16 @@ from calabilab.cli import _safe_t_max, build_parser, main
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 EIGHT_PI = 8.0 * math.pi
+
+# each command's flags, without --help: the run options it reads, and --config
+COMMAND_FLAGS = {
+    "evaluate": {"config", "geometry", "profile", "f", "h", "target", "nodes", "seed", "out"},
+    "invariance": {"config", "geometry", "h", "target", "nodes", "seed", "samples", "out"},
+    "solve": {"config", "geometry", "f", "h", "target", "nodes", "out"},
+    "iterate": {"config", "geometry", "f", "h", "target", "nodes", "max-steps", "out"},
+    "variation-check": {"config", "geometry", "profile", "nodes", "seed", "out"},
+    "sweep": {"config", "geometry", "target", "nodes", "f-list", "h-list", "out"},
+}
 
 
 def test_evaluate_writes_report(tmp_path):
@@ -72,30 +83,29 @@ def test_solve_writes_round_profile(tmp_path):
 
 
 def test_invariance_report(tmp_path, monkeypatch):
-    # S and Futaki are read on each sample and at 11 points of each of 3 paths
+    # Futaki is read on each sample and at 11 points of each of 3 paths; S is
+    # not: at f = h = id it is Futaki + s0 * target on every profile
     read, evaluated = [], []
     monkeypatch.setattr(cli, "futaki", lambda profile, phi: read.append(profile) or futaki(profile, phi))
     monkeypatch.setattr(cli, "eval_S", lambda profile, *rest: evaluated.append(profile) or eval_S(profile, *rest))
     out = tmp_path / "inv"
-    # phi = x + 2: S at f = h = id is 2 total_scalar = 16 pi on every profile,
-    # so its spread about the mean is at rounding level, far below S itself
     code = main(
         ["invariance", "--h", "pow:2", "--samples", "20", "--seed", "5", "--target", str(EIGHT_PI), "--out", str(out)]
     )
     assert code == 0
-    assert len(read) == len(evaluated) == 20 + 3 * 11
+    assert len(read) == 20 + 3 * 11 and evaluated == []
     report = json.loads((out / "invariance.json").read_text())
     # the equivariant integrals do not depend on the metric, so they are not
     # reported, and --h is not read
     assert set(report) == {"samples", "results", "failures"}
-    assert set(report["results"]) == {"s_phi_spread", "futaki_max", "s_phi_path_spread", "futaki_path_spread"}
+    assert set(report["results"]) == {"futaki_max", "futaki_path_spread"}
     assert all(value < 1e-8 for value in report["results"].values()), report["results"]
 
 
 def test_invariance_records_failed_samples(tmp_path, capsys):
     # at amplitude 1e12 every sample's halvings run out: sample i is the
     # profile random:<seed + i>, whose failure evaluate names the same way,
-    # and with no sample left the sample spreads are 0
+    # and with no sample left the largest sampled Futaki is 0
     cfg = tmp_path / "amp.cfg"
     cfg.write_text("amplitude=1e12\n")
     out = tmp_path / "inv"
@@ -106,7 +116,7 @@ def test_invariance_records_failed_samples(tmp_path, capsys):
         assert main(["evaluate", "--profile", f"random:{seed}:1e12", "--out", str(tmp_path / "e")]) == 1
         errors.append(capsys.readouterr().err.strip().removeprefix("numerical failure: "))
     assert report["failures"] == [{"sample": 0, "error": errors[0]}, {"sample": 1, "error": errors[1]}]
-    assert (report["results"]["s_phi_spread"], report["results"]["futaki_max"]) == (0.0, 0.0)
+    assert report["results"]["futaki_max"] == 0.0
 
 
 def test_invariance_zero_samples_writes_empty_report(tmp_path, capsys):
@@ -158,19 +168,20 @@ def test_sweep_csv_schema(tmp_path):
     assert len(lines) == 3
 
 
-def test_sweep_flags_a_nonzero_alpha_for_a_nonconstant_h(tmp_path):
+def test_sweep_flags_a_nonzero_alpha_for_a_nonconstant_h(tmp_path, monkeypatch):
     # phi = x + 2 keeps h = id positive: exp|id has alpha = e^2, flagged
     # unless the threshold is above it; a constant h is never flagged
     flags = {}
-    for threshold in ("1e-8", "10"):
-        out = tmp_path / threshold
+    for threshold in (1e-8, 10.0):
+        monkeypatch.setattr(cli, "ALPHA_THRESHOLD", threshold)
+        out = tmp_path / str(threshold)
         args = ["sweep", "--f-list", "id;exp", "--h-list", "const:1;id", "--target", str(EIGHT_PI),
-                "--alpha-threshold", threshold, "--out", str(out)]
+                "--out", str(out)]
         assert main(args) == 0
         rows = list(csv.reader(io.StringIO((out / "sweep.csv").read_text())))[1:]
         flags[threshold] = {(row[0], row[1]): row[7] for row in rows}
-    assert flags["1e-8"] == {("id", "const:1"): "no", ("id", "id"): "no", ("exp", "const:1"): "no", ("exp", "id"): "yes"}
-    assert set(flags["10"].values()) == {"no"}
+    assert flags[1e-8] == {("id", "const:1"): "no", ("id", "id"): "no", ("exp", "const:1"): "no", ("exp", "id"): "yes"}
+    assert set(flags[10.0].values()) == {"no"}
 
 
 def test_safe_t_max_halves_until_both_transports_stay_admissible():
@@ -323,20 +334,50 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     for args in (
         ["evaluate", "--target", "nan"],
         ["invariance", "--h", "id", "--target", "inf"],
-        ["sweep", "--alpha-threshold", "nan"],
+        ["sweep", "--target", "nan"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(args + ["--out", str(tmp_path / "w")])
         assert exc.value.code == 2, args
         assert "error: argument" in capsys.readouterr().err, args
-    # a flag of one command is not a flag of another
-    for args in (["evaluate", "--samples", "3"], ["solve", "--max-steps", "3"], ["iterate", "--f-list", "id"]):
+    assert not (tmp_path / "w").exists()
+    capsys.readouterr()
+
+
+def test_a_flag_of_one_command_is_not_a_flag_of_another(tmp_path, capsys):
+    # --help lists exactly the flags the command reads: 45 pairs in all
+    for command, flags in COMMAND_FLAGS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"(?<![\w-])--([a-z][a-z-]*)", capsys.readouterr().out)) == flags | {"help"}, command
+    assert sum(map(len, COMMAND_FLAGS.values())) == 45
+    # every other pair exits 2 with the usage line, before any work: a flag
+    # of another command (variation-check --f, sweep --seed, invariance
+    # --profile, ...), the threshold that is a constant now, and every
+    # abbreviation, so --f is never read as --f-list
+    every = set().union(*COMMAND_FLAGS.values()) | {"alpha-threshold"}
+    refused = [[command, f"--{flag}", "1"] for command, flags in COMMAND_FLAGS.items() for flag in sorted(every - flags)]
+    refused += [["iterate", "--max", "2"], ["sweep", "--f", "exp"], ["evaluate", "--geo", "cp1"]]
+    for args in refused:
         with pytest.raises(SystemExit) as exc:
             main(args + ["--out", str(tmp_path / "w")])
         assert exc.value.code == 2, args
-        assert "error: unrecognized arguments: " + " ".join(args[1:]) in capsys.readouterr().err, args
+        err = capsys.readouterr().err
+        assert err.startswith("usage: calabilab "), (args, err)
+        assert "error: unrecognized arguments: " + " ".join(args[1:]) in err, (args, err)
     assert not (tmp_path / "w").exists()
-    capsys.readouterr()
+    # a flag and its value may still be joined by "="
+    out = tmp_path / "it"
+    assert main(["iterate", "--max-steps=2", "--f", "exp", "--h", "id", "--target", str(EIGHT_PI), "--out", str(out)]) == 0
+    assert len(json.loads((out / "iterate.json").read_text())["steps"]) == 2
+    # a config file is shared between commands: a key that the command does
+    # not read is accepted, and changes nothing
+    shared = tmp_path / "shared.cfg"
+    shared.write_text("f=exp\nh=pow:2\nnormalization.target=99\nsamples=3\niterate.max_steps=2\n")
+    for name, args in (("bare", []), ("shared", ["--config", str(shared)])):
+        assert main(["variation-check", "--nodes", "33", *args, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "bare" / "variation.json").read_bytes() == (tmp_path / "shared" / "variation.json").read_bytes()
 
 
 def test_library_checks_name_the_bad_value(tmp_path, capsys):

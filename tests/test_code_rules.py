@@ -1,11 +1,15 @@
 """Source-level rules on the library code, checked by parsing it."""
 
 import ast
+import contextlib
 import importlib
+import io
 import re
+import shlex
 from pathlib import Path
 
 import calabilab
+from calabilab.cli import build_parser
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "calabilab"
 BLANKET = {"Exception", "BaseException"}
@@ -63,6 +67,10 @@ ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 README = SRC.parent.parent / "README.md"
 DOTTED = re.compile(r"\b[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
 FILE_EXTENSIONS = {"py", "json", "csv", "md", "toml", "cfg"}
+# every command line in the README's sh blocks parses with the CLI's own
+# parser, so a flag the option table drops, renames or moves to another
+# command cannot stay in the README
+COMMAND = "calabilab "
 
 
 def _blanket_handlers(tree: ast.AST):
@@ -545,3 +553,43 @@ def test_rule_detects_stale_readme_names():
 
 def test_readme_names_resolve():
     assert list(_unresolved_names(README.read_text(), _package_heads())) == []
+
+
+def _refused_command_lines(text: str, parser):
+    """Each `calabilab ...` line of text's sh blocks, with its line number,
+    that parser refuses (argparse exits with a nonzero code)."""
+    in_sh = False
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith(COMMAND):
+            try:
+                with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+                    parser.parse_args(shlex.split(line)[1:])
+            except SystemExit as exc:
+                if exc.code:
+                    yield lineno, line
+
+
+def test_rule_detects_refused_readme_commands():
+    text = (
+        "```sh\n"
+        "calabilab solve --f exp --h id --out results/solve\n"
+        "# a comment\n"
+        "calabilab sweep --f exp --h-list const:1\n"
+        "calabilab iterate --max 2\n"
+        "calabilab variation-check --h id\n"
+        "calabilab evaluate --target nan\n"
+        "calabilab flip\n"
+        "calabilab evaluate --help\n"
+        "```\n"
+        "calabilab solve --bogus 1\n"
+        "```python\n"
+        "calabilab solve --bogus 1\n"
+        "```\n"
+    )
+    assert [line for line, _ in _refused_command_lines(text, build_parser())] == [4, 5, 6, 7, 8]
+
+
+def test_readme_commands_parse():
+    assert list(_refused_command_lines(README.read_text(), build_parser())) == []
