@@ -40,7 +40,7 @@ from .spectral import SampledFunction
 DIRECTION_DEGREE = 4
 DIRECTION_SCALE = 0.2
 T_MAX = 0.25
-# sweep flags a row whose |alpha| is above this and whose h is not constant
+# sweep flags a row whose psi has |alpha| above this and whose h is not constant
 ALPHA_THRESHOLD = 1e-8
 
 
@@ -266,7 +266,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             except CalabiLabError as exc:
                 rows.append((fe, he, "", "", "", "", f"error:{type(exc).__name__}", ""))
                 continue
-            flagged = abs(res.alpha) > ALPHA_THRESHOLD and h.constant_value() is None
+            flagged = abs(res.el_report.alpha) > ALPHA_THRESHOLD and h.constant_value() is None
             numbers = (res.alpha, res.beta, res.el_report.defect_affine, res.el_report.defect_operator)
             rows.append((fe, he, *map(fmt, numbers), res.status, "yes" if flagged else "no"))
     header = ("f", "h", "alpha", "beta", "defect_affine", "defect_operator", "status", "flagged")

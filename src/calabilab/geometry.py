@@ -9,7 +9,8 @@ Nothing divides by w or by y: d/dy (y^b F) = y^(b-1) E_b F with the Euler
 operator E_b = y d/dy + b (spectral.euler_coefficients, solved by
 spectral.solve_euler), so R = Theta / y = E_1^-1 Theta',
 s = -E_(k+1) E_(k+2) (E_1 E_2)^-1 Theta'' and
-(w Theta^j g)^(j) / w = E_(k+1) ... E_(k+j) (R^j g).
+(w Theta^j g)^(j) / w = E_(k+1) ... E_(k+j) (R^j g).  Integrals take the
+volume form dmu = C_vol w dx, ProfileGeometry.measure: none multiplies by w.
 """
 
 from __future__ import annotations
@@ -63,18 +64,28 @@ class ProfileGeometry:
         return SampledFunction(self.grid, k * (k + 1) * self.slope_lo * y ** max(k - 1, 0))
 
     @cached_field
+    def measure(self) -> np.ndarray:
+        """The node masses of w dx, the Clenshaw-Curtis weights times w (read-only)."""
+        m = self.grid.quad_weights * self.weight.values
+        m.setflags(write=False)
+        return m
+
+    def integrate(self, g: np.ndarray):
+        """int g dmu = C_vol * int g w dx, the one weighted integral."""
+        return self.vol_const * (self.measure @ g)
+
+    @cached_field
     def affine_projector(self) -> AffineProjector:
-        """The weighted affine projection against w, built once per geometry."""
-        return AffineProjector(self.weight.values, self.grid)
+        """The affine projection against dmu, built once per geometry."""
+        return AffineProjector(self.measure, self.grid.x)
 
     @cached_field
     def constants(self) -> ClassConstants:
-        """Volume, total scalar curvature and its average for the class.
-
-        total_scalar uses boundary data only and is independent of the
-        profile: C_vol * (int A dx - [ (w Theta)' ]_lo^hi ) with
-        (w Theta)' = w * slope at each endpoint.
-        """
+        """Volume, total scalar curvature and its average for the class:
+        C_vol int w dx and, from boundary data alone, C_vol * (int A dx -
+        [ (w Theta)' ]_lo^hi ) with (w Theta)' = w * slope at each endpoint.
+        Both take the grid's rule on w or A: int 1 dmu sums the rounded
+        products qw w, which qw @ w fuses, and differs by an ulp on some grids."""
         grid, w = self.grid, self.weight.values
         total_volume = self.vol_const * float(grid.integrate_values(w))
         base = float(grid.integrate_values(self.base_term.values))

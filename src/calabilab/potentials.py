@@ -1,11 +1,12 @@
 """Holomorphy potentials, the functional S, criticality residuals, the
-Futaki invariant, and the equivariant class integrals.
+Futaki invariant, and the equivariant class integrals, each integrated
+against the volume form dmu = C_vol w dx (ProfileGeometry.integrate).
 
 In the reduced setting the invariant holomorphy potentials are exactly the
 affine functions of the momentum coordinate, so criticality of
-psi = f'(s) h(phi) is measured by its weighted affine defect, and the
-fourth-order operator reduces to L psi = (w Theta^2 psi'')'' / w with
-kernel {affine}.
+psi = f'(s) h(phi) is measured by its affine defect against the same
+measure, and the fourth-order operator reduces to
+L psi = (w Theta^2 psi'')'' / w with kernel {affine}.
 """
 
 from __future__ import annotations
@@ -58,13 +59,10 @@ class ELReport:
 
 
 def normalize_potential(geom: ProfileGeometry, target: float | None = None) -> HolomorphyPotential:
-    """Potential x + c with c fixed by C_vol * int (x + c) w dx = target.
-
-    The default target is C_vol * int x w dx, which makes c = 0 (the
-    normalization under which transport constants vanish).
-    """
-    grid = geom.grid
-    moment = geom.vol_const * float(grid.integrate_values(grid.x * geom.weight.values))
+    """Potential x + c with c fixed by int (x + c) dmu = target.  The default
+    target, int x dmu, makes c = 0 (the normalization under which transport
+    constants vanish)."""
+    moment = float(geom.integrate(geom.grid.x))
     if target is None:
         target = moment
     return HolomorphyPotential(geom, 1.0, (target - moment) / geom.constants.total_volume)
@@ -85,10 +83,8 @@ def eval_S(
     """The functional C_vol * int f(s(x)) h(phi(x)) w(x) dx; a value that
     overflows is a NonFiniteError."""
     geom = profile.geometry
-    grid = geom.grid
-    fv = f(profile.s.values, grid.x)
-    hv = h(_phi_values(profile, phi), grid.x)
-    value = complex(geom.vol_const * grid.integrate_values(fv * hv * geom.weight.values))
+    x = geom.grid.x
+    value = complex(geom.integrate(f(profile.s.values, x) * h(_phi_values(profile, phi), x)))
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise NonFiniteError(f"non-finite S = C_vol int f(s) h(phi) w dx: {value!r}")
     return value
@@ -102,9 +98,7 @@ def el_potential(
 ) -> SampledFunction:
     """psi(x) = f'(s(x)) * h(phi(x)), the candidate holomorphy potential."""
     grid = profile.geometry.grid
-    fp = f.derivative()(profile.s.values, grid.x)
-    hv = h(_phi_values(profile, phi), grid.x)
-    return SampledFunction(grid, fp * hv)
+    return SampledFunction(grid, f.derivative()(profile.s.values, grid.x) * h(_phi_values(profile, phi), grid.x))
 
 
 def lichnerowicz(profile: MetricProfile, psi: SampledFunction) -> SampledFunction:
@@ -119,10 +113,8 @@ def quadratic_form(profile: MetricProfile, psi: SampledFunction) -> float:
     """C_vol * int w Theta^2 |psi''|^2 dx, the energy whose kernel is the
     affine functions."""
     geom = profile.geometry
-    grid = geom.grid
-    psi2 = grid.differentiate_values(psi.values, 2)
-    integrand = geom.weight.values * profile.theta.values ** 2 * np.abs(psi2) ** 2
-    return float(geom.vol_const * grid.integrate_values(integrand))
+    psi2 = geom.grid.differentiate_values(psi.values, 2)
+    return float(geom.integrate(profile.theta.values ** 2 * np.abs(psi2) ** 2))
 
 
 def quadratic_form_matrix(profile: MetricProfile) -> np.ndarray:
@@ -135,12 +127,11 @@ def quadratic_form_matrix(profile: MetricProfile) -> np.ndarray:
     # coefficient is +-1/(n - 1), at least half its largest, so each column
     # is the linear map's own and the stacked matrix is that map exactly.
     d2 = np.stack([grid.differentiate_values(e, 2) for e in np.eye(grid.n)], axis=1)
-    diag = grid.quad_weights * geom.weight.values * profile.theta.values ** 2
-    return geom.vol_const * (d2.T * diag) @ d2
+    return geom.vol_const * (d2.T * (geom.measure * profile.theta.values ** 2)) @ d2
 
 
 def holomorphy_defect(profile: MetricProfile, psi: SampledFunction) -> ELReport:
-    """Affine projection of psi against the class weight plus the
+    """Affine projection of psi against the class measure plus the
     quadratic-form residual; is_critical when the affine defect is at most
     AFFINE_TOL * (1 + sup|psi|).  A defect whose square overflows is a
     NonFiniteError."""
@@ -166,10 +157,7 @@ def holomorphy_defect(profile: MetricProfile, psi: SampledFunction) -> ELReport:
 def futaki(profile: MetricProfile, phi: HolomorphyPotential) -> float:
     """C_vol * int (s - s0) phi w dx, the class obstruction for the field."""
     geom = profile.geometry
-    grid = geom.grid
-    s0 = geom.constants.s0
-    integrand = (profile.s.values - s0) * _phi_values(profile, phi) * geom.weight.values
-    return float(geom.vol_const * grid.integrate_values(integrand))
+    return float(geom.integrate((profile.s.values - geom.constants.s0) * _phi_values(profile, phi)))
 
 
 def equivariant_integral(

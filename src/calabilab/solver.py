@@ -81,6 +81,9 @@ STATUS_EVERY_METRIC = "every_metric_critical"
 
 @dataclass(frozen=True)
 class CriticalSolveResult:
+    """A critical metric.  (alpha, beta) are the coefficients of s on every_metric_critical,
+    of psi = f'(s) h(phi) otherwise (Newton's pair); el_report.alpha/beta are always psi's."""
+
     profile: MetricProfile
     alpha: float
     beta: float
@@ -93,8 +96,8 @@ class CriticalSolveResult:
 @dataclass(frozen=True)
 class IterationStep:
     index: int
-    alpha: float | None
-    beta: float | None
+    alpha: complex | None  # psi's pair, complex for a complex psi
+    beta: complex | None
     status: str  # continued | converged | zero_field | failed
     profile_summary: dict
 
@@ -125,7 +128,7 @@ class _Shooter:
         self.geom = geom
         grid = self.grid = geom.grid
         k, span, x = geom.k, grid.span, grid.x
-        qw = grid.quad_weights * geom.weight.values / span ** k
+        qw = geom.measure / span ** k
         lever = grid.hi - x
         self.k = np.stack([-qw * lever, (k / span) * qw * lever - qw])
         self.jac_rows = np.stack([self.k[0] * x, self.k[0], self.k[1] * x, self.k[1]])
@@ -371,7 +374,7 @@ def iterate(
     max_steps: int,
 ) -> IterationTrace:
     """Run the vector-field iteration: solve for a critical metric, read
-    off psi = alpha x + beta as the next field's preassigned potential,
+    off psi = alpha x + beta (el_report's pair) as the next field's potential,
     and repeat until the new field is trivial, the coefficients settle, a
     step fails, or max_steps is exhausted."""
     if max_steps < 1:
@@ -391,16 +394,16 @@ def iterate(
             "defect_operator": res.el_report.defect_operator,
             "solver_status": res.status,
         }
-        if abs(res.alpha) < ZERO_FIELD_TOL:
+        alpha, beta = res.el_report.alpha, res.el_report.beta  # psi's pair, on both solver paths
+        if abs(alpha) < ZERO_FIELD_TOL:
             status = "zero_field"
-        elif (prev is not None and abs(res.alpha - prev[0]) < SETTLE_TOL
-              and abs(res.beta - prev[1]) < SETTLE_TOL):
+        elif prev is not None and abs(alpha - prev[0]) < SETTLE_TOL and abs(beta - prev[1]) < SETTLE_TOL:
             status = "converged"
         else:
             status = "continued"
-        steps.append(IterationStep(i, res.alpha, res.beta, status, summary))
+        steps.append(IterationStep(i, alpha, beta, status, summary))
         if status in ("zero_field", "converged"):
             break
-        prev = (res.alpha, res.beta)
-        phi = HolomorphyPotential(geom, scale=res.alpha, shift=res.beta)
+        prev = (alpha, beta)
+        phi = HolomorphyPotential(geom, scale=alpha, shift=beta)
     return IterationTrace(steps=tuple(steps))

@@ -18,8 +18,8 @@ Chebyshev Polynomials, 2003): one routine, derivative_coefficients,
 differentiates for this module and for geometry.  It and
 euler_coefficients sum the doubled terms 2 k c_k straight into place and
 halve the one entry not doubled, which is exact.  The chop keeps
-.nonzero() (a reversed argmax measured slower) and refuses a NaN or
-infinite coefficient.
+.nonzero() (a reversed argmax measured slower), chops each part of
+complex data on its own and refuses a NaN or infinite coefficient.
 The scale-free Euler operator E_a = y d/dy + a, y = x - lo, and its inverse
 (euler_coefficients, solve_euler) carry every weight y^k: nothing divides
 by x - lo.  Differentiation has this one route: the explicit operator of
@@ -86,12 +86,15 @@ def _clenshaw_curtis(n: int):
 def chop_coefficients(c: np.ndarray) -> np.ndarray:
     """Drop the trailing run of coefficients below CHOP_REL * max|c| (c has
     at least one): a leading slice of c, not a copy (no caller writes into it).
-    A series with a NaN or infinite coefficient is a NonFiniteError.
+    Complex c keeps the longer of its two parts' chops.  A series with a NaN
+    or infinite coefficient is a NonFiniteError.
 
     High-order coefficients of smooth sampled data sit on a roundoff
     plateau; differentiating them amplifies the noise by O(N^3), so they
     are removed before coefficient-space calculus.
     """
+    if c.dtype.kind == "c":
+        return c[: max(chop_coefficients(c.real).size, chop_coefficients(c.imag).size)]
     mag = np.abs(c)
     top = mag.max()
     if not math.isfinite(top):  # NaN or inf: no threshold is meaningful
@@ -301,22 +304,19 @@ class PivotedLU2:
 
 
 class AffineProjector:
-    """Weighted L2 projection onto the affine functions a*x + b on a grid:
-    the Clenshaw-Curtis weights qw of w and the pivoted LU factors of the
-    Gram matrix of (x, 1) are built once, when the projector is, so that
-    projecting costs two dot products and a back substitution.  A geometry
-    keeps the projector of its class weight (ProfileGeometry.affine_projector)."""
+    """L2 projection onto the affine functions a*x + b against node masses
+    qw at the nodes x, with the pivoted LU factors of the Gram matrix of
+    (x, 1) built once, so that projecting costs two dot products and a back
+    substitution; ProfileGeometry.affine_projector keeps a geometry's."""
 
-    def __init__(self, weight: np.ndarray, grid: SpectralGrid):
-        w = np.asarray(weight, dtype=float)
-        if (w < -1e-13).any():
+    def __init__(self, qw: np.ndarray, x: np.ndarray):
+        # a mass below -1e-13 of the largest is not a measure, not rounding
+        if (qw < -1e-13 * np.abs(qw).max()).any():
             raise DegenerateWeight("weight must be nonnegative")
-        qw = grid.quad_weights * w
-        x = grid.x
         g00, g01, mass = float(qw @ (x * x)), float(qw @ x), float(qw.sum())
         if not mass > 0:
             raise DegenerateWeight("degenerate normal equations")
-        # the moments of the unit-mass weight make the test scale-free: its
+        # the moments of the unit-mass measure make the test scale-free: its
         # Gram determinant m2 - m1^2 against g00 g11 = m2
         m1, m2 = g01 / mass, g00 / mass
         if m2 - m1 * m1 <= DEGENERATE_REL * m2:
@@ -325,7 +325,7 @@ class AffineProjector:
         self.gram = PivotedLU2(g00, g01, g01, mass)
 
     def coefficients(self, psi: np.ndarray) -> tuple:
-        """(alpha, beta) minimizing int |psi - (alpha x + beta)|^2 w dx, as
+        """(alpha, beta) minimizing sum qw |psi - (alpha x + beta)|^2, as
         Python floats (complex for complex psi)."""
         return self.gram.solve((self.qw @ (self.x * psi)).item(), (self.qw @ psi).item())
 

@@ -81,12 +81,9 @@ def delta_S_analytic(
     """First variation of S along u:
     -kappa_theta * C_vol * int w Theta^2 psi'' u'' dx, with psi the EL
     potential.  Zero for every u exactly when psi is affine."""
-    geom = profile.geometry
-    grid = geom.grid
     psi = el_potential(profile, f, h, phi)
-    psi2 = grid.differentiate_values(psi.values, 2)
-    integrand = geom.weight.values * profile.theta.values ** 2 * psi2 * path.u2
-    return complex(-KAPPA_THETA * geom.vol_const * grid.integrate_values(integrand))
+    psi2 = profile.geometry.grid.differentiate_values(psi.values, 2)
+    return complex(-KAPPA_THETA * profile.geometry.integrate(profile.theta.values ** 2 * psi2 * path.u2))
 
 
 def delta_S_numeric(

@@ -169,8 +169,10 @@ def test_sweep_csv_schema(tmp_path):
 
 
 def test_sweep_flags_a_nonzero_alpha_for_a_nonconstant_h(tmp_path, monkeypatch):
-    # phi = x + 2 keeps h = id positive: exp|id has alpha = e^2, flagged
-    # unless the threshold is above it; a constant h is never flagged
+    # phi = x + 2 keeps h = id positive: exp|id has psi's alpha = e^2 and
+    # id|id has psi = phi, alpha = 1 (while its top-level alpha, the slope
+    # of s, is 0), both flagged unless the threshold is above them; a
+    # constant h is never flagged
     flags = {}
     for threshold in (1e-8, 10.0):
         monkeypatch.setattr(cli, "ALPHA_THRESHOLD", threshold)
@@ -180,7 +182,7 @@ def test_sweep_flags_a_nonzero_alpha_for_a_nonconstant_h(tmp_path, monkeypatch):
         assert main(args) == 0
         rows = list(csv.reader(io.StringIO((out / "sweep.csv").read_text())))[1:]
         flags[threshold] = {(row[0], row[1]): row[7] for row in rows}
-    assert flags[1e-8] == {("id", "const:1"): "no", ("id", "id"): "no", ("exp", "const:1"): "no", ("exp", "id"): "yes"}
+    assert flags[1e-8] == {("id", "const:1"): "no", ("id", "id"): "yes", ("exp", "const:1"): "no", ("exp", "id"): "yes"}
     assert set(flags[10.0].values()) == {"no"}
 
 

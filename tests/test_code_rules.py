@@ -58,6 +58,11 @@ INIT = SRC / "__init__.py"
 # descriptor: functools.cached_property takes a lock on each first read in
 # Python 3.11 and would be a second caching route
 CACHED_PROPERTY = "cached_property"
+# the volume form dmu = C_vol w dx has one spelling: outside spectral.py,
+# whose grid owns the Clenshaw-Curtis weights, they are read only in
+# ProfileGeometry.measure, so no second spelling of dmu can come back
+QUAD_WEIGHTS = "quad_weights"
+MEASURE = ("ProfileGeometry", "measure")
 BENCH = SRC.parent.parent / "bench"
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 # a dotted name in the README whose head is a package module or an exported
@@ -250,6 +255,16 @@ def _cached_property_uses(tree: ast.AST):
             for alias in node.names:
                 if alias.name == CACHED_PROPERTY:
                     yield node.lineno, f"from functools import {CACHED_PROPERTY}"
+
+
+def _quad_weight_reads(tree: ast.AST, enclosing: tuple = ()):
+    """Each read of an attribute quad_weights outside ProfileGeometry.measure,
+    with the classes and functions it is read in."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Attribute) and node.attr == QUAD_WEIGHTS and enclosing != MEASURE:
+            yield node.lineno, ".".join(enclosing) or "<module>"
+        defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _quad_weight_reads(node, enclosing + (node.name,) if defines else enclosing)
 
 
 def _library_findings(rule):
@@ -593,3 +608,29 @@ def test_rule_detects_refused_readme_commands():
 
 def test_readme_commands_parse():
     assert list(_refused_command_lines(README.read_text(), build_parser())) == []
+
+
+def test_rule_detects_quad_weight_reads():
+    code = (
+        "class ProfileGeometry:\n"
+        "    def measure(self):\n"
+        "        return self.grid.quad_weights * self.weight.values\n"
+        "    def constants(self):\n"
+        "        return self.grid.quad_weights @ self.weight.values\n"
+        "def eval_S(geom, g):\n"
+        "    return geom.grid.quad_weights @ (g * geom.weight.values)\n"
+        "class Other:\n"
+        "    def measure(self):\n"
+        "        return grid.quad_weights\n"
+        "qw = grid.quad_weights\n"
+        "w = grid.quad_weights_table + quad_weights\n"
+    )
+    assert list(_quad_weight_reads(ast.parse(code))) == [
+        (5, "ProfileGeometry.constants"), (7, "eval_S"), (10, "Other.measure"), (11, "<module>"),
+    ]
+
+
+def test_quad_weights_read_only_by_the_measure():
+    findings = _library_findings(_quad_weight_reads)
+    assert any(f.startswith(f"{SPECTRAL.name}:") for f in findings), "the grid builds its weights"
+    assert [f for f in findings if not f.startswith(f"{SPECTRAL.name}:")] == []

@@ -319,6 +319,25 @@ def test_iterate_zero_field_immediately(cp1, cp1_phi):
     assert trace.steps[0].index == 0
 
 
+def test_iterate_reseeds_from_psi_on_both_solver_paths(cp1, geometries):
+    # id|id: every metric is critical and Newton solves for s = s0, so the
+    # top-level alpha is 0, while psi = h(phi) = phi = x.  The field
+    # re-seeds with phi = x and settles at step 1
+    ident = parse_function("id")
+    for spec, geom in geometries.items():
+        trace = iterate(geom, ident, ident, normalize_potential(geom), 4)
+        assert [s.status for s in trace.steps] == ["continued", "converged"], spec
+        for s in trace.steps:
+            assert abs(s.alpha - 1.0) < 1e-12 and abs(s.beta) < 1e-12, (spec, s)
+    # the Newton path: each step reports psi's pair, and the next field is it
+    f, h = parse_function("exp"), ident
+    phi = HolomorphyPotential(cp1, 1.0, 2.0)
+    for step in iterate(cp1, f, h, phi, 2).steps:
+        report = solve_critical(cp1, f, h, phi).el_report
+        assert (step.alpha, step.beta) == (report.alpha, report.beta)
+        phi = HolomorphyPotential(cp1, step.alpha, step.beta)
+
+
 def test_iterate_exponential_runs_deterministic_steps(cp1):
     phi = HolomorphyPotential(cp1, 1.0, 2.0)
     t1 = iterate(cp1, parse_function("exp"), parse_function("id"), phi, 4)
@@ -570,7 +589,7 @@ def test_geometry_forms_are_built_once(geometries):
         assert geom.constants is geom.constants, spec
         # the cached projector answers exactly as a fresh projection does
         psi = np.exp(geom.grid.x)
-        assert geom.affine_projector.project(psi) == AffineProjector(geom.weight.values, geom.grid).project(psi)
+        assert geom.affine_projector.project(psi) == AffineProjector(geom.measure, geom.grid.x).project(psi)
 
 
 def test_jacobian_is_one_matvec_of_the_cached_rows(geometries):

@@ -339,7 +339,7 @@ def test_factored_projector_matches_a_fresh_solve(lo, k):
     qw = grid.quad_weights * w
     gram = np.array([[qw @ (x * x), qw @ x], [qw @ x, qw.sum()]])
     cond = np.linalg.cond(gram)
-    proj = AffineProjector(w, grid)
+    proj = AffineProjector(grid.quad_weights * w, grid.x)
     for psi in (np.exp(x), np.cos(3.0 * x) + 1j * x ** 3):
         ref = np.linalg.solve(gram, np.array([qw @ (x * psi), qw @ psi]))
         got = np.array(proj.coefficients(psi))
@@ -350,17 +350,17 @@ def test_factored_projector_matches_a_fresh_solve(lo, k):
 def test_affine_projection_residual_zero_iff_affine():
     grid = get_grid(129, -1.0, 1.0)
     w = np.ones(grid.n)
-    a, b, res = AffineProjector(w, grid).project(3.0 * grid.x - 1.5)
+    a, b, res = AffineProjector(grid.quad_weights * w, grid.x).project(3.0 * grid.x - 1.5)
     assert abs(a - 3.0) < 1e-12 and abs(b + 1.5) < 1e-12
     assert res <= 1e-12
-    _, _, res2 = AffineProjector(w, grid).project(grid.x ** 2)
+    _, _, res2 = AffineProjector(grid.quad_weights * w, grid.x).project(grid.x ** 2)
     assert res2 > 1e-3
 
 
 def test_affine_projection_complex_componentwise():
     grid = get_grid(129, -1.0, 1.0)
     psi = (1.0 + 2.0j) * grid.x + (0.5 - 1.0j)
-    a, b, res = AffineProjector(np.ones(grid.n), grid).project(psi)
+    a, b, res = AffineProjector(grid.quad_weights, grid.x).project(psi)
     assert abs(a - (1.0 + 2.0j)) < 1e-12
     assert abs(b - (0.5 - 1.0j)) < 1e-12
     assert res <= 1e-12
@@ -369,14 +369,14 @@ def test_affine_projection_complex_componentwise():
 def test_affine_projection_rejects_degenerate_weight():
     grid = get_grid(129, -1.0, 1.0)
     with pytest.raises(DegenerateWeight):
-        AffineProjector(np.zeros(grid.n), grid).project(grid.x)
+        AffineProjector(np.zeros(grid.n), grid.x).project(grid.x)
     # a weight below zero at one node is not a measure; -1e-14 is rounding
     w = np.ones(grid.n)
     w[7] = -1e-3
     with pytest.raises(DegenerateWeight, match="nonnegative"):
-        AffineProjector(w, grid)
+        AffineProjector(grid.quad_weights * w, grid.x)
     w[7] = -1e-14
-    AffineProjector(w, grid)
+    AffineProjector(grid.quad_weights * w, grid.x)
 
 
 @pytest.mark.parametrize("node", [0, 5, 64, 128])
@@ -386,7 +386,7 @@ def test_affine_projection_rejects_weight_on_one_node(node):
     w = np.zeros(grid.n)
     w[node] = 1.0
     with pytest.raises(DegenerateWeight):
-        AffineProjector(w, grid).project(grid.x ** 2)
+        AffineProjector(grid.quad_weights * w, grid.x).project(grid.x ** 2)
 
 
 @pytest.mark.parametrize("lo, nodes", [(100.0, [0, 1]), (100.0, [0, 2]), (1000.0, [0, 5]), (-1.0, [0, 1])])
@@ -404,9 +404,9 @@ def test_affine_projection_degeneracy_is_relative_to_the_second_moment(lo, nodes
     assert not 2 / 3 < ratio / DEGENERATE_REL < 1.5  # away from the threshold
     if ratio <= DEGENERATE_REL:
         with pytest.raises(DegenerateWeight, match="degenerate normal equations"):
-            AffineProjector(w, grid)
+            AffineProjector(grid.quad_weights * w, grid.x)
     else:
-        AffineProjector(w, grid)
+        AffineProjector(grid.quad_weights * w, grid.x)
 
 
 def test_affine_projection_accepts_tiny_weight_on_two_nodes():
@@ -414,9 +414,9 @@ def test_affine_projection_accepts_tiny_weight_on_two_nodes():
     grid = get_grid(129, -1.0, 1.0)
     w = np.zeros(grid.n)
     w[[5, 40]] = 1e-200
-    a, b, _ = AffineProjector(w, grid).project(3.0 * grid.x - 1.5)
+    a, b, _ = AffineProjector(grid.quad_weights * w, grid.x).project(3.0 * grid.x - 1.5)
     assert abs(a - 3.0) < 1e-12 and abs(b + 1.5) < 1e-12
-    a, b, _ = AffineProjector(w, grid).project(grid.x ** 2)  # the chord through both points
+    a, b, _ = AffineProjector(grid.quad_weights * w, grid.x).project(grid.x ** 2)  # the chord through both points
     x5, x40 = grid.x[5], grid.x[40]
     assert abs(a - (x5 + x40)) < 1e-12 and abs(b + x5 * x40) < 1e-12
 
@@ -426,6 +426,19 @@ def test_chop_coefficients_drops_roundoff_plateau():
     kept = chop_coefficients(c)
     assert kept.size == 2 and np.shares_memory(kept, c)  # a slice, not a copy
     assert chop_coefficients(np.zeros(5)).size == 1
+
+
+def test_chop_keeps_each_part_of_complex_data():
+    # a + 1e-30j b with a = x^2 + 1 (3 coefficients) and b = x^6 - x^3 (7):
+    # against max |c|, b's whole series would sit below the chop of a
+    grid = get_grid(129, -1.0, 1.0)
+    x = grid.x
+    b = x ** 6 - x ** 3
+    c = x ** 2 + 1.0 + 1e-30j * b
+    assert chop_coefficients(grid.values_to_coefficients(c)).size == 7
+    assert chop_coefficients(grid.values_to_coefficients(b)).size == 7
+    want = 1e-30 * (30.0 * x ** 4 - 6.0 * x)  # Im of c''
+    assert np.abs(grid.differentiate_values(c, 2).imag - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_sampled_function_rejects_bad_values():
@@ -440,8 +453,9 @@ def test_sampled_function_rejects_bad_values():
 
 
 # Reference bodies: the recurrences that sum k c_k and double afterwards,
-# and the chop by .nonzero().  The library sums the doubled terms, and as
-# scaling by 2 is exact it must match these bit for bit.
+# and the chop by .nonzero(), of each part of complex data on its own.  The
+# library sums the doubled terms, and as scaling by 2 is exact it must match
+# these bit for bit.
 def _derivative_coefficients_reference(coeffs, order=1):
     d = np.asarray(coeffs)
     if order and d.size <= order:
@@ -465,6 +479,8 @@ def _euler_coefficients_reference(coeffs, a):
 
 
 def _chop_coefficients_reference(c):
+    if np.iscomplexobj(c):
+        return c[: max(_chop_coefficients_reference(c.real).size, _chop_coefficients_reference(c.imag).size)]
     mag = np.abs(c)
     top = mag.max()
     if top == 0.0:
