@@ -65,10 +65,8 @@ class ProfileGeometry:
 
     @cached_field
     def measure(self) -> np.ndarray:
-        """The node masses of w dx, the Clenshaw-Curtis weights times w (read-only)."""
-        m = self.grid.quad_weights * self.weight.values
-        m.setflags(write=False)
-        return m
+        """The node masses of w dx, the Clenshaw-Curtis weights times w (read-only, see spectral.py)."""
+        return self.grid.quad_weights * self.weight.values
 
     def integrate(self, g: np.ndarray):
         """int g dmu = C_vol * int g w dx, the one weighted integral."""
@@ -94,12 +92,11 @@ class ProfileGeometry:
         return ClassConstants(total_volume, total_scalar, total_scalar / total_volume)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricProfile:
-    """One Kahler metric in the class, the sampled profile Theta(x): a value
-    whose coefficients (of Theta and R), admissibility and scalar curvature
-    are evaluated once, on first read, and cached on the instance (the
-    arrays read-only, as every reader shares them)."""
+    """One Kahler metric in the class, the sampled profile Theta(x), whose
+    coefficients (of Theta and R), admissibility and scalar curvature are
+    cached on the instance on first read (read-only, see spectral.py)."""
 
     geometry: ProfileGeometry
     theta: SampledFunction
@@ -113,29 +110,23 @@ class MetricProfile:
     @classmethod
     def with_coefficients(cls, geometry: ProfileGeometry, theta: np.ndarray, coeffs: np.ndarray) -> MetricProfile:
         """The profile with values theta whose chopped Chebyshev coefficients
-        coeffs are already known (Theta was sampled from them): they are
-        made read-only and cached as theta_coeffs, not transformed back
-        from the values."""
+        coeffs are already known (Theta was sampled from them): preset as
+        theta_coeffs (read-only, see spectral.py), not transformed back."""
         profile = cls(geometry, SampledFunction(geometry.grid, theta))
-        coeffs.setflags(write=False)
-        profile.__dict__["theta_coeffs"] = coeffs  # the cached_field's slot
+        cls.theta_coeffs.preset(profile, coeffs)
         return profile
 
     @cached_field
     def theta_coeffs(self) -> np.ndarray:
         """Chopped Chebyshev coefficients of Theta, read by violations and s."""
-        c = chop_coefficients(self.geometry.grid.values_to_coefficients(self.theta.values))
-        c.setflags(write=False)
-        return c
+        return chop_coefficients(self.geometry.grid.values_to_coefficients(self.theta.values))
 
     @cached_field
     def r_coeffs(self) -> np.ndarray:
         """Coefficients of R = Theta / (x - x_lo) = E_1^-1 Theta': Theta' drops
         the value Theta(x_lo), so nothing is divided."""
         grid = self.geometry.grid
-        r = solve_euler(derivative_coefficients(self.theta_coeffs) * (2.0 / grid.span), 1)
-        r.setflags(write=False)
-        return r
+        return solve_euler(derivative_coefficients(self.theta_coeffs) * (2.0 / grid.span), 1)
 
     @cached_field
     def violations(self) -> tuple:
@@ -171,9 +162,7 @@ class MetricProfile:
             c = solve_euler(c, a)
         for a in {k + 1, k + 2} - {1, 2}:
             c = euler_coefficients(c, a)
-        s = grid.coefficients_to_values(c)
-        s.setflags(write=False)  # shared by every reader of the cache
-        return SampledFunction(grid, s)
+        return SampledFunction(grid, grid.coefficients_to_values(c))
 
     def weighted_derivative(self, g: np.ndarray, j: int) -> np.ndarray:
         """(w Theta^j g)^(j) / w = E_(k+1) ... E_(k+j) F for j >= 1, where
@@ -224,13 +213,11 @@ def make_cpm_geometry(m: int, nodes: int = DEFAULT_NODES) -> ProfileGeometry:
 
 @functools.cache
 def round_profile(geom: ProfileGeometry) -> MetricProfile:
-    """Canonical base profile: 1 - x^2 on CP^1, 2x(1-x) on CP^m.  One
-    object per geometry, built on first use, so that its cached
-    coefficients, violations and s are computed once per class; its
-    Theta array is read-only."""
+    """Canonical base profile: 1 - x^2 on CP^1, 2x(1-x) on CP^m: one object
+    per geometry, built on first use, so that its cached (read-only, see
+    spectral.py) coefficients, violations and s are computed once per class."""
     x = geom.grid.x
     theta = 1.0 - x * x if geom.k == 0 else 2.0 * x * (1.0 - x)
-    theta.setflags(write=False)
     return MetricProfile(geom, SampledFunction(geom.grid, theta))
 
 

@@ -39,11 +39,8 @@ class HolomorphyPotential:
 
     @cached_field
     def values(self) -> np.ndarray:
-        """phi at the grid's nodes, computed once per potential and
-        read-only, as every reader shares it."""
-        v = self.scale * self.geometry.grid.x + self.shift
-        v.setflags(write=False)
-        return v
+        """phi at the grid's nodes, computed once per potential (read-only, see spectral.py)."""
+        return self.scale * self.geometry.grid.x + self.shift
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,7 @@ STATUS_CONVERGED = "converged"
 STATUS_EVERY_METRIC = "every_metric_critical"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriticalSolveResult:
     """A critical metric.  (alpha, beta) are the coefficients of s on every_metric_critical,
     of psi = f'(s) h(phi) otherwise (Newton's pair); el_report.alpha/beta are always psi's."""
@@ -376,7 +376,7 @@ def iterate(
     """Run the vector-field iteration: solve for a critical metric, read
     off psi = alpha x + beta (el_report's pair) as the next field's potential,
     and repeat until the new field is trivial, the coefficients settle, a
-    step fails, or max_steps is exhausted."""
+    step fails (a complex pair is no real potential) or max_steps runs out."""
     if max_steps < 1:
         raise ConfigError(f"max_steps must be at least 1, got {max_steps}")
     steps = []
@@ -395,15 +395,18 @@ def iterate(
             "solver_status": res.status,
         }
         alpha, beta = res.el_report.alpha, res.el_report.beta  # psi's pair, on both solver paths
-        if abs(alpha) < ZERO_FIELD_TOL:
+        if alpha.imag or beta.imag:
+            status = "failed"
+            summary["error"] = f"psi's pair is complex: Im alpha = {alpha.imag!r}, Im beta = {beta.imag!r}"
+        elif abs(alpha) < ZERO_FIELD_TOL:
             status = "zero_field"
         elif prev is not None and abs(alpha - prev[0]) < SETTLE_TOL and abs(beta - prev[1]) < SETTLE_TOL:
             status = "converged"
         else:
             status = "continued"
         steps.append(IterationStep(i, alpha, beta, status, summary))
-        if status in ("zero_field", "converged"):
+        if status != "continued":
             break
         prev = (alpha, beta)
-        phi = HolomorphyPotential(geom, scale=alpha, shift=beta)
+        phi = HolomorphyPotential(geom, scale=alpha.real, shift=beta.real)
     return IterationTrace(steps=tuple(steps))

@@ -34,6 +34,12 @@ numpy's array methods (.nonzero(), .any(), .real, the dtype) rather than
 the Python-level wrappers around them, and copies nothing it only reads.
 Derived fields are cached by cached_field, without the lock that Python
 3.11's functools.cached_property takes on each first read.
+Shared arrays are read-only, by this module alone: SpectralGrid freezes
+its tables, SampledFunction the array it is handed and cached_field each
+ndarray it caches or is preset with.  A grid serves every geometry on its
+interval, and a profile reads its cached coefficients, admissibility and s
+from its Theta once, so a write would leave them stale: it raises
+ValueError.  Nothing is copied; a caller gives up what it hands over.
 """
 
 from __future__ import annotations
@@ -183,6 +189,9 @@ class SpectralGrid:
         # built in coefficient space can carry n + 1 coefficients
         self._slope_hi = np.arange(n + 1.0) ** 2
         self._slope_lo = -sign * self._slope_hi
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.setflags(write=False)
 
     # -- coefficient transforms ------------------------------------------
     def values_to_coefficients(self, values: np.ndarray) -> np.ndarray:
@@ -247,7 +256,7 @@ class cached_field:
     """functools.cached_property without its lock: func's value, on first
     read, goes into the instance's __dict__ (frozen dataclasses included),
     which later reads find before this non-data descriptor, as they find a
-    slot preset there."""
+    value preset there; an ndarray is made read-only first."""
 
     def __init__(self, func):
         self.func = func
@@ -255,15 +264,19 @@ class cached_field:
         self.__doc__ = func.__doc__
 
     def __get__(self, instance, owner=None):
-        if instance is None:
-            return self
-        value = instance.__dict__[self.name] = self.func(instance)
+        return self if instance is None else self.preset(instance, self.func(instance))
+
+    def preset(self, instance, value):
+        """Cache value as instance's field, as its first read would."""
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        instance.__dict__[self.name] = value
         return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """Values of a function at the nodes of a SpectralGrid."""
+    """Values of a function at the nodes of a SpectralGrid, read-only."""
 
     grid: SpectralGrid
     values: np.ndarray = field(repr=False)
@@ -274,6 +287,7 @@ class SampledFunction:
             raise ValueError("value count does not match the grid")
         if not np.isfinite(v).all():  # complex: both parts
             raise NonFiniteError("non-finite sample values")
+        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
 

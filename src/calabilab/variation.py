@@ -36,7 +36,7 @@ from .spectral import SampledFunction, cached_field
 ORDER_STEPS = (1e-2, 1e-3, 1e-4)  # the step schedule of convergence_order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeformationPath:
     """A deformation direction u(x); its scale constants are the pinned
     conventions KAPPA_THETA and KAPPA_PHI.  u'' is computed once, on first
@@ -46,10 +46,8 @@ class DeformationPath:
 
     @cached_field
     def u2(self) -> np.ndarray:
-        """u'' at the nodes."""
-        d = self.u.grid.differentiate_values(self.u.values, 2)
-        d.setflags(write=False)  # shared by every reader of the cache
-        return d
+        """u'' at the nodes (read-only, see spectral.py)."""
+        return self.u.grid.differentiate_values(self.u.values, 2)
 
 
 def transport(

@@ -530,6 +530,22 @@ def test_exit_code_1_on_numerical_failure(tmp_path, capsys):
     assert report["final_status"] == "failed" and [s["status"] for s in report["steps"]] == ["failed"]
 
 
+def test_iterate_fails_on_a_complex_psi_pair(tmp_path, capsys):
+    # h(phi) = phi + 0.5i: the first solve gives psi the pair (2, 4 + i),
+    # which is no real field's potential, so the run ends there, failed,
+    # naming the imaginary parts, and exits 1
+    out = tmp_path / "it"
+    assert main(["iterate", "--f", "scaled:0.5:pow:2", "--h", "sum:id,const:0.5j", "--target", str(EIGHT_PI),
+                 "--max-steps", "3", "--out", str(out)]) == 1
+    report = json.loads((out / "iterate.json").read_text())
+    (step,) = report["steps"]
+    assert report["final_status"] == step["status"] == "failed"
+    assert abs(step["alpha"]["real"] - 2.0) < 1e-12 and abs(step["beta"]["imag"] - 1.0) < 1e-12
+    assert step["summary"]["error"] == (
+        f"psi's pair is complex: Im alpha = {step['alpha']['imag']!r}, Im beta = {step['beta']['imag']!r}")
+    assert "final status failed" in capsys.readouterr().out
+
+
 def test_exit_code_1_on_io_failure(tmp_path, capsys):
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("")

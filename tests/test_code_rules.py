@@ -63,6 +63,10 @@ CACHED_PROPERTY = "cached_property"
 # ProfileGeometry.measure, so no second spelling of dmu can come back
 QUAD_WEIGHTS = "quad_weights"
 MEASURE = ("ProfileGeometry", "measure")
+# shared arrays are made read-only in spectral.py alone (its grid, its
+# SampledFunction and its cached_field), so the rule has one home
+SETFLAGS = "setflags"
+WRITEABLE = "writeable"
 BENCH = SRC.parent.parent / "bench"
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 # a dotted name in the README whose head is a package module or an exported
@@ -265,6 +269,18 @@ def _quad_weight_reads(tree: ast.AST, enclosing: tuple = ()):
             yield node.lineno, ".".join(enclosing) or "<module>"
         defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         yield from _quad_weight_reads(node, enclosing + (node.name,) if defines else enclosing)
+
+
+def _array_freezes(tree: ast.AST):
+    """Each reference to an array's setflags and each assignment to a
+    flags.writeable attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == SETFLAGS:
+            yield node.lineno, ast.unparse(node)
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Attribute) and target.attr == WRITEABLE:
+                    yield node.lineno, f"{ast.unparse(target)} ="
 
 
 def _library_findings(rule):
@@ -634,3 +650,26 @@ def test_quad_weights_read_only_by_the_measure():
     findings = _library_findings(_quad_weight_reads)
     assert any(f.startswith(f"{SPECTRAL.name}:") for f in findings), "the grid builds its weights"
     assert [f for f in findings if not f.startswith(f"{SPECTRAL.name}:")] == []
+
+
+def test_rule_detects_array_freezes():
+    code = (
+        "s = grid.coefficients_to_values(c)\n"
+        "s.setflags(write=False)\n"
+        "np.ndarray.setflags(m, write=False)\n"
+        "freeze = coeffs.setflags\n"
+        "v.flags.writeable = False\n"
+        "ok = v.flags.writeable\n"
+        "w.flags.writeable &= False\n"
+        "settings.flags = 0\n"
+    )
+    assert sorted(_array_freezes(ast.parse(code))) == [
+        (2, "s.setflags"), (3, "np.ndarray.setflags"), (4, "coeffs.setflags"),
+        (5, "v.flags.writeable ="), (7, "w.flags.writeable ="),
+    ]
+
+
+def test_arrays_are_frozen_only_in_spectral():
+    findings = _library_findings(_array_freezes)
+    assert findings, "spectral.py freezes the shared arrays"
+    assert all(f.startswith(f"{SPECTRAL.name}:") for f in findings), findings

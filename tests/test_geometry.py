@@ -188,18 +188,67 @@ def test_round_profile_is_one_read_only_object_per_geometry(geometries):
         assert base.s is round_profile(geom).s, spec
 
 
-def test_cached_chopped_coefficients_are_read_only(geometries):
-    # chop_coefficients returns a slice, not a copy, so every cache of its
-    # result is read-only: theta_coeffs chopped from the values (round and
-    # random profiles) and those a solved profile keeps (with_coefficients)
+def test_every_shared_array_is_read_only(geometries):
+    # spectral.py freezes the grid's tables, the array a SampledFunction is
+    # handed and each ndarray a cached field holds, so every array reachable
+    # from a grid, a geometry, a profile, a potential or a path is read-only;
+    # theta_coeffs included, which a solved profile keeps (with_coefficients)
+    # and chop_coefficients otherwise slices from its transform, not a copy
+    grid = geometries["cp1"].grid
+    arrays = {f"grid.{name}": v for name, v in vars(grid).items() if isinstance(v, np.ndarray)}
+    assert {"grid.t", "grid.x", "grid.quad_weights"} <= set(arrays)
     calabi, one = parse_function("scaled:0.5:pow:2"), parse_function("const:1")
     for spec, geom in geometries.items():
-        solved = solve_critical(geom, calabi, one, normalize_potential(geom)).profile
-        for profile in (round_profile(geom), random_admissible_profile(geom, 3, 0.1), solved):
-            coeffs = profile.theta_coeffs
-            assert not coeffs.flags.writeable, spec
-            with pytest.raises(ValueError):
-                coeffs[0] = 0.5
+        phi = normalize_potential(geom)
+        path = DeformationPath(SampledFunction(geom.grid, geom.grid.x ** 3))
+        arrays.update({f"{spec} weight": geom.weight.values, f"{spec} base_term": geom.base_term.values,
+                       f"{spec} measure": geom.measure, f"{spec} phi": phi.values,
+                       f"{spec} u": path.u.values, f"{spec} u2": path.u2})
+        profiles = {
+            "round": round_profile(geom),
+            "random": random_admissible_profile(geom, 3, 0.1),
+            "solved": solve_critical(geom, calabi, one, phi).profile,
+            "transported": transport(round_profile(geom), path, 0.01, phi)[0],
+        }
+        for kind, p in profiles.items():
+            arrays.update({f"{spec} {kind} theta": p.theta.values, f"{spec} {kind} theta_coeffs": p.theta_coeffs,
+                           f"{spec} {kind} r_coeffs": p.r_coeffs, f"{spec} {kind} s": p.s.values})
+    for name, arr in arrays.items():
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]  # the same value: a miss changes nothing shared
+
+
+def test_a_handed_over_theta_cannot_be_written(cp1):
+    # a profile reads its admissibility and s from Theta once: negating Theta
+    # inside after wrapping it would leave violations == () and S = 8 pi
+    # stale, so SampledFunction freezes the array it is handed, without a copy
+    theta = 1.0 - cp1.grid.x ** 2
+    profile = MetricProfile(cp1, SampledFunction(cp1.grid, theta))
+    assert profile.theta.values is theta
+    ident, one = parse_function("id"), parse_function("const:1")
+    assert profile.violations == () and abs(eval_S(profile, ident, one, normalize_potential(cp1)) - EIGHT_PI) < 1e-12
+    with pytest.raises(ValueError):
+        theta[1:-1] *= -1.0
+    assert (theta[1:-1] > 0).all()
+
+
+def test_array_holding_records_are_equal_only_to_themselves(cp1):
+    # an array's == is elementwise, so these records compare and hash by
+    # identity: a twin sharing every field is another record, and each can
+    # key a dict or a set
+    res = solve_critical(cp1, parse_function("scaled:0.5:pow:2"), parse_function("const:1"), normalize_potential(cp1))
+    u = SampledFunction(cp1.grid, cp1.grid.x ** 2)
+    twins = [
+        (u, SampledFunction(cp1.grid, u.values)),
+        (DeformationPath(u), DeformationPath(u)),
+        (res.profile, MetricProfile(cp1, res.profile.theta)),
+        (res, dataclasses.replace(res)),
+    ]
+    for record, twin in twins:
+        assert record == record and record != twin, type(record)
+        assert hash(record) == hash(record) != hash(twin), type(record)
+        assert record in {record} and twin not in {record} and {record: 1, twin: 2}[record] == 1, type(record)
 
 
 def test_random_profile_is_round_plus_bump_times_splitmix_series(geometries):
@@ -211,7 +260,7 @@ def test_random_profile_is_round_plus_bump_times_splitmix_series(geometries):
         round_theta = 1.0 - x * x if geom.k == 0 else 2.0 * x * (1.0 - x)
         got = random_admissible_profile(geom, 9, 0.1).theta.values
         assert np.array_equal(got, round_theta + bump_factor(geom) * q), spec
-        assert got.flags.writeable and round_profile(geom).theta.values is not got, spec
+        assert round_profile(geom).theta.values is not got, spec
         assert random_admissible_profile(geom, 9, 0.0) is round_profile(geom), spec
 
 

@@ -382,6 +382,26 @@ def test_iterate_records_failure_step(cp1):
     assert trace.final_status == "failed"
 
 
+def test_iterate_solves_with_a_real_phi_only(cp1, monkeypatch):
+    # a complex h gives psi a complex pair: one with an imaginary part is no
+    # real field's potential, so its step fails (test_cli pins the error);
+    # a pair whose imaginary parts are exactly 0 re-seeds with its real parts
+    seen = []
+
+    def spy(geom, f, h, phi):
+        seen.append(phi.values.dtype)
+        return solve_critical(geom, f, h, phi)
+
+    monkeypatch.setattr(solver, "solve_critical", spy)
+    phi = HolomorphyPotential(cp1, 1.0, 2.0)
+    trace = iterate(cp1, parse_function("exp"), parse_function("sum:id,const:0.5j"), phi, 3)
+    assert [s.status for s in trace.steps] == ["failed"] and seen == [np.dtype(float)]
+    seen.clear()
+    trace = iterate(cp1, parse_function("exp"), parse_function("sum:id,sum:const:0.5j,const:-0.5j"), phi, 3)
+    assert [s.status for s in trace.steps] == ["continued"] * 3
+    assert isinstance(trace.steps[0].alpha, complex) and seen == [np.dtype(float)] * 3
+
+
 def test_iterate_propagates_non_library_errors(cp1, monkeypatch):
     def broken(*args, **kwargs):
         raise ZeroDivisionError("bug in the solver")

@@ -586,3 +586,21 @@ def test_cached_field_reads_a_preset_slot():
     a = _Counted()
     a.__dict__["square"] = -4
     assert a.square == -4 and a.calls == 0
+
+
+class _Arrays:
+    @cached_field
+    def ramp(self):
+        return np.arange(3.0)
+
+
+def test_cached_field_caches_arrays_read_only_without_a_copy():
+    # computed or preset, an ndarray is cached itself, made read-only; other
+    # values are cached as they are
+    a, b, given = _Arrays(), _Arrays(), np.ones(2)
+    assert _Arrays.ramp.preset(b, given) is given and b.ramp is given
+    for arr in (a.ramp, b.ramp):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+    assert _Arrays.ramp.preset(a, [1.0]) == [1.0] and a.ramp == [1.0]
