@@ -197,16 +197,7 @@ def cmd_iterate(cfg: RunConfig) -> int:
     write_outputs(cfg.out, {
         "iterate.json": {
             "final_status": trace.final_status,
-            "steps": [
-                {
-                    "index": s.index,
-                    "alpha": s.alpha,
-                    "beta": s.beta,
-                    "status": s.status,
-                    "summary": s.profile_summary,
-                }
-                for s in trace.steps
-            ],
+            "steps": [asdict(s) for s in trace.steps],
         },
     })
     print(f"iterate: {len(trace.steps)} step(s), final status {trace.final_status}")

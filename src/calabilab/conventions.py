@@ -5,8 +5,9 @@ the symplectic-potential transport G_t = G_0 - kappa_theta * t * u and
 kappa_phi the fixed-point moment velocity dphi = kappa_phi * Theta * u'.
 The Legendre dictionary forces kappa_phi = kappa_theta; the value 1/2
 corresponds to reading the deformation direction u as a Kahler potential
-increment (omega = i ddbar F with moment map F'/2).  The oracles in
-build_manifest (and the test suite) verify the pinned pair.
+increment (omega = i ddbar F with moment map F'/2).  build_manifest only
+records the pair.  The transport tests verify kappa_theta, which
+variation.py reads; no computation reads kappa_phi.
 """
 
 from __future__ import annotations

@@ -11,6 +11,9 @@ spectral.solve_euler), so R = Theta / y = E_1^-1 Theta',
 s = -E_(k+1) E_(k+2) (E_1 E_2)^-1 Theta'' and
 (w Theta^j g)^(j) / w = E_(k+1) ... E_(k+j) (R^j g).  Integrals take the
 volume form dmu = C_vol w dx, ProfileGeometry.measure: none multiplies by w.
+This module owns both directions of Theta <-> s, MetricProfile.s and its
+inverse MetricProfile.from_curvature, and the far-end map far_end_forms @ s
++ far_end_offset; the solver owns the Newton loop alone.
 """
 
 from __future__ import annotations
@@ -73,6 +76,21 @@ class ProfileGeometry:
         return self.vol_const * (self.measure @ g)
 
     @cached_field
+    def far_end_forms(self) -> np.ndarray:
+        """K: (Theta, Theta' - slope_hi) at x_hi = x_lo + L of from_curvature's
+        Theta is K s + far_end_offset, K the Clenshaw-Curtis forms of
+        -L^-k int (x_hi - x) w s and L^-k int (k (x_hi - x) / L - 1) w s."""
+        grid, k = self.grid, self.k
+        qw = self.measure / grid.span ** k
+        lever = grid.hi - grid.x
+        return np.stack([-qw * lever, (k / grid.span) * qw * lever - qw])
+
+    @cached_field
+    def far_end_offset(self) -> np.ndarray:
+        """(slope_lo L, slope_lo - slope_hi), the far-end mismatch at s = 0."""
+        return np.array([self.slope_lo * self.grid.span, self.slope_lo - self.slope_hi])
+
+    @cached_field
     def affine_projector(self) -> AffineProjector:
         """The affine projection against dmu, built once per geometry."""
         return AffineProjector(self.measure, self.grid.x)
@@ -108,11 +126,19 @@ class MetricProfile:
             raise ValueError("theta must be real")
 
     @classmethod
-    def with_coefficients(cls, geometry: ProfileGeometry, theta: np.ndarray, coeffs: np.ndarray) -> MetricProfile:
-        """The profile with values theta whose chopped Chebyshev coefficients
-        coeffs are already known (Theta was sampled from them): preset as
-        theta_coeffs (read-only, see spectral.py), not transformed back."""
-        profile = cls(geometry, SampledFunction(geometry.grid, theta))
+    def from_curvature(cls, geometry: ProfileGeometry, s_coeffs: np.ndarray) -> MetricProfile:
+        """The inverse of s: Theta = slope_lo y - y^2 M solves (w Theta)'' =
+        A - w s from the left end, s given by its chopped coefficients.
+        M = int_0^1 (1 - tau) tau^k s(x_lo + y tau) dtau maps y^n to
+        y^n / ((n + k + 1)(n + k + 2)), so M = (E_(k+1) E_(k+2))^-1 s, with no
+        division.  Theta(x_lo) is pinned to 0; theta_coeffs is preset."""
+        grid, m = geometry.grid, s_coeffs
+        for a in (geometry.k + 1, geometry.k + 2):
+            m = solve_euler(m, a)
+        coeffs = chop_coefficients(_theta_coefficients(m, geometry.slope_lo, grid.span))
+        theta = grid.coefficients_to_values(coeffs)
+        theta[0] = 0.0
+        profile = cls(geometry, SampledFunction(grid, theta))
         cls.theta_coeffs.preset(profile, coeffs)
         return profile
 
@@ -173,6 +199,26 @@ class MetricProfile:
         for a in range(k + 1, k + j + 1):
             c = euler_coefficients(c, a)
         return grid.coefficients_to_values(c)
+
+
+def _times_t_plus_1(c: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of (t + 1) sum_n c_n T_n: t T_0 = T_1 and
+    t T_n = (T_(n+1) + T_(n-1)) / 2 for n >= 1."""
+    half = 0.5 * c
+    out = np.zeros(c.size + 1)
+    out[:-1] = c
+    out[1:] += half
+    out[:-2] += half[1:]
+    out[1] += half[0]
+    return out
+
+
+def _theta_coefficients(m: np.ndarray, slope_lo: float, span: float) -> np.ndarray:
+    """Chebyshev coefficients of slope_lo y - y^2 M from those of M, with
+    y = x - x_lo = span (t + 1) / 2: two passes of multiplication by t + 1."""
+    theta = _times_t_plus_1(_times_t_plus_1(m)) * -((span / 2.0) ** 2)
+    theta[:2] += slope_lo * span / 2.0
+    return theta
 
 
 class Violation(NamedTuple):

@@ -1,10 +1,11 @@
 """The critical-metric solver and the vector-field iteration harness.
 
-solve_critical runs one Newton loop (_newton) on the scalar curvature s
-at the nodes and the affine coefficients (alpha, beta) of the EL potential
-together: F = Re h(phi) f'(s) - (alpha x + beta) = 0 at every node, and
-the two far-end mismatches of integrating (w Theta)'' = A - w s from the
-left endpoint vanish.  The mismatch is affine in s, K s + m0, so
+The solver owns the Newton loop alone; geometry.py owns Theta <-> s and
+the far-end map.  solve_critical runs one Newton loop (_newton) on the
+scalar curvature s at the nodes and the affine coefficients (alpha, beta)
+of the EL potential together: F = Re h(phi) f'(s) - (alpha x + beta) = 0
+at every node, and the two far-end mismatches of the profile integrated
+from s vanish.  The mismatch is affine in s, K s + m0, so
 eliminating the pointwise corrections leaves the exact 2x2 Jacobian
 J = K diag(1 / (h f''(s))) [x 1], one matvec of the precomputed rows
 K diag(x) and K: a bordered Newton step (Keller, "Numerical solution of
@@ -18,18 +19,18 @@ A J that is not finite, or whose singular values (in closed form) are in
 a ratio of at most RANK_TOL, stops the solve with a ConvergenceError;
 otherwise the step is a 2x2 elimination on Python floats
 (spectral.PivotedLU2), with no LAPACK call.  The profile is integrated
-once, from the final s, and keeps the Theta coefficients it is sampled
-from; an s whose chop keeps every coefficient is not resolved on the grid
-and raises ConvergenceError, and a profile that is not admissible raises
-AdmissibilityError, both carrying the Newton trace.  A solution whose EL
-potential is not affine within the report's tolerance raises
-ConvergenceError instead of being returned; that check reads s again from
-Theta's coefficients.
+once, from the final s (MetricProfile.from_curvature), and keeps the Theta
+coefficients it is sampled from; an s whose chop keeps every coefficient
+is not resolved on the grid and raises ConvergenceError, and a profile
+that is not admissible raises AdmissibilityError, both carrying the Newton
+trace.  A solution whose EL potential is not affine within the report's
+tolerance raises ConvergenceError instead of being returned; that check
+reads s again from Theta's coefficients.
 
-What depends only on the geometry is built once per geometry: the
-shooter's forms (_shooter, memoised by functools.cache), the class
-constants and the weighted affine projector with its factored Gram matrix
-(cached on ProfileGeometry), and the round profile (geometry.round_profile).
+What depends only on the geometry is built once per geometry: the far-end
+forms K and offset m0, the class constants and the weighted affine
+projector (cached on ProfileGeometry), and the round profile
+(geometry.round_profile); each solve stacks its own rows from K.
 f' and f'' are built once per distinct f (FunctionDescriptor.derivative).
 
 When f' is constant the EL potential does not depend on the metric, so
@@ -42,7 +43,6 @@ projected start.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -61,7 +61,7 @@ from .errors import (
 from .functions import FunctionDescriptor, identity
 from .geometry import MetricProfile, ProfileGeometry
 from .potentials import ELReport, HolomorphyPotential, el_potential, holomorphy_defect
-from .spectral import PivotedLU2, chop_coefficients, solve_euler
+from .spectral import PivotedLU2, chop_coefficients
 
 NEWTON_TOL = 1e-10
 MAX_NEWTON_ITER = 50
@@ -99,7 +99,7 @@ class IterationStep:
     alpha: complex | None  # psi's pair, complex for a complex psi
     beta: complex | None
     status: str  # continued | converged | zero_field | failed
-    profile_summary: dict
+    summary: dict
 
 
 @dataclass(frozen=True)
@@ -116,26 +116,21 @@ class IterationTrace:
 
 
 class _Shooter:
-    """The profile Theta = slope_lo y - y^-k int_lo^x (x - t) w s dt that
-    solves (w Theta)'' = A - w s from the left end (y = x - x_lo, w = y^k),
-    and its far-end mismatch (Theta, Theta' - slope_hi) at x_hi = x_lo + L:
-    K s + m0, K the Clenshaw-Curtis forms of -L^-k int (x_hi - x) w s and
-    L^-k int (k (x_hi - x) / L - 1) w s, m0 = (slope_lo L, slope_lo - slope_hi).
-    jac_rows stacks K_0 diag(x), K_0, K_1 diag(x) and K_1, so the Newton
-    Jacobian K diag(d) [x 1] is jac_rows @ d, reshaped to 2x2."""
+    """One solve's far-end mismatch K s + m0 (the geometry's read-only
+    far_end_forms and far_end_offset), with its own jac_rows K_0 diag(x),
+    K_0, K_1 diag(x) and K_1: the Jacobian K diag(d) [x 1] is jac_rows @ d."""
 
     def __init__(self, geom: ProfileGeometry):
         self.geom = geom
-        grid = self.grid = geom.grid
-        k, span, x = geom.k, grid.span, grid.x
-        qw = geom.measure / span ** k
-        lever = grid.hi - x
-        self.k = np.stack([-qw * lever, (k / span) * qw * lever - qw])
-        self.jac_rows = np.stack([self.k[0] * x, self.k[0], self.k[1] * x, self.k[1]])
-        self.m0 = np.array([geom.slope_lo * span, geom.slope_lo - geom.slope_hi])
+        self.grid = geom.grid
+        forms, x = geom.far_end_forms, geom.grid.x
+        self.forms, self.m0 = forms, geom.far_end_offset
+        self.jac_rows = np.empty((4, x.size))  # filled in place: np.stack takes 1.5-2x as long
+        self.jac_rows[0::2] = forms * x
+        self.jac_rows[1::2] = forms
 
     def mismatch(self, s_vals: np.ndarray) -> np.ndarray:
-        return self.k @ s_vals + self.m0
+        return self.forms @ s_vals + self.m0
 
     def jacobian(self, d: np.ndarray) -> np.ndarray:
         """The 2x2 Jacobian K diag(d) [x 1] of the mismatch in (alpha, beta),
@@ -143,51 +138,15 @@ class _Shooter:
         return (self.jac_rows @ d).reshape(2, 2)
 
     def profile(self, s_vals: np.ndarray, trace: list) -> MetricProfile:
-        """Theta = slope_lo y - y^2 M, M(y) = int_0^1 (1 - tau) tau^k
-        s(x_lo + y tau) dtau, for every k and with no division.  M maps y^n
-        to y^n / ((n + k + 1)(n + k + 2)), so it solves
-        (y d/dy + k + 1)(y d/dy + k + 2) M = s, exactly on the chopped s.
-        The profile keeps the chopped coefficients of Theta it was sampled
-        from.  An s whose chop keeps every coefficient is not resolved on
-        the grid: a ConvergenceError carrying the Newton trace."""
-        grid, geom = self.grid, self.geom
+        """MetricProfile.from_curvature of the chopped s.  An s whose chop
+        keeps every coefficient is not resolved on the grid: a
+        ConvergenceError carrying the Newton trace."""
+        grid = self.grid
         m = chop_coefficients(grid.values_to_coefficients(s_vals))
         if m.size == grid.n:
             raise ConvergenceError(
                 f"scalar curvature not resolved: kept {m.size} of {grid.n} coefficients", trace)
-        for a in (geom.k + 1, geom.k + 2):
-            m = solve_euler(m, a)
-        coeffs = chop_coefficients(_theta_coefficients(m, geom.slope_lo, grid.span))
-        theta = grid.coefficients_to_values(coeffs)
-        theta[0] = 0.0
-        return MetricProfile.with_coefficients(geom, theta, coeffs)
-
-
-@functools.cache
-def _shooter(geom: ProfileGeometry) -> _Shooter:
-    """The geometry's shooter, built on first use: its forms depend on the
-    geometry alone."""
-    return _Shooter(geom)
-
-
-def _times_t_plus_1(c: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of (t + 1) sum_n c_n T_n: t T_0 = T_1 and
-    t T_n = (T_(n+1) + T_(n-1)) / 2 for n >= 1."""
-    half = 0.5 * c
-    out = np.zeros(c.size + 1)
-    out[:-1] = c
-    out[1:] += half
-    out[:-2] += half[1:]
-    out[1] += half[0]
-    return out
-
-
-def _theta_coefficients(m: np.ndarray, slope_lo: float, span: float) -> np.ndarray:
-    """Chebyshev coefficients of slope_lo y - y^2 M from those of M, with
-    y = x - x_lo = span (t + 1) / 2: two passes of multiplication by t + 1."""
-    theta = _times_t_plus_1(_times_t_plus_1(m)) * -((span / 2.0) ** 2)
-    theta[:2] += slope_lo * span / 2.0
-    return theta
+        return MetricProfile.from_curvature(self.geom, m)
 
 
 def _singular_value_ratio(m: np.ndarray) -> float:
@@ -321,7 +280,7 @@ def solve_critical(
     init: tuple | None = None,
 ) -> CriticalSolveResult:
     """Find the metric whose EL potential f'(s) h(phi) is alpha x + beta."""
-    shooter = _shooter(geom)
+    shooter = _Shooter(geom)
     x = geom.grid.x
     hr = np.asarray(h(phi.values, x)).real  # a complex h leaves Im h to the check below
     s0 = geom.constants.s0

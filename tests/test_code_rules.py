@@ -14,7 +14,7 @@ from calabilab.cli import build_parser
 SRC = Path(__file__).resolve().parent.parent / "src" / "calabilab"
 BLANKET = {"Exception", "BaseException"}
 # numpy's Chebyshev-series products, quotients and calculus: the library
-# has O(L) array recurrences for each (spectral.py, solver.py)
+# has O(L) array recurrences for each (spectral.py, geometry.py)
 CHEB_SERIES = {"chebmul", "chebsub", "chebdiv", "chebder", "chebint"}
 # every Chebyshev transform is the FFT DCT-I of spectral.py, so nothing
 # needs numpy's polynomial package
@@ -67,6 +67,12 @@ MEASURE = ("ProfileGeometry", "measure")
 # SampledFunction and its cached_field), so the rule has one home
 SETFLAGS = "setflags"
 WRITEABLE = "writeable"
+# the weight algebra of w = (x - x_lo)^k belongs to geometry.py, which owns
+# Theta <-> s and the far-end map; the solver is the Newton loop alone, so
+# it imports no Euler or derivative primitive and reads no measure, slope
+# or weight order
+WEIGHT_PRIMITIVES = {"solve_euler", "euler_coefficients", "derivative_coefficients"}
+WEIGHT_ATTRIBUTES = {"measure", "slope_lo", "slope_hi", "k"}
 BENCH = SRC.parent.parent / "bench"
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 # a dotted name in the README whose head is a package module or an exported
@@ -281,6 +287,18 @@ def _array_freezes(tree: ast.AST):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 if isinstance(target, ast.Attribute) and target.attr == WRITEABLE:
                     yield node.lineno, f"{ast.unparse(target)} ="
+
+
+def _weight_algebra_uses(tree: ast.AST):
+    """Each import of an Euler or derivative primitive, and each attribute
+    that names one or names a measure, slope_lo, slope_hi or k."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name.rsplit(".", 1)[-1] in WEIGHT_PRIMITIVES:
+                    yield node.lineno, f"import {alias.name}"
+        elif isinstance(node, ast.Attribute) and node.attr in WEIGHT_PRIMITIVES | WEIGHT_ATTRIBUTES:
+            yield node.lineno, ast.unparse(node)
 
 
 def _library_findings(rule):
@@ -673,3 +691,25 @@ def test_arrays_are_frozen_only_in_spectral():
     findings = _library_findings(_array_freezes)
     assert findings, "spectral.py freezes the shared arrays"
     assert all(f.startswith(f"{SPECTRAL.name}:") for f in findings), findings
+
+
+def test_rule_detects_weight_algebra_uses():
+    code = (
+        "from .spectral import PivotedLU2, chop_coefficients, solve_euler\n"
+        "import calabilab.spectral.euler_coefficients as e\n"
+        "qw = geom.measure / span ** geom.k\n"
+        "m0 = (geom.slope_lo * span, geom.slope_lo - geom.slope_hi)\n"
+        "d = spectral.derivative_coefficients(c)\n"
+        "self.k = forms\n"
+        "k, forms = 3, geom.far_end_forms\n"
+        "p = MetricProfile.from_curvature(geom, m)\n"
+    )
+    assert sorted(_weight_algebra_uses(ast.parse(code))) == [
+        (1, "import solve_euler"), (2, "import calabilab.spectral.euler_coefficients"),
+        (3, "geom.k"), (3, "geom.measure"), (4, "geom.slope_hi"), (4, "geom.slope_lo"), (4, "geom.slope_lo"),
+        (5, "spectral.derivative_coefficients"), (6, "self.k"),
+    ]
+
+
+def test_solver_leaves_the_weight_algebra_to_geometry():
+    assert list(_weight_algebra_uses(ast.parse(SOLVER.read_text(), filename=str(SOLVER)))) == []

@@ -27,6 +27,7 @@ from calabilab import (
 from calabilab.conventions import build_manifest, pin_cpm_base_coefficient
 from calabilab.geometry import bump_factor
 from calabilab.rng import SplitMix64
+from calabilab.spectral import chop_coefficients
 
 FOUR_PI = 4.0 * np.pi
 EIGHT_PI = 8.0 * np.pi
@@ -192,7 +193,7 @@ def test_every_shared_array_is_read_only(geometries):
     # spectral.py freezes the grid's tables, the array a SampledFunction is
     # handed and each ndarray a cached field holds, so every array reachable
     # from a grid, a geometry, a profile, a potential or a path is read-only;
-    # theta_coeffs included, which a solved profile keeps (with_coefficients)
+    # theta_coeffs included, which a solved profile keeps (from_curvature)
     # and chop_coefficients otherwise slices from its transform, not a copy
     grid = geometries["cp1"].grid
     arrays = {f"grid.{name}": v for name, v in vars(grid).items() if isinstance(v, np.ndarray)}
@@ -203,6 +204,7 @@ def test_every_shared_array_is_read_only(geometries):
         path = DeformationPath(SampledFunction(geom.grid, geom.grid.x ** 3))
         arrays.update({f"{spec} weight": geom.weight.values, f"{spec} base_term": geom.base_term.values,
                        f"{spec} measure": geom.measure, f"{spec} phi": phi.values,
+                       f"{spec} far_end_forms": geom.far_end_forms, f"{spec} far_end_offset": geom.far_end_offset,
                        f"{spec} u": path.u.values, f"{spec} u2": path.u2})
         profiles = {
             "round": round_profile(geom),
@@ -329,6 +331,36 @@ def test_weighted_derivative_against_polynomial_oracle(geometries, spec, j):
     assert np.abs(rem.coef).max() < 1e-12
     expect = exact(x)
     assert np.abs(profile.weighted_derivative(g(x), j) - expect).max() < 1e-12 * np.abs(expect).max()
+
+
+# the gaps of both halves of the Theta <-> s pair, measured over 50 seeds on
+# cp1 and cpm:2..4, stay near 1e-14 at N = 65, 129 and 257, flat in N
+INVERSE_PAIR_TOL = 1e-13
+
+
+def _inverse_pair_cases(n):
+    for geom in [make_cp1_geometry(n), *(make_cpm_geometry(m, n) for m in (2, 3, 4))]:
+        for seed in range(5):
+            yield geom, random_admissible_profile(geom, seed, 0.1)
+
+
+@pytest.mark.parametrize("n", [65, 129, 257])
+def test_from_curvature_inverts_s(n):
+    # integrating a random admissible profile's s from the left end gives
+    # back its Theta, at every node
+    for geom, p in _inverse_pair_cases(n):
+        s_coeffs = chop_coefficients(geom.grid.values_to_coefficients(p.s.values))
+        q = MetricProfile.from_curvature(geom, s_coeffs)
+        assert np.abs(q.theta.values - p.theta.values).max() <= INVERSE_PAIR_TOL, (geom.k, n)
+
+
+@pytest.mark.parametrize("n", [65, 129, 257])
+def test_far_end_map_vanishes_on_admissible_curvature(n):
+    # an admissible profile meets its far-end conditions, so the far-end
+    # map of its s is (Theta(x_hi), Theta'(x_hi) - slope_hi) = (0, 0)
+    for geom, p in _inverse_pair_cases(n):
+        mismatch = geom.far_end_forms @ p.s.values + geom.far_end_offset
+        assert np.abs(mismatch).max() <= INVERSE_PAIR_TOL, (geom.k, n)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

@@ -36,7 +36,7 @@ from calabilab import (
     solve_critical,
 )
 from calabilab import solver
-from calabilab.geometry import bump_factor
+from calabilab.geometry import _theta_coefficients, bump_factor
 from calabilab.spectral import SpectralGrid
 
 E2 = float(np.exp(2.0))
@@ -240,7 +240,7 @@ def test_final_newton_step_corrects_a_start_within_tolerance(cp1, cp1_round):
     # stops at once and returns the round s = 2
     x = cp1.grid.x
     f = parse_function("exp")
-    _, s, it, _ = solver._newton(solver._shooter(cp1), f, f.derivative(), x + 2.0, (E2, 2.0 * E2),
+    _, s, it, _ = solver._newton(solver._Shooter(cp1), f, f.derivative(), x + 2.0, (E2, 2.0 * E2),
                                  2.0 + 2e-13 * np.cos(3.0 * x))
     assert it == 0 and np.abs(s - 2.0).max() <= 2e-14
 
@@ -599,12 +599,13 @@ def test_vanishing_second_derivative_is_a_named_error(cp1):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match=r"not finite at node x=-1\.0$"):
-            solver._newton(solver._shooter(cp1), f, f.derivative(), np.ones(x.shape), (0.0, 0.0), np.zeros(x.shape))
+            solver._newton(solver._Shooter(cp1), f, f.derivative(), np.ones(x.shape), (0.0, 0.0), np.zeros(x.shape))
 
 
 def test_geometry_forms_are_built_once(geometries):
     for spec, geom in geometries.items():
-        assert solver._shooter(geom) is solver._shooter(geom), spec
+        assert geom.far_end_forms is geom.far_end_forms, spec
+        assert geom.far_end_offset is geom.far_end_offset, spec
         assert geom.affine_projector is geom.affine_projector, spec
         assert geom.constants is geom.constants, spec
         # the cached projector answers exactly as a fresh projection does
@@ -615,11 +616,30 @@ def test_geometry_forms_are_built_once(geometries):
 def test_jacobian_is_one_matvec_of_the_cached_rows(geometries):
     rng = np.random.default_rng(3)
     for spec, geom in geometries.items():
-        sh, x = solver._shooter(geom), geom.grid.x
+        sh, x = solver._Shooter(geom), geom.grid.x
         d = rng.uniform(0.5, 2.0, x.size)
-        kd = sh.k * d
+        kd = geom.far_end_forms * d
         expect = np.stack([kd @ x, kd.sum(axis=1)], axis=1)
         assert np.abs(sh.jacobian(d) - expect).max() <= 1e-14 * np.abs(expect).max(), spec
+
+
+def test_two_solves_share_no_writable_array(geometries, monkeypatch):
+    # each solve builds its own shooter; what two solves on a geometry
+    # share, its far-end forms and offset, is read-only (a write raises,
+    # test_every_shared_array_is_read_only), so no solve can corrupt a later one
+    shooters = []
+    newton = solver._newton
+    monkeypatch.setattr(solver, "_newton", lambda shooter, *rest: shooters.append(shooter) or newton(shooter, *rest))
+    f, h = parse_function("exp"), parse_function("id")
+    for spec, geom in geometries.items():
+        shooters.clear()
+        for _ in range(2):
+            solve_critical(geom, f, h, HolomorphyPotential(geom, 1.0, 2.0))
+        first, second = ([v for v in vars(sh).values() if isinstance(v, np.ndarray)] for sh in shooters)
+        shared = [(a, b) for a in first for b in second if np.shares_memory(a, b)]
+        assert shared, spec  # the far-end forms are built once per geometry
+        for a, b in shared:
+            assert not (a.flags.writeable or b.flags.writeable), spec
 
 
 @pytest.mark.parametrize("span", [1.0, 2.0])
@@ -631,7 +651,7 @@ def test_theta_coefficients_match_numpy_chebmul(span):
     for size in [1, 2, *range(3, 41)]:
         m = rng.uniform(-1.0, 1.0, size)
         ref = cheb.chebsub(2.0 * y, cheb.chebmul(cheb.chebmul(y, y), m))
-        got = solver._theta_coefficients(m, 2.0, span)
+        got = _theta_coefficients(m, 2.0, span)
         assert got.size == size + 2
         ref = np.concatenate([ref, np.zeros(got.size - ref.size)])  # chebsub trims trailing zeros
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(m).max() * span ** 2, size
@@ -797,7 +817,7 @@ def test_newton_step_across_a_pole_of_fprime_is_halved(p, seed):
     f, h, theta, (beta_star, alpha_star) = _manufactured_problem(geom, rng, p, -1)
     x, s = geom.grid.x, np.full(geom.grid.n, geom.constants.s0)
     hr = h(x).real
-    fprime, sh = f.derivative(), solver._shooter(geom)
+    fprime, sh = f.derivative(), solver._Shooter(geom)
     alpha, beta = geom.affine_projector.coefficients(fprime(s[:1])[0] * hr)
     d = 1.0 / (hr * fprime.derivative()(s))
     d_f = d * (hr * fprime(s) - (alpha * x + beta))
