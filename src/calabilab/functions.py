@@ -6,11 +6,11 @@ composed_with_affine(inner, a, b).  One entry per tag in the table _TAGS
 holds its grammar heads, parameter and operand counts, evaluation, exact
 derivative (another descriptor) and constant value; the descriptor
 methods and the expression reader and writer all dispatch through it; a
-descriptor's derivative is built once per distinct descriptor, and a text
-is parsed once per distinct text (bounded caches).  Scalars may be complex
-(for h); f is expected real.  The text form is prefix notation in which
-every head has a fixed arity, so it is read by recursive descent and every
-rendered descriptor reads back.
+descriptor's derivative is built on first use and kept on the descriptor,
+and a text is parsed once per distinct text (a bounded cache).  Scalars
+may be complex (for h); f is expected real.  The text form is prefix
+notation in which every head has a fixed arity, so it is read by
+recursive descent and every rendered descriptor reads back.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
-CALCULUS_CACHE_SIZE = 256  # descriptors whose derivative is kept, and texts whose parse is
+PARSE_CACHE_SIZE = 256  # texts whose parse is kept
 
 
 def _scalar(c):
@@ -58,8 +58,14 @@ class FunctionDescriptor:
 
     # -- exact calculus ----------------------------------------------------
     def derivative(self) -> "FunctionDescriptor":
-        """The exact derivative, built once per distinct descriptor."""
-        return _derivative(self)
+        """The exact derivative, built on first use and kept on this
+        descriptor, outside its fields: an equal descriptor, such as one
+        with a -0.0 parameter where this has 0.0, builds its own."""
+        d = self.__dict__.get("_derivative")
+        if d is None:
+            d = _TAGS[self.tag].derivative(self)
+            object.__setattr__(self, "_derivative", d)
+        return d
 
     def constant_value(self):
         """Return c if the descriptor is the constant function c, else None."""
@@ -215,14 +221,6 @@ _TAGS = {
 _TAG_BY_HEAD = {head: entry for entry in _TAGS.values() for head in entry.heads}
 
 
-# Descriptors are frozen values, so equal descriptors share one derivative;
-# equal means equal params, and 0.0 == -0.0, so a signed
-# zero parameter may come back with the other sign.
-@functools.lru_cache(maxsize=CALCULUS_CACHE_SIZE)
-def _derivative(d: FunctionDescriptor) -> FunctionDescriptor:
-    return _TAGS[d.tag].derivative(d)
-
-
 # -- expression grammar -------------------------------------------------------
 def _parse_scalar(text: str):
     """A finite real or complex literal: nan, inf or either part of a
@@ -257,7 +255,7 @@ def parse_function(spec: str) -> FunctionDescriptor:
 
 # Descriptors are frozen values, so a text read once is not read again; a
 # ConfigError is raised, not cached, so bad text raises on every call.
-@functools.lru_cache(maxsize=CALCULUS_CACHE_SIZE)
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def _parse(spec: str) -> FunctionDescriptor:
     desc, end = _parse_at(spec, 0)
     if end != len(spec):

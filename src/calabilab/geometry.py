@@ -6,14 +6,15 @@ A = k (k + 1) slope_lo y^(k - 1); CP^1 is k = 0 and CP^m is k = m - 1.  A
 metric in the class is a profile Theta(x) >= 0 vanishing at the endpoints
 with the prescribed slopes, of scalar curvature s = (A - (w Theta)'') / w.
 Nothing divides by w or by y: d/dy (y^b F) = y^(b-1) E_b F with the Euler
-operator E_b = y d/dy + b (spectral.euler_coefficients, solved by
+operator E_b = y d/dy + b (SpectralGrid.euler_coefficients, solved by
 spectral.solve_euler), so R = Theta / y = E_1^-1 Theta',
 s = -E_(k+1) E_(k+2) (E_1 E_2)^-1 Theta'' and
 (w Theta^j g)^(j) / w = E_(k+1) ... E_(k+j) (R^j g).  Integrals take the
 volume form dmu = C_vol w dx, ProfileGeometry.measure: none multiplies by w.
 This module owns both directions of Theta <-> s, MetricProfile.s and its
 inverse MetricProfile.from_curvature, and the far-end map far_end_forms @ s
-+ far_end_offset; the solver owns the Newton loop alone.
++ far_end_offset with its Jacobian rows; the solver owns the Newton loop
+alone.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .spectral import (
     SpectralGrid,
     cached_field,
     chop_coefficients,
-    derivative_coefficients,
-    euler_coefficients,
     get_grid,
     solve_euler,
 )
@@ -84,6 +83,17 @@ class ProfileGeometry:
         qw = self.measure / grid.span ** k
         lever = grid.hi - grid.x
         return np.stack([-qw * lever, (k / grid.span) * qw * lever - qw])
+
+    @cached_field
+    def jacobian_rows(self) -> np.ndarray:
+        """K_0 diag(x), K_0, K_1 diag(x) and K_1, K = far_end_forms: the
+        Jacobian K diag(d) [x 1] of the far-end map in (alpha, beta), where
+        s moves by d (dalpha x + dbeta), is (jacobian_rows @ d).reshape(2, 2)."""
+        forms, x = self.far_end_forms, self.grid.x
+        rows = np.empty((4, x.size))  # filled in place: np.stack takes 1.5-2x as long
+        rows[0::2] = forms * x
+        rows[1::2] = forms
+        return rows
 
     @cached_field
     def far_end_offset(self) -> np.ndarray:
@@ -152,7 +162,7 @@ class MetricProfile:
         """Coefficients of R = Theta / (x - x_lo) = E_1^-1 Theta': Theta' drops
         the value Theta(x_lo), so nothing is divided."""
         grid = self.geometry.grid
-        return solve_euler(derivative_coefficients(self.theta_coeffs) * (2.0 / grid.span), 1)
+        return solve_euler(grid.derivative_coefficients(self.theta_coeffs) * (2.0 / grid.span), 1)
 
     @cached_field
     def violations(self) -> tuple:
@@ -183,11 +193,11 @@ class MetricProfile:
         pairs cancel, so cp1 (k = 0) reads s = -Theta''."""
         require_admissible(self)
         grid, k = self.geometry.grid, self.geometry.k
-        c = derivative_coefficients(self.theta_coeffs, 2) * -((2.0 / grid.span) ** 2)
+        c = grid.derivative_coefficients(self.theta_coeffs, 2) * -((2.0 / grid.span) ** 2)
         for a in {1, 2} - {k + 1, k + 2}:
             c = solve_euler(c, a)
         for a in {k + 1, k + 2} - {1, 2}:
-            c = euler_coefficients(c, a)
+            c = grid.euler_coefficients(c, a)
         return SampledFunction(grid, grid.coefficients_to_values(c))
 
     def weighted_derivative(self, g: np.ndarray, j: int) -> np.ndarray:
@@ -197,7 +207,7 @@ class MetricProfile:
         f = grid.coefficients_to_values(self.r_coeffs) ** j * g
         c = chop_coefficients(grid.values_to_coefficients(f))
         for a in range(k + 1, k + j + 1):
-            c = euler_coefficients(c, a)
+            c = grid.euler_coefficients(c, a)
         return grid.coefficients_to_values(c)
 
 

@@ -7,8 +7,8 @@ of the EL potential together: F = Re h(phi) f'(s) - (alpha x + beta) = 0
 at every node, and the two far-end mismatches of the profile integrated
 from s vanish.  The mismatch is affine in s, K s + m0, so
 eliminating the pointwise corrections leaves the exact 2x2 Jacobian
-J = K diag(1 / (h f''(s))) [x 1], one matvec of the precomputed rows
-K diag(x) and K: a bordered Newton step (Keller, "Numerical solution of
+J = K diag(1 / (h f''(s))) [x 1], one matvec of the geometry's cached
+rows K diag(x) and K: a bordered Newton step (Keller, "Numerical solution of
 bifurcation and nonlinear eigenvalue problems", 1977), with no inner
 solve for s.  Newton starts at s = s0 and at the weighted affine
 projection of psi_0 = f'(s0) Re h(phi), the EL potential of the
@@ -28,10 +28,11 @@ tolerance raises ConvergenceError instead of being returned; that check
 reads s again from Theta's coefficients.
 
 What depends only on the geometry is built once per geometry: the far-end
-forms K and offset m0, the class constants and the weighted affine
-projector (cached on ProfileGeometry), and the round profile
-(geometry.round_profile); each solve stacks its own rows from K.
-f' and f'' are built once per distinct f (FunctionDescriptor.derivative).
+forms K, offset m0 and Jacobian rows, the class constants and the weighted
+affine projector (cached on ProfileGeometry), and the round profile
+(geometry.round_profile); a solve's _Shooter reads them and allocates
+nothing.  f' and f'' are built once per descriptor and kept on it
+(FunctionDescriptor.derivative).
 
 When f' is constant the EL potential does not depend on the metric, so
 every metric is critical or none is.  The solver then returns the
@@ -116,18 +117,14 @@ class IterationTrace:
 
 
 class _Shooter:
-    """One solve's far-end mismatch K s + m0 (the geometry's read-only
-    far_end_forms and far_end_offset), with its own jac_rows K_0 diag(x),
-    K_0, K_1 diag(x) and K_1: the Jacobian K diag(d) [x 1] is jac_rows @ d."""
+    """One solve's far-end mismatch K s + m0 and its Jacobian, read from the
+    geometry's read-only far_end_forms, far_end_offset and jacobian_rows
+    K_0 diag(x), K_0, K_1 diag(x) and K_1: it allocates no array of its own."""
 
     def __init__(self, geom: ProfileGeometry):
         self.geom = geom
         self.grid = geom.grid
-        forms, x = geom.far_end_forms, geom.grid.x
-        self.forms, self.m0 = forms, geom.far_end_offset
-        self.jac_rows = np.empty((4, x.size))  # filled in place: np.stack takes 1.5-2x as long
-        self.jac_rows[0::2] = forms * x
-        self.jac_rows[1::2] = forms
+        self.forms, self.m0, self.jac_rows = geom.far_end_forms, geom.far_end_offset, geom.jacobian_rows
 
     def mismatch(self, s_vals: np.ndarray) -> np.ndarray:
         return self.forms @ s_vals + self.m0

@@ -9,21 +9,25 @@ replace every copy around it: no node is reversed and no buffer padded.
 values_to_coefficients divides by one per-grid divisor, (-1)^k (n - 1)
 doubled at both ends; coefficients_to_values scales by one per-grid
 factor, (-1)^k halved inside the ends, and returns the transform's output,
-which is contiguous, so sums over it run in numpy's pairwise order.
-Calculus and the endpoint slopes run in coefficient space with
-trailing-coefficient chopping, the accurate route for repeated
-differentiation.  Derivative and antiderivative coefficients are O(L)
-array recurrences on the L kept coefficients (Mason & Handscomb,
-Chebyshev Polynomials, 2003): one routine, derivative_coefficients,
-differentiates for this module and for geometry.  It and
-euler_coefficients sum the doubled terms 2 k c_k straight into place and
-halve the one entry not doubled, which is exact.  The chop keeps
-.nonzero() (a reversed argmax measured slower), chops each part of
-complex data on its own and refuses a NaN or infinite coefficient.
-The scale-free Euler operator E_a = y d/dy + a, y = x - lo, and its inverse
-(euler_coefficients, solve_euler) carry every weight y^k: nothing divides
-by x - lo.  Differentiation has this one route: the explicit operator of
-the discrete quadratic form is built from it, column by column.
+which is contiguous, so sums over it run in numpy's pairwise order.  The
+grid also holds, n + 1 long (a profile built in coefficient space carries
+n + 1 coefficients), the recurrence weights k and 2 k and the endpoint
+slopes k^2 and (-1)^(k+1) k^2 of T_k, so the recurrences and the slopes
+build no index array.  Calculus and the endpoint slopes run in
+coefficient space with trailing-coefficient chopping, the accurate route
+for repeated differentiation.  Derivative and antiderivative coefficients
+are O(L) array recurrences on the L kept coefficients (Mason & Handscomb,
+Chebyshev Polynomials, 2003): one routine, the grid's
+derivative_coefficients, differentiates for this module and for geometry.
+It and the grid's euler_coefficients sum the doubled terms 2 k c_k
+straight into place and halve the one entry not doubled, once, which is
+exact.  The chop keeps .nonzero() (a reversed argmax measured slower),
+chops each part of complex data on its own and refuses a NaN or infinite
+coefficient.  The scale-free Euler operator E_a = y d/dy + a, y = x - lo,
+and its inverse (SpectralGrid.euler_coefficients, solve_euler) carry every
+weight y^k: nothing divides by x - lo.  Differentiation has this one
+route: the explicit operator of the discrete quadratic form is built from
+it, column by column.
 AffineProjector is the one weighted affine projection; it and the solver's
 Newton step solve their 2x2 systems by PivotedLU2, partial-pivot
 elimination on Python floats, as a LAPACK call costs several times the
@@ -111,44 +115,10 @@ def chop_coefficients(c: np.ndarray) -> np.ndarray:
     return c[: keep[-1] + 1]
 
 
-def derivative_coefficients(coeffs, order: int = 1) -> np.ndarray:
-    """Chebyshev coefficients of the order-th t-derivative of sum_k c_k T_k
-    (real or complex floats), order >= 0.  Each order takes
-    d_j = (2 - [j = 0]) sum_{k > j, k - j odd} k c_k: the terms 2 k c_k
-    summed from the top of each parity strand into its slots, then d_0
-    halved; a series of degree below order gives [0] at once.  The input
-    is read, never copied or written."""
-    d = np.asarray(coeffs)
-    if order and d.size <= order:
-        return np.zeros(1, dtype=d.dtype)
-    for _ in range(order):
-        kc = np.arange(2.0, 2.0 * d.size, 2.0) * d[1:]  # kc[j] = 2 (j + 1) c_(j+1)
-        d = np.empty_like(kc)
-        top = kc.size - 1
-        np.add.accumulate(kc[top::-2], out=d[top::-2])
-        if top:
-            np.add.accumulate(kc[top - 1::-2], out=d[top - 1::-2])
-        d[0] *= 0.5
-    return d
-
-
-def euler_coefficients(coeffs, a: float) -> np.ndarray:
-    """Chebyshev coefficients of (y d/dy + a) sum_n c_n T_n, y = x - lo (real
-    or complex): y d/dy = (t + 1) d/dt and (t + 1) T_n' = n T_n +
-    2n sum'_{j<n} T_j (the j = 0 term halved), one reverse cumulative sum
-    of the terms 2 n c_n, its j = 0 entry then halved."""
-    c = np.asarray(coeffs)
-    n = np.arange(float(c.size))
-    tail = np.zeros(c.size, dtype=np.result_type(c, float))  # (2 - [j = 0]) sum over n > j of n c_n
-    np.add.accumulate(2.0 * n[:0:-1] * c[:0:-1], out=tail[-2::-1])
-    tail[0] *= 0.5
-    return (n + a) * c + tail
-
-
 def solve_euler(coeffs: np.ndarray, a: float) -> np.ndarray:
     """Chebyshev coefficients v with (y d/dy + a) v = coeffs, a > 0: the
-    inverse of euler_coefficients, whose map is upper triangular, by back
-    substitution."""
+    inverse of SpectralGrid.euler_coefficients, whose map is upper
+    triangular, by back substitution."""
     v = np.empty(coeffs.size, dtype=np.result_type(coeffs, float))
     tail = 0.0  # sum over n > j of n v_n
     for j in range(coeffs.size - 1, -1, -1):
@@ -185,9 +155,12 @@ class SpectralGrid:
         # coefficients_to_values scales c_k by (-1)^k, halved inside
         self._c2v_factor = 0.5 * sign[:n]
         self._c2v_factor[[0, -1]] *= 2.0
-        # T_k'(1) = k^2 and T_k'(-1) = (-1)^(k+1) k^2, n + 1 long: a profile
-        # built in coefficient space can carry n + 1 coefficients
-        self._slope_hi = np.arange(n + 1.0) ** 2
+        # The recurrence weights k and 2 k, and T_k'(1) = k^2 and T_k'(-1) =
+        # (-1)^(k+1) k^2, n + 1 long: a profile built in coefficient space
+        # can carry n + 1 coefficients
+        self._degrees = np.arange(n + 1.0)
+        self._twice_degrees = 2.0 * self._degrees
+        self._slope_hi = self._degrees ** 2
         self._slope_lo = -sign * self._slope_hi
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
@@ -213,9 +186,45 @@ class SpectralGrid:
         return _dct1(c * self._c2v_factor[: c.size], n)
 
     # -- calculus ---------------------------------------------------------
+    def derivative_coefficients(self, coeffs, order: int = 1) -> np.ndarray:
+        """Chebyshev coefficients of the order-th t-derivative of sum_k c_k T_k
+        (real or complex floats, at most n + 1 of them), order >= 0.  Each
+        order takes d_j = (2 - [j = 0]) sum_{k > j, k - j odd} k c_k: the
+        terms 2 k c_k, from the grid's table, summed from the top of each
+        parity strand into its slots.  A pass reads only d[1:] of the last,
+        so d_0 is halved once, after the last pass; a series of degree below
+        order gives [0] at once.  The input is read, never copied or
+        written."""
+        d = np.asarray(coeffs)
+        if order and d.size <= order:
+            return np.zeros(1, dtype=d.dtype)
+        for _ in range(order):
+            kc = self._twice_degrees[1:d.size] * d[1:]  # kc[j] = 2 (j + 1) c_(j+1)
+            d = np.empty_like(kc)
+            top = kc.size - 1
+            np.add.accumulate(kc[top::-2], out=d[top::-2])
+            if top:
+                np.add.accumulate(kc[top - 1::-2], out=d[top - 1::-2])
+        if order:
+            d[0] *= 0.5
+        return d
+
+    def euler_coefficients(self, coeffs, a: float) -> np.ndarray:
+        """Chebyshev coefficients of (y d/dy + a) sum_n c_n T_n, y = x - lo (real
+        or complex, at most n + 1 of them): y d/dy = (t + 1) d/dt and
+        (t + 1) T_n' = n T_n + 2n sum'_{j<n} T_j (the j = 0 term halved), one
+        reverse cumulative sum of the terms 2 n c_n, its j = 0 entry then
+        halved; n and 2n come from the grid's tables."""
+        c = np.asarray(coeffs)
+        size = c.size
+        tail = np.zeros(size, dtype=np.result_type(c, float))  # (2 - [j = 0]) sum over n > j of n c_n
+        np.add.accumulate(self._twice_degrees[size - 1:0:-1] * c[:0:-1], out=tail[-2::-1])
+        tail[0] *= 0.5
+        return (self._degrees[:size] + a) * c + tail
+
     def differentiate_values(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         c = chop_coefficients(self.values_to_coefficients(values))
-        dc = derivative_coefficients(c, order) * (2.0 / self.span) ** order
+        dc = self.derivative_coefficients(c, order) * (2.0 / self.span) ** order
         return self.coefficients_to_values(dc)
 
     def antiderivative_values(self, values: np.ndarray) -> np.ndarray:

@@ -73,6 +73,11 @@ WRITEABLE = "writeable"
 # or weight order
 WEIGHT_PRIMITIVES = {"solve_euler", "euler_coefficients", "derivative_coefficients"}
 WEIGHT_ATTRIBUTES = {"measure", "slope_lo", "slope_hi", "k"}
+# the derivative and Euler recurrences slice the weights k and 2 k from
+# their grid's tables, built once per grid: a per-call np.arange would
+# rebuild them on every pass of every solve
+RECURRENCES = {"derivative_coefficients", "euler_coefficients"}
+ARANGE = "arange"
 BENCH = SRC.parent.parent / "bench"
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 # a dotted name in the README whose head is a package module or an exported
@@ -299,6 +304,18 @@ def _weight_algebra_uses(tree: ast.AST):
                     yield node.lineno, f"import {alias.name}"
         elif isinstance(node, ast.Attribute) and node.attr in WEIGHT_PRIMITIVES | WEIGHT_ATTRIBUTES:
             yield node.lineno, ast.unparse(node)
+
+
+def _recurrence_aranges(tree: ast.AST):
+    """Each reference to arange (np.arange, numpy.arange or a bare name)
+    inside a function or method named in RECURRENCES."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in RECURRENCES:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and sub.attr == ARANGE:
+                    yield sub.lineno, f"{ast.unparse(sub)} in {node.name}"
+                elif isinstance(sub, ast.Name) and sub.id == ARANGE:
+                    yield sub.lineno, f"{ARANGE} in {node.name}"
 
 
 def _library_findings(rule):
@@ -713,3 +730,29 @@ def test_rule_detects_weight_algebra_uses():
 
 def test_solver_leaves_the_weight_algebra_to_geometry():
     assert list(_weight_algebra_uses(ast.parse(SOLVER.read_text(), filename=str(SOLVER)))) == []
+
+
+def test_rule_detects_aranges_in_the_recurrences():
+    code = (
+        "def derivative_coefficients(c, order):\n"
+        "    return np.arange(2.0, 2.0 * c.size, 2.0) * c[1:]\n"
+        "class SpectralGrid:\n"
+        "    def euler_coefficients(self, c, a):\n"
+        "        n = numpy.arange(float(c.size))\n"
+        "        m = arange(3)\n"
+        "        return (self._degrees[:c.size] + a) * c\n"
+        "    def endpoint_slopes(self, c):\n"
+        "        return np.arange(c.size) @ c\n"
+        "k = np.arange(4)\n"
+    )
+    assert sorted(_recurrence_aranges(ast.parse(code))) == [
+        (2, "np.arange in derivative_coefficients"), (5, "numpy.arange in euler_coefficients"),
+        (6, "arange in euler_coefficients"),
+    ]
+
+
+def test_recurrences_read_the_grid_weight_tables():
+    tree = ast.parse(SPECTRAL.read_text(), filename=str(SPECTRAL))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert RECURRENCES <= defined, "the rule has nothing to check"
+    assert _library_findings(_recurrence_aranges) == []

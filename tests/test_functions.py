@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -140,15 +141,24 @@ def test_constant_value_detection():
 def test_memoised_calculus_matches_an_uncached_build(calculus):
     specs = [*CATALOG, "scaled:2:exp", "compaff:2:1:exp", "pow:-1", "compaff:1:2:scaled:0.5:pow:2"]
     memo = {spec: getattr(parse_function(spec), calculus)() for spec in specs}
-    for spec in specs:  # a second parse is another object, equal to the first
+    for spec in specs:  # a second parse is the same object, which keeps its derivative
         assert getattr(parse_function(spec), calculus)() is memo[spec], spec
-    assert functions._derivative.cache_info().maxsize == functions.CALCULUS_CACHE_SIZE
-    functions._derivative.cache_clear()  # every level of the next builds is new
     z = np.array([0.6, 1.1, 2.4])
-    for spec in specs:
-        fresh = getattr(parse_function(spec), calculus)()
+    for spec in specs:  # past the parse cache, every level of the tree is new
+        fresh = getattr(functions._parse.__wrapped__(spec), calculus)()
         assert fresh == memo[spec], spec
         assert np.array_equal(fresh(z), memo[spec](z)), spec
+
+
+def test_a_signed_zero_parameter_keeps_its_sign_in_the_derivative():
+    # 0.0 == -0.0, so the two descriptors are equal; each keeps the
+    # derivative built from its own parameter, whichever is differentiated first
+    plus, minus = parse_function("scaled:0:exp"), parse_function("scaled:-0:exp")
+    assert plus == minus and plus is not minus
+    assert plus.derivative().render() == "scaled:0:exp"
+    assert minus.derivative().render() == "scaled:-0:exp"
+    assert math.copysign(1.0, minus.derivative().params[0]) == -1.0
+    assert minus.derivative()(np.array([1.0])).tobytes() == np.array([-0.0]).tobytes()
 
 
 def test_complex_parameters():

@@ -194,17 +194,21 @@ def test_every_shared_array_is_read_only(geometries):
     # handed and each ndarray a cached field holds, so every array reachable
     # from a grid, a geometry, a profile, a potential or a path is read-only;
     # theta_coeffs included, which a solved profile keeps (from_curvature)
-    # and chop_coefficients otherwise slices from its transform, not a copy
-    grid = geometries["cp1"].grid
-    arrays = {f"grid.{name}": v for name, v in vars(grid).items() if isinstance(v, np.ndarray)}
-    assert {"grid.t", "grid.x", "grid.quad_weights"} <= set(arrays)
+    # and chop_coefficients otherwise slices from its transform, not a copy;
+    # and each grid's recurrence weights and each geometry's Newton rows,
+    # which every solve reads
+    arrays = {}
     calabi, one = parse_function("scaled:0.5:pow:2"), parse_function("const:1")
     for spec, geom in geometries.items():
+        tables = {name: v for name, v in vars(geom.grid).items() if isinstance(v, np.ndarray)}
+        assert {"t", "x", "quad_weights", "_degrees", "_twice_degrees"} <= set(tables), spec
+        arrays.update({f"{spec} grid.{name}": v for name, v in tables.items()})
         phi = normalize_potential(geom)
         path = DeformationPath(SampledFunction(geom.grid, geom.grid.x ** 3))
         arrays.update({f"{spec} weight": geom.weight.values, f"{spec} base_term": geom.base_term.values,
                        f"{spec} measure": geom.measure, f"{spec} phi": phi.values,
                        f"{spec} far_end_forms": geom.far_end_forms, f"{spec} far_end_offset": geom.far_end_offset,
+                       f"{spec} jacobian_rows": geom.jacobian_rows,
                        f"{spec} u": path.u.values, f"{spec} u2": path.u2})
         profiles = {
             "round": round_profile(geom),

@@ -606,6 +606,7 @@ def test_geometry_forms_are_built_once(geometries):
     for spec, geom in geometries.items():
         assert geom.far_end_forms is geom.far_end_forms, spec
         assert geom.far_end_offset is geom.far_end_offset, spec
+        assert geom.jacobian_rows is geom.jacobian_rows, spec
         assert geom.affine_projector is geom.affine_projector, spec
         assert geom.constants is geom.constants, spec
         # the cached projector answers exactly as a fresh projection does
@@ -624,8 +625,9 @@ def test_jacobian_is_one_matvec_of_the_cached_rows(geometries):
 
 
 def test_two_solves_share_no_writable_array(geometries, monkeypatch):
-    # each solve builds its own shooter; what two solves on a geometry
-    # share, its far-end forms and offset, is read-only (a write raises,
+    # each solve builds a shooter that allocates no array: it reads the
+    # geometry's far-end forms, offset and Jacobian rows, which every solve
+    # on the geometry shares and which are read-only (a write raises,
     # test_every_shared_array_is_read_only), so no solve can corrupt a later one
     shooters = []
     newton = solver._newton
@@ -635,11 +637,13 @@ def test_two_solves_share_no_writable_array(geometries, monkeypatch):
         shooters.clear()
         for _ in range(2):
             solve_critical(geom, f, h, HolomorphyPotential(geom, 1.0, 2.0))
-        first, second = ([v for v in vars(sh).values() if isinstance(v, np.ndarray)] for sh in shooters)
-        shared = [(a, b) for a in first for b in second if np.shares_memory(a, b)]
-        assert shared, spec  # the far-end forms are built once per geometry
-        for a, b in shared:
-            assert not (a.flags.writeable or b.flags.writeable), spec
+        first, second = shooters
+        assert first is not second and first.jac_rows is second.jac_rows is geom.jacobian_rows, spec
+        cached = (geom.far_end_forms, geom.far_end_offset, geom.jacobian_rows)
+        for sh in shooters:
+            arrays = [v for v in vars(sh).values() if isinstance(v, np.ndarray)]
+            assert len(arrays) == len(cached) and all(any(a is c for c in cached) for a in arrays), spec
+            assert not any(a.flags.writeable for a in arrays), spec
 
 
 @pytest.mark.parametrize("span", [1.0, 2.0])

@@ -13,12 +13,16 @@ from calabilab.spectral import (
     _dct1,
     cached_field,
     chop_coefficients,
-    derivative_coefficients,
-    euler_coefficients,
     solve_euler,
 )
 
 C = np.polynomial.chebyshev
+# the derivative and Euler recurrences are grid methods that slice the
+# grid's weight tables; this grid's carry n + 1 = 1026 coefficients, every
+# size below, and the recurrences work in t, whatever the interval
+WIDE = get_grid(1025, -1.0, 1.0)
+derivative_coefficients = WIDE.derivative_coefficients
+euler_coefficients = WIDE.euler_coefficients
 EPS = np.finfo(float).eps
 # a 2x2 elimination is backward stable: the residual of either solve is a
 # few roundoffs of |m| |u| + |r|, and the two solutions differ by at most
@@ -210,6 +214,27 @@ def test_derivative_coefficients_match_chebder(order, size, complex_):
     assert got.shape == expect.shape and got.dtype == expect.dtype
     scale = max(np.abs(expect).max(), 1.0)
     assert np.abs(got - expect).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_derivative_of_order_k_is_k_first_derivatives(order, complex_):
+    # d_0 is halved once, after the last pass: a pass reads only d[1:] of
+    # the last, so order k gives the bits of k order-1 passes, each halving
+    # its own d_0; sizes 1..order take the early exit to [0]
+    rng = np.random.default_rng(order + 10 * complex_)
+    for size in range(1, 41):
+        c = rng.standard_normal(size)
+        if complex_:
+            c = c + 1j * rng.standard_normal(size)
+        c.setflags(write=False)
+        got, passes = derivative_coefficients(c, order), c
+        for _ in range(order):
+            passes = derivative_coefficients(passes)
+        assert got.dtype == c.dtype and got.tobytes() == passes.tobytes(), size
+        expect = C.chebder(c, order)
+        assert got.shape == expect.shape, size
+        assert np.abs(got - expect).max() <= 1e-14 * max(np.abs(expect).max(), 1.0), size
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
