@@ -1,15 +1,23 @@
 """Spectral-calculus kernel on Chebyshev-Gauss-Lobatto grids.
 
-Every Chebyshev transform goes through one FFT DCT-I, an unscaled
+Values to coefficients and the Clenshaw-Curtis weights from the moments
+of T_k (Waldvogel, BIT 46, 2006) go through one FFT DCT-I, an unscaled
 np.fft.irfft, which pads and evenly extends its input itself (Chebfun's
-vals2coeffs / coeffs2vals): values to coefficients, coefficients to
-values, and the Clenshaw-Curtis weights from the moments of T_k
-(Waldvogel, BIT 46, 2006), all in O(N log N).  The grid's tables
+vals2coeffs / coeffs2vals), in O(N log N).  Coefficients to values has two
+routes.  A series of L <= W = SYNTHESIS_WIDTH coefficients, as the short
+chopped series of a solve or an EL report nearly all are, is one product
+with a cosine table, T_k at the nodes for k < W, which depends on n alone
+and is shared by the grids of one n.  A longer series, folded first if it
+has more than n coefficients, goes through the DCT-I, whose cost does not
+depend on L.  Per call (minimum over repeats, one BLAS thread) the product
+is the cheaper below L = 112-128 at N = 513 and 1025, and up to L = 128 at
+smaller N; W = 64 keeps it at 0.6 of the FFT's cost or less at every N,
+for a table of 8 n W bytes (0.5 MB at N = 1025).  The grid's tables
 replace every copy around it: no node is reversed and no buffer padded.
 values_to_coefficients divides by one per-grid divisor, (-1)^k (n - 1)
-doubled at both ends; coefficients_to_values scales by one per-grid
-factor, (-1)^k halved inside the ends, and returns the transform's output,
-which is contiguous, so sums over it run in numpy's pairwise order.  The
+doubled at both ends; the FFT route of coefficients_to_values scales by
+one per-grid factor, (-1)^k halved inside the ends.  Either route returns
+a new contiguous array, so sums over it run in numpy's pairwise order.  The
 grid also holds, n + 1 long (a profile built in coefficient space carries
 n + 1 coefficients), the recurrence weights k and 2 k and the endpoint
 slopes k^2 and (-1)^(k+1) k^2 of T_k, so the recurrences and the slopes
@@ -39,11 +47,12 @@ the Python-level wrappers around them, and copies nothing it only reads.
 Derived fields are cached by cached_field, without the lock that Python
 3.11's functools.cached_property takes on each first read.
 Shared arrays are read-only, by this module alone: SpectralGrid freezes
-its tables, SampledFunction the array it is handed and cached_field each
-ndarray it caches or is preset with.  A grid serves every geometry on its
-interval, and a profile reads its cached coefficients, admissibility and s
-from its Theta once, so a write would leave them stale: it raises
-ValueError.  Nothing is copied; a caller gives up what it hands over.
+its tables (the shared cosine table among them), SampledFunction the
+array it is handed and cached_field each ndarray it caches or is preset
+with.  A grid serves every geometry on its interval, and a profile reads
+its cached coefficients, admissibility and s from its Theta once, so a
+write would leave them stale: it raises ValueError.  Nothing is copied; a
+caller gives up what it hands over.
 """
 
 from __future__ import annotations
@@ -58,12 +67,28 @@ from .errors import ConfigError, DegenerateWeight, NonFiniteError
 CHOP_REL = 1e-14
 DEGENERATE_REL = 1e-12  # Gram determinant over g00 g11 at or below this: degenerate weight
 MIN_NODES = 8
+SYNTHESIS_WIDTH = 64  # longest series synthesised from the cosine table
 
 
 def _cgl_nodes(n: int):
     """Ascending Chebyshev-Gauss-Lobatto nodes on [-1, 1]."""
     k = np.arange(n)
     return -np.cos(np.pi * k / (n - 1))
+
+
+_SYNTHESIS_TABLES: dict = {}
+
+
+def _synthesis_table(n: int) -> np.ndarray:
+    """T_k(t_j) at the n ascending nodes for k < min(SYNTHESIS_WIDTH, n), one
+    row per k: T_k(t_j) = cos(pi k (m - j) / m) = (-1)^k cos(pi j k / m),
+    the angle reduced exactly mod 2 pi.  It depends on n alone, so the grids
+    of one n share it (and their freezing covers it)."""
+    if n not in _SYNTHESIS_TABLES:
+        m = n - 1
+        k = np.arange(min(SYNTHESIS_WIDTH, n))
+        _SYNTHESIS_TABLES[n] = np.cos(np.pi * (np.outer(k, m - np.arange(n)) % (2 * m)) / m)
+    return _SYNTHESIS_TABLES[n]
 
 
 def _dct1(v: np.ndarray, n: int) -> np.ndarray:
@@ -162,6 +187,7 @@ class SpectralGrid:
         self._twice_degrees = 2.0 * self._degrees
         self._slope_hi = self._degrees ** 2
         self._slope_lo = -sign * self._slope_hi
+        self._c2v_table = _synthesis_table(n)
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)
@@ -173,11 +199,25 @@ class SpectralGrid:
 
     def coefficients_to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Values at the nodes of sum_k c_k T_k(t), a contiguous array (sums
-        over it run in numpy's pairwise order).  Coefficients beyond the
-        grid's degree m = n - 1 are folded onto it: at the nodes T_k equals
-        T_j with j = k mod 2m reflected into [0, m]."""
+        over it run in numpy's pairwise order).  A series of L <= min(W, n)
+        coefficients, W = SYNTHESIS_WIDTH, is one product with the grid's
+        cosine table, c @ T[:L], complex c one part at a time, so no complex
+        copy of the table is made.  A longer one goes through the FFT DCT-I,
+        whose cost does not depend on L.  W = 64 is below the measured
+        per-call crossover at every N (L = 112-128 at N = 1025); closer to
+        it the saving shrinks while the table grows by 8 n bytes a degree.
+        Coefficients beyond the grid's degree m = n - 1 are folded onto it:
+        at the nodes T_k equals T_j with j = k mod 2m reflected into [0, m]."""
         c = np.asarray(coeffs)
         n, m = self.n, self.n - 1
+        table = self._c2v_table
+        if c.size <= table.shape[0]:
+            if c.dtype.kind != "c":
+                return c @ table[: c.size]
+            v = np.empty(n, dtype=c.dtype)
+            v.real = c.real @ table[: c.size]
+            v.imag = c.imag @ table[: c.size]
+            return v
         if c.size > n:
             k = np.arange(c.size) % (2 * m)
             g = np.zeros(n, dtype=np.result_type(c, float))

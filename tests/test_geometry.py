@@ -196,12 +196,16 @@ def test_every_shared_array_is_read_only(geometries):
     # theta_coeffs included, which a solved profile keeps (from_curvature)
     # and chop_coefficients otherwise slices from its transform, not a copy;
     # and each grid's recurrence weights and each geometry's Newton rows,
-    # which every solve reads
+    # which every solve reads; and the cosine synthesis table, which depends
+    # on n alone, so the cp1 and cpm:m grids of one n read one table
     arrays = {}
     calabi, one = parse_function("scaled:0.5:pow:2"), parse_function("const:1")
+    grids = {id(geom.grid): geom.grid for geom in geometries.values()}
+    assert len(grids) > 1 and len({grid.n for grid in grids.values()}) == 1
+    assert all(grid._c2v_table is geometries["cp1"].grid._c2v_table for grid in grids.values())
     for spec, geom in geometries.items():
         tables = {name: v for name, v in vars(geom.grid).items() if isinstance(v, np.ndarray)}
-        assert {"t", "x", "quad_weights", "_degrees", "_twice_degrees"} <= set(tables), spec
+        assert {"t", "x", "quad_weights", "_degrees", "_twice_degrees", "_c2v_table"} <= set(tables), spec
         arrays.update({f"{spec} grid.{name}": v for name, v in tables.items()})
         phi = normalize_potential(geom)
         path = DeformationPath(SampledFunction(geom.grid, geom.grid.x ** 3))

@@ -8,6 +8,7 @@ from calabilab.errors import DegenerateWeight, NonFiniteError
 from calabilab.spectral import (
     CHOP_REL,
     DEGENERATE_REL,
+    SYNTHESIS_WIDTH,
     PivotedLU2,
     SpectralGrid,
     _dct1,
@@ -119,14 +120,40 @@ def test_values_to_coefficients_matches_dense_cosine_sums(n, complex_):
 @pytest.mark.parametrize("n", [8, 9, 129, 1025])
 @pytest.mark.parametrize("complex_", [False, True])
 def test_coefficients_to_values_matches_dense_cosine_sums(n, complex_):
-    # n + 1 coefficients take the fold path: T_n equals T_(n-2) at the nodes
+    # n + 1 coefficients take the fold path: T_n equals T_(n-2) at the nodes;
+    # on grids wider than the cosine table, SYNTHESIS_WIDTH coefficients are
+    # the longest series it takes and one more the shortest the FFT does
     grid = SpectralGrid(n, -1.0, 1.0)
     rng = np.random.default_rng(10 * n + complex_)
-    for size in (1, n - 1, n, n + 1):
+    boundary = (SYNTHESIS_WIDTH, SYNTHESIS_WIDTH + 1) if n > SYNTHESIS_WIDTH else ()
+    for size in (1, n - 1, n, n + 1, *boundary):
         c = _draw(rng, size, complex_)
         got = grid.coefficients_to_values(c)
         assert got.shape == (n,) and got.flags.c_contiguous
         assert np.abs(got - _chebyshev_table(n, size) @ c).max() <= 8 * EPS * np.abs(c).sum(), size
+
+
+@pytest.mark.parametrize("n", [8, 9, 129, 1025])
+def test_synthesis_table_is_the_dense_cosine_table_bit_for_bit(n):
+    # one row per degree below min(SYNTHESIS_WIDTH, n)
+    expect = _chebyshev_table(n, min(SYNTHESIS_WIDTH, n))
+    assert SpectralGrid(n, 0.0, 3.0)._c2v_table.T.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 9, 129, 1025])
+def test_short_series_take_the_table_and_longer_ones_the_fft(n):
+    # up to min(SYNTHESIS_WIDTH, n) coefficients the values are one product
+    # with the table; above that, the scaled DCT-I of the (folded) series
+    grid = SpectralGrid(n, -1.0, 1.0)
+    rng = np.random.default_rng(n)
+    width = min(SYNTHESIS_WIDTH, n)
+    for size in (1, width):
+        c = rng.standard_normal(size)
+        assert grid.coefficients_to_values(c).tobytes() == (c @ grid._c2v_table[:size]).tobytes(), size
+    if width < n:
+        c = rng.standard_normal(width + 1)
+        expect = _dct1(c * grid._c2v_factor[: c.size], n)
+        assert grid.coefficients_to_values(c).tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("n", [8, 9, 129, 1025])
@@ -147,6 +174,20 @@ def test_complex_dct1_is_the_dct1_of_each_part_bit_for_bit(n):
         got = _dct1(v, n)
         expect = _dct1(v.real, n) + 1j * _dct1(v.imag, n)
         assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 9, 129, 1025])
+def test_complex_synthesis_is_the_synthesis_of_each_part_bit_for_bit(n):
+    # either route, table or FFT, synthesises the real and imaginary parts
+    # on their own, so each equals the synthesis of that part alone
+    grid = SpectralGrid(n, -1.0, 1.0)
+    rng = np.random.default_rng(n)
+    for size in (1, SYNTHESIS_WIDTH, SYNTHESIS_WIDTH + 1):
+        c = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        got = grid.coefficients_to_values(c)
+        assert got.dtype == c.dtype and got.flags.c_contiguous, size
+        assert got.real.tobytes() == grid.coefficients_to_values(c.real).tobytes(), size
+        assert got.imag.tobytes() == grid.coefficients_to_values(c.imag).tobytes(), size
 
 
 @pytest.mark.parametrize("n", [8, 9, 129, 1025])
