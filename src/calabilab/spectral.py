@@ -1,23 +1,33 @@
 """Spectral-calculus kernel on Chebyshev-Gauss-Lobatto grids.
 
-Values to coefficients and the Clenshaw-Curtis weights from the moments
-of T_k (Waldvogel, BIT 46, 2006) go through one FFT DCT-I, an unscaled
+Both transforms are cosine sums over the nodes (Trefethen, Approximation
+Theory and Approximation Practice, 2013, ch. 3), taken either as one
+product with a cosine table, T_k at the nodes, which depends on n alone
+and is shared by the grids of one n, or through one FFT DCT-I, an unscaled
 np.fft.irfft, which pads and evenly extends its input itself (Chebfun's
-vals2coeffs / coeffs2vals), in O(N log N).  Coefficients to values has two
-routes.  A series of L <= W = SYNTHESIS_WIDTH coefficients, as the short
-chopped series of a solve or an EL report nearly all are, is one product
-with a cosine table, T_k at the nodes for k < W, which depends on n alone
-and is shared by the grids of one n.  A longer series, folded first if it
-has more than n coefficients, goes through the DCT-I, whose cost does not
-depend on L.  Per call (minimum over repeats, one BLAS thread) the product
-is the cheaper below L = 112-128 at N = 513 and 1025, and up to L = 128 at
-smaller N; W = 64 keeps it at 0.6 of the FFT's cost or less at every N,
-for a table of 8 n W bytes (0.5 MB at N = 1025).  The grid's tables
-replace every copy around it: no node is reversed and no buffer padded.
-values_to_coefficients divides by one per-grid divisor, (-1)^k (n - 1)
-doubled at both ends; the FFT route of coefficients_to_values scales by
-one per-grid factor, (-1)^k halved inside the ends.  Either route returns
-a new contiguous array, so sums over it run in numpy's pairwise order.  The
+vals2coeffs / coeffs2vals), in O(N log N).  Up to n = DENSE_NODES the
+table is complete, k < n, and both transforms are one product with it (a
+series of more than n coefficients folded first), so such a grid calls no
+FFT once built.  Above, values to coefficients goes
+through the DCT-I, and coefficients to values has two routes.  A series of
+L <= W = SYNTHESIS_WIDTH coefficients, as the short chopped series of a
+solve or an EL report nearly all are, is one product with the table's W
+rows.  A longer series, folded first if it has more than n coefficients,
+goes through the DCT-I, whose cost does not depend on L.  Per call
+(minimum over repeats, one BLAS thread) the product is the cheaper below
+L = 112-128 at N = 513 and 1025, and up to L = 128 at N = 257; W = 64
+keeps it at 0.6 of the FFT's cost or less at every N, for a table of
+8 n W bytes (0.5 MB at N = 1025).  The Clenshaw-Curtis weights, from the
+moments of T_k (Waldvogel, BIT 46, 2006), take the DCT-I at every n.  The
+grid's tables replace every copy around it: no node is reversed and no
+buffer padded.
+values_to_coefficients weights the values by 2 inside the ends on the
+table route (the DCT-I does so itself) and divides the sum by one per-grid
+divisor, n - 1 doubled at both ends, times (-1)^k on the FFT route, where
+the table's sign is not folded in; the FFT route of coefficients_to_values
+scales by one per-grid factor, (-1)^k halved inside the ends.  Every route
+returns a new contiguous array, so sums over it run in numpy's pairwise
+order.  The
 grid also holds, n + 1 long (a profile built in coefficient space carries
 n + 1 coefficients), the recurrence weights k and 2 k and the endpoint
 slopes k^2 and (-1)^(k+1) k^2 of T_k, so the recurrences and the slopes
@@ -67,7 +77,15 @@ from .errors import ConfigError, DegenerateWeight, NonFiniteError
 CHOP_REL = 1e-14
 DEGENERATE_REL = 1e-12  # Gram determinant over g00 g11 at or below this: degenerate weight
 MIN_NODES = 8
-SYNTHESIS_WIDTH = 64  # longest series synthesised from the cosine table
+SYNTHESIS_WIDTH = 64  # longest series synthesised from the cosine table above DENSE_NODES
+DENSE_NODES = 129
+"""Largest grid whose cosine table is complete, all n rows, so that both
+transforms are one product with it and the grid calls no FFT once built.
+Per call (minimum over repeats, one BLAS thread) the dense values ->
+coefficients product takes 2.0 us against the FFT's 5.3 us at N = 65 and
+3.7 against 5.9 us at N = 129, but 10.1 against 7.4 us at N = 257 and 48
+against 10 us at N = 513: the crossover lies between 129 and 257.  The
+table is 8 n^2 bytes, 133 KB at N = 129."""
 
 
 def _cgl_nodes(n: int):
@@ -80,14 +98,27 @@ _SYNTHESIS_TABLES: dict = {}
 
 
 def _synthesis_table(n: int) -> np.ndarray:
-    """T_k(t_j) at the n ascending nodes for k < min(SYNTHESIS_WIDTH, n), one
-    row per k: T_k(t_j) = cos(pi k (m - j) / m) = (-1)^k cos(pi j k / m),
-    the angle reduced exactly mod 2 pi.  It depends on n alone, so the grids
-    of one n share it (and their freezing covers it)."""
+    """T_k(t_j) at the n ascending nodes, one row per k: T_k(t_j) =
+    cos(pi a / m), a = k (m - j) mod 2m, gathered from the n values
+    cos(pi a / m), a = 0..m, as cos(pi (2m - a) / m) = cos(pi a / m).  Each
+    value has its angle reduced exactly, on the integers, to a quarter
+    wave: cos(pi a / m) = -cos(pi (m - a) / m), and past pi / 4 a cosine is
+    the sine of the complement.  So every entry is within 0.61 eps of
+    T_k(t_j) (n up to 2049), where the cosine of pi a / m itself is up to
+    4.8 eps off, which made the Futaki integral on cp1, zero in exact
+    arithmetic, 7 times larger.  Complete,
+    k < n, up to n = DENSE_NODES, and k < SYNTHESIS_WIDTH above.  It
+    depends on n alone, so the grids of one n share it (and their freezing
+    covers it)."""
     if n not in _SYNTHESIS_TABLES:
         m = n - 1
-        k = np.arange(min(SYNTHESIS_WIDTH, n))
-        _SYNTHESIS_TABLES[n] = np.cos(np.pi * (np.outer(k, m - np.arange(n)) % (2 * m)) / m)
+        a = np.arange(n)
+        b = 2 * np.minimum(a, m - a)  # cos(pi a / m) = +-cos(pi b / (2 m)), b <= m
+        cosines = np.where(2 * a > m, -1.0, 1.0) * np.where(
+            2 * b > m, np.sin(np.pi * (m - b) / (2 * m)), np.cos(np.pi * b / (2 * m)))
+        k = np.arange(n if n <= DENSE_NODES else SYNTHESIS_WIDTH)
+        angle = np.outer(k, m - a) % (2 * m)
+        _SYNTHESIS_TABLES[n] = cosines[np.minimum(angle, 2 * m - angle)]
     return _SYNTHESIS_TABLES[n]
 
 
@@ -169,17 +200,25 @@ class SpectralGrid:
         # x[0] is lo exactly, as t[0] = -1; lo + (hi - lo) may miss hi
         self.x[-1] = self.hi
         self.quad_weights = _clenshaw_curtis(n) * (self.span / 2.0)
-        # The DCT-I runs over the nodes in descending t, where T_k(t_j) =
-        # cos(pi j k / m); over the ascending nodes it carries (-1)^k, which
-        # these tables fold in.  values_to_coefficients divides by
-        # (-1)^k (n - 1), doubled at both ends, so c_0 and c_m are halved
-        # exactly.
+        # values_to_coefficients divides by n - 1, doubled at both ends, so
+        # c_0 and c_m are halved exactly.  The complete cosine table carries
+        # the sign (-1)^k of the ascending nodes itself, and its route
+        # weights the values by 2 inside the ends and 1 at them, as the DCT-I
+        # does.  The DCT-I runs over the nodes in descending t, where
+        # T_k(t_j) = cos(pi j k / m), so the FFT routes fold (-1)^k into
+        # their tables.
+        self._c2v_table = _synthesis_table(n)
         sign = np.where(np.arange(n + 1) % 2, -1.0, 1.0)  # (-1)^k, k = 0..n
-        self._v2c_divisor = sign[:n] * (n - 1)
+        self._v2c_divisor = np.full(n, n - 1.0)
         self._v2c_divisor[[0, -1]] *= 2.0
-        # coefficients_to_values scales c_k by (-1)^k, halved inside
-        self._c2v_factor = 0.5 * sign[:n]
-        self._c2v_factor[[0, -1]] *= 2.0
+        if self._c2v_table.shape[0] == n:
+            self._v2c_weights = np.full(n, 2.0)
+            self._v2c_weights[[0, -1]] = 1.0
+        else:
+            self._v2c_divisor *= sign[:n]
+            # coefficients_to_values scales c_k by (-1)^k, halved inside
+            self._c2v_factor = 0.5 * sign[:n]
+            self._c2v_factor[[0, -1]] *= 2.0
         # The recurrence weights k and 2 k, and T_k'(1) = k^2 and T_k'(-1) =
         # (-1)^(k+1) k^2, n + 1 long: a profile built in coefficient space
         # can carry n + 1 coefficients
@@ -187,29 +226,50 @@ class SpectralGrid:
         self._twice_degrees = 2.0 * self._degrees
         self._slope_hi = self._degrees ** 2
         self._slope_lo = -sign * self._slope_hi
-        self._c2v_table = _synthesis_table(n)
         for table in vars(self).values():
             if isinstance(table, np.ndarray):
                 table.setflags(write=False)
 
     # -- coefficient transforms ------------------------------------------
     def values_to_coefficients(self, values: np.ndarray) -> np.ndarray:
-        """Chebyshev coefficients (in t) of the interpolant of the values."""
-        return _dct1(np.asarray(values), self.n) / self._v2c_divisor
+        """Chebyshev coefficients (in t) of the interpolant of the values,
+        c_k = (2 / m) sum'' v_j T_k(t_j), c_0 and c_m halved.  Up to n =
+        DENSE_NODES, one product with the grid's complete cosine table,
+        (T @ (w v)) / d, complex v one part at a time; above, the FFT DCT-I
+        divided by d.  Either route weights before the sum and divides after
+        it, so values near the float limit overflow into the coefficients,
+        which the chop then refuses, rather than into their synthesis."""
+        v = np.asarray(values)
+        table = self._c2v_table
+        if table.shape[0] < self.n:
+            return _dct1(v, self.n) / self._v2c_divisor
+        if v.dtype.kind != "c":
+            return (table @ (v * self._v2c_weights)) / self._v2c_divisor
+        c = np.empty(self.n, dtype=v.dtype)
+        c.real = self.values_to_coefficients(v.real)
+        c.imag = self.values_to_coefficients(v.imag)
+        return c
 
     def coefficients_to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Values at the nodes of sum_k c_k T_k(t), a contiguous array (sums
-        over it run in numpy's pairwise order).  A series of L <= min(W, n)
-        coefficients, W = SYNTHESIS_WIDTH, is one product with the grid's
-        cosine table, c @ T[:L], complex c one part at a time, so no complex
-        copy of the table is made.  A longer one goes through the FFT DCT-I,
-        whose cost does not depend on L.  W = 64 is below the measured
-        per-call crossover at every N (L = 112-128 at N = 1025); closer to
-        it the saving shrinks while the table grows by 8 n bytes a degree.
-        Coefficients beyond the grid's degree m = n - 1 are folded onto it:
-        at the nodes T_k equals T_j with j = k mod 2m reflected into [0, m]."""
+        over it run in numpy's pairwise order).  Coefficients beyond the
+        grid's degree m = n - 1 are first folded onto it: at the nodes T_k
+        equals T_j with j = k mod 2m reflected into [0, m].  A series of at
+        most as many coefficients as the grid's cosine table has rows, n up
+        to n = DENSE_NODES and W = SYNTHESIS_WIDTH above, is then one
+        product with it, c @ T[:L], complex c one part at a time, so no
+        complex copy of the table is made.  A longer one goes through the
+        FFT DCT-I, whose cost does not depend on L.  W = 64 is below the
+        measured per-call crossover at every N (L = 112-128 at N = 1025);
+        closer to it the saving shrinks while the table grows by 8 n bytes
+        a degree."""
         c = np.asarray(coeffs)
         n, m = self.n, self.n - 1
+        if c.size > n:
+            k = np.arange(c.size) % (2 * m)
+            g = np.zeros(n, dtype=np.result_type(c, float))
+            np.add.at(g, np.minimum(k, 2 * m - k), c)
+            c = g
         table = self._c2v_table
         if c.size <= table.shape[0]:
             if c.dtype.kind != "c":
@@ -218,11 +278,6 @@ class SpectralGrid:
             v.real = c.real @ table[: c.size]
             v.imag = c.imag @ table[: c.size]
             return v
-        if c.size > n:
-            k = np.arange(c.size) % (2 * m)
-            g = np.zeros(n, dtype=np.result_type(c, float))
-            np.add.at(g, np.minimum(k, 2 * m - k), c)
-            c = g
         return _dct1(c * self._c2v_factor[: c.size], n)
 
     # -- calculus ---------------------------------------------------------

@@ -29,9 +29,9 @@ SOLVER = SRC / "solver.py"
 # scalar curvature and (alpha, beta) are found by one Newton loop, with no
 # inner solve
 ITER_SUFFIX = "_ITER"
-# every Chebyshev transform is one DCT-I, spectral._dct1, so numpy's FFT is
-# reached only there (the README's "one FFT DCT-I for every Chebyshev
-# transform")
+# every Chebyshev transform that is not a product with the cosine table is
+# one DCT-I, spectral._dct1, so numpy's FFT is reached only there (the
+# README's "one FFT DCT-I")
 FFT = "fft"
 NUMPY = {"np", "numpy"}
 DCT1 = "_dct1"

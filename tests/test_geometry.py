@@ -196,8 +196,10 @@ def test_every_shared_array_is_read_only(geometries):
     # theta_coeffs included, which a solved profile keeps (from_curvature)
     # and chop_coefficients otherwise slices from its transform, not a copy;
     # and each grid's recurrence weights and each geometry's Newton rows,
-    # which every solve reads; and the cosine synthesis table, which depends
-    # on n alone, so the cp1 and cpm:m grids of one n read one table
+    # which every solve reads; and the cosine table, which depends on n
+    # alone, so the cp1 and cpm:m grids of one n read one table, complete at
+    # the default N, with the weights and divisor of the values to
+    # coefficients product around it
     arrays = {}
     calabi, one = parse_function("scaled:0.5:pow:2"), parse_function("const:1")
     grids = {id(geom.grid): geom.grid for geom in geometries.values()}
@@ -205,7 +207,8 @@ def test_every_shared_array_is_read_only(geometries):
     assert all(grid._c2v_table is geometries["cp1"].grid._c2v_table for grid in grids.values())
     for spec, geom in geometries.items():
         tables = {name: v for name, v in vars(geom.grid).items() if isinstance(v, np.ndarray)}
-        assert {"t", "x", "quad_weights", "_degrees", "_twice_degrees", "_c2v_table"} <= set(tables), spec
+        assert {"t", "x", "quad_weights", "_degrees", "_twice_degrees", "_c2v_table",
+                "_v2c_weights", "_v2c_divisor"} <= set(tables), spec
         arrays.update({f"{spec} grid.{name}": v for name, v in tables.items()})
         phi = normalize_potential(geom)
         path = DeformationPath(SampledFunction(geom.grid, geom.grid.x ** 3))

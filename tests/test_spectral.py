@@ -8,6 +8,7 @@ from calabilab.errors import DegenerateWeight, NonFiniteError
 from calabilab.spectral import (
     CHOP_REL,
     DEGENERATE_REL,
+    DENSE_NODES,
     SYNTHESIS_WIDTH,
     PivotedLU2,
     SpectralGrid,
@@ -68,7 +69,7 @@ def test_grid_ends_are_lo_and_hi_exactly(n):
             SpectralGrid(n, lo, hi)
 
 
-@pytest.mark.parametrize("n", [8, 9, 33, 1025])
+@pytest.mark.parametrize("n", [8, 9, 33, 129, 1025])
 def test_transform_round_trip(n):
     grid = get_grid(n, -1.0, 1.0)
     rng = np.random.default_rng(n)
@@ -93,9 +94,15 @@ def test_coefficients_to_values_matches_chebval(n, extra):
 
 def _chebyshev_table(n, size):
     """T_k(t_j) at the n ascending nodes for k < size, as dense cosines:
-    T_k(t_j) = cos(pi k (m - j) / m), the angle reduced exactly mod 2 pi."""
+    T_k(t_j) = cos(pi a / m), a = k (m - j) mod 2m, the angle reduced
+    exactly to at most pi / 4, where a cosine past pi / 4 is the sine of
+    the complement."""
     m = n - 1
-    return np.cos(np.pi * (np.outer(m - np.arange(n), np.arange(size)) % (2 * m)) / m)
+    a = np.outer(m - np.arange(n), np.arange(size)) % (2 * m)
+    a = np.minimum(a, 2 * m - a)
+    sign = np.where(2 * a > m, -1.0, 1.0)
+    b = 2 * np.minimum(a, m - a)
+    return sign * np.where(2 * b > m, np.sin(np.pi * (m - b) / (2 * m)), np.cos(np.pi * b / (2 * m)))
 
 
 def _draw(rng, size, complex_):
@@ -103,7 +110,12 @@ def _draw(rng, size, complex_):
     return real + 1j * rng.standard_normal(size) if complex_ else real
 
 
-@pytest.mark.parametrize("n", [8, 9, 129, 1025])
+def _table_width(n):
+    # the cosine table is complete up to DENSE_NODES, SYNTHESIS_WIDTH rows above
+    return n if n <= DENSE_NODES else SYNTHESIS_WIDTH
+
+
+@pytest.mark.parametrize("n", [8, 9, 65, 129, 257, 1025])
 @pytest.mark.parametrize("complex_", [False, True])
 def test_values_to_coefficients_matches_dense_cosine_sums(n, complex_):
     # c_k = (2 / m) sum'' v_j T_k(t_j), the end terms of the sum and c_0, c_m halved
@@ -113,16 +125,43 @@ def test_values_to_coefficients_matches_dense_cosine_sums(n, complex_):
     weights[[0, -1]] *= 0.5
     expect = (_chebyshev_table(n, n).T * weights) @ v
     expect[[0, -1]] *= 0.5
-    # an FFT of length 2m is accurate to a few roundoffs of the data's scale
+    # either route, the product with the complete cosine table up to
+    # DENSE_NODES or an FFT of length 2m above, is accurate to a few
+    # roundoffs of the data's scale
     assert np.abs(grid.values_to_coefficients(v) - expect).max() <= 8 * EPS * np.abs(v).max()
+
+
+@pytest.mark.parametrize("n", [8, 9, 65, 129, 257, 1025])
+def test_values_to_coefficients_takes_the_table_up_to_dense_nodes_and_the_fft_above(n):
+    # up to DENSE_NODES the coefficients are one product with the complete
+    # table, the values weighted before it and divided after it; above, the
+    # DCT-I divided by the signed divisor.  Complex values take the table
+    # one part at a time, so each part is the transform of that part alone
+    grid = SpectralGrid(n, -1.0, 1.0)
+    rng = np.random.default_rng(n)
+    v = rng.standard_normal(n)
+    got = grid.values_to_coefficients(v)
+    assert got.shape == (n,) and got.flags.c_contiguous
+    if n <= DENSE_NODES:
+        assert grid._c2v_table.shape == (n, n)
+        expect = (grid._c2v_table @ (v * grid._v2c_weights)) / grid._v2c_divisor
+        assert got.tobytes() == expect.tobytes()
+        im = rng.standard_normal(n)
+        c = grid.values_to_coefficients(v + 1j * im)
+        assert c.dtype == complex and c.flags.c_contiguous
+        assert c.real.tobytes() == got.tobytes()
+        assert c.imag.tobytes() == grid.values_to_coefficients(im).tobytes()
+    else:
+        assert got.tobytes() == (_dct1(v, n) / grid._v2c_divisor).tobytes()
 
 
 @pytest.mark.parametrize("n", [8, 9, 129, 1025])
 @pytest.mark.parametrize("complex_", [False, True])
 def test_coefficients_to_values_matches_dense_cosine_sums(n, complex_):
     # n + 1 coefficients take the fold path: T_n equals T_(n-2) at the nodes;
-    # on grids wider than the cosine table, SYNTHESIS_WIDTH coefficients are
-    # the longest series it takes and one more the shortest the FFT does
+    # on grids above DENSE_NODES, SYNTHESIS_WIDTH coefficients are the
+    # longest series the cosine table takes and one more the shortest the
+    # FFT does
     grid = SpectralGrid(n, -1.0, 1.0)
     rng = np.random.default_rng(10 * n + complex_)
     boundary = (SYNTHESIS_WIDTH, SYNTHESIS_WIDTH + 1) if n > SYNTHESIS_WIDTH else ()
@@ -135,18 +174,28 @@ def test_coefficients_to_values_matches_dense_cosine_sums(n, complex_):
 
 @pytest.mark.parametrize("n", [8, 9, 129, 1025])
 def test_synthesis_table_is_the_dense_cosine_table_bit_for_bit(n):
-    # one row per degree below min(SYNTHESIS_WIDTH, n)
-    expect = _chebyshev_table(n, min(SYNTHESIS_WIDTH, n))
-    assert SpectralGrid(n, 0.0, 3.0)._c2v_table.T.tobytes() == expect.tobytes()
+    # one row per degree: all n up to DENSE_NODES, SYNTHESIS_WIDTH above;
+    # every entry within one eps of the cosine in extended precision, where
+    # the platform's long double is wider than a double
+    expect = _chebyshev_table(n, _table_width(n))
+    table = SpectralGrid(n, 0.0, 3.0)._c2v_table
+    assert table.T.tobytes() == expect.tobytes()
+    if np.finfo(np.longdouble).eps >= EPS:
+        return
+    m = n - 1
+    angle = (np.outer(np.arange(table.shape[0]), m - np.arange(n)) % (2 * m)).astype(np.longdouble)
+    exact = np.cos(np.arccos(np.longdouble(-1.0)) * angle / m)
+    assert np.abs(table - exact).max() <= EPS
 
 
 @pytest.mark.parametrize("n", [8, 9, 129, 1025])
 def test_short_series_take_the_table_and_longer_ones_the_fft(n):
-    # up to min(SYNTHESIS_WIDTH, n) coefficients the values are one product
-    # with the table; above that, the scaled DCT-I of the (folded) series
+    # up to the table's width, n up to DENSE_NODES and SYNTHESIS_WIDTH above,
+    # the values are one product with the table; above that, the scaled
+    # DCT-I of the (folded) series
     grid = SpectralGrid(n, -1.0, 1.0)
     rng = np.random.default_rng(n)
-    width = min(SYNTHESIS_WIDTH, n)
+    width = _table_width(n)
     for size in (1, width):
         c = rng.standard_normal(size)
         assert grid.coefficients_to_values(c).tobytes() == (c @ grid._c2v_table[:size]).tobytes(), size
@@ -154,6 +203,19 @@ def test_short_series_take_the_table_and_longer_ones_the_fft(n):
         c = rng.standard_normal(width + 1)
         expect = _dct1(c * grid._c2v_factor[: c.size], n)
         assert grid.coefficients_to_values(c).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 9, 65, 129])
+def test_grids_up_to_dense_nodes_call_no_fft_once_built(n, monkeypatch):
+    # both transforms, real or complex, and the fold of a series longer than
+    # the grid are products with the complete cosine table
+    grid = SpectralGrid(n, -1.0, 1.0)
+    monkeypatch.setattr(np.fft, "irfft", None)
+    rng = np.random.default_rng(n)
+    for complex_ in (False, True):
+        grid.values_to_coefficients(_draw(rng, n, complex_))
+        for size in (1, n, n + 1, n + 300):
+            grid.coefficients_to_values(_draw(rng, size, complex_))
 
 
 @pytest.mark.parametrize("n", [8, 9, 129, 1025])
@@ -605,6 +667,22 @@ def test_chop_coefficients_refuses_a_non_finite_series(bad, where):
     c = np.array([1.0, 0.5, 1e-20, 0.25, 0.0], dtype=complex if isinstance(bad, complex) else float)
     c[where] = bad
     with pytest.raises(NonFiniteError):
+        chop_coefficients(c)
+
+
+@pytest.mark.parametrize("n", [129, 257])
+def test_values_that_overflow_the_transform_are_non_finite_coefficients(n):
+    # every value is finite, but 1.7e308 at ten interior nodes overflows
+    # the weighted sum on either route, table or FFT, so the coefficients
+    # are refused by name; weights and divisor folded into one analysis
+    # matrix would keep them finite and defer the failure to whatever
+    # synthesises them
+    grid = SpectralGrid(n, -1.0, 1.0)
+    v = 1.0 - grid.t ** 2
+    v[11:21] = 1.7e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = grid.values_to_coefficients(v)
+    with pytest.raises(NonFiniteError, match="^non-finite Chebyshev coefficients$"):
         chop_coefficients(c)
 
 
