@@ -190,9 +190,14 @@ class MetricProfile:
         """Pointwise scalar curvature of an admissible profile in Chebyshev
         coefficient space.  Theta = slope_lo y - y^2 M gives Theta'' =
         -E_1 E_2 M and s = E_(k+1) E_(k+2) M; the factors common to both
-        pairs cancel, so cp1 (k = 0) reads s = -Theta''."""
+        pairs cancel, so cp1 (k = 0) reads s = -Theta'', taken at the nodes
+        by the grid's second_derivative_values (one product with its table
+        of T_k'' for a series no longer than the table).  CP^m applies the
+        Euler operators to the coefficients of Theta'' and synthesises."""
         require_admissible(self)
         grid, k = self.geometry.grid, self.geometry.k
+        if k == 0:
+            return SampledFunction(grid, -grid.second_derivative_values(self.theta_coeffs))
         c = grid.derivative_coefficients(self.theta_coeffs, 2) * -((2.0 / grid.span) ** 2)
         for a in {1, 2} - {k + 1, k + 2}:
             c = solve_euler(c, a)

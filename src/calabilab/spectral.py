@@ -8,44 +8,40 @@ np.fft.irfft, which pads and evenly extends its input itself (Chebfun's
 vals2coeffs / coeffs2vals), in O(N log N).  Up to n = DENSE_NODES the
 table is complete, k < n, and both transforms are one product with it (a
 series of more than n coefficients folded first), so such a grid calls no
-FFT once built.  Above, values to coefficients goes
-through the DCT-I, and coefficients to values has two routes.  A series of
-L <= W = SYNTHESIS_WIDTH coefficients, as the short chopped series of a
-solve or an EL report nearly all are, is one product with the table's W
-rows.  A longer series, folded first if it has more than n coefficients,
-goes through the DCT-I, whose cost does not depend on L.  Per call
-(minimum over repeats, one BLAS thread) the product is the cheaper below
-L = 112-128 at N = 513 and 1025, and up to L = 128 at N = 257; W = 64
-keeps it at 0.6 of the FFT's cost or less at every N, for a table of
-8 n W bytes (0.5 MB at N = 1025).  The Clenshaw-Curtis weights, from the
-moments of T_k (Waldvogel, BIT 46, 2006), take the DCT-I at every n.  The
-grid's tables replace every copy around it: no node is reversed and no
-buffer padded.
-values_to_coefficients weights the values by 2 inside the ends on the
-table route (the DCT-I does so itself) and divides the sum by one per-grid
-divisor, n - 1 doubled at both ends, times (-1)^k on the FFT route, where
-the table's sign is not folded in; the FFT route of coefficients_to_values
-scales by one per-grid factor, (-1)^k halved inside the ends.  Every route
-returns a new contiguous array, so sums over it run in numpy's pairwise
-order.  The
-grid also holds, n + 1 long (a profile built in coefficient space carries
-n + 1 coefficients), the recurrence weights k and 2 k and the endpoint
-slopes k^2 and (-1)^(k+1) k^2 of T_k, so the recurrences and the slopes
-build no index array.  Calculus and the endpoint slopes run in
-coefficient space with trailing-coefficient chopping, the accurate route
-for repeated differentiation.  Derivative and antiderivative coefficients
-are O(L) array recurrences on the L kept coefficients (Mason & Handscomb,
-Chebyshev Polynomials, 2003): one routine, the grid's
-derivative_coefficients, differentiates for this module and for geometry.
-It and the grid's euler_coefficients sum the doubled terms 2 k c_k
-straight into place and halve the one entry not doubled, once, which is
-exact.  The chop keeps .nonzero() (a reversed argmax measured slower),
-chops each part of complex data on its own and refuses a NaN or infinite
-coefficient.  The scale-free Euler operator E_a = y d/dy + a, y = x - lo,
-and its inverse (SpectralGrid.euler_coefficients, solve_euler) carry every
-weight y^k: nothing divides by x - lo.  Differentiation has this one
-route: the explicit operator of the discrete quadratic form is built from
-it, column by column.
+FFT once built.  Above, values to coefficients goes through the DCT-I; a
+series of L <= W = SYNTHESIS_WIDTH coefficients, as the short chopped
+series of a solve or an EL report nearly all are, is synthesised as one
+product with the table's W rows, and a longer one, folded first if it has
+more than n coefficients, through the DCT-I, whose cost does not depend on
+L.  Per call (minimum over repeats, one BLAS thread) the product is the
+cheaper below L = 112-128 at N = 513 and 1025, and up to L = 128 at
+N = 257; W = 64 keeps it at 0.6 of the FFT's cost or less at every N, for
+a table of 8 n W bytes (0.5 MB at N = 1025).  The Clenshaw-Curtis weights,
+from the moments of T_k (Waldvogel, BIT 46, 2006), take the DCT-I at every
+n.  The grid's tables replace every copy around it: no node is reversed,
+no buffer padded; values_to_coefficients weights the values by 2 inside
+the ends on the table route, as the DCT-I does itself, and divides by one
+per-grid divisor.  Every route returns a new contiguous array, so sums over
+it run in numpy's pairwise order.
+Second derivatives at the nodes, of which s on cp1, the quadratic form and
+the first variation are built, take a second shared table, T_k'' at the
+nodes, with as many rows: a chopped series of at most that many
+coefficients is one product with it, a longer one goes through the
+recurrence and a synthesis.  All other calculus and the endpoint slopes run
+in coefficient space on the chopped coefficients, the accurate route for
+repeated differentiation: derivative and antiderivative coefficients are
+O(L) array recurrences (Mason & Handscomb, Chebyshev Polynomials, 2003),
+and one routine, the grid's derivative_coefficients, differentiates for
+this module and for geometry.  It and the grid's euler_coefficients sum
+the doubled terms 2 k c_k straight into place and halve the one entry not
+doubled, once, which is exact; their weights k and 2 k and the endpoint
+slopes k^2 and (-1)^(k+1) k^2 are grid tables, n + 1 long (a profile built
+in coefficient space carries n + 1 coefficients).  The chop keeps
+.nonzero() (a reversed argmax measured slower), chops each part of complex
+data on its own and refuses a NaN or infinite coefficient.  The
+scale-free Euler operator E_a = y d/dy + a, y = x - lo, and its inverse
+(SpectralGrid.euler_coefficients, solve_euler) carry every weight y^k:
+nothing divides by x - lo.
 AffineProjector is the one weighted affine projection; it and the solver's
 Newton step solve their 2x2 systems by PivotedLU2, partial-pivot
 elimination on Python floats, as a LAPACK call costs several times the
@@ -57,14 +53,13 @@ the Python-level wrappers around them, and copies nothing it only reads.
 Derived fields are cached by cached_field, without the lock that Python
 3.11's functools.cached_property takes on each first read.
 Shared arrays are read-only, by this module alone: SpectralGrid freezes
-its tables (the shared cosine table among them), SampledFunction the
-array it is handed and cached_field each ndarray it caches or is preset
-with.  A grid serves every geometry on its interval, and a profile reads
-its cached coefficients, admissibility and s from its Theta once, so a
-write would leave them stale: it raises ValueError.  Nothing is copied; a
-caller gives up what it hands over.
+its tables (the shared tables among them), SampledFunction the array it is
+handed and cached_field each ndarray it caches or is preset with.  A grid
+serves every geometry on its interval, and a profile reads its cached
+coefficients, admissibility and s from its Theta once, so a write would
+leave them stale: it raises ValueError.  Nothing is copied; a caller gives
+up what it hands over.
 """
-
 from __future__ import annotations
 
 import math
@@ -77,7 +72,7 @@ from .errors import ConfigError, DegenerateWeight, NonFiniteError
 CHOP_REL = 1e-14
 DEGENERATE_REL = 1e-12  # Gram determinant over g00 g11 at or below this: degenerate weight
 MIN_NODES = 8
-SYNTHESIS_WIDTH = 64  # longest series synthesised from the cosine table above DENSE_NODES
+SYNTHESIS_WIDTH = 64  # rows of the cosine and T_k'' tables above DENSE_NODES
 DENSE_NODES = 129
 """Largest grid whose cosine table is complete, all n rows, so that both
 transforms are one product with it and the grid calls no FFT once built.
@@ -85,7 +80,8 @@ Per call (minimum over repeats, one BLAS thread) the dense values ->
 coefficients product takes 2.0 us against the FFT's 5.3 us at N = 65 and
 3.7 against 5.9 us at N = 129, but 10.1 against 7.4 us at N = 257 and 48
 against 10 us at N = 513: the crossover lies between 129 and 257.  The
-table is 8 n^2 bytes, 133 KB at N = 129."""
+cosine table and the table of T_k'' are 8 n^2 bytes each, 266 KB together
+at N = 129."""
 
 
 def _cgl_nodes(n: int):
@@ -94,32 +90,54 @@ def _cgl_nodes(n: int):
     return -np.cos(np.pi * k / (n - 1))
 
 
-_SYNTHESIS_TABLES: dict = {}
+def _cosines(m: int, pi) -> np.ndarray:
+    """cos(pi a / m), a = 0..m, in the precision of pi, each angle reduced
+    exactly, on the integers, to a quarter wave: cos(pi a / m) =
+    -cos(pi (m - a) / m), and past pi / 4 a cosine is the sine of the
+    complement."""
+    a = np.arange(m + 1)
+    b = 2 * np.minimum(a, m - a)  # cos(pi a / m) = +-cos(pi b / (2 m)), b <= m
+    return np.where(2 * a > m, -1.0, 1.0) * np.where(
+        2 * b > m, np.sin(pi * (m - b) / (2 * m)), np.cos(pi * b / (2 * m)))
 
 
-def _synthesis_table(n: int) -> np.ndarray:
-    """T_k(t_j) at the n ascending nodes, one row per k: T_k(t_j) =
-    cos(pi a / m), a = k (m - j) mod 2m, gathered from the n values
-    cos(pi a / m), a = 0..m, as cos(pi (2m - a) / m) = cos(pi a / m).  Each
-    value has its angle reduced exactly, on the integers, to a quarter
-    wave: cos(pi a / m) = -cos(pi (m - a) / m), and past pi / 4 a cosine is
-    the sine of the complement.  So every entry is within 0.61 eps of
-    T_k(t_j) (n up to 2049), where the cosine of pi a / m itself is up to
-    4.8 eps off, which made the Futaki integral on cp1, zero in exact
-    arithmetic, 7 times larger.  Complete,
-    k < n, up to n = DENSE_NODES, and k < SYNTHESIS_WIDTH above.  It
-    depends on n alone, so the grids of one n share it (and their freezing
-    covers it)."""
-    if n not in _SYNTHESIS_TABLES:
-        m = n - 1
-        a = np.arange(n)
-        b = 2 * np.minimum(a, m - a)  # cos(pi a / m) = +-cos(pi b / (2 m)), b <= m
-        cosines = np.where(2 * a > m, -1.0, 1.0) * np.where(
-            2 * b > m, np.sin(np.pi * (m - b) / (2 * m)), np.cos(np.pi * b / (2 * m)))
+_NODE_TABLES: dict = {}
+
+
+def _node_tables(n: int) -> tuple:
+    """(T, D): T_k(t_j) and T_k''(t_j) at the n ascending nodes, one row
+    per k, all n rows up to n = DENSE_NODES and SYNTHESIS_WIDTH above.
+    Both depend on n alone, so the grids of one n share them (and their
+    freezing covers them).  T_k(t_j) = cos(pi a / m), a = k (m - j) mod 2m,
+    is gathered from the n values of _cosines, so every entry is within
+    0.61 eps of T_k(t_j) (n up to 2049), where the cosine of pi a / m itself
+    is up to 4.8 eps off, which made the Futaki integral on cp1, zero in
+    exact arithmetic, 7 times larger.  D sums T_k'' = k sum' (k^2 - i^2) T_i
+    (i < k, k - i even, the T_0 term halved) as two running sums down each
+    parity strand, P_k = sum' T_i over i <= k and g_(k+2) = g_k + (4k + 4)
+    P_k, with T_k'' = k g_k, in long double from long double cosines, and
+    rounds once: every entry is within eps of the row's largest, (k^4 -
+    k^2) / 3 at t = 1, exactly so at the ends, where every term is an
+    integer.  Elementwise, so no BLAS thread starts.  It takes the columns
+    j <= m / 2 and the rest from T_k''(-t) = (-1)^k T_k''(t)."""
+    if n not in _NODE_TABLES:
+        m, h = n - 1, n // 2 + 1
         k = np.arange(n if n <= DENSE_NODES else SYNTHESIS_WIDTH)
-        angle = np.outer(k, m - a) % (2 * m)
-        _SYNTHESIS_TABLES[n] = cosines[np.minimum(angle, 2 * m - angle)]
-    return _SYNTHESIS_TABLES[n]
+        angle = np.outer(k, m - np.arange(n)) % (2 * m)
+        index = np.minimum(angle, 2 * m - angle)
+        p = _cosines(m, np.arccos(np.longdouble(-1.0)))[index[:, :h]]
+        p[0] *= 0.5
+        degree = k[:, None].astype(np.longdouble)
+        for strand in (p[0::2], p[1::2]):  # P_k
+            np.add.accumulate(strand, out=strand)
+        p *= 4.0 * degree + 4.0
+        for strand in (p[0::2], p[1::2]):  # g_(k+2)
+            np.add.accumulate(strand, out=strand)
+        second = np.zeros((k.size, n))
+        np.multiply(p[:-2], degree[2:], out=second[2:, :h], casting="same_kind")
+        second[:, h:] = second[:, m - h::-1] * np.where(k % 2, -1.0, 1.0)[:, None]
+        _NODE_TABLES[n] = _cosines(m, np.pi)[index], second
+    return _NODE_TABLES[n]
 
 
 def _dct1(v: np.ndarray, n: int) -> np.ndarray:
@@ -207,7 +225,8 @@ class SpectralGrid:
         # does.  The DCT-I runs over the nodes in descending t, where
         # T_k(t_j) = cos(pi j k / m), so the FFT routes fold (-1)^k into
         # their tables.
-        self._c2v_table = _synthesis_table(n)
+        self._c2v_table, self._d2_table = _node_tables(n)
+        self._d2_scale = (2.0 / self.span) ** 2  # d^2/dx^2 = (2 / span)^2 d^2/dt^2
         sign = np.where(np.arange(n + 1) % 2, -1.0, 1.0)  # (-1)^k, k = 0..n
         self._v2c_divisor = np.full(n, n - 1.0)
         self._v2c_divisor[[0, -1]] *= 2.0
@@ -317,8 +336,35 @@ class SpectralGrid:
         tail[0] *= 0.5
         return (self._degrees[:size] + a) * c + tail
 
+    def second_derivative_values(self, coeffs: np.ndarray) -> np.ndarray:
+        """Values at the nodes of the second x-derivative of sum_k c_k T_k(t),
+        from its chopped coefficients (real or complex), a new array.  A
+        series of at most as many coefficients as the grid's table of
+        T_k''(t_j) has rows, n up to n = DENSE_NODES and SYNTHESIS_WIDTH
+        above, is one product with it, (c @ D[:L]) (2 / span)^2, complex c
+        one part at a time; a longer one takes derivative_coefficients and
+        coefficients_to_values."""
+        c = np.asarray(coeffs)
+        table = self._d2_table
+        if c.size > table.shape[0]:
+            return self.coefficients_to_values(self.derivative_coefficients(c, 2) * self._d2_scale)
+        if c.dtype.kind == "c":
+            v = np.empty(self.n, dtype=c.dtype)
+            v.real = self.second_derivative_values(c.real)
+            v.imag = self.second_derivative_values(c.imag)
+            return v
+        v = c @ table[: c.size]
+        v *= self._d2_scale
+        return v
+
     def differentiate_values(self, values: np.ndarray, order: int = 1) -> np.ndarray:
+        """Values at the nodes of the order-th x-derivative of the
+        interpolant of the values: the chopped coefficients, differentiated
+        by second_derivative_values for order 2 and by
+        derivative_coefficients and coefficients_to_values otherwise."""
         c = chop_coefficients(self.values_to_coefficients(values))
+        if order == 2:
+            return self.second_derivative_values(c)
         dc = self.derivative_coefficients(c, order) * (2.0 / self.span) ** order
         return self.coefficients_to_values(dc)
 

@@ -196,18 +196,20 @@ def test_every_shared_array_is_read_only(geometries):
     # theta_coeffs included, which a solved profile keeps (from_curvature)
     # and chop_coefficients otherwise slices from its transform, not a copy;
     # and each grid's recurrence weights and each geometry's Newton rows,
-    # which every solve reads; and the cosine table, which depends on n
-    # alone, so the cp1 and cpm:m grids of one n read one table, complete at
-    # the default N, with the weights and divisor of the values to
-    # coefficients product around it
+    # which every solve reads; and the cosine table and the table of T_k''
+    # at the nodes, which depend on n alone, so the cp1 and cpm:m grids of
+    # one n read one object of each, complete at the default N, with the
+    # weights and divisor of the values to coefficients product around them
     arrays = {}
     calabi, one = parse_function("scaled:0.5:pow:2"), parse_function("const:1")
     grids = {id(geom.grid): geom.grid for geom in geometries.values()}
     assert len(grids) > 1 and len({grid.n for grid in grids.values()}) == 1
-    assert all(grid._c2v_table is geometries["cp1"].grid._c2v_table for grid in grids.values())
+    cp1_grid = geometries["cp1"].grid
+    assert all(grid._c2v_table is cp1_grid._c2v_table for grid in grids.values())
+    assert all(grid._d2_table is cp1_grid._d2_table for grid in grids.values())
     for spec, geom in geometries.items():
         tables = {name: v for name, v in vars(geom.grid).items() if isinstance(v, np.ndarray)}
-        assert {"t", "x", "quad_weights", "_degrees", "_twice_degrees", "_c2v_table",
+        assert {"t", "x", "quad_weights", "_degrees", "_twice_degrees", "_c2v_table", "_d2_table",
                 "_v2c_weights", "_v2c_divisor"} <= set(tables), spec
         arrays.update({f"{spec} grid.{name}": v for name, v in tables.items()})
         phi = normalize_potential(geom)

@@ -1,9 +1,11 @@
+import functools
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 
-from calabilab import AffineProjector, SampledFunction, get_grid
+from calabilab import AffineProjector, MetricProfile, SampledFunction, get_grid, make_cp1_geometry, round_profile
 from calabilab.errors import DegenerateWeight, NonFiniteError
 from calabilab.spectral import (
     CHOP_REL,
@@ -208,14 +210,120 @@ def test_short_series_take_the_table_and_longer_ones_the_fft(n):
 @pytest.mark.parametrize("n", [8, 9, 65, 129])
 def test_grids_up_to_dense_nodes_call_no_fft_once_built(n, monkeypatch):
     # both transforms, real or complex, and the fold of a series longer than
-    # the grid are products with the complete cosine table
+    # the grid are products with the complete cosine table; second
+    # derivatives, of values, of a series one longer than the grid and of
+    # cp1's Theta (its s), are products with the table of T_k'' or, for the
+    # longer series, the recurrence and the folded synthesis
     grid = SpectralGrid(n, -1.0, 1.0)
+    geom = make_cp1_geometry(n)
+    profile = MetricProfile(geom, round_profile(geom).theta)
     monkeypatch.setattr(np.fft, "irfft", None)
     rng = np.random.default_rng(n)
     for complex_ in (False, True):
         grid.values_to_coefficients(_draw(rng, n, complex_))
+        grid.differentiate_values(_draw(rng, n, complex_), 2)
+        grid.second_derivative_values(_draw(rng, n + 1, complex_))
         for size in (1, n, n + 1, n + 300):
             grid.coefficients_to_values(_draw(rng, size, complex_))
+    assert np.abs(profile.s.values - 2.0).max() < 1e-12  # the round cp1 metric: s = 2
+
+
+@functools.lru_cache(maxsize=None)
+def _second_derivative_reference(n):
+    """T_k''(t_j) at the n ascending nodes for k below the table's width, in
+    40-digit mpmath, as two doubles hi + lo: with t = cos(th), th = pi (m -
+    j) / m, T_k'' = k (sin(k th) cos(th) - k cos(k th) sin(th)) / sin(th)^3,
+    whose cancellation near the ends costs at most 5 digits, and (+-1)^k
+    (k^4 - k^2) / 3 at t = +-1; the columns past m / 2 from T_k''(-t) =
+    (-1)^k T_k''(t)."""
+    m, rows = n - 1, _table_width(n)
+    hi, lo = np.zeros((rows, n)), np.zeros((rows, n))
+    with mpmath.workdps(40):
+        cos = [mpmath.cospi(mpmath.mpf(a) / m) for a in range(2 * m)]
+        sin = [mpmath.sinpi(mpmath.mpf(a) / m) for a in range(2 * m)]
+        for j in range(n // 2 + 1):
+            b = m - j
+            for k in range(rows):
+                if j == 0:
+                    x = mpmath.mpf((-1) ** k * (k ** 4 - k ** 2)) / 3
+                else:
+                    a = k * b % (2 * m)
+                    x = k * (sin[a] * cos[b] - k * cos[a] * sin[b]) / sin[b] ** 3
+                hi[k, j] = float(x)
+                lo[k, j] = float(x - hi[k, j])
+    sign = np.where(np.arange(rows) % 2, -1.0, 1.0)[:, None]
+    for part in (hi, lo):
+        part[:, n // 2 + 1:] = sign * part[:, m - n // 2 - 1::-1]
+    return hi, lo
+
+
+@pytest.mark.parametrize("n", [8, 9, 65, 129, 257, 1025])
+def test_second_derivative_table_matches_the_closed_form(n):
+    # one row per degree, as many as the cosine table has; within eps of
+    # the row's largest entry, (k^4 - k^2) / 3, where the platform's long
+    # double is wider than a double (the table's running sums take it), 4
+    # eps otherwise; exact at the ends, where every term is an integer
+    table = SpectralGrid(n, 0.0, 3.0)._d2_table
+    hi, _ = _second_derivative_reference(n)
+    assert table.shape == (_table_width(n), n)
+    k = np.arange(table.shape[0])
+    ends = (k ** 4 - k ** 2) / 3.0
+    assert (table[:, -1] == ends).all() and (table[:, 0] == np.where(k % 2, -ends, ends)).all()
+    bound = (EPS if np.finfo(np.longdouble).eps < EPS else 4 * EPS) * np.maximum(ends, 1.0)
+    assert (np.abs(table - hi) <= bound[:, None]).all()
+
+
+@pytest.mark.parametrize("n", [8, 9, 129, 1025])
+def test_short_series_take_the_second_derivative_table_and_longer_ones_the_recurrence(n):
+    # up to the table's width, the values are one product with the table of
+    # T_k'', scaled by (2 / span)^2, complex series one part at a time; one
+    # coefficient more takes derivative_coefficients and the synthesis, as
+    # differentiate_values(v, 2) did before the table; differentiate_values
+    # hands the chopped coefficients over
+    grid = SpectralGrid(n, 0.0, 3.0)
+    scale = (2.0 / 3.0) ** 2
+    rng = np.random.default_rng(n)
+    width = _table_width(n)
+    for size in (1, 3, width):
+        c, im = rng.standard_normal(size), rng.standard_normal(size)
+        got = grid.second_derivative_values(c)
+        assert got.tobytes() == ((c @ grid._d2_table[:size]) * scale).tobytes(), size
+        z = grid.second_derivative_values(c + 1j * im)
+        assert z.dtype == complex and z.flags.c_contiguous, size
+        assert z.real.tobytes() == got.tobytes(), size
+        assert z.imag.tobytes() == grid.second_derivative_values(im).tobytes(), size
+    for c in (rng.standard_normal(width + 1), _draw(rng, width + 1, True)):
+        expect = grid.coefficients_to_values(grid.derivative_coefficients(c, 2) * scale)
+        assert grid.second_derivative_values(c).tobytes() == expect.tobytes()
+    v = rng.standard_normal(n)
+    expect = grid.second_derivative_values(chop_coefficients(grid.values_to_coefficients(v)))
+    assert grid.differentiate_values(v, 2).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n", [65, 129, 1025])
+def test_second_derivative_table_is_as_accurate_as_the_recurrence(n):
+    # over random series decaying to 1e-14 of their first coefficient, the
+    # product with the table of T_k'' errs no more, on average, than
+    # derivative_coefficients and the synthesis, each in units of eps times
+    # the largest exact value; the exact values are the 40-digit table's hi
+    # + lo times c, summed in long double, which has to be wider than a
+    # double to tell the two routes' errors apart
+    if np.finfo(np.longdouble).eps >= EPS:
+        pytest.skip("the reference sums in long double, here no wider than a double")
+    grid = SpectralGrid(n, -1.0, 1.0)
+    hi, lo = _second_derivative_reference(n)
+    rng = np.random.default_rng(n)
+    errors = []
+    for _ in range(300):
+        size = int(rng.integers(3, _table_width(n) + 1))
+        c = rng.standard_normal(size) * 10.0 ** (-14.0 * np.arange(size) / size)
+        exact = c.astype(np.longdouble) @ hi[:size].astype(np.longdouble) + c @ lo[:size]
+        unit = EPS * float(np.abs(exact).max())
+        old = grid.coefficients_to_values(grid.derivative_coefficients(c, 2))
+        errors.append([float(np.abs(route - exact).max()) / unit
+                       for route in (grid.second_derivative_values(c), old)])
+    table_mean, recurrence_mean = np.mean(errors, axis=0)
+    assert table_mean <= recurrence_mean
 
 
 @pytest.mark.parametrize("n", [8, 9, 129, 1025])
