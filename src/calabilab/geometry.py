@@ -14,7 +14,12 @@ volume form dmu = C_vol w dx, ProfileGeometry.measure: none multiplies by w.
 This module owns both directions of Theta <-> s, MetricProfile.s and its
 inverse MetricProfile.from_curvature, and the far-end map far_end_forms @ s
 + far_end_offset with its Jacobian rows; the solver owns the Newton loop
-alone.
+alone.  On a chopped series of at most DENSE_NODES + 1 coefficients each
+direction is one product with a table of spectral that depends on k alone,
+so the geometries of one k on every grid share it: s on CP^m with Q_k
+(curvature_table) and from_curvature on every geometry with B_k
+(profile_table); cp1's s = -Theta'' takes the grid's table of T_k'' at the
+nodes.  A longer series runs the Euler recurrences.
 """
 
 from __future__ import annotations
@@ -33,8 +38,11 @@ from .spectral import (
     SpectralGrid,
     cached_field,
     chop_coefficients,
+    curvature_table,
     get_grid,
+    profile_table,
     solve_euler,
+    times_t_plus_1,
 )
 
 DEFAULT_NODES = 129
@@ -141,11 +149,20 @@ class MetricProfile:
         A - w s from the left end, s given by its chopped coefficients.
         M = int_0^1 (1 - tau) tau^k s(x_lo + y tau) dtau maps y^n to
         y^n / ((n + k + 1)(n + k + 2)), so M = (E_(k+1) E_(k+2))^-1 s, with no
-        division.  Theta(x_lo) is pinned to 0; theta_coeffs is preset."""
+        division.  The coefficients of y^2 M, up to the factor (span / 2)^2,
+        are one product with spectral.profile_table(k), B_k, for a series no
+        longer than its columns; a longer one takes solve_euler twice and two
+        multiplications by t + 1.  Theta(x_lo) is pinned to 0; theta_coeffs
+        is preset."""
         grid, m = geometry.grid, s_coeffs
-        for a in (geometry.k + 1, geometry.k + 2):
-            m = solve_euler(m, a)
-        coeffs = chop_coefficients(_theta_coefficients(m, geometry.slope_lo, grid.span))
+        table = profile_table(geometry.k)
+        if m.size <= table.shape[1]:
+            theta = _theta_from_u2m(table[: m.size + 2, -m.size:] @ m[::-1].copy(), geometry.slope_lo, grid.span)
+        else:
+            for a in (geometry.k + 1, geometry.k + 2):
+                m = solve_euler(m, a)
+            theta = _theta_coefficients(m, geometry.slope_lo, grid.span)
+        coeffs = chop_coefficients(theta)
         theta = grid.coefficients_to_values(coeffs)
         theta[0] = 0.0
         profile = cls(geometry, SampledFunction(grid, theta))
@@ -192,17 +209,26 @@ class MetricProfile:
         -E_1 E_2 M and s = E_(k+1) E_(k+2) M; the factors common to both
         pairs cancel, so cp1 (k = 0) reads s = -Theta'', taken at the nodes
         by the grid's second_derivative_values (one product with its table
-        of T_k'' for a series no longer than the table).  CP^m applies the
-        Euler operators to the coefficients of Theta'' and synthesises."""
+        of T_k'' for a series no longer than the table).  CP^m takes the
+        coefficients of s as one product with spectral.curvature_table(k), Q_k =
+        E_(k+1) E_(k+2) (E_1 E_2)^-1 d^2/dt^2, scaled by -(2 / span)^2, for a
+        series no longer than its columns, and otherwise applies the Euler
+        operators to the coefficients of Theta''; either is synthesised."""
         require_admissible(self)
-        grid, k = self.geometry.grid, self.geometry.k
+        geom = self.geometry
+        grid, k, c = geom.grid, geom.k, self.theta_coeffs
         if k == 0:
-            return SampledFunction(grid, -grid.second_derivative_values(self.theta_coeffs))
-        c = grid.derivative_coefficients(self.theta_coeffs, 2) * -((2.0 / grid.span) ** 2)
-        for a in {1, 2} - {k + 1, k + 2}:
-            c = solve_euler(c, a)
-        for a in {k + 1, k + 2} - {1, 2}:
-            c = grid.euler_coefficients(c, a)
+            return SampledFunction(grid, -grid.second_derivative_values(c))
+        table = curvature_table(k)
+        if c.size <= table.shape[1]:
+            c = table[: max(c.size - 2, 1), -c.size:] @ c[::-1].copy()
+            c *= -((2.0 / grid.span) ** 2)
+        else:
+            c = grid.derivative_coefficients(c, 2) * -((2.0 / grid.span) ** 2)
+            for a in {1, 2} - {k + 1, k + 2}:
+                c = solve_euler(c, a)
+            for a in {k + 1, k + 2} - {1, 2}:
+                c = grid.euler_coefficients(c, a)
         return SampledFunction(grid, grid.coefficients_to_values(c))
 
     def weighted_derivative(self, g: np.ndarray, j: int) -> np.ndarray:
@@ -216,22 +242,15 @@ class MetricProfile:
         return grid.coefficients_to_values(c)
 
 
-def _times_t_plus_1(c: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of (t + 1) sum_n c_n T_n: t T_0 = T_1 and
-    t T_n = (T_(n+1) + T_(n-1)) / 2 for n >= 1."""
-    half = 0.5 * c
-    out = np.zeros(c.size + 1)
-    out[:-1] = c
-    out[1:] += half
-    out[:-2] += half[1:]
-    out[1] += half[0]
-    return out
-
-
 def _theta_coefficients(m: np.ndarray, slope_lo: float, span: float) -> np.ndarray:
     """Chebyshev coefficients of slope_lo y - y^2 M from those of M, with
     y = x - x_lo = span (t + 1) / 2: two passes of multiplication by t + 1."""
-    theta = _times_t_plus_1(_times_t_plus_1(m)) * -((span / 2.0) ** 2)
+    return _theta_from_u2m(times_t_plus_1(times_t_plus_1(m)), slope_lo, span)
+
+
+def _theta_from_u2m(u2m: np.ndarray, slope_lo: float, span: float) -> np.ndarray:
+    """Chebyshev coefficients of slope_lo y - y^2 M from those of (t + 1)^2 M."""
+    theta = u2m * -((span / 2.0) ** 2)
     theta[:2] += slope_lo * span / 2.0
     return theta
 

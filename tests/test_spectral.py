@@ -17,7 +17,10 @@ from calabilab.spectral import (
     _dct1,
     cached_field,
     chop_coefficients,
+    curvature_table,
+    profile_table,
     solve_euler,
+    times_t_plus_1,
 )
 
 C = np.polynomial.chebyshev
@@ -324,6 +327,162 @@ def test_second_derivative_table_is_as_accurate_as_the_recurrence(n):
                        for route in (grid.second_derivative_values(c), old)])
     table_mean, recurrence_mean = np.mean(errors, axis=0)
     assert table_mean <= recurrence_mean
+
+
+def _mp_derivative(c):
+    """d/dt of a Chebyshev series, a list of mpf: d_j = sum' 2 k c_k over k > j,
+    k - j odd, the j = 0 term halved (Mason & Handscomb, 2003)."""
+    d = [mpmath.mpf(0)] * (len(c) + 1)
+    for j in range(len(c) - 2, -1, -1):
+        d[j] = d[j + 2] + 2 * (j + 1) * c[j + 1]
+    d[0] /= 2
+    return d[: max(len(c) - 1, 1)]
+
+
+def _mp_euler(c, a):
+    """(y d/dy + a) c: (t + 1) T_n' = n T_n + 2 n sum'_(j < n) T_j."""
+    out, tail = [None] * len(c), mpmath.mpf(0)
+    for j in range(len(c) - 1, -1, -1):
+        out[j] = (j + a) * c[j] + (tail if j == 0 else 2 * tail)
+        tail += j * c[j]
+    return out
+
+
+def _mp_solve_euler(c, a):
+    """The inverse of _mp_euler, by back substitution."""
+    v, tail = [None] * len(c), mpmath.mpf(0)
+    for j in range(len(c) - 1, -1, -1):
+        v[j] = (c[j] - (tail if j == 0 else 2 * tail)) / (j + a)
+        tail += j * v[j]
+    return v
+
+
+def _mp_times_t_plus_1(c):
+    """(t + 1) c: t T_0 = T_1 and t T_n = (T_(n+1) + T_(n-1)) / 2."""
+    out = list(c) + [mpmath.mpf(0)]
+    for n, x in enumerate(c):
+        out[n + 1] += x / 2
+        out[abs(n - 1)] += x / 2
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _euler_table_reference(kind, k):
+    """The map of curvature_table (kind "Q": d^2/dt^2, then E_a^-1 for a in
+    {1, 2} - {k + 1, k + 2} and E_a for a in {k + 1, k + 2} - {1, 2}) or of
+    profile_table ("B": E_(k+1)^-1, E_(k+2)^-1, then (t + 1) twice), run as
+    recurrences in 40-digit mpmath on each T_n, n < DENSE_NODES + 1, as two
+    doubles hi + lo."""
+    width = DENSE_NODES + 1
+    rows = width - 2 if kind == "Q" else width + 2
+    hi, lo = np.zeros((rows, width)), np.zeros((rows, width))
+    with mpmath.workdps(40):
+        for n in range(width):
+            c = [mpmath.mpf(0)] * n + [mpmath.mpf(1)]
+            if kind == "Q":
+                c = _mp_derivative(_mp_derivative(c))
+                for a in sorted({1, 2} - {k + 1, k + 2}):
+                    c = _mp_solve_euler(c, a)
+                for a in sorted({k + 1, k + 2} - {1, 2}):
+                    c = _mp_euler(c, a)
+            else:
+                c = _mp_times_t_plus_1(_mp_times_t_plus_1(_mp_solve_euler(_mp_solve_euler(c, k + 1), k + 2)))
+            for j, x in enumerate(c[:rows]):
+                hi[j, n] = float(x)
+                lo[j, n] = float(x - hi[j, n])
+    return hi, lo
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_curvature_table_is_the_exact_integer_map(k):
+    # every entry of Q_k is an integer, the 40-digit recurrence's to the bit
+    table = curvature_table(k)[:, ::-1]
+    hi, lo = _euler_table_reference("Q", k)
+    assert table.shape == (DENSE_NODES - 1, DENSE_NODES + 1)
+    assert (lo == 0).all() and np.array_equal(table, hi)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_profile_table_matches_the_recurrence_in_40_digits(k):
+    # within eps of each column's largest entry where the platform's long
+    # double is wider than a double (the band and the first rows sum in
+    # it), 4 eps otherwise; zero wherever the map is, below the second
+    # subdiagonal
+    table = profile_table(k)[:, ::-1]
+    hi, _ = _euler_table_reference("B", k)
+    assert table.shape == (DENSE_NODES + 3, DENSE_NODES + 1)
+    assert not np.tril(table, -3).any()
+    bound = (EPS if np.finfo(np.longdouble).eps < EPS else 4 * EPS) * np.abs(hi).max(axis=0)
+    assert (np.abs(table - hi) <= bound).all()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_euler_tables_are_as_accurate_as_the_recurrences(k):
+    # over random series decaying to 1e-14 of their first coefficient, the
+    # product of each table's last L columns (descending degree) with the
+    # reversed series errs no more, on average, than the recurrences it
+    # replaces (derivative_coefficients and the Euler
+    # operators for s on CP^m, solve_euler and times_t_plus_1 for
+    # from_curvature), in units of eps times the largest exact coefficient;
+    # the exact ones are the 40-digit table's hi + lo times c, summed in long
+    # double, which has to be wider than a double to tell the routes apart
+    if np.finfo(np.longdouble).eps >= EPS:
+        pytest.skip("the reference sums in long double, here no wider than a double")
+
+    def curvature_recurrence(c):
+        c = derivative_coefficients(c, 2)
+        for a in {1, 2} - {k + 1, k + 2}:
+            c = solve_euler(c, a)
+        for a in {k + 1, k + 2} - {1, 2}:
+            c = euler_coefficients(c, a)
+        return c
+
+    def profile_recurrence(c):
+        return times_t_plus_1(times_t_plus_1(solve_euler(solve_euler(c, k + 1), k + 2)))
+
+    routes = [("B", profile_table(k), 2, profile_recurrence)]
+    if k:
+        routes.append(("Q", curvature_table(k), -2, curvature_recurrence))
+    rng = np.random.default_rng(k)
+    for kind, table, extra, recurrence in routes:
+        hi, lo = _euler_table_reference(kind, k)
+        errors = []
+        for _ in range(200):
+            size = int(rng.integers(3, DENSE_NODES + 2))
+            c = rng.standard_normal(size) * 10.0 ** (-14.0 * np.arange(size) / size)
+            rows = size + extra
+            exact = hi[:rows, :size].astype(np.longdouble) @ c.astype(np.longdouble) + lo[:rows, :size] @ c
+            unit = EPS * float(np.abs(exact).max())
+            errors.append([float(np.abs(route - exact).max()) / unit
+                           for route in (table[:rows, -size:] @ c[::-1].copy(), recurrence(c))])
+        table_mean, recurrence_mean = np.mean(errors, axis=0)
+        assert table_mean <= recurrence_mean, kind
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_euler_tables_are_built_once_per_k_read_only(k):
+    # one table per k, whatever asks for it, frozen by its builder (a
+    # geometry's cached field would freeze it too, so a fresh build, past
+    # the cache, is what shows it)
+    builders = [profile_table] + ([curvature_table] if k else [])
+    for build in builders:
+        assert build(k) is build(k)
+        for table in (build(k), build.__wrapped__(k)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = table[0, 0]
+
+
+def test_solve_euler_solves_the_columns_of_a_stack_in_their_precision():
+    # a 2-D array is a stack of series, one per column, each solved as the
+    # 1-D route solves it, bit for bit, and a long double one stays long double
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((9, 4))
+    got = solve_euler(stack, 2.5)
+    for col in range(4):
+        assert got[:, col].tobytes() == solve_euler(stack[:, col].copy(), 2.5).tobytes()
+    assert solve_euler(stack.astype(np.longdouble), 3).dtype == np.longdouble
+    assert times_t_plus_1(stack.astype(np.longdouble)).dtype == np.longdouble
 
 
 @pytest.mark.parametrize("n", [8, 9, 129, 1025])

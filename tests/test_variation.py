@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from calabilab import (
     DeformationPath,
@@ -88,6 +87,20 @@ def test_delta_s_matches_transport_difference(geometries):
         assert np.abs(ds - fd).max() < 1e-4 * (1.0 + np.abs(ds).max()), spec
 
 
+def _bisect(g, lo, hi):
+    """The root of g in [lo, hi], across which g changes sign, by bisection
+    to the last bit: the midpoint of two adjacent doubles is one of them."""
+    positive_lo = g(lo) > 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if (g(mid) > 0) == positive_lo:
+            lo = mid
+        else:
+            hi = mid
+
+
 def test_moment_velocity_pins_kappa_phi(cp1):
     """Fixed-complex-point oracle for the convention constants.
 
@@ -108,7 +121,7 @@ def test_moment_velocity_pins_kappa_phi(cp1):
             def g(x):
                 return np.arctanh(x) - KAPPA_THETA * t * 3.0 * x ** 2 - target
 
-            return brentq(g, x0 - 0.2, x0 + 0.2, xtol=1e-14)
+            return _bisect(g, x0 - 0.2, x0 + 0.2)
 
         velocity = (x_at(dt) - x_at(-dt)) / (2.0 * dt)
         assert abs(velocity - KAPPA_PHI * (1 - x0 ** 2) * 3.0 * x0 ** 2) < 1e-7
