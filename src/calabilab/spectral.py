@@ -1,74 +1,38 @@
 """Spectral-calculus kernel on Chebyshev-Gauss-Lobatto grids.
 
+A ChebyshevBasis holds what a grid of n nodes needs that depends on n
+alone: the nodes t, the cosine table T_k(t_j), the table of T_k''(t_j),
+the Clenshaw-Curtis weights on [-1, 1], the transform divisor with the
+table route's weights or the FFT route's factor, and the tables of k, 2 k
+and the endpoint slopes.  chebyshev_basis builds one per n, and a
+SpectralGrid is that basis and an interval: its own arrays are its nodes x
+and its quadrature weights.
+
 Both transforms are cosine sums over the nodes (Trefethen, Approximation
-Theory and Approximation Practice, 2013, ch. 3), taken either as one
-product with a cosine table, T_k at the nodes, which depends on n alone
-and is shared by the grids of one n, or through one FFT DCT-I, an unscaled
-np.fft.irfft, which pads and evenly extends its input itself (Chebfun's
-vals2coeffs / coeffs2vals), in O(N log N).  Up to n = DENSE_NODES the
-table is complete, k < n, and both transforms are one product with it (a
-series of more than n coefficients folded first), so such a grid calls no
-FFT once built.  Above, values to coefficients goes through the DCT-I; a
-series of L <= W = SYNTHESIS_WIDTH coefficients, as the short chopped
-series of a solve or an EL report nearly all are, is synthesised as one
-product with the table's W rows, and a longer one, folded first if it has
-more than n coefficients, through the DCT-I, whose cost does not depend on
-L.  Per call (minimum over repeats, one BLAS thread) the product is the
-cheaper below L = 112-128 at N = 513 and 1025, and up to L = 128 at
-N = 257; W = 64 keeps it at 0.6 of the FFT's cost or less at every N, for
-a table of 8 n W bytes (0.5 MB at N = 1025).  The Clenshaw-Curtis weights,
-from the moments of T_k (Waldvogel, BIT 46, 2006), take the DCT-I at every
-n.  The grid's tables replace every copy around it: no node is reversed,
-no buffer padded; values_to_coefficients weights the values by 2 inside
-the ends on the table route, as the DCT-I does itself, and divides by one
-per-grid divisor.  Every route returns a new contiguous array, so sums over
-it run in numpy's pairwise order.
-Second derivatives at the nodes, of which s on cp1, the quadratic form and
-the first variation are built, take a second shared table, T_k'' at the
-nodes, with as many rows: a chopped series of at most that many
-coefficients is one product with it, a longer one goes through the
-recurrence and a synthesis.  Both directions of Theta <-> s on every
-geometry are coefficient maps that depend on the weight order k alone and
-are upper triangular, so each is one read-only table per k whose columns
-serve every series length, grid and interval: curvature_table, Q_k, takes
-Theta to s on CP^m, and profile_table, B_k, s to Theta on every geometry.
-Both are built in closed form, Q_k exactly in integers and B_k as products
-of closed-form factors with long double sums rounded once, and store their
-columns in descending degree, so that a product sums each row from its
-smallest terms up.  A series longer than DENSE_NODES + 1 takes the
-recurrences.  All other calculus and the endpoint slopes run
-in coefficient space on the chopped coefficients, the accurate route for
-repeated differentiation: derivative and antiderivative coefficients are
-O(L) array recurrences (Mason & Handscomb, Chebyshev Polynomials, 2003),
-and one routine, the grid's derivative_coefficients, differentiates for
-this module and for geometry.  It and the grid's euler_coefficients sum
-the doubled terms 2 k c_k straight into place and halve the one entry not
-doubled, once, which is exact; their weights k and 2 k and the endpoint
-slopes k^2 and (-1)^(k+1) k^2 are grid tables, n + 1 long (a profile built
-in coefficient space carries n + 1 coefficients).  The chop keeps
-.nonzero() (a reversed argmax measured slower), chops each part of complex
-data on its own and refuses a NaN or infinite coefficient.  The
+Theory and Approximation Practice, 2013, ch. 3), taken as one product with
+the cosine table or through one FFT DCT-I, an unscaled np.fft.irfft, which
+pads and evenly extends its input itself (Chebfun's vals2coeffs /
+coeffs2vals), in O(N log N).  Each call tests the table's shape: values to
+coefficients takes the table when it is complete, n up to DENSE_NODES, and
+a series of L coefficients, folded first if L > n, takes it when L is at
+most its rows, SYNTHESIS_WIDTH above DENSE_NODES; second derivatives at
+the nodes take the T_k'' table likewise and the recurrence otherwise.
+Complex data goes one part at a time, and every route returns a new
+contiguous array, so sums over it run in numpy's pairwise order.
+Theta <-> s on every geometry is one product with a per-k table
+(curvature_table Q_k, profile_table B_k).  The rest of the calculus runs
+on chopped coefficients: derivative and antiderivative coefficients are
+O(L) recurrences (Mason & Handscomb, Chebyshev Polynomials, 2003), and the
 scale-free Euler operator E_a = y d/dy + a, y = x - lo, and its inverse
-(SpectralGrid.euler_coefficients, solve_euler, which solves the columns of
-a stack together) carry every weight y^k: nothing divides by x - lo.
-AffineProjector is the one weighted affine projection; it and the solver's
-Newton step solve their 2x2 systems by PivotedLU2, partial-pivot
-elimination on Python floats, as a LAPACK call costs several times the
-arithmetic.  A SampledFunction is differentiated by its grid and never
-evaluated between the nodes, so nothing here needs numpy.polynomial.
-The hot path is a few dozen small array steps per call, so it calls
-numpy's array methods (.nonzero(), .any(), .real, the dtype) rather than
-the Python-level wrappers around them, and copies nothing it only reads.
-Derived fields are cached by cached_field, without the lock that Python
-3.11's functools.cached_property takes on each first read.
-Shared arrays are read-only, by this module alone: SpectralGrid freezes
-its tables (the shared tables among them), the per-k builders theirs,
-SampledFunction the array it is
+solve_euler carry every weight y^k, so nothing divides by x - lo.  A call
+is a few dozen small array steps: it calls numpy's array methods, not the
+wrappers around them, and copies nothing it only reads.
+Shared arrays are read-only, by this module alone: a basis and a grid
+freeze theirs, the per-k builders theirs, SampledFunction the array it is
 handed and cached_field each ndarray it caches or is preset with.  A grid
 serves every geometry on its interval, and a profile reads its cached
-coefficients, admissibility and s from its Theta once, so a write would
-leave them stale: it raises ValueError.  Nothing is copied; a caller gives
-up what it hands over.
+fields from its Theta once, so a write would leave them stale: it raises
+ValueError.  Nothing is copied; a caller gives up what it hands over.
 """
 from __future__ import annotations
 
@@ -83,7 +47,15 @@ from .errors import ConfigError, DegenerateWeight, NonFiniteError
 CHOP_REL = 1e-14
 DEGENERATE_REL = 1e-12  # Gram determinant over g00 g11 at or below this: degenerate weight
 MIN_NODES = 8
-SYNTHESIS_WIDTH = 64  # rows of the cosine and T_k'' tables above DENSE_NODES
+MAX_NODES = 2049  # the reach of the cosine table's 0.61 eps bound and of the tests
+SYNTHESIS_WIDTH = 64
+"""Rows of the cosine and T_k'' tables above DENSE_NODES.  Per call (minimum
+over repeats, one BLAS thread) the product with the table is the cheaper
+below L = 112-128 coefficients at N = 513 and 1025 and up to L = 128 at
+N = 257, where the DCT-I costs the same whatever L; W = 64 keeps it at 0.6
+of the FFT's cost or less at every N, for a table of 8 n W bytes (0.5 MB at
+N = 1025).  Nearly all the chopped series of a solve or an EL report are
+this short."""
 DENSE_NODES = 129
 """Largest grid whose cosine table is complete, all n rows, so that both
 transforms are one product with it and the grid calls no FFT once built.
@@ -95,12 +67,6 @@ cosine table and the table of T_k'' are 8 n^2 bytes each, 266 KB together
 at N = 129."""
 
 
-def _cgl_nodes(n: int):
-    """Ascending Chebyshev-Gauss-Lobatto nodes on [-1, 1]."""
-    k = np.arange(n)
-    return -np.cos(np.pi * k / (n - 1))
-
-
 def _cosines(m: int, pi) -> np.ndarray:
     """cos(pi a / m), a = 0..m, in the precision of pi, each angle reduced
     exactly, on the integers, to a quarter wave: cos(pi a / m) =
@@ -110,45 +76,6 @@ def _cosines(m: int, pi) -> np.ndarray:
     b = 2 * np.minimum(a, m - a)  # cos(pi a / m) = +-cos(pi b / (2 m)), b <= m
     return np.where(2 * a > m, -1.0, 1.0) * np.where(
         2 * b > m, np.sin(pi * (m - b) / (2 * m)), np.cos(pi * b / (2 * m)))
-
-
-_NODE_TABLES: dict = {}
-
-
-def _node_tables(n: int) -> tuple:
-    """(T, D): T_k(t_j) and T_k''(t_j) at the n ascending nodes, one row
-    per k, all n rows up to n = DENSE_NODES and SYNTHESIS_WIDTH above.
-    Both depend on n alone, so the grids of one n share them (and their
-    freezing covers them).  T_k(t_j) = cos(pi a / m), a = k (m - j) mod 2m,
-    is gathered from the n values of _cosines, so every entry is within
-    0.61 eps of T_k(t_j) (n up to 2049), where the cosine of pi a / m itself
-    is up to 4.8 eps off, which made the Futaki integral on cp1, zero in
-    exact arithmetic, 7 times larger.  D sums T_k'' = k sum' (k^2 - i^2) T_i
-    (i < k, k - i even, the T_0 term halved) as two running sums down each
-    parity strand, P_k = sum' T_i over i <= k and g_(k+2) = g_k + (4k + 4)
-    P_k, with T_k'' = k g_k, in long double from long double cosines, and
-    rounds once: every entry is within eps of the row's largest, (k^4 -
-    k^2) / 3 at t = 1, exactly so at the ends, where every term is an
-    integer.  Elementwise, so no BLAS thread starts.  It takes the columns
-    j <= m / 2 and the rest from T_k''(-t) = (-1)^k T_k''(t)."""
-    if n not in _NODE_TABLES:
-        m, h = n - 1, n // 2 + 1
-        k = np.arange(n if n <= DENSE_NODES else SYNTHESIS_WIDTH)
-        angle = np.outer(k, m - np.arange(n)) % (2 * m)
-        index = np.minimum(angle, 2 * m - angle)
-        p = _cosines(m, np.arccos(np.longdouble(-1.0)))[index[:, :h]]
-        p[0] *= 0.5
-        degree = k[:, None].astype(np.longdouble)
-        for strand in (p[0::2], p[1::2]):  # P_k
-            np.add.accumulate(strand, out=strand)
-        p *= 4.0 * degree + 4.0
-        for strand in (p[0::2], p[1::2]):  # g_(k+2)
-            np.add.accumulate(strand, out=strand)
-        second = np.zeros((k.size, n))
-        np.multiply(p[:-2], degree[2:], out=second[2:, :h], casting="same_kind")
-        second[:, h:] = second[:, m - h::-1] * np.where(k % 2, -1.0, 1.0)[:, None]
-        _NODE_TABLES[n] = _cosines(m, np.pi)[index], second
-    return _NODE_TABLES[n]
 
 
 def _dct1(v: np.ndarray, n: int) -> np.ndarray:
@@ -165,17 +92,98 @@ def _dct1(v: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(v, 2 * (n - 1), norm="forward")[:n]
 
 
-def _clenshaw_curtis(n: int):
-    """Clenshaw-Curtis weights for n ascending CGL nodes on [-1, 1]: the
-    DCT-I of the moments int T_k = 2 / (1 - k^2) (k even, 0 for k odd),
-    which is symmetric, so it needs no reversal."""
-    k = np.arange(0, n, 2)
-    mu = np.zeros(n)
-    mu[k] = 2.0 / (1.0 - k * k)
-    w = _dct1(mu, n) / (n - 1)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
+def _by_part(real_map, z: np.ndarray, *args) -> np.ndarray:
+    """real_map(z, *args) for complex z, one part at a time, each part bit
+    for bit real_map of that part alone: a table product makes no complex
+    copy of its table, and no part is divided or scaled in complex
+    arithmetic, which takes a reciprocal (dividing complex values by the
+    real divisor changed a quarter of the bits)."""
+    real, imag = real_map(z.real, *args), real_map(z.imag, *args)
+    out = np.empty(real.shape, dtype=z.dtype)
+    out.real, out.imag = real, imag
+    return out
+
+
+def _freeze(owner) -> None:
+    """Make every ndarray among owner's attributes read-only."""
+    for value in vars(owner).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+
+
+class ChebyshevBasis:
+    """The arrays of a grid of n CGL nodes that depend on n alone, read-only;
+    chebyshev_basis keeps one per n for the grids of every interval.
+
+    t holds the ascending nodes on [-1, 1].  cosines and second hold
+    T_k(t_j) and T_k''(t_j), one row per k, all n rows up to n =
+    DENSE_NODES and SYNTHESIS_WIDTH above.  T_k(t_j) = cos(pi a / m), a = k
+    (m - j) mod 2m, is gathered from the n values of _cosines, so every
+    entry is within 0.61 eps of T_k(t_j) (n up to 2049), where the cosine
+    of pi a / m itself is up to 4.8 eps off, which made the Futaki integral
+    on cp1, zero in exact arithmetic, 7 times larger.  second sums T_k'' =
+    k sum' (k^2 - i^2) T_i (i < k, k - i even, the T_0 term halved) as two
+    running sums down each parity strand, P_k = sum' T_i over i <= k and
+    g_(k+2) = g_k + (4k + 4) P_k, with T_k'' = k g_k, in long double from
+    long double cosines, and rounds once: every entry is within eps of the
+    row's largest, (k^4 - k^2) / 3 at t = 1, exactly so at the ends, where
+    every term is an integer.  Elementwise, so no BLAS thread starts.  It
+    takes the columns j <= m / 2 and the rest from T_k''(-t) = (-1)^k
+    T_k''(t).  clenshaw_curtis holds the quadrature weights, the DCT-I of
+    the moments int T_k = 2 / (1 - k^2) (k even, 0 for k odd; Waldvogel,
+    BIT 46, 2006), which is symmetric, so it needs no reversal."""
+
+    def __init__(self, n: int):
+        m, h = n - 1, n // 2 + 1
+        self.t = -np.cos(np.pi * np.arange(n) / m)
+        k = np.arange(n if n <= DENSE_NODES else SYNTHESIS_WIDTH)
+        angle = np.outer(k, m - np.arange(n)) % (2 * m)
+        index = np.minimum(angle, 2 * m - angle)
+        p = _cosines(m, np.arccos(np.longdouble(-1.0)))[index[:, :h]]
+        p[0] *= 0.5
+        degree = k[:, None].astype(np.longdouble)
+        for strand in (p[0::2], p[1::2]):  # P_k
+            np.add.accumulate(strand, out=strand)
+        p *= 4.0 * degree + 4.0
+        for strand in (p[0::2], p[1::2]):  # g_(k+2)
+            np.add.accumulate(strand, out=strand)
+        self.second = np.zeros((k.size, n))
+        np.multiply(p[:-2], degree[2:], out=self.second[2:, :h], casting="same_kind")
+        self.second[:, h:] = self.second[:, m - h::-1] * np.where(k % 2, -1.0, 1.0)[:, None]
+        self.cosines = _cosines(m, np.pi)[index]  # last, so that no temporary above coexists with it
+        ends = np.arange(n) % m == 0  # j = 0 and j = m
+        moments = np.zeros(n)
+        moments[::2] = 2.0 / (1.0 - np.arange(0, n, 2) ** 2)
+        self.clenshaw_curtis = _dct1(moments, n) / m * np.where(ends, 0.5, 1.0)
+        # values_to_coefficients divides by m, doubled at both ends, so c_0
+        # and c_m are halved exactly.  The complete cosine table carries the
+        # sign (-1)^k of the ascending nodes itself, and its route weights
+        # the values by 2 inside the ends and 1 at them, as the DCT-I does.
+        # The DCT-I runs over the nodes in descending t, where T_k(t_j) =
+        # cos(pi j k / m), so the FFT routes fold (-1)^k into their tables.
+        sign = np.where(np.arange(n + 1) % 2, -1.0, 1.0)  # (-1)^k, k = 0..n
+        self.v2c_divisor = np.where(ends, 2.0, 1.0) * m
+        if k.size == n:
+            self.v2c_weights = np.where(ends, 1.0, 2.0)
+        else:
+            self.v2c_divisor *= sign[:n]
+            # coefficients_to_values scales c_k by (-1)^k, halved inside
+            self.c2v_factor = np.where(ends, 1.0, 0.5) * sign[:n]
+        # The recurrence weights k and 2 k, and T_k'(1) = k^2 and T_k'(-1) =
+        # (-1)^(k+1) k^2, n + 1 long: a profile built in coefficient space
+        # can carry n + 1 coefficients
+        self.degrees = np.arange(n + 1.0)
+        self.twice_degrees = 2.0 * self.degrees
+        self.slope_hi = self.degrees ** 2
+        self.slope_lo = -sign * self.slope_hi
+        _freeze(self)
+
+
+@functools.cache
+def chebyshev_basis(n: int) -> ChebyshevBasis:
+    """The one ChebyshevBasis of n nodes, built on first use; SpectralGrid
+    checks n first."""
+    return ChebyshevBasis(n)
 
 
 def chop_coefficients(c: np.ndarray) -> np.ndarray:
@@ -186,7 +194,8 @@ def chop_coefficients(c: np.ndarray) -> np.ndarray:
 
     High-order coefficients of smooth sampled data sit on a roundoff
     plateau; differentiating them amplifies the noise by O(N^3), so they
-    are removed before coefficient-space calculus.
+    are removed before coefficient-space calculus.  The last kept index
+    comes from .nonzero(): a reversed argmax measured slower.
     """
     if c.dtype.kind == "c":
         return c[: max(chop_coefficients(c.real).size, chop_coefficients(c.imag).size)]
@@ -331,86 +340,53 @@ def profile_table(k: int) -> np.ndarray:
 
 
 class SpectralGrid:
-    """Immutable CGL collocation grid on [lo, hi]."""
+    """Immutable CGL collocation grid on [lo, hi]: the ChebyshevBasis of n
+    nodes and the interval, whose own arrays are x and quad_weights."""
 
     def __init__(self, n: int, lo: float, hi: float):
-        if n < MIN_NODES:
-            raise ConfigError(f"node count must be at least {MIN_NODES}, got {n}")
+        if not MIN_NODES <= n <= MAX_NODES:
+            raise ConfigError(f"node count must be at most {MAX_NODES} and at least {MIN_NODES}, got {n}")
         if not lo < hi:
             raise ValueError("need lo < hi")
+        self.basis = chebyshev_basis(n)
         self.n = n
-        self.lo = float(lo)
-        self.hi = float(hi)
+        self.lo, self.hi = float(lo), float(hi)
         self.span = self.hi - self.lo
-        self.t = _cgl_nodes(n)
-        self.x = self.lo + self.span * (self.t + 1.0) / 2.0
+        self.x = self.lo + self.span * (self.basis.t + 1.0) / 2.0
         # x[0] is lo exactly, as t[0] = -1; lo + (hi - lo) may miss hi
         self.x[-1] = self.hi
-        self.quad_weights = _clenshaw_curtis(n) * (self.span / 2.0)
-        # values_to_coefficients divides by n - 1, doubled at both ends, so
-        # c_0 and c_m are halved exactly.  The complete cosine table carries
-        # the sign (-1)^k of the ascending nodes itself, and its route
-        # weights the values by 2 inside the ends and 1 at them, as the DCT-I
-        # does.  The DCT-I runs over the nodes in descending t, where
-        # T_k(t_j) = cos(pi j k / m), so the FFT routes fold (-1)^k into
-        # their tables.
-        self._c2v_table, self._d2_table = _node_tables(n)
+        self.quad_weights = self.basis.clenshaw_curtis * (self.span / 2.0)
         self._d2_scale = (2.0 / self.span) ** 2  # d^2/dx^2 = (2 / span)^2 d^2/dt^2
-        sign = np.where(np.arange(n + 1) % 2, -1.0, 1.0)  # (-1)^k, k = 0..n
-        self._v2c_divisor = np.full(n, n - 1.0)
-        self._v2c_divisor[[0, -1]] *= 2.0
-        if self._c2v_table.shape[0] == n:
-            self._v2c_weights = np.full(n, 2.0)
-            self._v2c_weights[[0, -1]] = 1.0
-        else:
-            self._v2c_divisor *= sign[:n]
-            # coefficients_to_values scales c_k by (-1)^k, halved inside
-            self._c2v_factor = 0.5 * sign[:n]
-            self._c2v_factor[[0, -1]] *= 2.0
-        # The recurrence weights k and 2 k, and T_k'(1) = k^2 and T_k'(-1) =
-        # (-1)^(k+1) k^2, n + 1 long: a profile built in coefficient space
-        # can carry n + 1 coefficients
-        self._degrees = np.arange(n + 1.0)
-        self._twice_degrees = 2.0 * self._degrees
-        self._slope_hi = self._degrees ** 2
-        self._slope_lo = -sign * self._slope_hi
-        for table in vars(self).values():
-            if isinstance(table, np.ndarray):
-                table.setflags(write=False)
+        _freeze(self)
+
+    t = property(lambda self: self.basis.t, doc="The nodes on [-1, 1], the basis's.")
 
     # -- coefficient transforms ------------------------------------------
     def values_to_coefficients(self, values: np.ndarray) -> np.ndarray:
         """Chebyshev coefficients (in t) of the interpolant of the values,
         c_k = (2 / m) sum'' v_j T_k(t_j), c_0 and c_m halved.  Up to n =
-        DENSE_NODES, one product with the grid's complete cosine table,
+        DENSE_NODES, one product with the basis's complete cosine table,
         (T @ (w v)) / d, complex v one part at a time; above, the FFT DCT-I
         divided by d.  Either route weights before the sum and divides after
         it, so values near the float limit overflow into the coefficients,
         which the chop then refuses, rather than into their synthesis."""
         v = np.asarray(values)
-        table = self._c2v_table
+        table = self.basis.cosines
         if table.shape[0] < self.n:
-            return _dct1(v, self.n) / self._v2c_divisor
-        if v.dtype.kind != "c":
-            return (table @ (v * self._v2c_weights)) / self._v2c_divisor
-        c = np.empty(self.n, dtype=v.dtype)
-        c.real = self.values_to_coefficients(v.real)
-        c.imag = self.values_to_coefficients(v.imag)
-        return c
+            return _dct1(v, self.n) / self.basis.v2c_divisor
+        if v.dtype.kind == "c":
+            return _by_part(self.values_to_coefficients, v)
+        return (table @ (v * self.basis.v2c_weights)) / self.basis.v2c_divisor
 
     def coefficients_to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Values at the nodes of sum_k c_k T_k(t), a contiguous array (sums
         over it run in numpy's pairwise order).  Coefficients beyond the
         grid's degree m = n - 1 are first folded onto it: at the nodes T_k
         equals T_j with j = k mod 2m reflected into [0, m].  A series of at
-        most as many coefficients as the grid's cosine table has rows, n up
-        to n = DENSE_NODES and W = SYNTHESIS_WIDTH above, is then one
-        product with it, c @ T[:L], complex c one part at a time, so no
-        complex copy of the table is made.  A longer one goes through the
-        FFT DCT-I, whose cost does not depend on L.  W = 64 is below the
-        measured per-call crossover at every N (L = 112-128 at N = 1025);
-        closer to it the saving shrinks while the table grows by 8 n bytes
-        a degree."""
+        most as many coefficients as the basis's cosine table has rows, n up
+        to n = DENSE_NODES and SYNTHESIS_WIDTH above, is then one product
+        with it, c @ T[:L], complex c one part at a time; a longer one goes
+        through the FFT DCT-I, whose cost does not depend on L."""
         c = np.asarray(coeffs)
         n, m = self.n, self.n - 1
         if c.size > n:
@@ -418,22 +394,19 @@ class SpectralGrid:
             g = np.zeros(n, dtype=np.result_type(c, float))
             np.add.at(g, np.minimum(k, 2 * m - k), c)
             c = g
-        table = self._c2v_table
-        if c.size <= table.shape[0]:
-            if c.dtype.kind != "c":
-                return c @ table[: c.size]
-            v = np.empty(n, dtype=c.dtype)
-            v.real = c.real @ table[: c.size]
-            v.imag = c.imag @ table[: c.size]
-            return v
-        return _dct1(c * self._c2v_factor[: c.size], n)
+        table = self.basis.cosines
+        if c.size > table.shape[0]:
+            return _dct1(c * self.basis.c2v_factor[: c.size], n)
+        if c.dtype.kind == "c":
+            return _by_part(np.matmul, c, table[: c.size])
+        return c @ table[: c.size]
 
     # -- calculus ---------------------------------------------------------
     def derivative_coefficients(self, coeffs, order: int = 1) -> np.ndarray:
         """Chebyshev coefficients of the order-th t-derivative of sum_k c_k T_k
         (real or complex floats, at most n + 1 of them), order >= 0.  Each
         order takes d_j = (2 - [j = 0]) sum_{k > j, k - j odd} k c_k: the
-        terms 2 k c_k, from the grid's table, summed from the top of each
+        terms 2 k c_k, from the basis's table, summed from the top of each
         parity strand into its slots.  A pass reads only d[1:] of the last,
         so d_0 is halved once, after the last pass; a series of degree below
         order gives [0] at once.  The input is read, never copied or
@@ -442,7 +415,7 @@ class SpectralGrid:
         if order and d.size <= order:
             return np.zeros(1, dtype=d.dtype)
         for _ in range(order):
-            kc = self._twice_degrees[1:d.size] * d[1:]  # kc[j] = 2 (j + 1) c_(j+1)
+            kc = self.basis.twice_degrees[1:d.size] * d[1:]  # kc[j] = 2 (j + 1) c_(j+1)
             d = np.empty_like(kc)
             top = kc.size - 1
             np.add.accumulate(kc[top::-2], out=d[top::-2])
@@ -457,31 +430,28 @@ class SpectralGrid:
         or complex, at most n + 1 of them): y d/dy = (t + 1) d/dt and
         (t + 1) T_n' = n T_n + 2n sum'_{j<n} T_j (the j = 0 term halved), one
         reverse cumulative sum of the terms 2 n c_n, its j = 0 entry then
-        halved; n and 2n come from the grid's tables."""
+        halved; n and 2n come from the basis's tables."""
         c = np.asarray(coeffs)
         size = c.size
         tail = np.zeros(size, dtype=np.result_type(c, float))  # (2 - [j = 0]) sum over n > j of n c_n
-        np.add.accumulate(self._twice_degrees[size - 1:0:-1] * c[:0:-1], out=tail[-2::-1])
+        np.add.accumulate(self.basis.twice_degrees[size - 1:0:-1] * c[:0:-1], out=tail[-2::-1])
         tail[0] *= 0.5
-        return (self._degrees[:size] + a) * c + tail
+        return (self.basis.degrees[:size] + a) * c + tail
 
     def second_derivative_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Values at the nodes of the second x-derivative of sum_k c_k T_k(t),
         from its chopped coefficients (real or complex), a new array.  A
-        series of at most as many coefficients as the grid's table of
+        series of at most as many coefficients as the basis's table of
         T_k''(t_j) has rows, n up to n = DENSE_NODES and SYNTHESIS_WIDTH
         above, is one product with it, (c @ D[:L]) (2 / span)^2, complex c
         one part at a time; a longer one takes derivative_coefficients and
         coefficients_to_values."""
         c = np.asarray(coeffs)
-        table = self._d2_table
+        table = self.basis.second
         if c.size > table.shape[0]:
             return self.coefficients_to_values(self.derivative_coefficients(c, 2) * self._d2_scale)
         if c.dtype.kind == "c":
-            v = np.empty(self.n, dtype=c.dtype)
-            v.real = self.second_derivative_values(c.real)
-            v.imag = self.second_derivative_values(c.imag)
-            return v
+            return _by_part(self.second_derivative_values, c)
         v = c @ table[: c.size]
         v *= self._d2_scale
         return v
@@ -494,8 +464,7 @@ class SpectralGrid:
         c = chop_coefficients(self.values_to_coefficients(values))
         if order == 2:
             return self.second_derivative_values(c)
-        dc = self.derivative_coefficients(c, order) * (2.0 / self.span) ** order
-        return self.coefficients_to_values(dc)
+        return self.coefficients_to_values(self.derivative_coefficients(c, order) * (2.0 / self.span) ** order)
 
     def antiderivative_values(self, values: np.ndarray) -> np.ndarray:
         """Antiderivative vanishing at the left endpoint, from the closed form
@@ -512,10 +481,10 @@ class SpectralGrid:
     def endpoint_slopes(self, coeffs: np.ndarray):
         """(d/dx at lo, d/dx at hi) of sum_k c_k T_k from its (chopped)
         coefficients, at most n + 1 of them: T_k'(-1) = (-1)^(k+1) k^2 and
-        T_k'(1) = k^2, two dot products with the grid's tables."""
+        T_k'(1) = k^2, two dot products with the basis's tables."""
         size = coeffs.size
         scale = 2.0 / self.span
-        return (self._slope_lo[:size] @ coeffs) * scale, (self._slope_hi[:size] @ coeffs) * scale
+        return (self.basis.slope_lo[:size] @ coeffs) * scale, (self.basis.slope_hi[:size] @ coeffs) * scale
 
     def integrate_values(self, values: np.ndarray):
         return self.quad_weights @ np.asarray(values)
@@ -532,8 +501,8 @@ def get_grid(n: int, lo: float, hi: float) -> SpectralGrid:
 
 
 class cached_field:
-    """functools.cached_property without its lock: func's value, on first
-    read, goes into the instance's __dict__ (frozen dataclasses included),
+    """functools.cached_property without the lock it takes on each first
+    read in Python 3.11: func's value, on first read, goes into the instance's __dict__ (frozen dataclasses included),
     which later reads find before this non-data descriptor, as they find a
     value preset there; an ndarray is made read-only first."""
 
@@ -555,7 +524,9 @@ class cached_field:
 
 @dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """Values of a function at the nodes of a SpectralGrid, read-only."""
+    """Values of a function at the nodes of a SpectralGrid, read-only.  It is
+    differentiated by its grid and never evaluated between the nodes, so
+    nothing here needs numpy.polynomial."""
 
     grid: SpectralGrid
     values: np.ndarray = field(repr=False)
@@ -572,8 +543,8 @@ class SampledFunction:
 
 class PivotedLU2:
     """Partial-pivot LU factors of the real 2x2 matrix [[a, b], [c, d]], on
-    Python floats: factored once, each solve is a forward and a back
-    substitution.  The pivot is the larger entry of the first column, as in
+    Python floats, as a LAPACK call costs several times the arithmetic:
+    factored once, each solve is a forward and a back substitution.  The pivot is the larger entry of the first column, as in
     LAPACK's getrf, which multiplies by its reciprocal where this divides,
     so the two may differ in the last bits.  A singular matrix divides by
     zero: callers test the rank (or the Gram determinant) first."""

@@ -387,6 +387,7 @@ def test_library_checks_name_the_bad_value(tmp_path, capsys):
     # own parameter; the message names the value the command line gave
     for args, value in (
         (["--nodes", "4"], "got 4"),
+        (["--nodes", "4097"], "at most 2049 and at least 8, got 4097"),
         (["--geometry", "cpm:1"], "got m = 1"),
         (["--profile", "random:1:-1"], "got -1.0"),
         # a draw that overflows on the grid: no numpy warning, only the error

@@ -63,8 +63,8 @@ CACHED_PROPERTY = "cached_property"
 # ProfileGeometry.measure, so no second spelling of dmu can come back
 QUAD_WEIGHTS = "quad_weights"
 MEASURE = ("ProfileGeometry", "measure")
-# shared arrays are made read-only in spectral.py alone (its grid, its
-# SampledFunction and its cached_field), so the rule has one home
+# shared arrays are made read-only in spectral.py alone (its basis and
+# grid, its SampledFunction and its cached_field), so the rule has one home
 SETFLAGS = "setflags"
 WRITEABLE = "writeable"
 # the weight algebra of w = (x - x_lo)^k belongs to geometry.py, which owns
@@ -74,10 +74,17 @@ WRITEABLE = "writeable"
 WEIGHT_PRIMITIVES = {"solve_euler", "euler_coefficients", "derivative_coefficients"}
 WEIGHT_ATTRIBUTES = {"measure", "slope_lo", "slope_hi", "k"}
 # the derivative and Euler recurrences slice the weights k and 2 k from
-# their grid's tables, built once per grid: a per-call np.arange would
+# their basis's tables, built once per n: a per-call np.arange would
 # rebuild them on every pass of every solve
 RECURRENCES = {"derivative_coefficients", "euler_coefficients"}
 ARANGE = "arange"
+# a grid is its basis and an interval: what depends on n alone is built
+# once per n on spectral.ChebyshevBasis, so a SpectralGrid sets on itself
+# only these fields, and of them only x and quad_weights, which depend on
+# the interval, are arrays
+GRID = "SpectralGrid"
+GRID_FIELDS = {"basis", "n", "lo", "hi", "span", "_d2_scale", "x", "quad_weights"}
+GRID_ARRAYS = {"x", "quad_weights"}
 BENCH = SRC.parent.parent / "bench"
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 # a dotted name in the README whose head is a package module or an exported
@@ -316,6 +323,25 @@ def _recurrence_aranges(tree: ast.AST):
                     yield sub.lineno, f"{ast.unparse(sub)} in {node.name}"
                 elif isinstance(sub, ast.Name) and sub.id == ARANGE:
                     yield sub.lineno, f"{ARANGE} in {node.name}"
+
+
+def _grid_field_writes(tree: ast.AST):
+    """Each attribute that a method of a class named GRID sets or writes into
+    on self, by assignment or by setattr, and that is not in GRID_FIELDS."""
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == GRID):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr" and node.args:
+                if getattr(node.args[0], "id", None) == "self":
+                    yield node.lineno, f"setattr(self, {ast.unparse(node.args[1])})"
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+            for sub in (s for target in targets for s in ast.walk(target)):
+                if (isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "self"
+                        and sub.attr not in GRID_FIELDS):
+                    yield sub.lineno, f"self.{sub.attr}"
 
 
 def _library_findings(rule):
@@ -756,3 +782,42 @@ def test_recurrences_read_the_grid_weight_tables():
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert RECURRENCES <= defined, "the rule has nothing to check"
     assert _library_findings(_recurrence_aranges) == []
+
+
+def test_rule_detects_grid_field_writes():
+    code = (
+        "class SpectralGrid:\n"
+        "    def __init__(self, n, lo, hi):\n"
+        "        self.basis = chebyshev_basis(n)\n"
+        "        self.lo, self.hi = float(lo), float(hi)\n"
+        "        self.x = self.lo + self.basis.t\n"
+        "        self.x[-1] = self.hi\n"
+        "        self.t = self.basis.t\n"
+        "        self._degrees, self.n = np.arange(n + 1.0), n\n"
+        "        self._v2c_divisor[[0, -1]] *= 2.0\n"
+        "        setattr(self, '_c2v_table', table)\n"
+        "    def values_to_coefficients(self, v):\n"
+        "        table = self.basis.cosines\n"
+        "        self._cache: dict = {}\n"
+        "        return table @ v\n"
+        "class ChebyshevBasis:\n"
+        "    def __init__(self, n):\n"
+        "        self.cosines = table(n)\n"
+        "grid.t = 0\n"
+    )
+    assert sorted(_grid_field_writes(ast.parse(code))) == [
+        (7, "self.t"), (8, "self._degrees"), (9, "self._v2c_divisor"), (10, "setattr(self, '_c2v_table')"),
+        (13, "self._cache"),
+    ]
+
+
+def test_a_grid_owns_only_its_interval_arrays():
+    tree = ast.parse(SPECTRAL.read_text(), filename=str(SPECTRAL))
+    assert any(isinstance(node, ast.ClassDef) and node.name == GRID for node in ast.walk(tree)), "nothing to check"
+    assert _library_findings(_grid_field_writes) == []
+    # the fields the rule allows hold arrays only where they depend on the
+    # interval, on either transform route
+    for n in (8, 257):
+        grid = calabilab.SpectralGrid(n, 0.0, 3.0)
+        assert set(vars(grid)) <= GRID_FIELDS, n
+        assert {name for name, v in vars(grid).items() if hasattr(v, "nbytes")} == GRID_ARRAYS, n

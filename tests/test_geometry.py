@@ -28,7 +28,14 @@ from calabilab.conventions import build_manifest, pin_cpm_base_coefficient
 from calabilab import geometry
 from calabilab.geometry import _theta_coefficients, bump_factor
 from calabilab.rng import SplitMix64
-from calabilab.spectral import DENSE_NODES, chop_coefficients, curvature_table, profile_table, solve_euler
+from calabilab.spectral import (
+    DENSE_NODES,
+    ChebyshevBasis,
+    chop_coefficients,
+    curvature_table,
+    profile_table,
+    solve_euler,
+)
 
 FOUR_PI = 4.0 * np.pi
 EIGHT_PI = 8.0 * np.pi
@@ -192,31 +199,39 @@ def test_round_profile_is_one_read_only_object_per_geometry(geometries):
 
 
 def test_every_shared_array_is_read_only(geometries):
-    # spectral.py freezes the grid's tables, the array a SampledFunction is
-    # handed and each ndarray a cached field holds, so every array reachable
-    # from a grid, a geometry, a profile, a potential or a path is read-only;
-    # theta_coeffs included, which a solved profile keeps (from_curvature)
-    # and chop_coefficients otherwise slices from its transform, not a copy;
-    # and each grid's recurrence weights and each geometry's Newton rows,
-    # which every solve reads; and the cosine table and the table of T_k''
-    # at the nodes, which depend on n alone, so the cp1 and cpm:m grids of
-    # one n read one object of each, complete at the default N, with the
-    # weights and divisor of the values to coefficients product around them;
+    # spectral.py freezes the arrays of a grid and of its basis, the array a
+    # SampledFunction is handed and each ndarray a cached field holds, so
+    # every array reachable from a grid, a geometry, a profile, a potential
+    # or a path is read-only; theta_coeffs included, which a solved profile
+    # keeps (from_curvature) and chop_coefficients otherwise slices from its
+    # transform, not a copy; and each geometry's Newton rows, which every
+    # solve reads; and every array of the basis, which depends on n alone,
+    # so the cp1 and cpm:m grids of one n share one basis object, its tables
+    # complete at the default N, while a grid owns only x and its weights;
+    # a basis built fresh past the cache, on either route, is frozen too;
     # and the tables of Theta -> s and s -> Theta of each geometry's k
     arrays = {}
     calabi, one = parse_function("scaled:0.5:pow:2"), parse_function("const:1")
     grids = {id(geom.grid): geom.grid for geom in geometries.values()}
     assert len(grids) > 1 and len({grid.n for grid in grids.values()}) == 1
     cp1_grid = geometries["cp1"].grid
-    assert all(grid._c2v_table is cp1_grid._c2v_table for grid in grids.values())
-    assert all(grid._d2_table is cp1_grid._d2_table for grid in grids.values())
+    assert all(grid.basis is cp1_grid.basis for grid in grids.values())
+    assert cp1_grid.basis.cosines.shape == cp1_grid.basis.second.shape == (cp1_grid.n, cp1_grid.n)
+    shared = {"t", "cosines", "second", "clenshaw_curtis", "v2c_divisor", "degrees", "twice_degrees",
+              "slope_lo", "slope_hi"}
+    fresh = ChebyshevBasis(cp1_grid.n)
+    assert fresh is not cp1_grid.basis
+    for label, basis, route in (("basis", cp1_grid.basis, "v2c_weights"), ("fresh basis", fresh, "v2c_weights"),
+                                ("fresh fft basis", ChebyshevBasis(DENSE_NODES + 2), "c2v_factor")):
+        tables = {name: v for name, v in vars(basis).items() if isinstance(v, np.ndarray)}
+        assert set(tables) == shared | {route}, label
+        arrays.update({f"{label}.{name}": v for name, v in tables.items()})
     for spec, geom in geometries.items():
         arrays[f"{spec} profile_table"] = profile_table(geom.k)
         if geom.k:
             arrays[f"{spec} curvature_table"] = curvature_table(geom.k)
         tables = {name: v for name, v in vars(geom.grid).items() if isinstance(v, np.ndarray)}
-        assert {"t", "x", "quad_weights", "_degrees", "_twice_degrees", "_c2v_table", "_d2_table",
-                "_v2c_weights", "_v2c_divisor"} <= set(tables), spec
+        assert set(tables) == {"x", "quad_weights"}, spec
         arrays.update({f"{spec} grid.{name}": v for name, v in tables.items()})
         phi = normalize_potential(geom)
         path = DeformationPath(SampledFunction(geom.grid, geom.grid.x ** 3))

@@ -6,16 +6,21 @@ import numpy as np
 import pytest
 
 from calabilab import AffineProjector, MetricProfile, SampledFunction, get_grid, make_cp1_geometry, round_profile
-from calabilab.errors import DegenerateWeight, NonFiniteError
+from calabilab import spectral
+from calabilab.errors import ConfigError, DegenerateWeight, NonFiniteError
 from calabilab.spectral import (
     CHOP_REL,
     DEGENERATE_REL,
     DENSE_NODES,
+    MAX_NODES,
+    MIN_NODES,
     SYNTHESIS_WIDTH,
+    ChebyshevBasis,
     PivotedLU2,
     SpectralGrid,
     _dct1,
     cached_field,
+    chebyshev_basis,
     chop_coefficients,
     curvature_table,
     profile_table,
@@ -54,6 +59,28 @@ def test_derivative_of_constant_is_zero():
     grid = get_grid(129, -1.0, 1.0)
     d = grid.differentiate_values(np.full(grid.n, 3.7))
     assert np.abs(d).max() < 1e-12
+
+
+def test_grids_of_one_n_share_one_basis():
+    # everything that depends on n alone is built once per n, whatever the
+    # interval; a grid's nodes are its basis's
+    grid = SpectralGrid(65, 0.0, 1.0)
+    assert isinstance(grid.basis, ChebyshevBasis)
+    assert grid.basis is SpectralGrid(65, -1.0, 2.0).basis is get_grid(65, 2.0, 5.5).basis is chebyshev_basis(65)
+    assert grid.t is grid.basis.t and grid.basis is not SpectralGrid(66, 0.0, 1.0).basis
+
+
+def test_node_count_is_checked_before_any_table_is_built(monkeypatch):
+    # the cosine table's 0.61 eps bound and the tests reach N = MAX_NODES;
+    # past it, as below MIN_NODES, the grid raises a ConfigError before a
+    # basis is built (--nodes 1000000 would build 64 x N index and long
+    # double arrays of about 0.5 GB each)
+    assert MAX_NODES == 2049
+    assert SpectralGrid(MAX_NODES, 0.0, 1.0).basis.cosines.shape == (SYNTHESIS_WIDTH, MAX_NODES)
+    monkeypatch.setattr(spectral, "ChebyshevBasis", None)  # a build would raise TypeError
+    for n in (MAX_NODES + 1, 4097, 10 ** 6, MIN_NODES - 1):
+        with pytest.raises(ConfigError, match=f"at most {MAX_NODES} and at least {MIN_NODES}, got {n}$"):
+            SpectralGrid(n, 0.0, 1.0)
 
 
 def test_quadrature_of_one_is_interval_length():
@@ -148,8 +175,8 @@ def test_values_to_coefficients_takes_the_table_up_to_dense_nodes_and_the_fft_ab
     got = grid.values_to_coefficients(v)
     assert got.shape == (n,) and got.flags.c_contiguous
     if n <= DENSE_NODES:
-        assert grid._c2v_table.shape == (n, n)
-        expect = (grid._c2v_table @ (v * grid._v2c_weights)) / grid._v2c_divisor
+        assert grid.basis.cosines.shape == (n, n)
+        expect = (grid.basis.cosines @ (v * grid.basis.v2c_weights)) / grid.basis.v2c_divisor
         assert got.tobytes() == expect.tobytes()
         im = rng.standard_normal(n)
         c = grid.values_to_coefficients(v + 1j * im)
@@ -157,7 +184,7 @@ def test_values_to_coefficients_takes_the_table_up_to_dense_nodes_and_the_fft_ab
         assert c.real.tobytes() == got.tobytes()
         assert c.imag.tobytes() == grid.values_to_coefficients(im).tobytes()
     else:
-        assert got.tobytes() == (_dct1(v, n) / grid._v2c_divisor).tobytes()
+        assert got.tobytes() == (_dct1(v, n) / grid.basis.v2c_divisor).tobytes()
 
 
 @pytest.mark.parametrize("n", [8, 9, 129, 1025])
@@ -183,7 +210,7 @@ def test_synthesis_table_is_the_dense_cosine_table_bit_for_bit(n):
     # every entry within one eps of the cosine in extended precision, where
     # the platform's long double is wider than a double
     expect = _chebyshev_table(n, _table_width(n))
-    table = SpectralGrid(n, 0.0, 3.0)._c2v_table
+    table = SpectralGrid(n, 0.0, 3.0).basis.cosines
     assert table.T.tobytes() == expect.tobytes()
     if np.finfo(np.longdouble).eps >= EPS:
         return
@@ -203,10 +230,10 @@ def test_short_series_take_the_table_and_longer_ones_the_fft(n):
     width = _table_width(n)
     for size in (1, width):
         c = rng.standard_normal(size)
-        assert grid.coefficients_to_values(c).tobytes() == (c @ grid._c2v_table[:size]).tobytes(), size
+        assert grid.coefficients_to_values(c).tobytes() == (c @ grid.basis.cosines[:size]).tobytes(), size
     if width < n:
         c = rng.standard_normal(width + 1)
-        expect = _dct1(c * grid._c2v_factor[: c.size], n)
+        expect = _dct1(c * grid.basis.c2v_factor[: c.size], n)
         assert grid.coefficients_to_values(c).tobytes() == expect.tobytes()
 
 
@@ -266,7 +293,7 @@ def test_second_derivative_table_matches_the_closed_form(n):
     # the row's largest entry, (k^4 - k^2) / 3, where the platform's long
     # double is wider than a double (the table's running sums take it), 4
     # eps otherwise; exact at the ends, where every term is an integer
-    table = SpectralGrid(n, 0.0, 3.0)._d2_table
+    table = SpectralGrid(n, 0.0, 3.0).basis.second
     hi, _ = _second_derivative_reference(n)
     assert table.shape == (_table_width(n), n)
     k = np.arange(table.shape[0])
@@ -290,7 +317,7 @@ def test_short_series_take_the_second_derivative_table_and_longer_ones_the_recur
     for size in (1, 3, width):
         c, im = rng.standard_normal(size), rng.standard_normal(size)
         got = grid.second_derivative_values(c)
-        assert got.tobytes() == ((c @ grid._d2_table[:size]) * scale).tobytes(), size
+        assert got.tobytes() == ((c @ grid.basis.second[:size]) * scale).tobytes(), size
         z = grid.second_derivative_values(c + 1j * im)
         assert z.dtype == complex and z.flags.c_contiguous, size
         assert z.real.tobytes() == got.tobytes(), size
