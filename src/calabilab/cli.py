@@ -159,11 +159,12 @@ def cmd_invariance(cfg: RunConfig) -> int:
             moved, phi_t = var.transport(base, dpath, float(t), phi)
             fut_path.append(futaki(moved, phi_t))
     fut_path = np.array(fut_path)
+    path_mean = np.add.reduce(fut_path) / fut_path.size
     report = {
         "samples": cfg.samples,
         "results": {
-            "futaki_max": float(np.abs(fut_vals).max()) if fut_vals else 0.0,
-            "futaki_path_spread": float(np.abs(fut_path - fut_path.mean()).max()),
+            "futaki_max": float(np.maximum.reduce(np.abs(fut_vals))) if fut_vals else 0.0,
+            "futaki_path_spread": float(np.maximum.reduce(np.abs(fut_path - path_mean))),
         },
         "failures": failures,
     }

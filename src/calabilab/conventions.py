@@ -59,11 +59,13 @@ def build_manifest() -> dict:
     for m in (2, 3, 4):
         a, c = pin_cpm_base_coefficient(m)
         s = round_profile(make_cpm_geometry(m, DEFAULT_NODES)).s.values
+        mean = np.add.reduce(s) / s.size
+        dev = s - mean
         manifest["cpm"][str(m)] = {
             "base_coefficient": a,
             "scalar_constant": c,
-            "scalar_constant_observed": float(s.mean()),
-            "scalar_std": float(s.std()),
+            "scalar_constant_observed": float(mean),
+            "scalar_std": float(np.sqrt(np.add.reduce(dev * dev) / s.size)),
         }
     return manifest
 

@@ -4,10 +4,11 @@ Tags: constant(c), identity, affine(a, b), power(p), exponential,
 log_guarded, scaled(c, inner), sum(inner, inner),
 composed_with_affine(inner, a, b).  One entry per tag in the table _TAGS
 holds its grammar heads, parameter and operand counts, evaluation, exact
-derivative (another descriptor) and constant value; the descriptor
-methods and the expression reader and writer all dispatch through it; a
-descriptor's derivative is built on first use and kept on the descriptor,
-and a text is parsed once per distinct text (a bounded cache).  Scalars
+derivative (another descriptor), constant value and whether it has a
+domain; the descriptor methods and the expression reader and writer all
+dispatch through it; a descriptor's derivative, constant value and domain
+fact are read on first use and kept on the descriptor, and a text is
+parsed once per distinct text (a bounded cache).  Scalars
 may be complex (for h); f is expected real.  The text form is prefix
 notation in which every head has a fixed arity, so it is read by
 recursive descent and every rendered descriptor reads back.
@@ -25,6 +26,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 PARSE_CACHE_SIZE = 256  # texts whose parse is kept
+_UNREAD = object()  # a fact not yet kept on a descriptor
 
 
 def _scalar(c):
@@ -57,19 +59,30 @@ class FunctionDescriptor:
             raise DomainError(self.tag, 0.0, node)
 
     # -- exact calculus ----------------------------------------------------
+    # Each fact below is read from the tag table on first use and kept on
+    # this descriptor, outside its fields: an equal descriptor, such as one
+    # with a -0.0 parameter where this has 0.0, reads its own.
+    def _keep(self, fact: str):
+        value = getattr(_TAGS[self.tag], fact)(self)
+        object.__setattr__(self, "_" + fact, value)
+        return value
+
     def derivative(self) -> "FunctionDescriptor":
-        """The exact derivative, built on first use and kept on this
-        descriptor, outside its fields: an equal descriptor, such as one
-        with a -0.0 parameter where this has 0.0, builds its own."""
-        d = self.__dict__.get("_derivative")
-        if d is None:
-            d = _TAGS[self.tag].derivative(self)
-            object.__setattr__(self, "_derivative", d)
-        return d
+        """The exact derivative."""
+        kept = self.__dict__.get("_derivative", _UNREAD)
+        return self._keep("derivative") if kept is _UNREAD else kept
 
     def constant_value(self):
         """Return c if the descriptor is the constant function c, else None."""
-        return _TAGS[self.tag].constant_value(self)
+        kept = self.__dict__.get("_constant_value", _UNREAD)
+        return self._keep("constant_value") if kept is _UNREAD else kept
+
+    def has_domain(self) -> bool:
+        """Whether evaluating can raise DomainError: log, a power with a
+        negative or non-integer exponent, or an expression containing one.
+        A derivative of a function without a domain has none."""
+        kept = self.__dict__.get("_has_domain", _UNREAD)
+        return self._keep("has_domain") if kept is _UNREAD else kept
 
     def render(self) -> str:
         """The text form, which parse_function reads back to this descriptor."""
@@ -122,7 +135,7 @@ def composed_with_affine(g: FunctionDescriptor, a, b) -> FunctionDescriptor:
 class _Tag(NamedTuple):
     """One tag: grammar heads (the first is written), parameter and
     operand counts, make(*params, *operands), evaluate(desc, z, nodes),
-    derivative(desc) and constant_value(desc)."""
+    derivative(desc), constant_value(desc) and has_domain(desc)."""
 
     heads: tuple
     n_params: int
@@ -131,6 +144,7 @@ class _Tag(NamedTuple):
     evaluate: Callable
     derivative: Callable
     constant_value: Callable = lambda d: None
+    has_domain: Callable = lambda d: any(g.has_domain() for g in d.inner)
 
 
 def _constant_values(d, z, nodes):
@@ -188,6 +202,7 @@ _TAGS = {
         _power_values,
         _power_derivative,
         lambda d: 1.0 if d.params[0] == 0 else None,
+        lambda d: d.params[0] < 0 or d.params[0] != int(d.params[0]),
     ),
     "exponential": _Tag(
         ("exp", "exponential"), 0, 0, exponential,
@@ -198,6 +213,7 @@ _TAGS = {
         ("log", "log_guarded"), 0, 0, log_guarded,
         _log_values,
         lambda d: power(-1),
+        has_domain=lambda d: True,
     ),
     "scaled": _Tag(
         ("scaled",), 1, 1, scaled,

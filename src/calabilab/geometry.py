@@ -198,7 +198,7 @@ class MetricProfile:
             out.append(Violation("boundary slope", grid.lo, abs(dlo - geom.slope_lo)))
         if abs(dhi - geom.slope_hi) > BOUNDARY_TOL:
             out.append(Violation("boundary slope", grid.hi, abs(dhi - geom.slope_hi)))
-        if (th[1:-1] <= 0).any():
+        if np.logical_or.reduce(th[1:-1] <= 0):
             out.append(_interior_minimum(grid, th))
         return tuple(out)
 
@@ -348,13 +348,13 @@ def random_admissible_profile(geom: ProfileGeometry, seed: int, amplitude: float
     grid = geom.grid
     with np.errstate(over="ignore", invalid="ignore"):
         q = random_chebyshev(geom, seed, 6, amplitude)
-    if not np.isfinite(q).all():
+    if not np.logical_and.reduce(np.isfinite(q)):
         raise ConfigError(f"amplitude {amplitude!r} overflows: the random draw is not finite on the grid")
     b = bump_factor(geom)
     theta0 = base.theta.values
     for _ in range(MAX_HALVINGS + 1):
         theta = theta0 + b * q
-        if (theta[1:-1] > 0).all():
+        if np.logical_and.reduce(theta[1:-1] > 0):
             return MetricProfile(geom, SampledFunction(grid, theta))
         q = q / 2.0
     raise AdmissibilityError([_interior_minimum(grid, theta)])

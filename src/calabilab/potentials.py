@@ -140,7 +140,7 @@ def holomorphy_defect(profile: MetricProfile, psi: SampledFunction) -> ELReport:
     if not (math.isfinite(defect_affine) and math.isfinite(defect_operator)):
         raise NonFiniteError(
             f"non-finite EL defects: defect_affine {defect_affine!r}, defect_operator {defect_operator!r}")
-    tol_affine = AFFINE_TOL * (1.0 + float(np.abs(psi.values).max()))
+    tol_affine = AFFINE_TOL * (1.0 + float(np.maximum.reduce(np.abs(psi.values))))
     return ELReport(
         alpha=alpha,
         beta=beta,

@@ -105,6 +105,6 @@ def profile_from_csv(geom: ProfileGeometry, text: str) -> MetricProfile:
     if x.size != geom.grid.n or not np.array_equal(x, geom.grid.x):
         raise ConfigError("profile CSV nodes do not match the geometry grid")
     theta = np.array(thetas)
-    if not np.isfinite(theta).all():
+    if not np.logical_and.reduce(np.isfinite(theta)):
         raise ConfigError("profile CSV has a non-finite theta value")
     return MetricProfile(geom, SampledFunction(geom.grid, theta))

@@ -14,16 +14,21 @@ solve for s.  Newton starts at s = s0 and at the weighted affine
 projection of psi_0 = f'(s0) Re h(phi), the EL potential of the
 constant-curvature profile, so a problem whose answer is the round metric
 (Re h(phi) affine, constants included) is solved at its first mismatch;
-an f' undefined at s0 is a DomainError naming f' and s0.
-A J that is not finite, or whose singular values (in closed form) are in
-a ratio of at most RANK_TOL, stops the solve with a ConvergenceError;
-otherwise the step is a 2x2 elimination on Python floats
-(spectral.PivotedLU2), with no LAPACK call.  The profile is integrated
-once, from the final s (MetricProfile.from_curvature), and keeps the Theta
-coefficients it is sampled from; an s whose chop keeps every coefficient
-is not resolved on the grid and raises ConvergenceError, and a profile
-that is not admissible raises AdmissibilityError, both carrying the Newton
-trace.  A solution whose EL potential is not affine within the report's
+an f' undefined at s0 is a DomainError naming f' and s0, and a Re h(phi)
+that is not finite a NonFiniteError naming the node.  Each iteration reads
+the two mismatches and the four entries of J from numpy once, as Python
+floats.  A J that is not finite, or whose singular values (in closed form)
+are in a ratio of at most RANK_TOL, stops the solve with a
+ConvergenceError; otherwise the step is a 2x2 elimination on those floats
+(spectral.PivotedLU2), with no LAPACK call.  f itself is evaluated, to
+name a node where a step leaves its domain, only when it has one
+(FunctionDescriptor.has_domain: log, a power with a negative or
+non-integer exponent, or an expression containing one).  The profile is
+integrated once, from the final s (MetricProfile.from_curvature), and
+keeps the Theta coefficients it is sampled from; an s whose chop keeps
+every coefficient is not resolved on the grid and raises
+ConvergenceError, and a profile that is not admissible raises
+AdmissibilityError, both carrying the Newton trace.  A solution whose EL potential is not affine within the report's
 tolerance raises ConvergenceError instead of being returned; that check
 reads s again from Theta's coefficients.
 
@@ -32,7 +37,7 @@ forms K, offset m0 and Jacobian rows, the class constants and the weighted
 affine projector (cached on ProfileGeometry), and the round profile
 (geometry.round_profile); a solve's _Shooter reads them and allocates
 nothing.  f' and f'' are built once per descriptor and kept on it
-(FunctionDescriptor.derivative).
+(FunctionDescriptor.derivative), as is whether f has a domain.
 
 When f' is constant the EL potential does not depend on the metric, so
 every metric is critical or none is.  The solver then returns the
@@ -56,6 +61,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DomainError,
+    NonFiniteError,
     RangeError,
     SingularPotential,
 )
@@ -129,10 +135,11 @@ class _Shooter:
     def mismatch(self, s_vals: np.ndarray) -> np.ndarray:
         return self.forms @ s_vals + self.m0
 
-    def jacobian(self, d: np.ndarray) -> np.ndarray:
+    def jacobian(self, d: np.ndarray) -> list:
         """The 2x2 Jacobian K diag(d) [x 1] of the mismatch in (alpha, beta),
-        d = 1 / (Re h f''(s)) at the nodes."""
-        return (self.jac_rows @ d).reshape(2, 2)
+        d = 1 / (Re h f''(s)) at the nodes, as four Python floats [a, b, c, d]
+        row by row."""
+        return (self.jac_rows @ d).tolist()
 
     def profile(self, s_vals: np.ndarray, trace: list) -> MetricProfile:
         """MetricProfile.from_curvature of the chopped s.  An s whose chop
@@ -146,12 +153,12 @@ class _Shooter:
         return MetricProfile.from_curvature(self.geom, m)
 
 
-def _singular_value_ratio(m: np.ndarray) -> float:
-    """sigma_min / sigma_max of a real 2x2 matrix in closed form, 0 for the
-    zero matrix.  With m scaled by its largest entry, sigma_max =
-    (hypot(a + d, c - b) + hypot(a - d, c + b)) / 2 lies in [1, 2] and
-    sigma_min = |ad - bc| / sigma_max, so nothing overflows or divides by 0."""
-    a, b, c, d = m.ravel().tolist()
+def _singular_value_ratio(a: float, b: float, c: float, d: float) -> float:
+    """sigma_min / sigma_max of the real 2x2 matrix [[a, b], [c, d]] in
+    closed form, 0 for the zero matrix.  With it scaled by its largest entry,
+    sigma_max = (hypot(a + d, c - b) + hypot(a - d, c + b)) / 2 lies in
+    [1, 2] and sigma_min = |ad - bc| / sigma_max, so nothing overflows or
+    divides by 0."""
     scale = max(abs(a), abs(b), abs(c), abs(d))
     if scale == 0.0:
         return 0.0
@@ -175,24 +182,30 @@ def _newton(shooter: _Shooter, f, fprime, hr, init, s):
     node.  Newton stops when the mismatch is below NEWTON_TOL and every
     pointwise correction d F below POINTWISE_TOL (1 + max |s|) plus its own
     rounding floor (_settled).
-    (alpha, beta) and the 2x2 step are Python floats; numpy's
-    floating-point warnings are off, and these checks name the node
-    instead."""
+    (alpha, beta), the two mismatches, their max-norm and the four
+    Jacobian entries are Python floats, each read from numpy once per
+    iteration.  f itself is evaluated only when it has a domain
+    (FunctionDescriptor.has_domain), to name a node that leaves it; a
+    domain-free f, such as exp or a power with an exponent in 0, 1, 2, ...,
+    is never evaluated.  numpy's floating-point warnings are off, and these
+    checks name the node instead."""
     x = shooter.grid.x
     fsecond = fprime.derivative()
+    probe = f.has_domain()
     alpha, beta = float(init[0]), float(init[1])
     trace = []
 
     def at(s):
-        f(s, x)  # a DomainError outside the domain of f names the node
+        if probe:
+            f(s, x)  # a DomainError outside the domain of f names the node
         return hr * fprime(s, x), hr * fsecond(s, x)
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         g, hf2 = at(s)
         sign = np.sign(hf2)
         for it in range(MAX_NEWTON_ITER):
-            res = shooter.mismatch(s)
-            rnorm = float(np.abs(res).max())
+            r0, r1 = map(abs, shooter.mismatch(s).tolist())
+            rnorm = r1 if r1 > r0 or r1 != r1 else r0  # NaN when either is, as numpy's max
             trace.append(((alpha, beta), rnorm))
             # d hf2 is 1 to rounding where both are finite, and not finite
             # where either is (an overflowed f'' leaves d = 0), so that the
@@ -202,10 +215,10 @@ def _newton(shooter: _Shooter, f, fprime, hr, init, s):
             if bad.size:
                 raise ConvergenceError(f"Newton Jacobian is not finite at node x={float(x[bad[0]])!r}", trace)
             jac = shooter.jacobian(d)
-            if _singular_value_ratio(jac) <= RANK_TOL:
+            if _singular_value_ratio(*jac) <= RANK_TOL:
                 raise ConvergenceError("rank-deficient Newton Jacobian", trace)
             dF = d * (g - (alpha * x + beta))
-            da, db = PivotedLU2(*jac.ravel().tolist()).solve(*shooter.mismatch(s - dF).tolist())
+            da, db = PivotedLU2(*jac).solve(*shooter.mismatch(s - dF).tolist())
             ds = d * (da * x + db) + dF
             if rnorm < NEWTON_TOL and _settled(dF, d, g, alpha * x, beta, s):
                 # J is exact, so this last step leaves a residual of order
@@ -245,22 +258,27 @@ def _settled(dF, d, g, alpha_x, beta, s) -> bool:
     and d F cannot settle below it.  The floor is added only when the
     common bound alone fails."""
     mag = np.abs(dF)
-    bound = POINTWISE_TOL * (1.0 + np.abs(s).max())
-    if mag.max() <= bound:
+    bound = POINTWISE_TOL * (1.0 + np.maximum.reduce(np.abs(s)))
+    if np.maximum.reduce(mag) <= bound:
         return True
     floor = (POINTWISE_ULPS * EPS) * np.abs(d) * (np.abs(g) + np.abs(alpha_x) + abs(beta))
-    return bool((mag <= bound + floor).all())
+    return bool(np.logical_and.reduce(mag <= bound + floor))
 
 
-def _check_nonvanishing(hr: np.ndarray):
+def _check_nonvanishing(hr: np.ndarray, x: np.ndarray):
     """Newton solves Re h f'(s) = psi for s at each node, dividing by
-    hr = Re h(phi): it must keep one sign.  min |hr| and max |hr| are read
-    from min hr and max hr, unless the sign changes."""
-    lo, hi = hr.min(), hr.max()
+    hr = Re h(phi): it must be finite and keep one sign.  A NaN makes both
+    min hr and max hr NaN, and an infinity one of them, so a NonFiniteError
+    names the first node where hr is not finite.  min |hr| and max |hr| are
+    read from min hr and max hr, unless the sign changes."""
+    lo, hi = np.minimum.reduce(hr), np.maximum.reduce(hr)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        i = (~np.isfinite(hr)).nonzero()[0][0]
+        raise NonFiniteError(f"non-finite Re h(phi) at node x={float(x[i])!r}: {float(hr[i])!r}")
     changes_sign = hi > 0 > lo
     if changes_sign:
         mag = np.abs(hr)
-        small, big = mag.min(), mag.max()
+        small, big = np.minimum.reduce(mag), np.maximum.reduce(mag)
     else:
         small, big = sorted((abs(lo), abs(hi)))
     if small <= 1e-12 * max(big, 1.0):
@@ -289,12 +307,13 @@ def solve_critical(
         # (f' := id, Re h := 1, no domain to stay in); the criticality check
         # below decides.
         domain, fprime, hr, status = identity(), identity(), np.ones(x.shape), STATUS_EVERY_METRIC
-    # F = Re h f'(s) - psi is solved for s pointwise, so Re h must keep one sign
-    _check_nonvanishing(hr)
+    # F = Re h f'(s) - psi is solved for s pointwise, so Re h must be finite
+    # and keep one sign
+    _check_nonvanishing(hr, x)
     if init is None:
         # the EL potential of the constant-curvature profile, projected
         try:
-            fprime0 = float(fprime(np.array([s0]))[0])
+            fprime0 = float(fprime(s0))
         except DomainError as exc:
             raise DomainError(exc.tag, exc.value,
                               where=f"f' = {fprime.render()} at the start s0 = {float(s0)!r}") from exc
@@ -345,7 +364,7 @@ def iterate(
             steps.append(IterationStep(i, None, None, "failed", {"error": str(exc)}))
             break
         summary = {
-            "sup_theta": float(res.profile.theta.values.max()),
+            "sup_theta": float(np.maximum.reduce(res.profile.theta.values)),
             "defect_affine": res.el_report.defect_affine,
             "defect_operator": res.el_report.defect_operator,
             "solver_status": res.status,

@@ -25,8 +25,10 @@ on chopped coefficients: derivative and antiderivative coefficients are
 O(L) recurrences (Mason & Handscomb, Chebyshev Polynomials, 2003), and the
 scale-free Euler operator E_a = y d/dy + a, y = x - lo, and its inverse
 solve_euler carry every weight y^k, so nothing divides by x - lo.  A call
-is a few dozen small array steps: it calls numpy's array methods, not the
-wrappers around them, and copies nothing it only reads.
+is a few dozen small array steps: it reduces through the ufuncs
+themselves (np.maximum.reduce, np.logical_and.reduce, ...), not through
+ndarray.max and its kin or the np.any family, which wrap them in Python
+functions, and copies nothing it only reads.
 Shared arrays are read-only, by this module alone: a basis and a grid
 freeze theirs, the per-k builders theirs, SampledFunction the array it is
 handed and cached_field each ndarray it caches or is preset with.  A grid
@@ -200,7 +202,7 @@ def chop_coefficients(c: np.ndarray) -> np.ndarray:
     if c.dtype.kind == "c":
         return c[: max(chop_coefficients(c.real).size, chop_coefficients(c.imag).size)]
     mag = np.abs(c)
-    top = mag.max()
+    top = np.maximum.reduce(mag)
     if not math.isfinite(top):  # NaN or inf: no threshold is meaningful
         raise NonFiniteError("non-finite Chebyshev coefficients")
     if top == 0.0:
@@ -535,7 +537,7 @@ class SampledFunction:
         v = np.asarray(self.values)
         if v.shape != (self.grid.n,):
             raise ValueError("value count does not match the grid")
-        if not np.isfinite(v).all():  # complex: both parts
+        if not np.logical_and.reduce(np.isfinite(v)):  # complex: both parts
             raise NonFiniteError("non-finite sample values")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -575,9 +577,9 @@ class AffineProjector:
 
     def __init__(self, qw: np.ndarray, x: np.ndarray):
         # a mass below -1e-13 of the largest is not a measure, not rounding
-        if (qw < -1e-13 * np.abs(qw).max()).any():
+        if np.logical_or.reduce(qw < -1e-13 * np.maximum.reduce(np.abs(qw))):
             raise DegenerateWeight("weight must be nonnegative")
-        g00, g01, mass = float(qw @ (x * x)), float(qw @ x), float(qw.sum())
+        g00, g01, mass = float(qw @ (x * x)), float(qw @ x), float(np.add.reduce(qw))
         if not mass > 0:
             raise DegenerateWeight("degenerate normal equations")
         # the moments of the unit-mass measure make the test scale-free: its

@@ -63,7 +63,7 @@ def transport(
     geom = profile.geometry
     grid = geom.grid
     denom = 1.0 - KAPPA_THETA * t * profile.theta.values * path.u2
-    if (denom[1:-1] <= 0.0).any():
+    if np.logical_or.reduce(denom[1:-1] <= 0.0):
         raise PathExitsClass(t)
     theta_t = profile.theta.values / denom
     return MetricProfile(geom, SampledFunction(grid, theta_t)), phi

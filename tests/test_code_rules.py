@@ -36,13 +36,20 @@ FFT = "fft"
 NUMPY = {"np", "numpy"}
 DCT1 = "_dct1"
 SPECTRAL = SRC / "spectral.py"
-# numpy functions that are Python-level wrappers around an array method or a
-# dtype test, each a microsecond or more per call on the hot path: the
-# library calls .any(), .all(), .nonzero(), .real, reshape(-1) and
-# dtype.kind instead, and irfft in place of hfft, which conjugates a copy
-# of its input and then calls irfft
+# numpy functions that are Python-level wrappers around a reduction, an
+# array method or a dtype test, each a microsecond or more per call on the
+# hot path: the library calls the reduction ufuncs (np.logical_or.reduce,
+# np.logical_and.reduce), .nonzero(), .real, reshape(-1) and dtype.kind
+# instead, and irfft in place of hfft, which conjugates a copy of its input
+# and then calls irfft
 NUMPY_WRAPPERS = {"iscomplexobj", "any", "all", "nonzero", "flatnonzero", "real", "atleast_1d"}
 FFT_WRAPPERS = {"hfft"}
+# ndarray reductions that numpy runs through a Python function of
+# numpy._core._methods (on numpy 2.4, ndarray.max of 257 floats takes 2.3 us
+# against 1.0 us for np.maximum.reduce, timeit minimum, one x86-64 core):
+# the library calls the ufunc's reduce, which those functions call with the
+# same arguments, so the result is the same
+REDUCTION_METHODS = {"max", "min", "sum", "prod", "mean", "var", "std", "ptp", "any", "all"}
 # every name the package exports has a reader other than the unit tests: a
 # library module, the benchmark (read, never changed, here) or the
 # acceptance gate; a name only unit tests call is a second route to keep
@@ -201,6 +208,15 @@ def _numpy_wrapper_uses(tree: ast.AST):
             for alias in node.names:
                 if alias.name in banned:
                     yield node.lineno, f"from {node.module} import {alias.name}"
+
+
+def _reduction_method_calls(tree: ast.AST):
+    """Each call of a method named in REDUCTION_METHODS on anything but the
+    numpy module, whose functions NUMPY_WRAPPERS covers."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in REDUCTION_METHODS and getattr(node.func.value, "id", None) not in NUMPY):
+            yield node.lineno, f".{node.func.attr}()"
 
 
 def _references(tree: ast.AST, enclosing: tuple = ()):
@@ -518,6 +534,29 @@ def test_rule_detects_numpy_wrapper_uses():
 
 def test_no_numpy_wrappers_in_library():
     assert _library_findings(_numpy_wrapper_uses) == []
+
+
+def test_rule_detects_reduction_method_calls():
+    code = (
+        "import numpy as np\n"
+        "top = np.abs(c).max()\n"
+        "if (v < 0).any() or ok.all():\n    pass\n"
+        "m = v.mean() + v.sum() + v[1:].min() + v.std()\n"
+        "top = np.maximum.reduce(np.abs(c))\n"
+        "bad = np.logical_or.reduce(v < 0) + np.add.reduce(v)\n"
+        "n = max(a, b) + min(a, b) + sum(xs)\n"
+        "flag = np.any(v) or numpy.max(v)\n"
+    )
+    found = sorted(_reduction_method_calls(ast.parse(code)))
+    assert found == [
+        (2, ".max()"),
+        (3, ".all()"), (3, ".any()"),
+        (5, ".mean()"), (5, ".min()"), (5, ".std()"), (5, ".sum()"),
+    ]
+
+
+def test_no_reduction_methods_in_library():
+    assert _library_findings(_reduction_method_calls) == []
 
 
 def test_rule_detects_exports_without_reader():

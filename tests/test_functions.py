@@ -118,6 +118,42 @@ def test_domain_errors_carry_location():
     assert exc.value.node == 0.2
 
 
+DOMAIN_LEAVES = ["id", "exp", "const:1", "affine:2:1", "pow:0", "pow:2", "pow:3",
+                 "pow:-1", "pow:-2", "pow:0.5", "pow:1.5", "log"]
+
+
+def _wrapped(g):
+    """Every tag with an operand around g.  Each affine map of compaff sends
+    {-1, 0, 1} onto a set that holds 0, or 0 and -1, where every domain of
+    the catalog ends."""
+    yield scaled(0.5, g)
+    yield scaled(0.0, g)
+    for a, b in ((1.0, 0.0), (-1.0, 0.0), (0.0, 0.0)):
+        yield composed_with_affine(g, a, b)
+    for other in (exponential(), log_guarded()):
+        yield fsum(g, other)
+        yield fsum(other, g)
+
+
+def test_a_descriptor_has_a_domain_exactly_when_it_can_raise():
+    # over every tag, nested two deep: has_domain() is True exactly when
+    # evaluating at z in {-1, 0, 1} raises DomainError, and a derivative of
+    # a function without a domain has none
+    z = np.array([-1.0, 0.0, 1.0])
+    leaves = [parse_function(spec) for spec in DOMAIN_LEAVES]
+    once = [w for g in leaves for w in _wrapped(g)]
+    trees = leaves + once + [w for g in once for w in _wrapped(g)]
+    assert {g.tag for g in trees} == set(_TAGS)
+    for g in trees:
+        try:
+            g(z)
+            raised = False
+        except DomainError:
+            raised = True
+        assert g.has_domain() is raised, g.render()
+        assert g.has_domain() or not g.derivative().has_domain(), g.render()
+
+
 def test_constant_value_detection():
     assert constant(4.0).constant_value() == 4.0
     assert identity().derivative().constant_value() == 1.0
@@ -148,6 +184,14 @@ def test_memoised_calculus_matches_an_uncached_build(calculus):
         fresh = getattr(functions._parse.__wrapped__(spec), calculus)()
         assert fresh == memo[spec], spec
         assert np.array_equal(fresh(z), memo[spec](z)), spec
+
+
+def test_a_descriptor_keeps_each_fact_it_reads(monkeypatch):
+    g = functions._parse.__wrapped__("scaled:2:sum:log,const:1")
+    d, c, domain = g.derivative(), g.constant_value(), g.has_domain()
+    assert c is None and domain is True
+    monkeypatch.setattr(functions, "_TAGS", {})  # a kept fact is not read from the table again
+    assert g.derivative() is d and g.constant_value() is None and g.has_domain() is True
 
 
 def test_a_signed_zero_parameter_keeps_its_sign_in_the_derivative():

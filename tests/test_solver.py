@@ -15,6 +15,7 @@ from calabilab import (
     DomainError,
     HolomorphyPotential,
     MetricProfile,
+    NonFiniteError,
     RangeError,
     SampledFunction,
     SingularPotential,
@@ -36,6 +37,7 @@ from calabilab import (
     solve_critical,
 )
 from calabilab import solver
+from calabilab.functions import FunctionDescriptor
 from calabilab.geometry import _theta_coefficients, bump_factor
 from calabilab.spectral import SpectralGrid
 
@@ -124,6 +126,19 @@ def test_vanishing_real_part_of_h_is_singular(cp1):
     # |h| = 0.5 everywhere, but the inversion of f' divides by Re h = 0
     with pytest.raises(SingularPotential, match="Re h"):
         solve_critical(cp1, parse_function("pow:2"), parse_function("const:0.5j"), normalize_potential(cp1))
+
+
+@pytest.mark.parametrize("h, value", [("exp", "inf"), ("sum:exp,scaled:-1:exp", "nan")])
+def test_non_finite_real_part_of_h_is_named(cp1, h, value):
+    # phi = 400 (x + 1): e^phi overflows where phi > log(max float), and
+    # e^phi - e^phi is inf - inf there.  The first such node is named with
+    # its value, not read as a vanishing Re h or a non-finite Jacobian
+    phi = HolomorphyPotential(cp1, 400.0, 400.0)
+    x = cp1.grid.x
+    node = float(x[phi.values > np.log(np.finfo(float).max)][0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match=rf"^non-finite Re h\(phi\) at node x={node!r}: {value}$"):
+            solve_critical(cp1, parse_function("exp"), parse_function(h), phi)
 
 
 def test_non_critical_solution_is_not_returned(cp1):
@@ -458,8 +473,8 @@ def test_singular_value_ratio_matches_svd():
     for _ in range(500):
         m = rng.standard_normal((2, 2)) * 10.0 ** rng.uniform(-5, 5)
         sv = np.linalg.svd(m, compute_uv=False)
-        assert abs(solver._singular_value_ratio(m) - sv[1] / sv[0]) <= 2e-15
-    assert solver._singular_value_ratio(np.zeros((2, 2))) == 0.0
+        assert abs(solver._singular_value_ratio(*m.ravel().tolist()) - sv[1] / sv[0]) <= 2e-15
+    assert solver._singular_value_ratio(0.0, 0.0, 0.0, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("r", [1e-14, 3e-13, 8e-13, 1.25e-12, 3e-12, 1e-11])
@@ -471,7 +486,7 @@ def test_singular_value_ratio_near_the_rank_threshold(r):
         t1, t2 = rng.uniform(0.0, 2.0 * np.pi, 2)
         m = _rotation(t1) @ np.diag([1.0, r]) @ _rotation(t2) * 10.0 ** rng.uniform(-3, 3)
         sv = np.linalg.svd(m, compute_uv=False)
-        ratio = solver._singular_value_ratio(m)
+        ratio = solver._singular_value_ratio(*m.ravel().tolist())
         assert abs(ratio - sv[1] / sv[0]) <= 2e-15
         assert (ratio <= solver.RANK_TOL) == (sv[1] <= 1e-12 * sv[0]) == (r <= 1e-12)
 
@@ -504,7 +519,8 @@ def test_scaled_jacobian_is_not_refused(make, c):
     assert abs(ab[0]) * c < 1e-9 and abs(ab[1] * c - s0) < 1e-9 * s0
     assert np.abs(s - s0).max() < 1e-9 * s0
     jac = np.array([[0.3, -1.7], [2.2, 0.9]])
-    assert abs(solver._singular_value_ratio(jac * c) - solver._singular_value_ratio(jac)) < 1e-15
+    assert abs(solver._singular_value_ratio(*(jac * c).ravel().tolist())
+               - solver._singular_value_ratio(*jac.ravel().tolist())) < 1e-15
 
 
 @pytest.mark.parametrize("h", ["id", "affine:2:1"])
@@ -602,6 +618,62 @@ def test_vanishing_second_derivative_is_a_named_error(cp1):
             solver._newton(solver._Shooter(cp1), f, f.derivative(), np.ones(x.shape), (0.0, 0.0), np.zeros(x.shape))
 
 
+@pytest.mark.parametrize("f, h, probes", [
+    ("exp", "pow:2", False), ("pow:2", "id", False), ("scaled:0.5:pow:2", "const:1", False),
+    ("id", "id", False),  # every_metric_critical: Newton on s itself, with no domain
+    ("log", "exp", True),
+])
+def test_newton_evaluates_f_only_when_it_has_a_domain(cp1, monkeypatch, f, h, probes):
+    # a counting spy on every descriptor evaluation: the f that Newton is
+    # handed is evaluated once per trial point when it has a domain, else
+    # never (h is another descriptor, and f' and f'' are built anew)
+    handed, calls = [], []
+    newton, evaluate = solver._newton, FunctionDescriptor.__call__
+    monkeypatch.setattr(solver, "_newton", lambda shooter, g, *rest: handed.append(g) or newton(shooter, g, *rest))
+    monkeypatch.setattr(FunctionDescriptor, "__call__", lambda g, *args: calls.append(g) or evaluate(g, *args))
+    res = solve_critical(cp1, parse_function(f), parse_function(h), HolomorphyPotential(cp1, 1.0, 2.0))
+    (domain,) = handed
+    assert domain.has_domain() == probes
+    evaluations = sum(g is domain for g in calls)
+    assert evaluations == (res.iterations + 1 if probes else 0)
+    assert res.iterations > 0 or h in ("id", "const:1")
+
+
+def test_newton_step_out_of_the_domain_of_log_is_halved(monkeypatch):
+    # cpm:2, f = log, h = log, phi = 2x + 1.1: one full Newton step takes s
+    # below 0 at some node, where log is undefined; the step is halved
+    # instead, and the solve converges to a critical metric
+    geom = make_cpm_geometry(2)
+    f = parse_function("log")
+    exits = []
+    evaluate = FunctionDescriptor.__call__
+
+    def spy(g, *args):
+        try:
+            return evaluate(g, *args)
+        except DomainError:
+            exits.append(g)
+            raise
+
+    monkeypatch.setattr(FunctionDescriptor, "__call__", spy)
+    res = solve_critical(geom, f, parse_function("log"), HolomorphyPotential(geom, 2.0, 1.1))
+    assert exits and all(g is f for g in exits)
+    assert res.status == "converged" and res.el_report.is_critical and res.profile.violations == ()
+
+
+def test_step_out_of_the_domain_of_log_that_halving_cannot_save(cp1):
+    # f = log, Re h = 1, from s = 1e-12 at every node and psi projected from
+    # f'(s) = 1e12, far from any solution: the third Newton step would take
+    # s at x = -1 from 4 to -4.3e9, and halved 30 times it still ends at -4
+    x, f = cp1.grid.x, parse_function("log")
+    s = np.full(x.shape, 1e-12)
+    init = cp1.affine_projector.coefficients(1.0 / s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match=r"halved 30 times still leaves the domain of log at node x=-1\.0$"):
+            solver._newton(solver._Shooter(cp1), f, f.derivative(), np.ones(x.shape), init, s)
+
+
 def test_geometry_forms_are_built_once(geometries):
     for spec, geom in geometries.items():
         assert geom.far_end_forms is geom.far_end_forms, spec
@@ -621,7 +693,7 @@ def test_jacobian_is_one_matvec_of_the_cached_rows(geometries):
         d = rng.uniform(0.5, 2.0, x.size)
         kd = geom.far_end_forms * d
         expect = np.stack([kd @ x, kd.sum(axis=1)], axis=1)
-        assert np.abs(sh.jacobian(d) - expect).max() <= 1e-14 * np.abs(expect).max(), spec
+        assert np.abs(np.reshape(sh.jacobian(d), (2, 2)) - expect).max() <= 1e-14 * np.abs(expect).max(), spec
 
 
 def test_two_solves_share_no_writable_array(geometries, monkeypatch):
@@ -825,7 +897,7 @@ def test_newton_step_across_a_pole_of_fprime_is_halved(p, seed):
     alpha, beta = geom.affine_projector.coefficients(fprime(s[:1])[0] * hr)
     d = 1.0 / (hr * fprime.derivative()(s))
     d_f = d * (hr * fprime(s) - (alpha * x + beta))
-    da, db = np.linalg.solve(sh.jacobian(d), sh.mismatch(s - d_f))
+    da, db = np.linalg.solve(np.reshape(sh.jacobian(d), (2, 2)), sh.mismatch(s - d_f))
     assert (s - d * (da * x + db) - d_f).min() < 0  # the full step crosses the pole
     for c in (1.0, 1e-8):
         res = solve_critical(geom, f, scaled(c, h), normalize_potential(geom))
