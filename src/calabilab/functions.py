@@ -188,7 +188,7 @@ _TAGS = {
     ),
     "identity": _Tag(
         ("id", "identity"), 0, 0, identity,
-        lambda d, z, nodes: z + 0.0,
+        lambda d, z, nodes: z,  # the argument itself; no caller writes into a result
         lambda d: constant(1.0),
     ),
     "affine": _Tag(

@@ -12,9 +12,10 @@ s = -E_(k+1) E_(k+2) (E_1 E_2)^-1 Theta'' and
 (w Theta^j g)^(j) / w = E_(k+1) ... E_(k+j) (R^j g).  Integrals take the
 volume form dmu = C_vol w dx, ProfileGeometry.measure: none multiplies by w.
 This module owns both directions of Theta <-> s, MetricProfile.s and its
-inverse MetricProfile.from_curvature, and the far-end map far_end_forms @ s
-+ far_end_offset with its Jacobian rows; the solver owns the Newton loop
-alone.  On a chopped series of at most DENSE_NODES + 1 coefficients each
+inverse MetricProfile.from_curvature, and the far-end map K s +
+far_end_offset, K = far_end_forms, with its Jacobian rows; the solver owns
+the Newton loop alone.  Every product is np.dot (spectral.py says why).
+On a chopped series of at most DENSE_NODES + 1 coefficients each
 direction is one product with a table of spectral that depends on k alone,
 so the geometries of one k on every grid share it: s on CP^m with Q_k
 (curvature_table) and from_curvature on every geometry with B_k
@@ -80,7 +81,7 @@ class ProfileGeometry:
 
     def integrate(self, g: np.ndarray):
         """int g dmu = C_vol * int g w dx, the one weighted integral."""
-        return self.vol_const * (self.measure @ g)
+        return self.vol_const * np.dot(self.measure, g)
 
     @cached_field
     def far_end_forms(self) -> np.ndarray:
@@ -96,7 +97,8 @@ class ProfileGeometry:
     def jacobian_rows(self) -> np.ndarray:
         """K_0 diag(x), K_0, K_1 diag(x) and K_1, K = far_end_forms: the
         Jacobian K diag(d) [x 1] of the far-end map in (alpha, beta), where
-        s moves by d (dalpha x + dbeta), is (jacobian_rows @ d).reshape(2, 2)."""
+        s moves by d (dalpha x + dbeta), is the product of jacobian_rows
+        with d, row by row."""
         forms, x = self.far_end_forms, self.grid.x
         rows = np.empty((4, x.size))  # filled in place: np.stack takes 1.5-2x as long
         rows[0::2] = forms * x
@@ -119,7 +121,8 @@ class ProfileGeometry:
         C_vol int w dx and, from boundary data alone, C_vol * (int A dx -
         [ (w Theta)' ]_lo^hi ) with (w Theta)' = w * slope at each endpoint.
         Both take the grid's rule on w or A: int 1 dmu sums the rounded
-        products qw w, which qw @ w fuses, and differs by an ulp on some grids."""
+        products qw w, which the product of qw with w fuses, and differs by
+        an ulp on some grids."""
         grid, w = self.grid, self.weight.values
         total_volume = self.vol_const * float(grid.integrate_values(w))
         base = float(grid.integrate_values(self.base_term.values))
@@ -157,7 +160,8 @@ class MetricProfile:
         grid, m = geometry.grid, s_coeffs
         table = profile_table(geometry.k)
         if m.size <= table.shape[1]:
-            theta = _theta_from_u2m(table[: m.size + 2, -m.size:] @ m[::-1].copy(), geometry.slope_lo, grid.span)
+            u2m = np.dot(table[: m.size + 2, -m.size:], m[::-1].copy())
+            theta = _theta_from_u2m(u2m, geometry.slope_lo, grid.span)
         else:
             for a in (geometry.k + 1, geometry.k + 2):
                 m = solve_euler(m, a)
@@ -193,7 +197,7 @@ class MetricProfile:
             out.append(Violation("endpoint value", grid.lo, abs(th[0])))
         if abs(th[-1]) > BOUNDARY_TOL:
             out.append(Violation("endpoint value", grid.hi, abs(th[-1])))
-        dlo, dhi = (float(d) for d in grid.endpoint_slopes(self.theta_coeffs))
+        dlo, dhi = grid.endpoint_slopes(self.theta_coeffs).tolist()
         if abs(dlo - geom.slope_lo) > BOUNDARY_TOL:
             out.append(Violation("boundary slope", grid.lo, abs(dlo - geom.slope_lo)))
         if abs(dhi - geom.slope_hi) > BOUNDARY_TOL:
@@ -221,7 +225,7 @@ class MetricProfile:
             return SampledFunction(grid, -grid.second_derivative_values(c))
         table = curvature_table(k)
         if c.size <= table.shape[1]:
-            c = table[: max(c.size - 2, 1), -c.size:] @ c[::-1].copy()
+            c = np.dot(table[: max(c.size - 2, 1), -c.size:], c[::-1].copy())
             c *= -((2.0 / grid.span) ** 2)
         else:
             c = grid.derivative_coefficients(c, 2) * -((2.0 / grid.span) ** 2)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError
+from .errors import DomainError, NonFiniteError
 from .functions import FunctionDescriptor, constant
 from .geometry import MetricProfile, ProfileGeometry, require_admissible
 from .spectral import SampledFunction, cached_field
@@ -71,6 +71,15 @@ def _phi_values(profile: MetricProfile, phi: HolomorphyPotential) -> np.ndarray:
     return phi.values
 
 
+def h_of_phi(h: FunctionDescriptor, phi_values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """h(phi) at the nodes x; a DomainError names h as written and the
+    node where phi leaves its domain."""
+    try:
+        return h(phi_values, x)
+    except DomainError as exc:
+        raise DomainError(exc.tag, exc.value, exc.node, where=f"phi given to h = {h.render()}") from exc
+
+
 def eval_S(
     profile: MetricProfile,
     f: FunctionDescriptor,
@@ -78,10 +87,14 @@ def eval_S(
     phi: HolomorphyPotential,
 ) -> complex:
     """The functional C_vol * int f(s(x)) h(phi(x)) w(x) dx; a value that
-    overflows is a NonFiniteError."""
+    overflows is a NonFiniteError.  s is read for every f, so that an
+    inadmissible profile raises; f = const:c is not evaluated, as c h(phi)
+    is the product f(s) h(phi) takes with f(s) an array filled with c."""
     geom = profile.geometry
     x = geom.grid.x
-    value = complex(geom.integrate(f(profile.s.values, x) * h(_phi_values(profile, phi), x)))
+    s = profile.s.values
+    fs = f.params[0] if f.tag == "constant" else f(s, x)
+    value = complex(geom.integrate(fs * h_of_phi(h, _phi_values(profile, phi), x)))
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise NonFiniteError(f"non-finite S = C_vol int f(s) h(phi) w dx: {value!r}")
     return value
@@ -95,7 +108,8 @@ def el_potential(
 ) -> SampledFunction:
     """psi(x) = f'(s(x)) * h(phi(x)), the candidate holomorphy potential."""
     grid = profile.geometry.grid
-    return SampledFunction(grid, f.derivative()(profile.s.values, grid.x) * h(_phi_values(profile, phi), grid.x))
+    x = grid.x
+    return SampledFunction(grid, f.derivative()(profile.s.values, x) * h_of_phi(h, _phi_values(profile, phi), x))
 
 
 def lichnerowicz(profile: MetricProfile, psi: SampledFunction) -> SampledFunction:
@@ -124,7 +138,7 @@ def quadratic_form_matrix(profile: MetricProfile) -> np.ndarray:
     # coefficient is +-1/(n - 1), at least half its largest, so each column
     # is the linear map's own and the stacked matrix is that map exactly.
     d2 = np.stack([grid.differentiate_values(e, 2) for e in np.eye(grid.n)], axis=1)
-    return geom.vol_const * (d2.T * (geom.measure * profile.theta.values ** 2)) @ d2
+    return geom.vol_const * np.dot(d2.T * (geom.measure * profile.theta.values ** 2), d2)
 
 
 def holomorphy_defect(profile: MetricProfile, psi: SampledFunction) -> ELReport:

@@ -14,13 +14,14 @@ solve for s.  Newton starts at s = s0 and at the weighted affine
 projection of psi_0 = f'(s0) Re h(phi), the EL potential of the
 constant-curvature profile, so a problem whose answer is the round metric
 (Re h(phi) affine, constants included) is solved at its first mismatch;
-an f' undefined at s0 is a DomainError naming f' and s0, and a Re h(phi)
-that is not finite a NonFiniteError naming the node.  Each iteration reads
-the two mismatches and the four entries of J from numpy once, as Python
-floats.  A J that is not finite, or whose singular values (in closed form)
-are in a ratio of at most RANK_TOL, stops the solve with a
-ConvergenceError; otherwise the step is a 2x2 elimination on those floats
-(spectral.PivotedLU2), with no LAPACK call.  f itself is evaluated, to
+an f' undefined at s0 is a DomainError naming f' and s0, a phi outside
+the domain of h one naming h and the node (potentials.h_of_phi), and a
+Re h(phi) that is not finite a NonFiniteError naming the node.  Each
+iteration reads the two mismatches and the four entries of J from numpy
+once, as Python floats.  A J that is not finite, or whose singular values
+(in closed form) are in a ratio of at most RANK_TOL, stops the solve with
+a ConvergenceError; otherwise the step is a 2x2 elimination on those
+floats (spectral.PivotedLU2), with no LAPACK call.  f itself is evaluated, to
 name a node where a step leaves its domain, only when it has one
 (FunctionDescriptor.has_domain: log, a power with a negative or
 non-integer exponent, or an expression containing one).  The profile is
@@ -44,7 +45,8 @@ every metric is critical or none is.  The solver then returns the
 canonical representative, Calabi's extremal metric with affine scalar
 curvature: the one Newton loop runs with f' := id and Re h := 1, and no
 domain, that is Newton on s = alpha x + beta itself, from the same
-projected start.
+projected start.  Re h(phi) must still be finite there, and may vanish.
+Every product is np.dot (spectral.py says why).
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ from .errors import (
 )
 from .functions import FunctionDescriptor, identity
 from .geometry import MetricProfile, ProfileGeometry
-from .potentials import ELReport, HolomorphyPotential, el_potential, holomorphy_defect
+from .potentials import ELReport, HolomorphyPotential, el_potential, h_of_phi, holomorphy_defect
 from .spectral import PivotedLU2, chop_coefficients
 
 NEWTON_TOL = 1e-10
@@ -133,13 +135,13 @@ class _Shooter:
         self.forms, self.m0, self.jac_rows = geom.far_end_forms, geom.far_end_offset, geom.jacobian_rows
 
     def mismatch(self, s_vals: np.ndarray) -> np.ndarray:
-        return self.forms @ s_vals + self.m0
+        return np.dot(self.forms, s_vals) + self.m0
 
     def jacobian(self, d: np.ndarray) -> list:
         """The 2x2 Jacobian K diag(d) [x 1] of the mismatch in (alpha, beta),
         d = 1 / (Re h f''(s)) at the nodes, as four Python floats [a, b, c, d]
         row by row."""
-        return (self.jac_rows @ d).tolist()
+        return np.dot(self.jac_rows, d).tolist()
 
     def profile(self, s_vals: np.ndarray, trace: list) -> MetricProfile:
         """MetricProfile.from_curvature of the chopped s.  An s whose chop
@@ -265,16 +267,23 @@ def _settled(dF, d, g, alpha_x, beta, s) -> bool:
     return bool(np.logical_and.reduce(mag <= bound + floor))
 
 
-def _check_nonvanishing(hr: np.ndarray, x: np.ndarray):
-    """Newton solves Re h f'(s) = psi for s at each node, dividing by
-    hr = Re h(phi): it must be finite and keep one sign.  A NaN makes both
-    min hr and max hr NaN, and an infinity one of them, so a NonFiniteError
-    names the first node where hr is not finite.  min |hr| and max |hr| are
-    read from min hr and max hr, unless the sign changes."""
+def _check_finite(hr: np.ndarray, x: np.ndarray):
+    """(min hr, max hr) of hr = Re h(phi), after a NonFiniteError naming the
+    first node where hr is not finite: a NaN makes both NaN, and an
+    infinity one of them."""
     lo, hi = np.minimum.reduce(hr), np.maximum.reduce(hr)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         i = (~np.isfinite(hr)).nonzero()[0][0]
         raise NonFiniteError(f"non-finite Re h(phi) at node x={float(x[i])!r}: {float(hr[i])!r}")
+    return lo, hi
+
+
+def _check_nonvanishing(hr: np.ndarray, x: np.ndarray):
+    """Newton solves Re h f'(s) = psi for s at each node, dividing by
+    hr = Re h(phi): it must be finite (_check_finite) and keep one sign.
+    min |hr| and max |hr| are read from min hr and max hr, unless the sign
+    changes."""
+    lo, hi = _check_finite(hr, x)
     changes_sign = hi > 0 > lo
     if changes_sign:
         mag = np.abs(hr)
@@ -297,7 +306,7 @@ def solve_critical(
     """Find the metric whose EL potential f'(s) h(phi) is alpha x + beta."""
     shooter = _Shooter(geom)
     x = geom.grid.x
-    hr = np.asarray(h(phi.values, x)).real  # a complex h leaves Im h to the check below
+    hr = np.asarray(h_of_phi(h, phi.values, x)).real  # a complex h leaves Im h to the check below
     s0 = geom.constants.s0
     domain, fprime, status = f, f.derivative(), STATUS_CONVERGED
     if fprime.constant_value() is not None:
@@ -305,7 +314,9 @@ def solve_critical(
         # critical when it is affine and none is otherwise.  The canonical
         # representative is Calabi's: Newton on s = alpha x + beta itself
         # (f' := id, Re h := 1, no domain to stay in); the criticality check
-        # below decides.
+        # below decides.  h(phi) still has to be finite; its zeros are no
+        # obstruction, as nothing divides by it.
+        _check_finite(hr, x)
         domain, fprime, hr, status = identity(), identity(), np.ones(x.shape), STATUS_EVERY_METRIC
     # F = Re h f'(s) - psi is solved for s pointwise, so Re h must be finite
     # and keep one sign

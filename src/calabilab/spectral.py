@@ -3,22 +3,25 @@
 A ChebyshevBasis holds what a grid of n nodes needs that depends on n
 alone: the nodes t, the cosine table T_k(t_j), the table of T_k''(t_j),
 the Clenshaw-Curtis weights on [-1, 1], the transform divisor with the
-table route's weights or the FFT route's factor, and the tables of k, 2 k
-and the endpoint slopes.  chebyshev_basis builds one per n, and a
-SpectralGrid is that basis and an interval: its own arrays are its nodes x
-and its quadrature weights.
+table route's weighted cosine table or the FFT route's factor, the tables
+of k and 2 k, and the two rows of endpoint slopes.  chebyshev_basis builds
+one per n, and a SpectralGrid is that basis and an interval: its own
+arrays are its nodes x and its quadrature weights.
 
 Both transforms are cosine sums over the nodes (Trefethen, Approximation
 Theory and Approximation Practice, 2013, ch. 3), taken as one product with
 the cosine table or through one FFT DCT-I, an unscaled np.fft.irfft, which
 pads and evenly extends its input itself (Chebfun's vals2coeffs /
 coeffs2vals), in O(N log N).  Each call tests the table's shape: values to
-coefficients takes the table when it is complete, n up to DENSE_NODES, and
-a series of L coefficients, folded first if L > n, takes it when L is at
-most its rows, SYNTHESIS_WIDTH above DENSE_NODES; second derivatives at
-the nodes take the T_k'' table likewise and the recurrence otherwise.
+coefficients takes the table when it is complete, n up to DENSE_NODES, as
+one product with a copy that holds the DCT-I's weights, and a series of L
+coefficients, folded first if L > n, takes it when L is at most its rows,
+SYNTHESIS_WIDTH above DENSE_NODES; second derivatives at the nodes take
+the T_k'' table likewise and the recurrence otherwise.
 Complex data goes one part at a time, and every route returns a new
-contiguous array, so sums over it run in numpy's pairwise order.
+contiguous array, so sums over it run in numpy's pairwise order.  Every
+product is np.dot, which makes the same BLAS call as the @ operator for
+less per call: @ runs through numpy 2's matmul gufunc.
 Theta <-> s on every geometry is one product with a per-k table
 (curvature_table Q_k, profile_table B_k).  The rest of the calculus runs
 on chopped coefficients: derivative and antiderivative coefficients are
@@ -65,8 +68,8 @@ Per call (minimum over repeats, one BLAS thread) the dense values ->
 coefficients product takes 2.0 us against the FFT's 5.3 us at N = 65 and
 3.7 against 5.9 us at N = 129, but 10.1 against 7.4 us at N = 257 and 48
 against 10 us at N = 513: the crossover lies between 129 and 257.  The
-cosine table and the table of T_k'' are 8 n^2 bytes each, 266 KB together
-at N = 129."""
+cosine table, its copy weighted for values -> coefficients and the table of
+T_k'' are 8 n^2 bytes each, 399 KB together at N = 129."""
 
 
 def _cosines(m: int, pi) -> np.ndarray:
@@ -160,24 +163,26 @@ class ChebyshevBasis:
         # values_to_coefficients divides by m, doubled at both ends, so c_0
         # and c_m are halved exactly.  The complete cosine table carries the
         # sign (-1)^k of the ascending nodes itself, and its route weights
-        # the values by 2 inside the ends and 1 at them, as the DCT-I does.
+        # the values by 2 inside the ends and 1 at them, as the DCT-I does,
+        # with the weights in the table: T_kj w_j is exact for w_j = 1 or 2,
+        # so (T diag(w)) v rounds each term T_kj w_j v_j as T (w v) does.
         # The DCT-I runs over the nodes in descending t, where T_k(t_j) =
         # cos(pi j k / m), so the FFT routes fold (-1)^k into their tables.
         sign = np.where(np.arange(n + 1) % 2, -1.0, 1.0)  # (-1)^k, k = 0..n
         self.v2c_divisor = np.where(ends, 2.0, 1.0) * m
         if k.size == n:
-            self.v2c_weights = np.where(ends, 1.0, 2.0)
+            self.v2c_table = self.cosines * np.where(ends, 1.0, 2.0)
         else:
             self.v2c_divisor *= sign[:n]
             # coefficients_to_values scales c_k by (-1)^k, halved inside
             self.c2v_factor = np.where(ends, 1.0, 0.5) * sign[:n]
-        # The recurrence weights k and 2 k, and T_k'(1) = k^2 and T_k'(-1) =
-        # (-1)^(k+1) k^2, n + 1 long: a profile built in coefficient space
-        # can carry n + 1 coefficients
+        # The recurrence weights k and 2 k, and the slope rows T_k'(-1) =
+        # (-1)^(k+1) k^2 and T_k'(1) = k^2, n + 1 long: a profile built in
+        # coefficient space can carry n + 1 coefficients
         self.degrees = np.arange(n + 1.0)
         self.twice_degrees = 2.0 * self.degrees
-        self.slope_hi = self.degrees ** 2
-        self.slope_lo = -sign * self.slope_hi
+        square = self.degrees ** 2
+        self.slopes = np.stack([-sign * square, square])
         _freeze(self)
 
 
@@ -330,7 +335,7 @@ def profile_table(k: int) -> np.ndarray:
         near[0] = 1.0 / ((n + b) * (n + b + ld(1.0)))
         o = np.arange(-2, 3)[:, None]
         stencil = np.array([0.25, 1.0, 1.5, 1.0, 0.25, 0.0, 0.0, 0.0, 0.0], dtype=ld)
-        table[n + o, n] = stencil[o + e.T + 2] @ near  # T_(n+o) in (t + 1)^2 T_(n-e)
+        table[n + o, n] = np.dot(stencil[o + e.T + 2], near)  # T_(n+o) in (t + 1)^2 T_(n-e)
         i = x[:s, None]
         thin[:, s:] = u[:s, None] * v * (n * n - i * i - 2 * b - 1)
     thin = times_t_plus_1(times_t_plus_1(thin))
@@ -367,18 +372,18 @@ class SpectralGrid:
     def values_to_coefficients(self, values: np.ndarray) -> np.ndarray:
         """Chebyshev coefficients (in t) of the interpolant of the values,
         c_k = (2 / m) sum'' v_j T_k(t_j), c_0 and c_m halved.  Up to n =
-        DENSE_NODES, one product with the basis's complete cosine table,
-        (T @ (w v)) / d, complex v one part at a time; above, the FFT DCT-I
-        divided by d.  Either route weights before the sum and divides after
-        it, so values near the float limit overflow into the coefficients,
-        which the chop then refuses, rather than into their synthesis."""
+        DENSE_NODES, one product with the basis's complete cosine table
+        weighted by w = 2 inside the ends and 1 at them, ((T diag(w)) v) / d,
+        complex v one part at a time; above, the FFT DCT-I divided by d.
+        Either route divides after the sum, so values near the float limit
+        overflow into the coefficients (c_0 sums 2 v_j), which the chop then
+        refuses, rather than into their synthesis."""
         v = np.asarray(values)
-        table = self.basis.cosines
-        if table.shape[0] < self.n:
+        if self.basis.cosines.shape[0] < self.n:
             return _dct1(v, self.n) / self.basis.v2c_divisor
         if v.dtype.kind == "c":
             return _by_part(self.values_to_coefficients, v)
-        return (table @ (v * self.basis.v2c_weights)) / self.basis.v2c_divisor
+        return np.dot(self.basis.v2c_table, v) / self.basis.v2c_divisor
 
     def coefficients_to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Values at the nodes of sum_k c_k T_k(t), a contiguous array (sums
@@ -387,7 +392,7 @@ class SpectralGrid:
         equals T_j with j = k mod 2m reflected into [0, m].  A series of at
         most as many coefficients as the basis's cosine table has rows, n up
         to n = DENSE_NODES and SYNTHESIS_WIDTH above, is then one product
-        with it, c @ T[:L], complex c one part at a time; a longer one goes
+        with it, c T[:L], complex c one part at a time; a longer one goes
         through the FFT DCT-I, whose cost does not depend on L."""
         c = np.asarray(coeffs)
         n, m = self.n, self.n - 1
@@ -400,8 +405,8 @@ class SpectralGrid:
         if c.size > table.shape[0]:
             return _dct1(c * self.basis.c2v_factor[: c.size], n)
         if c.dtype.kind == "c":
-            return _by_part(np.matmul, c, table[: c.size])
-        return c @ table[: c.size]
+            return _by_part(np.dot, c, table[: c.size])
+        return np.dot(c, table[: c.size])
 
     # -- calculus ---------------------------------------------------------
     def derivative_coefficients(self, coeffs, order: int = 1) -> np.ndarray:
@@ -445,7 +450,7 @@ class SpectralGrid:
         from its chopped coefficients (real or complex), a new array.  A
         series of at most as many coefficients as the basis's table of
         T_k''(t_j) has rows, n up to n = DENSE_NODES and SYNTHESIS_WIDTH
-        above, is one product with it, (c @ D[:L]) (2 / span)^2, complex c
+        above, is one product with it, (c D[:L]) (2 / span)^2, complex c
         one part at a time; a longer one takes derivative_coefficients and
         coefficients_to_values."""
         c = np.asarray(coeffs)
@@ -454,7 +459,7 @@ class SpectralGrid:
             return self.coefficients_to_values(self.derivative_coefficients(c, 2) * self._d2_scale)
         if c.dtype.kind == "c":
             return _by_part(self.second_derivative_values, c)
-        v = c @ table[: c.size]
+        v = np.dot(c, table[: c.size])
         v *= self._d2_scale
         return v
 
@@ -480,16 +485,14 @@ class SpectralGrid:
         v = self.coefficients_to_values(ci)
         return v - v[0]
 
-    def endpoint_slopes(self, coeffs: np.ndarray):
-        """(d/dx at lo, d/dx at hi) of sum_k c_k T_k from its (chopped)
+    def endpoint_slopes(self, coeffs: np.ndarray) -> np.ndarray:
+        """[d/dx at lo, d/dx at hi] of sum_k c_k T_k from its (chopped)
         coefficients, at most n + 1 of them: T_k'(-1) = (-1)^(k+1) k^2 and
-        T_k'(1) = k^2, two dot products with the basis's tables."""
-        size = coeffs.size
-        scale = 2.0 / self.span
-        return (self.basis.slope_lo[:size] @ coeffs) * scale, (self.basis.slope_hi[:size] @ coeffs) * scale
+        T_k'(1) = k^2, one product with the basis's two slope rows."""
+        return np.dot(self.basis.slopes[:, : coeffs.size], coeffs) * (2.0 / self.span)
 
     def integrate_values(self, values: np.ndarray):
-        return self.quad_weights @ np.asarray(values)
+        return np.dot(self.quad_weights, values)
 
 
 _GRID_CACHE: dict = {}
@@ -537,6 +540,8 @@ class SampledFunction:
         v = np.asarray(self.values)
         if v.shape != (self.grid.n,):
             raise ValueError("value count does not match the grid")
+        # elementwise, not through a sum first: a sum of finite samples can
+        # overflow, and warn
         if not np.logical_and.reduce(np.isfinite(v)):  # complex: both parts
             raise NonFiniteError("non-finite sample values")
         v.setflags(write=False)
@@ -579,7 +584,7 @@ class AffineProjector:
         # a mass below -1e-13 of the largest is not a measure, not rounding
         if np.logical_or.reduce(qw < -1e-13 * np.maximum.reduce(np.abs(qw))):
             raise DegenerateWeight("weight must be nonnegative")
-        g00, g01, mass = float(qw @ (x * x)), float(qw @ x), float(np.add.reduce(qw))
+        g00, g01, mass = float(np.dot(qw, x * x)), float(np.dot(qw, x)), float(np.add.reduce(qw))
         if not mass > 0:
             raise DegenerateWeight("degenerate normal equations")
         # the moments of the unit-mass measure make the test scale-free: its
@@ -593,12 +598,12 @@ class AffineProjector:
     def coefficients(self, psi: np.ndarray) -> tuple:
         """(alpha, beta) minimizing sum qw |psi - (alpha x + beta)|^2, as
         Python floats (complex for complex psi)."""
-        return self.gram.solve((self.qw @ (self.x * psi)).item(), (self.qw @ psi).item())
+        return self.gram.solve(np.dot(self.qw, self.x * psi).item(), np.dot(self.qw, psi).item())
 
     def project(self, psi: np.ndarray):
         """(alpha, beta, residual_norm) of the projection; complex psi is
         projected componentwise (same Gram matrix for both parts)."""
         alpha, beta = self.coefficients(psi)
         resid = psi - (alpha * self.x + beta)
-        residual_norm = math.sqrt(max(float(self.qw @ np.abs(resid) ** 2), 0.0))
+        residual_norm = math.sqrt(max(float(np.dot(self.qw, np.abs(resid) ** 2)), 0.0))
         return alpha, beta, residual_norm

@@ -63,7 +63,8 @@ def transport(
     geom = profile.geometry
     grid = geom.grid
     denom = 1.0 - KAPPA_THETA * t * profile.theta.values * path.u2
-    if np.logical_or.reduce(denom[1:-1] <= 0.0):
+    # fmin skips a NaN, as the elementwise test denom <= 0 does
+    if np.fmin.reduce(denom[1:-1]) <= 0.0:
         raise PathExitsClass(t)
     theta_t = profile.theta.values / denom
     return MetricProfile(geom, SampledFunction(grid, theta_t)), phi

@@ -27,6 +27,7 @@ from calabilab import (
 )
 from calabilab import cli
 from calabilab.cli import _safe_t_max, build_parser, main
+from calabilab.functions import FunctionDescriptor
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -594,3 +595,59 @@ def test_evaluate_deterministic_bytes(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     for name in ("report.json", "psi.csv", "s.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("h, value", [("exp", "inf"), ("sum:exp,scaled:-1:exp", "nan")])
+def test_non_finite_h_is_named_when_fprime_is_constant(tmp_path, capsys, h, value):
+    # f = id: f' is constant, and the solver runs Newton with Re h := 1.
+    # At --target 1e5, phi = x + c with c near 8000, so e^phi is inf at
+    # every node and e^phi - e^phi NaN: the first node is named with its
+    # value before the swap, not left to a generic check of psi
+    out = tmp_path / "s"
+    assert main(["solve", "--f", "id", "--h", h, "--target", "1e5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"numerical failure: non-finite Re h(phi) at node x=-1.0: {value}\n"
+    assert not out.exists()
+
+
+def test_h_outside_its_domain_names_h_phi_and_the_node(tmp_path, capsys):
+    # phi = x + c is negative at x = -1 for these targets: the DomainError
+    # names the tag that raised, the node, and h as written, given phi; the
+    # solve, the EL potential and S each evaluate h(phi)
+    for args, h in (
+        (["solve", "--f", "exp", "--h", "log", "--target", "1"], "log"),
+        (["solve", "--f", "id", "--h", "compaff:2:0:log", "--target", "1"], "compaff:2:0:log"),
+        (["evaluate", "--f", "exp", "--h", "log", "--target", "-100"], "log"),
+        (["evaluate", "--f", "const:1", "--h", "pow:0.5", "--target", "-100"], "pow:0.5"),
+    ):
+        out = tmp_path / "d"
+        assert main([*args, "--out", str(out)]) == 1, args
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"numerical failure: \w+: value -[0-9.e+-]+ outside domain at node x=-1\.0 "
+                            rf"\(phi given to h = {re.escape(h)}\)\n", err), (args, err)
+        assert not out.exists()
+
+
+def test_no_library_caller_writes_into_a_descriptor_result(tmp_path, capsys, monkeypatch):
+    # identity returns its argument, a read-only array of the library's, so
+    # no caller may write into what a descriptor returns: with every result
+    # made read-only, the README commands and solves on both solver paths
+    # run as before
+    call = FunctionDescriptor.__call__
+
+    def frozen(self, z, nodes=None):
+        out = call(self, z, nodes)
+        if isinstance(out, np.ndarray):
+            out.setflags(write=False)
+        return out
+
+    monkeypatch.setattr(FunctionDescriptor, "__call__", frozen)
+    runs = _readme_commands() + [
+        ["solve", "--f", "id", "--h", "id", "--out", "x"],
+        ["solve", "--f", "log", "--h", "pow:2", "--target", "20", "--out", "x"],
+        ["evaluate", "--geometry", "cpm:3", "--profile", "random:5:0.2", "--f", "exp", "--h", "sum:id,const:0.5j",
+         "--out", "x"],
+    ]
+    for i, args in enumerate(runs):
+        args[args.index("--out") + 1] = str(tmp_path / str(i))
+        assert main(args) == 0, args
+    capsys.readouterr()

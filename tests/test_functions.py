@@ -118,6 +118,15 @@ def test_domain_errors_carry_location():
     assert exc.value.node == 0.2
 
 
+def test_identity_returns_its_argument():
+    # no copy: the read-only array handed in comes back, and callers only
+    # read it (test_cli holds them to that)
+    z = np.linspace(-1.0, 1.0, 5)
+    z.setflags(write=False)
+    assert identity()(z) is z and identity()(z, z) is z
+    assert parse_function("id")(z) is z
+
+
 DOMAIN_LEAVES = ["id", "exp", "const:1", "affine:2:1", "pow:0", "pow:2", "pow:3",
                  "pow:-1", "pow:-2", "pow:0.5", "pow:1.5", "log"]
 

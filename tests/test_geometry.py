@@ -218,10 +218,10 @@ def test_every_shared_array_is_read_only(geometries):
     assert all(grid.basis is cp1_grid.basis for grid in grids.values())
     assert cp1_grid.basis.cosines.shape == cp1_grid.basis.second.shape == (cp1_grid.n, cp1_grid.n)
     shared = {"t", "cosines", "second", "clenshaw_curtis", "v2c_divisor", "degrees", "twice_degrees",
-              "slope_lo", "slope_hi"}
+              "slopes"}
     fresh = ChebyshevBasis(cp1_grid.n)
     assert fresh is not cp1_grid.basis
-    for label, basis, route in (("basis", cp1_grid.basis, "v2c_weights"), ("fresh basis", fresh, "v2c_weights"),
+    for label, basis, route in (("basis", cp1_grid.basis, "v2c_table"), ("fresh basis", fresh, "v2c_table"),
                                 ("fresh fft basis", ChebyshevBasis(DENSE_NODES + 2), "c2v_factor")):
         tables = {name: v for name, v in vars(basis).items() if isinstance(v, np.ndarray)}
         assert set(tables) == shared | {route}, label

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from calabilab import (
+    AdmissibilityError,
+    DomainError,
     HolomorphyPotential,
+    MetricProfile,
     NonFiniteError,
     SampledFunction,
     el_potential,
@@ -54,6 +57,55 @@ def test_eval_S_with_constant_f_is_class_data(cp1, cp1_phi):
         for seed in range(10)
     ]
     assert max(abs(v - vals[0]) for v in vals) < 1e-10 * (1.0 + abs(vals[0]))
+
+
+@pytest.mark.parametrize("c", ["1", "2", "-0.75", "0.5j"])
+@pytest.mark.parametrize("h", ["exp", "id", "sum:id,const:0.5j"])
+def test_a_constant_f_multiplies_h_of_phi_by_its_value(geometries, c, h):
+    # S with f = const:c takes c h(phi), the product that f(s) h(phi) with
+    # s filled with c takes, so S is that integral bit for bit;
+    # equivariant_integral is the c = 1 slice, int h(phi) dmu itself
+    f, hd = parse_function(f"const:{c}"), parse_function(h)
+    for spec, geom in geometries.items():
+        phi = HolomorphyPotential(geom, 1.0, 0.5)
+        profile = random_admissible_profile(geom, 3, 0.2)
+        hv = hd(phi.values, geom.grid.x)
+        filled = np.empty(geom.grid.n, dtype=type(f.params[0]))
+        filled.fill(f.params[0])
+        expect = np.array([complex(geom.integrate(filled * hv))])
+        assert np.array([eval_S(profile, f, hd, phi)]).tobytes() == expect.tobytes(), spec
+        one = np.array([equivariant_integral(profile, hd, phi)])
+        assert one.tobytes() == np.array([complex(geom.integrate(hv))]).tobytes(), spec
+
+
+def test_a_constant_f_still_reads_s(geometries):
+    # with f constant S does not depend on s, but it is read all the same,
+    # so an inadmissible profile (Theta halved: its end slopes are 1 and -1)
+    # raises as it does for every other f
+    h = parse_function("exp")
+    for spec, geom in geometries.items():
+        phi = HolomorphyPotential(geom, 1.0, 0.5)
+        profile = MetricProfile(geom, SampledFunction(geom.grid, 0.5 * round_profile(geom).theta.values))
+        for call in (lambda: eval_S(profile, parse_function("const:2"), h, phi),
+                     lambda: eval_S(profile, parse_function("id"), h, phi),
+                     lambda: equivariant_integral(profile, h, phi)):
+            with pytest.raises(AdmissibilityError, match="boundary slope"):
+                call()
+
+
+def test_h_outside_its_domain_names_h_and_phi(cp1, cp1_round):
+    # phi = x - 0.5 is negative at the first node: S, the EL potential and
+    # the equivariant integral each name the tag that raised, the node and
+    # h as written
+    phi = HolomorphyPotential(cp1, 1.0, -0.5)
+    f = parse_function("exp")
+    for h in ("log", "compaff:1:0:pow:0.5", "sum:exp,log"):
+        hd = parse_function(h)
+        for call in (lambda: eval_S(cp1_round, f, hd, phi), lambda: el_potential(cp1_round, f, hd, phi),
+                     lambda: equivariant_integral(cp1_round, hd, phi)):
+            with pytest.raises(DomainError, match=rf"at node x=-1\.0 \(phi given to h = {h}\)$") as exc:
+                call()
+            assert exc.value.node == -1.0 and exc.value.value == -1.5
 
 
 def test_s_phi_integral_is_class_data(cp1, cp1_phi):

@@ -163,6 +163,11 @@ def test_values_to_coefficients_matches_dense_cosine_sums(n, complex_):
     assert np.abs(grid.values_to_coefficients(v) - expect).max() <= 8 * EPS * np.abs(v).max()
 
 
+def _dct1_weights(n: int) -> np.ndarray:
+    """The DCT-I's weights on the values: 1 at both ends and 2 inside."""
+    return np.where(np.arange(n) % (n - 1) == 0, 1.0, 2.0)
+
+
 @pytest.mark.parametrize("n", [8, 9, 65, 129, 257, 1025])
 def test_values_to_coefficients_takes_the_table_up_to_dense_nodes_and_the_fft_above(n):
     # up to DENSE_NODES the coefficients are one product with the complete
@@ -176,7 +181,7 @@ def test_values_to_coefficients_takes_the_table_up_to_dense_nodes_and_the_fft_ab
     assert got.shape == (n,) and got.flags.c_contiguous
     if n <= DENSE_NODES:
         assert grid.basis.cosines.shape == (n, n)
-        expect = (grid.basis.cosines @ (v * grid.basis.v2c_weights)) / grid.basis.v2c_divisor
+        expect = (grid.basis.cosines @ (v * _dct1_weights(n))) / grid.basis.v2c_divisor
         assert got.tobytes() == expect.tobytes()
         im = rng.standard_normal(n)
         c = grid.values_to_coefficients(v + 1j * im)
@@ -964,13 +969,48 @@ def test_chop_coefficients_refuses_a_non_finite_series(bad, where):
         chop_coefficients(c)
 
 
+@pytest.mark.parametrize("n", [9, 33, 65, 100, 129])
+def test_the_weighted_table_is_the_weighted_product_bit_for_bit(n):
+    # the table route takes one product with the cosine table weighted by
+    # w = 1 at the ends and 2 inside: T_kj w_j and w_j v_j are exact, so
+    # every term, and so every sum, is the product with the weighted values
+    # bit for bit; complex values one part at a time
+    grid = SpectralGrid(n, 0.0, 1.0)
+    basis = grid.basis
+    w = _dct1_weights(n)
+    assert basis.v2c_table.tobytes() == (basis.cosines * w).tobytes()
+    rng = np.random.default_rng(1000 + n)
+    for scale in (1.0, 1e-300, 1e300):
+        v = scale * rng.standard_normal(n)
+        im = scale * rng.standard_normal(n)
+        expect, expect_im = ((basis.cosines @ (u * w)) / basis.v2c_divisor for u in (v, im))
+        assert grid.values_to_coefficients(v).tobytes() == expect.tobytes(), scale
+        got = grid.values_to_coefficients(v + 1j * im)
+        assert got.real.tobytes() == expect.tobytes() and got.imag.tobytes() == expect_im.tobytes(), scale
+
+
+@pytest.mark.parametrize("n", [129, 257])
+@pytest.mark.parametrize("where", [1, 64])
+def test_one_value_near_the_float_limit_is_refused_on_either_route(n, where):
+    # 0.9e308 at one interior node is finite, but twice it is not: c_0
+    # sums 2 v_j on the table route, whose table holds the weights, and on
+    # the FFT route, so the coefficients are refused by name
+    grid = SpectralGrid(n, -1.0, 1.0)
+    v = 1.0 - grid.t ** 2
+    v[where] = 0.9e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = grid.values_to_coefficients(v)
+    with pytest.raises(NonFiniteError, match="^non-finite Chebyshev coefficients$"):
+        chop_coefficients(c)
+
+
 @pytest.mark.parametrize("n", [129, 257])
 def test_values_that_overflow_the_transform_are_non_finite_coefficients(n):
     # every value is finite, but 1.7e308 at ten interior nodes overflows
     # the weighted sum on either route, table or FFT, so the coefficients
-    # are refused by name; weights and divisor folded into one analysis
-    # matrix would keep them finite and defer the failure to whatever
-    # synthesises them
+    # are refused by name; the divisor folded into the analysis table too
+    # would keep them finite and defer the failure to whatever synthesises
+    # them
     grid = SpectralGrid(n, -1.0, 1.0)
     v = 1.0 - grid.t ** 2
     v[11:21] = 1.7e308
@@ -978,6 +1018,27 @@ def test_values_that_overflow_the_transform_are_non_finite_coefficients(n):
         c = grid.values_to_coefficients(v)
     with pytest.raises(NonFiniteError, match="^non-finite Chebyshev coefficients$"):
         chop_coefficients(c)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_sampled_values_are_refused_exactly_when_one_is_not_finite(complex_):
+    # the test is elementwise: finite values whose sum overflows pass with
+    # no warning (RuntimeWarning is an error here), and a NaN, an infinity
+    # or two opposite infinities at any node are refused
+    grid = SpectralGrid(9, -1.0, 1.0)
+    unit = 1j if complex_ else 1.0
+    big = np.full(9, 1e308) * unit
+    assert SampledFunction(grid, big).values is big  # the sum overflows; every value is finite
+    for bad in (np.nan, np.inf, -np.inf):
+        for where in (0, 4, 8):
+            v = np.linspace(-1.0, 1.0, 9) * unit
+            v[where] = bad * unit if complex_ else bad
+            with pytest.raises(NonFiniteError, match="^non-finite sample values$"):
+                SampledFunction(grid, v)
+    v = np.linspace(-1.0, 1.0, 9) * unit
+    v[[2, 5]] = (np.inf, -np.inf)  # they cancel to NaN
+    with pytest.raises(NonFiniteError):
+        SampledFunction(grid, v)
 
 
 class _Counted:
